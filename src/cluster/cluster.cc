@@ -55,7 +55,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     popts.tracer = opts.tracer;
     popts.slow_ring = opts.slow_ring;
     popts.time_stages = opts.time_stages;
-    // Replicas need the same base; the primary takes its own copy.
     KG_ASSIGN_OR_RETURN(
         auto primary,
         PrimaryMember::Create(shard, partitions[shard], popts));

@@ -28,7 +28,7 @@ PrimaryMember::PrimaryMember(size_t shard, PrimaryOptions options)
       label_("s" + std::to_string(shard) + ".primary") {}
 
 Result<std::unique_ptr<PrimaryMember>> PrimaryMember::Create(
-    size_t shard, graph::KnowledgeGraph base, PrimaryOptions options) {
+    size_t shard, const graph::KnowledgeGraph& base, PrimaryOptions options) {
   auto member = std::unique_ptr<PrimaryMember>(
       new PrimaryMember(shard, std::move(options)));
   store::StoreOptions sopts;
@@ -36,7 +36,7 @@ Result<std::unique_ptr<PrimaryMember>> PrimaryMember::Create(
   sopts.registry = member->options_.registry;
   sopts.time_stages = member->options_.time_stages;
   KG_ASSIGN_OR_RETURN(member->store_,
-                      store::VersionedKgStore::Open(std::move(base), sopts));
+                      store::VersionedKgStore::Open(base, sopts));
   {
     std::lock_guard<std::mutex> lock(member->server_mu_);
     KG_RETURN_IF_ERROR(member->StartServerLocked());
@@ -141,7 +141,7 @@ ReplicaMember::ReplicaMember(size_t shard, size_t index,
              std::to_string(index)) {}
 
 Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
-    size_t shard, size_t index, graph::KnowledgeGraph base,
+    size_t shard, size_t index, const graph::KnowledgeGraph& base,
     rpc::TransportFactory dial, ReplicaOptions options) {
   auto member = std::unique_ptr<ReplicaMember>(
       new ReplicaMember(shard, index, std::move(options)));
@@ -166,7 +166,7 @@ Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
   sopts.registry = member->options_.registry;
   sopts.time_stages = member->options_.time_stages;
   KG_ASSIGN_OR_RETURN(member->store_,
-                      store::VersionedKgStore::Open(std::move(base), sopts));
+                      store::VersionedKgStore::Open(base, sopts));
   member->store_->set_applied_watermark(resume_offset);
 
   WalReceiverOptions ropts = member->options_.receiver;

@@ -78,7 +78,8 @@ struct PrimaryOptions {
 class PrimaryMember : public ShardMember {
  public:
   static Result<std::unique_ptr<PrimaryMember>> Create(
-      size_t shard, graph::KnowledgeGraph base, PrimaryOptions options = {});
+      size_t shard, const graph::KnowledgeGraph& base,
+      PrimaryOptions options = {});
   ~PrimaryMember() override;
 
   /// Applies one logical commit and appends it to the shipping log;
@@ -153,7 +154,7 @@ class ReplicaMember : public ShardMember {
   /// from; `dial` reaches the primary's shipping endpoint (wrap with
   /// ChaosConnectFactory / ChaosTransport for fault drills).
   static Result<std::unique_ptr<ReplicaMember>> Create(
-      size_t shard, size_t index, graph::KnowledgeGraph base,
+      size_t shard, size_t index, const graph::KnowledgeGraph& base,
       rpc::TransportFactory dial, ReplicaOptions options = {});
   ~ReplicaMember() override;
 

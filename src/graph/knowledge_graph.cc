@@ -207,23 +207,32 @@ std::string KnowledgeGraph::TripleToString(TripleId id) const {
          "--> " + nodes_[t.object].name;
 }
 
+uint64_t TripleFingerprint(std::string_view subject, NodeKind subject_kind,
+                           std::string_view predicate, std::string_view object,
+                           NodeKind object_kind) {
+  std::string key;
+  key += subject;
+  key += '\x01';
+  key += static_cast<char>(subject_kind);
+  key += '\x01';
+  key += predicate;
+  key += '\x01';
+  key += object;
+  key += '\x01';
+  key += static_cast<char>(object_kind);
+  return Fnv1a64(key);
+}
+
 uint64_t TripleSetFingerprint(const KnowledgeGraph& kg) {
   uint64_t fingerprint = 0;
   for (TripleId id : kg.AllTriples()) {
     const Triple& t = kg.triple(id);
-    std::string key;
-    key += kg.NodeName(t.subject);
-    key += '\x01';
-    key += static_cast<char>(kg.GetNodeKind(t.subject));
-    key += '\x01';
-    key += kg.PredicateName(t.predicate);
-    key += '\x01';
-    key += kg.NodeName(t.object);
-    key += '\x01';
-    key += static_cast<char>(kg.GetNodeKind(t.object));
     // Commutative combine (sum) keeps the fingerprint independent of
     // triple enumeration order.
-    fingerprint += Fnv1a64(key);
+    fingerprint += TripleFingerprint(
+        kg.NodeName(t.subject), kg.GetNodeKind(t.subject),
+        kg.PredicateName(t.predicate), kg.NodeName(t.object),
+        kg.GetNodeKind(t.object));
   }
   return fingerprint;
 }

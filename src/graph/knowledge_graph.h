@@ -183,11 +183,17 @@ class KnowledgeGraph {
   std::unordered_map<PredicateId, std::vector<TripleId>> p_index_;
 };
 
-/// Order-insensitive 64-bit fingerprint of the live triple set: FNV-1a of
-/// each (subject name+kind, predicate name, object name+kind) combined
-/// commutatively. Two graphs asserting the same knowledge fingerprint
-/// identically regardless of node ids or insertion order; stable across
-/// platforms and runs (built on Fnv1a64, not std::hash). Used by the
+/// FNV-1a of one (subject name+kind, predicate name, object name+kind)
+/// triple: the term TripleSetFingerprint sums.
+uint64_t TripleFingerprint(std::string_view subject, NodeKind subject_kind,
+                           std::string_view predicate, std::string_view object,
+                           NodeKind object_kind);
+
+/// Order-insensitive 64-bit fingerprint of the live triple set: the
+/// TripleFingerprint of each live triple combined commutatively (summed).
+/// Two graphs asserting the same knowledge fingerprint identically
+/// regardless of node ids or insertion order; stable across platforms
+/// and runs (built on Fnv1a64, not std::hash). Used by the
 /// parallel-determinism golden tests and the scaling benches to assert the
 /// serial ≡ parallel invariant.
 uint64_t TripleSetFingerprint(const KnowledgeGraph& kg);

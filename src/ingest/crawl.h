@@ -144,7 +144,7 @@ UnitResult ProcessUnit(const CrawlPlan& plan, const CrawlUnit& unit,
                        const SurfaceLinker& linker, const UnitContext& ctx);
 
 /// Applies a mutation to a plain KnowledgeGraph with the exact semantics
-/// VersionedKgStore applies to its authoritative graph (upsert =
+/// a VersionedKgStore commit has on its knowledge (upsert =
 /// AddTriple provenance-append; retract of an absent triple = no-op).
 /// The oracle mirror every ingest gate compares against.
 void ApplyMutationToKg(graph::KnowledgeGraph& kg, const store::Mutation& m);

@@ -205,7 +205,11 @@ void RpcServer::Drain(int max_wait_ms) {
 }
 
 void RpcServer::Stop() {
-  if (!impl_->running.exchange(false)) return;
+  {
+    // Under queue_mu, so no worker misses the notify below.
+    std::lock_guard<std::mutex> lock(impl_->queue_mu);
+    if (!impl_->running.exchange(false)) return;
+  }
   listener_->Shutdown();
   {
     std::lock_guard<std::mutex> lock(impl_->conns_mu);
@@ -634,6 +638,10 @@ void RpcServer::WorkerLoop() {
       resp.message = result.status().message();
       task.span.SetAttr("error", result.status().message());
     }
+    // End the span before the client can see the response (and advance
+    // a shared trace clock).
+    const uint64_t root_span_id = task.span.id();
+    task.span.End();
     WriteResponse(task.conn, MessageType::kQueryResponse, task.request_id,
                   EncodeQueryResponse(resp));
     task.conn->queued.fetch_sub(1, std::memory_order_acq_rel);
@@ -649,8 +657,6 @@ void RpcServer::WorkerLoop() {
       impl_->m_stage_queue_wait[kind]->Observe(queue_wait_us);
       impl_->m_stage_execute[kind]->Observe(execute_us);
     }
-    const uint64_t root_span_id = task.span.id();
-    task.span.End();
     if (obs::SlowQueryRing* ring = impl_->options.slow_ring) {
       obs::SlowQuery slow;
       slow.trace_id = task.trace_id;

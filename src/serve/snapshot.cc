@@ -1,14 +1,10 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/strings.h"
-#include "graph/serialization.h"
 #include "obs/metrics.h"
 
 namespace kg::serve {
@@ -16,25 +12,6 @@ namespace kg::serve {
 namespace {
 
 using graph::NodeKind;
-
-const char* KindName(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kEntity:
-      return "entity";
-    case NodeKind::kText:
-      return "text";
-    case NodeKind::kClass:
-      return "class";
-  }
-  return "entity";
-}
-
-Result<NodeKind> ParseKind(const std::string& name) {
-  if (name == "entity") return NodeKind::kEntity;
-  if (name == "text") return NodeKind::kText;
-  if (name == "class") return NodeKind::kClass;
-  return Status::InvalidArgument("unknown node kind: " + name);
-}
 
 void HashBytes(uint64_t* h, std::string_view bytes) {
   for (char c : bytes) {
@@ -758,131 +735,6 @@ void PublishSnapshotFootprint(const KgSnapshot& snapshot,
       .Set(static_cast<int64_t>(snapshot.num_nodes()));
   registry->GetGauge("serve.snapshot.triples")
       .Set(static_cast<int64_t>(snapshot.num_triples()));
-}
-
-// --- TSV serialization --------------------------------------------------
-
-std::string SerializeSnapshot(const KgSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "kgsnap\t1\t" << snapshot.num_nodes() << '\t'
-      << snapshot.num_predicates() << '\t' << snapshot.num_triples()
-      << '\n';
-  for (NodeId n = 0; n < snapshot.num_nodes(); ++n) {
-    out << "N\t" << KindName(snapshot.NodeKindOf(n)) << '\t'
-        << graph::EscapeTsvField(snapshot.NodeName(n)) << '\n';
-  }
-  for (PredicateId p = 0; p < snapshot.num_predicates(); ++p) {
-    out << "P\t" << graph::EscapeTsvField(snapshot.PredicateName(p)) << '\n';
-  }
-  // Triples in canonical (s, p, o) order — exactly the SPO index walk.
-  for (NodeId s = 0; s < snapshot.num_nodes(); ++s) {
-    for (const KgSnapshot::Edge& e : snapshot.OutEdges(s)) {
-      out << "T\t" << s << '\t' << e.first << '\t' << e.second << '\n';
-    }
-  }
-  return out.str();
-}
-
-Result<KgSnapshot> DeserializeSnapshot(const std::string& data) {
-  const std::vector<std::string> lines = Split(data, '\n');
-  size_t line_no = 0;
-  auto bad = [&line_no](const std::string& why) {
-    return Status::InvalidArgument("snapshot line " +
-                                   std::to_string(line_no) + ": " + why);
-  };
-  if (lines.empty()) return bad("empty input");
-
-  ++line_no;
-  const auto header = Split(lines[0], '\t');
-  if (header.size() != 5 || header[0] != "kgsnap") {
-    return bad("missing kgsnap header");
-  }
-  size_t version = 0, num_nodes = 0, num_preds = 0, num_triples = 0;
-  try {
-    version = std::stoul(header[1]);
-    num_nodes = std::stoul(header[2]);
-    num_preds = std::stoul(header[3]);
-    num_triples = std::stoul(header[4]);
-  } catch (const std::exception&) {
-    return bad("malformed header counts");
-  }
-  if (version != 1) return bad("unsupported version " + header[1]);
-  // Every record occupies one physical line, so the header may not claim
-  // more records than the input could hold. Checked before any reserve —
-  // a hostile header must not size an allocation.
-  if (num_nodes > lines.size() || num_preds > lines.size() ||
-      num_triples > lines.size() ||
-      num_nodes + num_preds + num_triples > lines.size()) {
-    return bad("header counts exceed input size");
-  }
-  if (num_nodes >= UINT32_MAX || num_preds >= UINT32_MAX) {
-    return bad("header counts exceed id space");
-  }
-
-  SnapshotBuilder builder;
-  size_t seen_nodes = 0, seen_preds = 0;
-  std::vector<std::array<uint32_t, 3>> triples;
-  triples.reserve(num_triples);
-  for (size_t i = 1; i < lines.size(); ++i) {
-    ++line_no;
-    const std::string& line = lines[i];
-    if (line.empty()) continue;
-    const auto fields = Split(line, '\t');
-    if (fields[0] == "N") {
-      if (fields.size() != 3) return bad("N record needs 3 fields");
-      if (seen_nodes == num_nodes) return bad("more N records than header");
-      KG_ASSIGN_OR_RETURN(const NodeKind kind, ParseKind(fields[1]));
-      builder.AddNode(graph::UnescapeTsvField(fields[2]), kind);
-      ++seen_nodes;
-    } else if (fields[0] == "P") {
-      if (fields.size() != 2) return bad("P record needs 2 fields");
-      if (seen_preds == num_preds) return bad("more P records than header");
-      builder.AddPredicate(graph::UnescapeTsvField(fields[1]));
-      ++seen_preds;
-    } else if (fields[0] == "T") {
-      if (fields.size() != 4) return bad("T record needs 4 fields");
-      if (triples.size() == num_triples) {
-        return bad("more T records than header");
-      }
-      std::array<uint32_t, 3> t{};
-      try {
-        t[0] = static_cast<uint32_t>(std::stoul(fields[1]));
-        t[1] = static_cast<uint32_t>(std::stoul(fields[2]));
-        t[2] = static_cast<uint32_t>(std::stoul(fields[3]));
-      } catch (const std::exception&) {
-        return bad("malformed triple ids");
-      }
-      if (t[0] >= num_nodes || t[2] >= num_nodes || t[1] >= num_preds) {
-        return bad("triple id out of range");
-      }
-      triples.push_back(t);
-    } else {
-      return bad("unknown record type: " + fields[0]);
-    }
-  }
-  if (seen_nodes != num_nodes) return bad("node count mismatch");
-  if (seen_preds != num_preds) return bad("predicate count mismatch");
-  if (triples.size() != num_triples) return bad("triple count mismatch");
-  std::sort(triples.begin(), triples.end());
-  return builder.Build([&triples](const SnapshotBuilder::TripleSink& sink) {
-    for (const auto& t : triples) sink(t[0], t[1], t[2]);
-  });
-}
-
-Status SaveSnapshot(const KgSnapshot& snapshot, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path);
-  out << SerializeSnapshot(snapshot);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<KgSnapshot> LoadSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return DeserializeSnapshot(buf.str());
 }
 
 }  // namespace kg::serve

@@ -401,22 +401,6 @@ class SnapshotBuilder {
   bool built_ = false;
 };
 
-/// Serializes a snapshot to a versioned TSV text format (vocabulary in id
-/// order, then triples as id tuples). Deterministic: equal snapshots
-/// serialize byte-identically.
-std::string SerializeSnapshot(const KgSnapshot& snapshot);
-
-/// Parses `SerializeSnapshot` output; rejects malformed or out-of-range
-/// input with a descriptive status. Round-trips bit-identically
-/// (fingerprint, vocabulary, and adjacency all preserved). Header counts
-/// are bounds-checked against the physical input size before any
-/// allocation, so hostile headers cannot drive huge reserves.
-Result<KgSnapshot> DeserializeSnapshot(const std::string& data);
-
-/// File convenience wrappers.
-Status SaveSnapshot(const KgSnapshot& snapshot, const std::string& path);
-Result<KgSnapshot> LoadSnapshot(const std::string& path);
-
 /// Recomputes the canonical FNV-1a fingerprint from the snapshot's
 /// vocabulary and SPO walk (the same function Compile evaluates). Used by
 /// the binary loader's verify mode and the property tests; O(content).

@@ -1,11 +1,13 @@
 #include "store/versioned_store.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "common/logging.h"
 #include "obs/introspect.h"
 
 namespace kg::store {
@@ -23,6 +25,32 @@ std::string Render(const NodeRef& n) {
 
 NodeRef RefOf(const serve::KgSnapshot& base, serve::NodeId id) {
   return NodeRef{base.NodeKindOf(id), std::string(base.NodeName(id))};
+}
+
+/// (s, p, o) base ids of `t`, or nullopt when the base lacks the triple.
+std::optional<std::array<uint32_t, 3>> FindBaseTriple(
+    const serve::KgSnapshot& base, const TripleName& t) {
+  const auto s = base.FindNode(t.subject, t.subject_kind);
+  const auto p = base.FindPredicate(t.predicate);
+  const auto o = base.FindNode(t.object, t.object_kind);
+  if (!s.ok() || !p.ok() || !o.ok() || !base.HasTriple(*s, *p, *o)) {
+    return std::nullopt;
+  }
+  return std::array<uint32_t, 3>{*s, *p, *o};
+}
+
+/// The node-addressed cache keys whose answers a change to triple `t` (a
+/// Mutation or a TripleName) can change: a triple (s, p, o) can only
+/// change the point lookup (s, p) and the neighborhoods of s and o — the
+/// full invalidation set for the erase-based query classes.
+template <typename T>
+std::vector<std::string> AffectedCacheKeys(const T& t) {
+  return {
+      serve::Query::PointLookup(t.subject, t.predicate, t.subject_kind)
+          .CacheKey(),
+      serve::Query::Neighborhood(t.subject, t.subject_kind).CacheKey(),
+      serve::Query::Neighborhood(t.object, t.object_kind).CacheKey(),
+  };
 }
 
 /// One epoch's worth of read state: a base snapshot plus the overlay that
@@ -57,13 +85,6 @@ struct MergedView {
     return std::binary_search(touched_ids.begin(), touched_ids.end(), id);
   }
 
-  bool BaseHasTriple(const TripleName& t) const {
-    const auto s = base.FindNode(t.subject, t.subject_kind);
-    const auto p = base.FindPredicate(t.predicate);
-    const auto o = base.FindNode(t.object, t.object_kind);
-    return s.ok() && p.ok() && o.ok() && base.HasTriple(*s, *p, *o);
-  }
-
   bool Retracted(const TripleName& t) const {
     return delta.Lookup(t) == MemDelta::State::kRetracted;
   }
@@ -93,7 +114,7 @@ struct MergedView {
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
             if (t.predicate != pred) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             out.emplace_back(t.object_kind, t.object);
           });
     }
@@ -121,7 +142,7 @@ struct MergedView {
           c.first, c.second,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             rows->push_back("out\t" + t.predicate + '\t' +
                             Render(NodeRef{t.object_kind, t.object}));
           });
@@ -149,7 +170,7 @@ struct MergedView {
           c.first, c.second,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             rows->push_back("in\t" + t.predicate + '\t' +
                             Render(NodeRef{t.subject_kind, t.subject}));
           });
@@ -181,7 +202,7 @@ struct MergedView {
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
             if (t.predicate != type_pred) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             members.emplace_back(t.subject_kind, t.subject);
           });
     }
@@ -223,7 +244,7 @@ struct MergedView {
           n.first, n.second,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             out.emplace_back(t.object_kind, t.object);
           });
     }
@@ -232,7 +253,7 @@ struct MergedView {
           n.first, n.second,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
-            if (BaseHasTriple(t)) return;
+            if (FindBaseTriple(base, t)) return;
             out.emplace_back(t.subject_kind, t.subject);
           });
     }
@@ -309,7 +330,7 @@ serve::QueryResult MergedAttributeByType(const MergedView& view,
         [&](const TripleName& t, const MemDelta::Entry& e) {
           if (e.state != MemDelta::State::kUpserted) return;
           if (t.predicate != q.type_predicate) return;
-          if (view.BaseHasTriple(t)) return;
+          if (FindBaseTriple(view.base, t)) return;
           const NodeRef member{t.subject_kind, t.subject};
           const std::string subject = Render(member);
           for (const NodeRef& o : view.Objects(member, q.predicate)) {
@@ -385,13 +406,13 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
         view.delta.ForEachBySubject(
             kind, name, [&](const TripleName& t, const MemDelta::Entry& e) {
               if (e.state != MemDelta::State::kUpserted) return;
-              if (view.BaseHasTriple(t)) return;
+              if (FindBaseTriple(view.base, t)) return;
               out.push_back(local_id(NodeRef{t.object_kind, t.object}));
             });
         view.delta.ForEachByObject(
             kind, name, [&](const TripleName& t, const MemDelta::Entry& e) {
               if (e.state != MemDelta::State::kUpserted) return;
-              if (view.BaseHasTriple(t)) return;
+              if (FindBaseTriple(view.base, t)) return;
               out.push_back(local_id(NodeRef{t.subject_kind, t.subject}));
             });
       }
@@ -440,13 +461,151 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
   return rows;
 }
 
+/// Assigns the merged vocabulary of a fold its dense ids: base entries
+/// 0..base_count-1 (sorted by `key_of`; kInvalidNode in `remap` marks
+/// one compiled out) interleaved in key order with the overlay-only keys
+/// of `fresh`. Fills `remap` and `fresh` with the new ids and calls
+/// `add(key, base id or kInvalidNode)` in id order.
+template <typename Key, typename KeyOf, typename Add>
+void MergeVocabulary(const KeyOf& key_of, std::map<Key, uint32_t>* fresh,
+                     std::vector<uint32_t>* remap, const Add& add) {
+  const auto base_count = static_cast<uint32_t>(remap->size());
+  uint32_t next = 0;
+  auto it = fresh->begin();
+  for (uint32_t b = 0; b <= base_count; ++b) {
+    for (; it != fresh->end() && (b == base_count || it->first < key_of(b));
+         ++it) {
+      add(it->first, serve::kInvalidNode);
+      it->second = next++;
+    }
+    if (b == base_count || (*remap)[b] == serve::kInvalidNode) continue;
+    add(key_of(b), b);
+    (*remap)[b] = next++;
+  }
+}
+
+/// The store's one fold, used by compaction and WAL recovery: streams
+/// base ⊕ delta (base triples minus retractions, plus upserts), both in
+/// canonical (kind, name) order, through SnapshotBuilder. Bit-identical
+/// to KgSnapshot::Compile of the merged graph.
+serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
+                            const MemDelta& delta) {
+  if (delta.empty()) return base;
+  using Ids = std::array<uint32_t, 3>;
+  using NodeKey = std::pair<graph::NodeKind, std::string_view>;
+
+  // 1. Retracted base triples (base ids) and upserts the base lacks;
+  //    every other entry changes nothing. The delta iterates in the same
+  //    canonical order the ids follow, so both lists come out sorted.
+  std::vector<Ids> removed;
+  std::vector<const TripleName*> added;
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
+    const auto ids = FindBaseTriple(base, t);
+    if (e.state == MemDelta::State::kRetracted && ids) removed.push_back(*ids);
+    if (e.state == MemDelta::State::kUpserted && !ids) added.push_back(&t);
+  });
+
+  // 2. Degree arithmetic: a base node or predicate is compiled out
+  //    (kInvalidNode) once the overlay retracts as many of its triples as
+  //    the base holds, unless an upsert names it. Names the base lacks
+  //    join the vocabulary.
+  std::vector<uint32_t> node_remap(base.num_nodes(), 0);
+  std::vector<uint32_t> pred_remap(base.num_predicates(), 0);
+  std::map<uint32_t, uint64_t> node_cut;
+  std::map<uint32_t, uint64_t> pred_cut;
+  const auto cut_node = [&](uint32_t b) {
+    if (++node_cut[b] == base.OutDegree(b) + base.InDegree(b)) {
+      node_remap[b] = serve::kInvalidNode;
+    }
+  };
+  for (const Ids& t : removed) {
+    cut_node(t[0]);
+    cut_node(t[2]);
+    if (++pred_cut[t[1]] == base.PredicateEdges(t[1]).size()) {
+      pred_remap[t[1]] = serve::kInvalidNode;
+    }
+  }
+  std::map<NodeKey, uint32_t> new_nodes;
+  std::map<std::string_view, uint32_t> new_preds;
+  const auto name_node = [&](graph::NodeKind kind, const std::string& name) {
+    if (const auto id = base.FindNode(name, kind); id.ok()) {
+      node_remap[*id] = 0;
+    } else {
+      new_nodes.emplace(NodeKey{kind, name}, 0);
+    }
+  };
+  for (const TripleName* t : added) {
+    name_node(t->subject_kind, t->subject);
+    name_node(t->object_kind, t->object);
+    if (const auto p = base.FindPredicate(t->predicate); p.ok()) {
+      pred_remap[*p] = 0;
+    } else {
+      new_preds.emplace(t->predicate, 0);
+    }
+  }
+
+  // 3. The merged vocabulary, and the upserts in its ids.
+  serve::SnapshotBuilder builder;
+  std::vector<uint32_t> row_source;  // new node id -> base id
+  MergeVocabulary(
+      [&](uint32_t b) { return NodeKey{base.NodeKindOf(b), base.NodeName(b)}; },
+      &new_nodes, &node_remap, [&](const NodeKey& k, uint32_t b) {
+        builder.AddNode(k.second, k.first);
+        row_source.push_back(b);
+      });
+  MergeVocabulary(
+      [&](uint32_t p) { return base.PredicateName(p); }, &new_preds,
+      &pred_remap,
+      [&](std::string_view name, uint32_t) { builder.AddPredicate(name); });
+  const auto node_id = [&](graph::NodeKind kind, const std::string& name) {
+    const auto id = base.FindNode(name, kind);
+    return id.ok() ? node_remap[*id] : new_nodes.at(NodeKey{kind, name});
+  };
+  std::vector<Ids> added_ids;
+  for (const TripleName* t : added) {
+    const auto p = base.FindPredicate(t->predicate);
+    added_ids.push_back({node_id(t->subject_kind, t->subject),
+                         p.ok() ? pred_remap[*p] : new_preds.at(t->predicate),
+                         node_id(t->object_kind, t->object)});
+  }
+
+  // 4. Per subject in new-id order: its base row, remapped (monotone, so
+  //    still sorted) and minus retractions, merged with its upserts.
+  //    Decoded edge ids index the remap tables only when in range.
+  const auto remap = [](const std::vector<uint32_t>& table, uint32_t id) {
+    return id < table.size() ? table[id] : serve::kInvalidNode;
+  };
+  auto built = builder.Build([&](const serve::SnapshotBuilder::TripleSink&
+                                     sink) {
+    auto cut = removed.begin();
+    auto add = added_ids.begin();
+    for (uint32_t s = 0; s < row_source.size(); ++s) {
+      for (const serve::KgSnapshot::Edge& e : base.OutEdges(row_source[s])) {
+        const Ids key{row_source[s], e.first, e.second};
+        while (cut != removed.end() && *cut < key) ++cut;
+        if (cut != removed.end() && *cut == key) continue;
+        const Ids out{s, remap(pred_remap, e.first),
+                      remap(node_remap, e.second)};
+        for (; add != added_ids.end() && *add < out; ++add) {
+          sink((*add)[0], (*add)[1], (*add)[2]);
+        }
+        sink(out[0], out[1], out[2]);
+      }
+      for (; add != added_ids.end() && (*add)[0] == s; ++add) {
+        sink((*add)[0], (*add)[1], (*add)[2]);
+      }
+    }
+  });
+  KG_CHECK_OK(built.status());  // ids and order are correct by construction
+  return *std::move(built);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
-    graph::KnowledgeGraph base, StoreOptions options) {
+    const graph::KnowledgeGraph& base, StoreOptions options) {
   std::unique_ptr<VersionedKgStore> store(new VersionedKgStore());
   store->options_ = options;
-  store->kg_ = std::move(base);
   if (obs::MetricsRegistry* reg = options.registry) {
     store->metrics_.applied_mutations =
         &reg->GetCounter("store.applied_mutations");
@@ -472,6 +631,7 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
       }
     }
   }
+  MemDelta recovered;
   if (!options.wal_path.empty()) {
     WalReplay replay;
     KG_ASSIGN_OR_RETURN(Wal wal, Wal::Open(options.wal_path, &replay));
@@ -480,8 +640,7 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
     // appends that wrote them did, so a reopened store is bit-identical
     // to one that never crashed.
     for (const Mutation& m : replay.mutations) {
-      store->ApplyToGraph(m);
-      ++store->next_seq_;
+      recovered.Apply(m, store->next_seq_++);
     }
     if (store->metrics_.wal_replayed != nullptr) {
       store->metrics_.wal_replayed->Set(
@@ -494,38 +653,13 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
   }
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = 0;
+  // The replayed log is folded into the first base, so a reopened store
+  // starts with an empty overlay.
   epoch->base = std::make_shared<const serve::KgSnapshot>(
-      serve::KgSnapshot::Compile(store->kg_));
+      FoldDelta(serve::KgSnapshot::Compile(base), recovered));
   epoch->delta = std::make_shared<const MemDelta>();
   store->current_ = std::move(epoch);
   return store;
-}
-
-void VersionedKgStore::ApplyToGraph(const Mutation& m) {
-  if (m.op == MutationOp::kUpsert) {
-    kg_.AddTriple(m.subject, m.predicate, m.object, m.subject_kind,
-                  m.object_kind, m.prov);
-    return;
-  }
-  const auto s = kg_.FindNode(m.subject, m.subject_kind);
-  const auto p = kg_.FindPredicate(m.predicate);
-  const auto o = kg_.FindNode(m.object, m.object_kind);
-  if (!s.ok() || !p.ok() || !o.ok()) return;  // retracting the absent: no-op
-  const graph::TripleId id = kg_.FindTriple(*s, *p, *o);
-  if (id != graph::kInvalidTriple) kg_.RemoveTriple(id);
-}
-
-std::vector<std::string> VersionedKgStore::AffectedCacheKeys(
-    const Mutation& m) {
-  // A mutation (s, p, o) can only change the answers of the point lookup
-  // (s, p) and the neighborhoods of s and o — the full invalidation set
-  // for the erase-based query classes.
-  return {
-      serve::Query::PointLookup(m.subject, m.predicate, m.subject_kind)
-          .CacheKey(),
-      serve::Query::Neighborhood(m.subject, m.subject_kind).CacheKey(),
-      serve::Query::Neighborhood(m.object, m.object_kind).CacheKey(),
-  };
 }
 
 void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
@@ -560,7 +694,6 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   auto next_delta = std::make_shared<MemDelta>(*current_->delta);
   std::vector<std::string> affected;
   for (const Mutation& m : mutations) {
-    ApplyToGraph(m);
     next_delta->Apply(m, next_seq_++);
     if (cache_) {
       for (std::string& key : AffectedCacheKeys(m)) {
@@ -781,17 +914,18 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
     return stats;  // another fold is running; ran stays false
   }
   const auto started = std::chrono::steady_clock::now();
-  graph::KnowledgeGraph frozen;
+  std::shared_ptr<const StoreEpoch> pinned;
   uint64_t fold_seq = 0;
   {
     std::lock_guard<std::mutex> writer(writer_mu_);
-    frozen = kg_;  // O(graph) copy; Apply resumes as soon as we unlock
+    pinned = current_;  // O(1) pin; Apply resumes as soon as we unlock
     fold_seq = next_seq_ - 1;
   }
-  // The slow part — compiling the CSR snapshot — runs without any lock,
-  // so writers and readers proceed at full speed underneath it.
+  // The slow part — folding the pinned overlay into a fresh CSR
+  // snapshot — runs without any lock, so writers and readers proceed at
+  // full speed underneath it.
   auto base = std::make_shared<const serve::KgSnapshot>(
-      serve::KgSnapshot::Compile(frozen));
+      FoldDelta(*pinned->base, *pinned->delta));
   {
     std::lock_guard<std::mutex> writer(writer_mu_);
     const std::shared_ptr<const MemDelta> old_delta = current_->delta;
@@ -808,13 +942,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
       // merge bug bounded — and only those shards, the rest keep serving.
       old_delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
         if (e.seq > fold_seq) return;
-        Mutation m;
-        m.subject = t.subject;
-        m.subject_kind = t.subject_kind;
-        m.predicate = t.predicate;
-        m.object = t.object;
-        m.object_kind = t.object_kind;
-        for (const std::string& key : AffectedCacheKeys(m)) {
+        for (const std::string& key : AffectedCacheKeys(t)) {
           shards.insert(cache_->ShardOf(key));
         }
       });
@@ -870,8 +998,26 @@ uint64_t VersionedKgStore::applied_mutations() const {
 size_t VersionedKgStore::delta_size() const { return PinEpoch()->delta->size(); }
 
 uint64_t VersionedKgStore::AuthoritativeFingerprint() const {
-  std::lock_guard<std::mutex> writer(writer_mu_);
-  return graph::TripleSetFingerprint(kg_);
+  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
+  const serve::KgSnapshot& base = *epoch->base;
+  // The sum commutes, so the overlay adjusts the base's total: it adds
+  // the upserts the base lacks and subtracts the base triples it retracts.
+  uint64_t fingerprint = 0;
+  for (serve::NodeId s = 0; s < base.num_nodes(); ++s) {
+    for (const serve::KgSnapshot::Edge& e : base.OutEdges(s)) {
+      fingerprint += graph::TripleFingerprint(
+          base.NodeName(s), base.NodeKindOf(s), base.PredicateName(e.first),
+          base.NodeName(e.second), base.NodeKindOf(e.second));
+    }
+  }
+  epoch->delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
+    const bool in_base = FindBaseTriple(base, t).has_value();
+    const uint64_t h = graph::TripleFingerprint(
+        t.subject, t.subject_kind, t.predicate, t.object, t.object_kind);
+    if (e.state == MemDelta::State::kUpserted && !in_base) fingerprint += h;
+    if (e.state == MemDelta::State::kRetracted && in_base) fingerprint -= h;
+  });
+  return fingerprint;
 }
 
 }  // namespace kg::store

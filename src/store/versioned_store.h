@@ -42,8 +42,8 @@ struct StoreOptions {
   /// "store.wal.replayed_records" / "store.compaction.last_us" gauges.
   /// All updates happen on the (serialized) write path, never per read.
   /// Also feeds the write path's stage attribution: "stage_us.wal_append"
-  /// (durable log flush) and "stage_us.overlay_merge" (graph + delta
-  /// apply and epoch publish) per applied batch.
+  /// (durable log flush) and "stage_us.overlay_merge" (delta apply and
+  /// epoch publish) per applied batch.
   obs::MetricsRegistry* registry = nullptr;
   /// With `registry`, also time the read path's result-cache probe into
   /// per-class "stage_us.cache_probe.<class>" histograms. Two extra
@@ -67,18 +67,19 @@ struct StoreEpoch {
 /// corrections never forces a rebuild-the-world redeploy:
 ///
 ///   Apply --> WAL (durable, framed+checksummed)
-///         --> authoritative KnowledgeGraph (writer-only)
 ///         --> copy-on-write MemDelta --> new StoreEpoch published
 ///
-/// Reads pin an epoch and merge base CSR range reads with the overlay
-/// (retractions shadow base triples, upserts surface new ones), so every
-/// answer is byte-identical to `serve::QueryEngine` over a from-scratch
-/// rebuild at that version (store_property_test, 100 worlds). Background
-/// compaction compiles base+overlay into a fresh `KgSnapshot` on a
-/// `ThreadPool` and swaps it in atomically; because the delta keeps any
-/// entry newer than the fold line, serving is never wrong during or
-/// after the fold, and the compacted snapshot's fingerprint equals the
-/// batch-build fingerprint by construction.
+/// The epoch's (base, delta) pair is the store's only copy of the
+/// knowledge. Reads pin an epoch and merge base CSR range reads with the
+/// overlay (retractions shadow base triples, upserts surface new ones),
+/// so every answer is byte-identical to `serve::QueryEngine` over a
+/// from-scratch rebuild at that version (store_property_test, 100
+/// worlds). Compaction streams base ⊕ delta through one fold into a
+/// fresh `KgSnapshot` (optionally on a `ThreadPool`) and swaps it in
+/// atomically; because the delta keeps any entry newer than the fold
+/// line, serving is never wrong during or after the fold, and the
+/// folded snapshot is bit-identical to compiling a batch build of the
+/// same knowledge. WAL recovery runs the same fold once at Open.
 ///
 /// Concurrency contract:
 ///   - Writers (Apply*/Compact) serialize on an internal writer lock.
@@ -121,12 +122,13 @@ class VersionedKgStore {
     double seconds = 0.0;
   };
 
-  /// Builds a store over `base`. With a WAL path, existing records are
-  /// replayed (torn tail truncated) before the first epoch is compiled,
-  /// so reopening after a crash reproduces the pre-crash state
+  /// Builds a store over a compiled snapshot of `base` (the graph is not
+  /// kept). With a WAL path, existing records are replayed (torn tail
+  /// truncated) into an overlay that is folded into the first base, so
+  /// reopening after a crash reproduces the pre-crash state
   /// bit-identically.
   static Result<std::unique_ptr<VersionedKgStore>> Open(
-      graph::KnowledgeGraph base, StoreOptions options = {});
+      const graph::KnowledgeGraph& base, StoreOptions options = {});
 
   VersionedKgStore(const VersionedKgStore&) = delete;
   VersionedKgStore& operator=(const VersionedKgStore&) = delete;
@@ -180,8 +182,8 @@ class VersionedKgStore {
 
   /// Folds the overlay into a fresh base snapshot and publishes it.
   /// Runs on the calling thread; concurrent Apply keeps working (the
-  /// writer lock is held only to copy the graph and to install the
-  /// result, not while compiling). Returns `ran == false` when another
+  /// writer lock is held only to pin the current epoch and to install
+  /// the result, not while folding). Returns `ran == false` when another
   /// compaction is in flight.
   CompactionStats Compact();
 
@@ -205,9 +207,9 @@ class VersionedKgStore {
   /// Overlay entries awaiting compaction.
   size_t delta_size() const;
 
-  /// `graph::TripleSetFingerprint` of the authoritative graph — equals
-  /// the fingerprint of a from-scratch batch build that applied the
-  /// same mutation log.
+  /// `graph::TripleSetFingerprint` of the knowledge in the current epoch
+  /// (base ⊕ delta) — equals the fingerprint of a from-scratch batch
+  /// build that applied the same mutation log. O(base triples).
   uint64_t AuthoritativeFingerprint() const;
 
   /// Null when caching is disabled.
@@ -229,14 +231,6 @@ class VersionedKgStore {
 
  private:
   VersionedKgStore() = default;
-
-  /// Applies one mutation to the authoritative graph (upsert = AddTriple
-  /// provenance-append semantics; retracting an absent triple is a
-  /// no-op). Caller holds `writer_mu_`.
-  void ApplyToGraph(const Mutation& m);
-
-  /// The node-addressed cache keys whose answers `m` can change.
-  static std::vector<std::string> AffectedCacheKeys(const Mutation& m);
 
   /// The generation suffix for `q`'s cache key ("" for node-addressed
   /// classes, which use erase-based invalidation instead).
@@ -272,9 +266,8 @@ class VersionedKgStore {
   StoreMetrics metrics_{};
   std::optional<Wal> wal_;
 
-  /// Serializes writers; guards kg_ and next_seq_.
+  /// Serializes writers; guards next_seq_.
   mutable std::mutex writer_mu_;
-  graph::KnowledgeGraph kg_;
   uint64_t next_seq_ = 1;
 
   /// Guards the current-epoch pointer and gates cache fills against

@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/knowledge_graph.h"
+#include "serve/snapshot_binary.h"
 
 namespace kg::serve {
 namespace {
@@ -134,7 +134,7 @@ TEST(SnapshotTest, FingerprintIgnoresInsertionOrder) {
   const KgSnapshot a = KgSnapshot::Compile(forward);
   const KgSnapshot b = KgSnapshot::Compile(backward);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  EXPECT_EQ(SerializeSnapshot(a), SerializeSnapshot(b));
+  EXPECT_EQ(SerializeSnapshotBinary(a), SerializeSnapshotBinary(b));
 }
 
 TEST(SnapshotTest, FingerprintIsPureFunctionOfLiveTriples) {
@@ -150,62 +150,6 @@ TEST(SnapshotTest, FingerprintIsPureFunctionOfLiveTriples) {
   dirty.RemoveTriple(doomed);
   EXPECT_EQ(KgSnapshot::Compile(clean).Fingerprint(),
             KgSnapshot::Compile(dirty).Fingerprint());
-}
-
-TEST(SnapshotTest, SerializationRoundTripsBitIdentically) {
-  const auto kg = SampleKg();
-  const KgSnapshot snap = KgSnapshot::Compile(kg);
-  const std::string data = SerializeSnapshot(snap);
-  const auto loaded = DeserializeSnapshot(data);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->Fingerprint(), snap.Fingerprint());
-  EXPECT_EQ(SerializeSnapshot(*loaded), data);
-  EXPECT_EQ(loaded->num_nodes(), snap.num_nodes());
-  EXPECT_EQ(loaded->num_triples(), snap.num_triples());
-}
-
-TEST(SnapshotTest, RoundTripSurvivesHostileNames) {
-  graph::KnowledgeGraph kg;
-  kg.AddTriple("tab\there", "pred\twith\ttabs", "line\nbreak",
-               NodeKind::kEntity, NodeKind::kText, kProv);
-  kg.AddTriple("back\\slash", "p", "", NodeKind::kEntity, NodeKind::kText,
-               kProv);
-  kg.AddTriple("", "q", "h\xc3\xa9llo", NodeKind::kClass, NodeKind::kText,
-               kProv);
-  const KgSnapshot snap = KgSnapshot::Compile(kg);
-  const auto loaded = DeserializeSnapshot(SerializeSnapshot(snap));
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->Fingerprint(), snap.Fingerprint());
-  EXPECT_TRUE(loaded->FindNode("tab\there", NodeKind::kEntity).ok());
-  EXPECT_TRUE(loaded->FindNode("line\nbreak", NodeKind::kText).ok());
-  EXPECT_TRUE(loaded->FindNode("", NodeKind::kClass).ok());
-}
-
-TEST(SnapshotTest, DeserializeRejectsMalformedInput) {
-  EXPECT_FALSE(DeserializeSnapshot("").ok());
-  EXPECT_FALSE(DeserializeSnapshot("not a snapshot\n").ok());
-  // Out-of-range triple id.
-  EXPECT_FALSE(
-      DeserializeSnapshot("kgsnap\t1\t1\t1\t1\nN\tentity\ta\nP\tp\n"
-                          "T\t0\t0\t7\n")
-          .ok());
-  // Count mismatch.
-  EXPECT_FALSE(
-      DeserializeSnapshot("kgsnap\t1\t2\t1\t0\nN\tentity\ta\nP\tp\n")
-          .ok());
-  // Unsupported version.
-  EXPECT_FALSE(DeserializeSnapshot("kgsnap\t9\t0\t0\t0\n").ok());
-}
-
-TEST(SnapshotTest, SaveLoadFileRoundTrip) {
-  const auto kg = SampleKg();
-  const KgSnapshot snap = KgSnapshot::Compile(kg);
-  const std::string path = ::testing::TempDir() + "/snap_roundtrip.kgsnap";
-  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
-  const auto loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->Fingerprint(), snap.Fingerprint());
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, OutOfRangeIdsDegradeInsteadOfReading) {
@@ -235,8 +179,8 @@ TEST(SnapshotTest, EmptyGraphCompiles) {
   const KgSnapshot snap = KgSnapshot::Compile(kg);
   EXPECT_EQ(snap.num_nodes(), 0u);
   EXPECT_EQ(snap.num_triples(), 0u);
-  const auto loaded = DeserializeSnapshot(SerializeSnapshot(snap));
-  ASSERT_TRUE(loaded.ok());
+  const auto loaded = DeserializeSnapshotBinary(SerializeSnapshotBinary(snap));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->Fingerprint(), snap.Fingerprint());
 }
 

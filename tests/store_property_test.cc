@@ -8,14 +8,18 @@
 //      batch build of the same knowledge, and answers are unchanged by
 //      the fold (including folds in the middle of the stream);
 //   3. BatchExecute is bit-identical at 1/2/8 threads;
-//   4. the authoritative graph fingerprints identically to the oracle
-//      after every batch.
+//   4. the store's knowledge fingerprints identically to the oracle
+//      after every batch;
+//   5. for half the worlds, a store reopened from its WAL alone folds
+//      the log into a base that equals a batch build of the oracle and
+//      answers the workload identically.
 // Worlds come from kg::synth universes plus hostile names, duplicate
 // upserts, retractions of base and overlay triples, and resurrections.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -206,6 +210,12 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
     StoreOptions options;
     options.cache_capacity = 32;  // small: forces evictions + refills
     options.cache_shards = 4;
+    if (world_idx % 2 == 0) {
+      options.wal_path = (std::filesystem::temp_directory_path() /
+                          ("kg_store_prop_" + std::to_string(seed) + ".wal"))
+                             .string();
+      std::filesystem::remove(options.wal_path);
+    }
     auto opened = VersionedKgStore::Open(world.kg, options);
     ASSERT_TRUE(opened.ok()) << opened.status();
     auto& store = **opened;
@@ -266,6 +276,22 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
                               "post-compaction");
     ASSERT_EQ(store.BatchExecute(workload, ExecPolicy::Serial()), serial)
         << "compaction changed an answer, world seed " << seed;
+
+    if (!options.wal_path.empty()) {
+      // Reopen from the same base and the WAL alone: recovery folds the
+      // whole log into the first base.
+      opened->reset();
+      auto reopened = VersionedKgStore::Open(world.kg, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      ASSERT_EQ((*reopened)->delta_size(), 0u);
+      ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),
+                serve::KgSnapshot::Compile(oracle).Fingerprint())
+          << "reopened base, world seed " << seed;
+      ExpectStoreMatchesRebuild(**reopened, oracle, workload, seed,
+                                "reopened from WAL");
+      reopened->reset();
+      std::filesystem::remove(options.wal_path);
+    }
   }
   // The suite only counts if it exercised the budgeted volume.
   EXPECT_GE(checked, kNumWorlds * kQueriesPerWorld);

@@ -282,6 +282,46 @@ TEST(VersionedStoreTest, CompactionFoldsOverlayAndMatchesBatchBuild) {
   EXPECT_EQ(again.base_fingerprint, stats.base_fingerprint);
 }
 
+TEST(VersionedStoreTest, CompactionCompilesOutFullyRetractedNodeAndPredicate) {
+  auto store = MustOpen(BaseKg());
+  KnowledgeGraph oracle = BaseKg();
+  const std::vector<Mutation> batch = {
+      // Every triple of base node carol...
+      Mutation::Retract("alice", "knows", "carol", NodeKind::kEntity,
+                        NodeKind::kEntity),
+      Mutation::Retract("bob", "knows", "carol", NodeKind::kEntity,
+                        NodeKind::kEntity),
+      Mutation::Retract("carol", "type", "Person", NodeKind::kEntity,
+                        NodeKind::kClass),
+      // ...and every triple of base predicate "name".
+      Mutation::Retract("alice", "name", "Alice A.", NodeKind::kEntity,
+                        NodeKind::kText),
+      Mutation::Retract("bob", "name", "Bob B.", NodeKind::kEntity,
+                        NodeKind::kText),
+      // Every base triple of "knows" and of "Bob B." goes too, but an
+      // upsert names each again, so both stay.
+      Mutation::Retract("alice", "knows", "bob", NodeKind::kEntity,
+                        NodeKind::kEntity),
+      Mutation::Upsert("dana", "knows", "Bob B.", NodeKind::kEntity,
+                       NodeKind::kText, kProv),
+  };
+  ASSERT_TRUE(store->ApplyBatch(batch).ok());
+  for (const Mutation& m : batch) ApplyToKg(&oracle, m);
+
+  const auto stats = store->Compact();
+  ASSERT_TRUE(stats.ran);
+  const auto base = store->PinEpoch()->base;
+  EXPECT_EQ(base->FindNode("carol", NodeKind::kEntity).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(base->FindPredicate("name").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(base->FindPredicate("knows").ok());
+  EXPECT_TRUE(base->FindNode("Bob B.", NodeKind::kText).ok());
+  EXPECT_EQ(base->Fingerprint(),
+            serve::KgSnapshot::Compile(oracle).Fingerprint());
+  ExpectMatchesRebuild(*store, oracle, "after compiling out carol and name");
+}
+
 TEST(VersionedStoreTest, WritesDuringAndAfterCompactionStayCorrect) {
   auto store = MustOpen(BaseKg());
   KnowledgeGraph oracle = BaseKg();

@@ -303,7 +303,11 @@ TEST(WalTest, ReopenUnderConcurrentAppendRecoversBitIdenticalPrefix) {
 
   size_t snapshots = 0;
   size_t max_records_seen = 0;
-  while (!done.load() || snapshots == 0) {
+  // `done` is read before each snapshot, and the loop ends only after a
+  // snapshot taken once the writer had finished — so the last snapshot
+  // holds the whole log and passes through the same checks.
+  for (bool writer_done = false; !writer_done;) {
+    writer_done = done.load();
     std::ifstream in(tmp.path, std::ios::binary);
     const std::string prefix((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
