@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -53,6 +54,44 @@ std::vector<std::string> AffectedCacheKeys(const T& t) {
   };
 }
 
+/// Appends the base ids of the subject and object of `t` (a Mutation or a
+/// TripleName) that the base has.
+template <typename T>
+void AppendBaseNodes(const serve::KgSnapshot& base, const T& t,
+                     std::vector<serve::NodeId>* ids) {
+  if (const auto s = base.FindNode(t.subject, t.subject_kind); s.ok()) {
+    ids->push_back(*s);
+  }
+  if (const auto o = base.FindNode(t.object, t.object_kind); o.ok()) {
+    ids->push_back(*o);
+  }
+}
+
+/// `touched` (sorted, unique) ∪ `added`, sorted and unique: a commit's
+/// extension of the epoch's node index, O(|touched| + |batch| log |batch|).
+std::vector<serve::NodeId> MergeTouchedNodes(
+    const std::vector<serve::NodeId>& touched,
+    std::vector<serve::NodeId> added) {
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+  std::vector<serve::NodeId> out;
+  out.reserve(touched.size() + added.size());
+  std::set_union(touched.begin(), touched.end(), added.begin(), added.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+/// The node index of (base, delta) from scratch — what compaction
+/// publishes, since a fold renumbers the base.
+std::vector<serve::NodeId> TouchedNodes(const serve::KgSnapshot& base,
+                                        const MemDelta& delta) {
+  std::vector<serve::NodeId> ids;
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry&) {
+    AppendBaseNodes(base, t, &ids);
+  });
+  return MergeTouchedNodes({}, std::move(ids));
+}
+
 /// One epoch's worth of read state: a base snapshot plus the overlay that
 /// shadows it. Every method mirrors a QueryEngine access pattern with the
 /// delta folded in, and is checked (store_property_test) to answer exactly
@@ -60,29 +99,18 @@ std::vector<std::string> AffectedCacheKeys(const T& t) {
 struct MergedView {
   const serve::KgSnapshot& base;
   const MemDelta& delta;
-  /// Sorted base ids of every node the overlay names (as subject or
-  /// object). Lets per-node hot loops (top-k adjacency) test "does the
-  /// overlay touch this node" with an integer binary search instead of
-  /// two string-keyed map probes; built once per view in O(|delta|).
-  std::vector<uint32_t> touched_ids;
+  /// The epoch's node index (StoreEpoch::touched_nodes). Lets per-node
+  /// hot loops (top-k adjacency) test "does the overlay touch this node"
+  /// with an integer binary search instead of two string-keyed map
+  /// probes; borrowed, so a view costs nothing to set up.
+  const std::vector<serve::NodeId>& touched_nodes;
 
-  MergedView(const serve::KgSnapshot& b, const MemDelta& d)
-      : base(b), delta(d) {
-    delta.ForEach([&](const TripleName& t, const MemDelta::Entry&) {
-      if (const auto s = base.FindNode(t.subject, t.subject_kind); s.ok()) {
-        touched_ids.push_back(static_cast<uint32_t>(*s));
-      }
-      if (const auto o = base.FindNode(t.object, t.object_kind); o.ok()) {
-        touched_ids.push_back(static_cast<uint32_t>(*o));
-      }
-    });
-    std::sort(touched_ids.begin(), touched_ids.end());
-    touched_ids.erase(std::unique(touched_ids.begin(), touched_ids.end()),
-                      touched_ids.end());
-  }
+  explicit MergedView(const StoreEpoch& epoch)
+      : base(*epoch.base), delta(*epoch.delta),
+        touched_nodes(epoch.touched_nodes) {}
 
   bool TouchedBaseNode(uint32_t id) const {
-    return std::binary_search(touched_ids.begin(), touched_ids.end(), id);
+    return std::binary_search(touched_nodes.begin(), touched_nodes.end(), id);
   }
 
   bool Retracted(const TripleName& t) const {
@@ -654,7 +682,7 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = 0;
   // The replayed log is folded into the first base, so a reopened store
-  // starts with an empty overlay.
+  // starts with an empty overlay (and an empty node index).
   epoch->base = std::make_shared<const serve::KgSnapshot>(
       FoldDelta(serve::KgSnapshot::Compile(base), recovered));
   epoch->delta = std::make_shared<const MemDelta>();
@@ -692,9 +720,11 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   // Holding writer_mu_ makes the unlocked read of current_ safe: only
   // writers store to it, and they all serialize here.
   auto next_delta = std::make_shared<MemDelta>(*current_->delta);
+  std::vector<serve::NodeId> named;
   std::vector<std::string> affected;
   for (const Mutation& m : mutations) {
     next_delta->Apply(m, next_seq_++);
+    AppendBaseNodes(*current_->base, m, &named);
     if (cache_) {
       for (std::string& key : AffectedCacheKeys(m)) {
         affected.push_back(std::move(key));
@@ -705,6 +735,10 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   epoch->version = current_->version + 1;
   epoch->base = current_->base;
   epoch->delta = std::move(next_delta);
+  // The base is unchanged, so the previous index stays valid; a delta
+  // only gains entries between folds, so the batch's ids extend it.
+  epoch->touched_nodes =
+      MergeTouchedNodes(current_->touched_nodes, std::move(named));
   const uint64_t published_version = epoch->version;
   const size_t published_delta = epoch->delta->size();
   PublishEpoch(std::move(epoch), [&] {
@@ -757,7 +791,7 @@ void VersionedKgStore::BumpGenerations(std::span<const Mutation> mutations) {
   // batch that post-state union still covers every intermediate state,
   // because a neighbor another batch entry disconnected appears in that
   // entry's own {s, o} set.
-  const MergedView view{*current_->base, *current_->delta};
+  const MergedView view(*current_);
   std::set<std::string> preds;
   std::set<std::string> nodes;
   for (const Mutation& m : mutations) {
@@ -791,7 +825,7 @@ serve::QueryResult VersionedKgStore::ExecuteAt(
   if (epoch.delta->empty()) {
     return serve::QueryEngine(*epoch.base).ExecuteUncached(query);
   }
-  const MergedView view{*epoch.base, *epoch.delta};
+  const MergedView view(epoch);
   switch (query.kind) {
     case serve::QueryKind::kPointLookup:
       return MergedPointLookup(view, query);
@@ -951,6 +985,8 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
     epoch->version = current_->version + 1;
     epoch->base = std::move(base);
     epoch->delta = std::move(next_delta);
+    // The fold renumbered the base: resolve the surviving entries anew.
+    epoch->touched_nodes = TouchedNodes(*epoch->base, *epoch->delta);
     stats.version = epoch->version;
     stats.base_fingerprint = epoch->base->Fingerprint();
     const size_t remaining_delta = epoch->delta->size();

@@ -60,6 +60,12 @@ struct StoreEpoch {
   uint64_t version = 0;  ///< Bumps on every applied batch and compaction.
   std::shared_ptr<const serve::KgSnapshot> base;
   std::shared_ptr<const MemDelta> delta;
+  /// Sorted, unique base ids of every node the delta names (as subject
+  /// or object). Merged reads test "does the overlay touch this node"
+  /// with an integer binary search against it. Resolved once per epoch:
+  /// a commit merges in its batch's ids, and compaction — the only point
+  /// where base ids change — rebuilds it for the trimmed delta.
+  std::vector<serve::NodeId> touched_nodes;
 };
 
 /// A versioned, mutable KG store layered on the immutable serving
@@ -71,8 +77,9 @@ struct StoreEpoch {
 ///
 /// The epoch's (base, delta) pair is the store's only copy of the
 /// knowledge. Reads pin an epoch and merge base CSR range reads with the
-/// overlay (retractions shadow base triples, upserts surface new ones),
-/// so every answer is byte-identical to `serve::QueryEngine` over a
+/// overlay (retractions shadow base triples, upserts surface new ones);
+/// the epoch's node index spares each read any O(|delta|) setup. Every
+/// answer is byte-identical to `serve::QueryEngine` over a
 /// from-scratch rebuild at that version (store_property_test, 100
 /// worlds). Compaction streams base ⊕ delta through one fold into a
 /// fresh `KgSnapshot` (optionally on a `ThreadPool`) and swaps it in

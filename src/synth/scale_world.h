@@ -62,7 +62,11 @@ serve::KgSnapshot BuildScaleSnapshot(const ScaleWorldSpec& spec);
 /// strings). Only sensible at small sizes; exists so tests can check
 /// KgSnapshot::Compile(BuildScaleKnowledgeGraph(spec)).Fingerprint() ==
 /// BuildScaleSnapshot(spec).Fingerprint() — the streamed and the
-/// materialized paths must agree bit-for-bit.
+/// materialized paths agree bit-for-bit when every brand and every
+/// category is drawn by at least one entity and `related_per_entity > 0`.
+/// Outside those specs the streamed build still lays out the whole
+/// vocabulary (TotalNodes(), all three predicates), while Compile drops
+/// the names no triple uses, so the two differ.
 graph::KnowledgeGraph BuildScaleKnowledgeGraph(const ScaleWorldSpec& spec);
 
 /// Deterministic serving workload over the world: query `i` is a mix of

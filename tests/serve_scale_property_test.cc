@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,24 +146,42 @@ TEST(ScalePropertyTest, MmapLoadedFingerprintMatchesRecompute) {
   std::remove(path.c_str());
 }
 
+/// Whether `spec` is inside scale_world.h's Compile contract: every brand
+/// and every category drawn by some entity, and related edges on.
+bool InsideCompileContract(const synth::ScaleWorldSpec& spec) {
+  if (spec.related_per_entity == 0) return false;
+  std::set<uint32_t> drawn;
+  synth::ForEachScaleTriple(spec, [&](uint32_t, uint32_t, uint32_t o) {
+    if (o >= spec.num_entities) drawn.insert(o);
+  });
+  return drawn.size() == spec.EffectiveBrands() + spec.num_categories;
+}
+
 TEST(ScalePropertyTest, WorldsWithDegenerateShapesRoundTrip) {
-  // Corner worlds: single entity, no related edges, one category/brand.
-  std::vector<synth::ScaleWorldSpec> specs;
-  specs.push_back(SmallSpec(3, 1));
-  specs.push_back(SmallSpec(4, 50));
-  specs.back().related_per_entity = 0;
-  specs.push_back(SmallSpec(6, 17));
-  specs.back().num_categories = 1;
-  specs.back().num_brands = 1;
-  for (const synth::ScaleWorldSpec& spec : specs) {
+  // Corner worlds: single entity (most brands and categories undrawn) and
+  // no related edges lie outside the Compile contract; one category and
+  // one brand lie inside it.
+  std::vector<std::pair<synth::ScaleWorldSpec, bool>> cases;
+  cases.emplace_back(SmallSpec(3, 1), false);
+  cases.emplace_back(SmallSpec(4, 50), false);
+  cases.back().first.related_per_entity = 0;
+  cases.emplace_back(SmallSpec(6, 17), true);
+  cases.back().first.num_categories = 1;
+  cases.back().first.num_brands = 1;
+  for (const auto& [spec, inside] : cases) {
+    ASSERT_EQ(InsideCompileContract(spec), inside) << spec.seed;
     const KgSnapshot built = synth::BuildScaleSnapshot(spec);
     auto back = DeserializeSnapshotBinary(SerializeSnapshotBinary(built));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back->Fingerprint(), built.Fingerprint());
     // Recomputed from the decoded postings, not copied from the header.
-    // (Compile of the materialized graph is no reference here: for these
-    // shapes the streamed build keeps vocabulary no triple uses.)
     EXPECT_EQ(RecomputeFingerprint(*back), built.Fingerprint());
+    // Compile of the materialized graph drops vocabulary no triple uses,
+    // so it is a reference only inside the contract.
+    const KgSnapshot compiled =
+        KgSnapshot::Compile(synth::BuildScaleKnowledgeGraph(spec));
+    EXPECT_EQ(compiled.Fingerprint() == built.Fingerprint(), inside)
+        << spec.seed;
   }
 }
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,6 +58,23 @@ void ApplyToKg(KnowledgeGraph* kg, const Mutation& m) {
   if (!s.ok() || !p.ok() || !o.ok()) return;
   const graph::TripleId id = kg->FindTriple(*s, *p, *o);
   if (id != graph::kInvalidTriple) kg->RemoveTriple(id);
+}
+
+/// An epoch's node index recomputed from its (base, delta): the sorted,
+/// unique base ids of every node the delta names.
+std::vector<serve::NodeId> RecomputedNodeIndex(const StoreEpoch& epoch) {
+  std::vector<serve::NodeId> ids;
+  epoch.delta->ForEach([&](const TripleName& t, const MemDelta::Entry&) {
+    for (const auto& [name, kind] : {std::pair{&t.subject, t.subject_kind},
+                                     std::pair{&t.object, t.object_kind}}) {
+      if (const auto id = epoch.base->FindNode(*name, kind); id.ok()) {
+        ids.push_back(*id);
+      }
+    }
+  });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 std::vector<Query> ProbeQueries() {
@@ -260,11 +280,66 @@ TEST(MvccTest, ConcurrentReadersAlwaysSeeAnExactPublishedVersion) {
   EXPECT_GE(reads.load(), 200u * 1);
 }
 
+// A write that lands while a fold runs survives it in the trimmed delta,
+// and the installed epoch must resolve that entry's nodes against the
+// new base, whose ids the fold shifted. A bulk base keeps each fold busy
+// for milliseconds, so the write almost always lands between the pin and
+// the install; the loop retries the rare round where it did not.
+TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
+  KnowledgeGraph base = BaseKg();
+  for (int i = 0; i < 5000; ++i) {
+    base.AddTriple("bulk" + std::to_string(i), "tag",
+                   "v" + std::to_string(i % 97), NodeKind::kEntity,
+                   NodeKind::kText, kProv);
+  }
+  auto opened = VersionedKgStore::Open(base);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto& store = **opened;
+  KnowledgeGraph oracle = base;
+  ThreadPool pool(1);
+  bool survived = false;
+  for (size_t round = 0; round < 20 && !survived; ++round) {
+    // A new node that sorts before every person, so the fold renumbers
+    // the nodes the late write names.
+    const Mutation shift = Mutation::Upsert(
+        "new" + std::to_string(round), "knows", "person0", NodeKind::kEntity,
+        NodeKind::kEntity, kProv);
+    ASSERT_TRUE(store.Apply(shift).ok());
+    ApplyToKg(&oracle, shift);
+    ASSERT_TRUE(store.CompactInBackground(pool));
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(100);
+    while (!store.compaction_in_flight() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    const Mutation late = ScriptedMutation(round);
+    ASSERT_TRUE(store.Apply(late).ok());
+    ApplyToKg(&oracle, late);
+    const bool fold_running = store.compaction_in_flight();
+    pool.WaitIdle();
+    // Not folded, so it landed after the pin.
+    survived = fold_running && store.delta_size() > 0;
+  }
+  ASSERT_TRUE(survived) << "no write landed during a fold in 20 rounds";
+  const auto epoch = store.PinEpoch();
+  EXPECT_EQ(epoch->touched_nodes, RecomputedNodeIndex(*epoch));
+  const serve::KgSnapshot rebuilt = serve::KgSnapshot::Compile(oracle);
+  const serve::QueryEngine engine(rebuilt);
+  for (const Query& q : ProbeQueries()) {
+    EXPECT_EQ(store.ExecuteAt(*epoch, q), engine.ExecuteUncached(q))
+        << q.CacheKey();
+  }
+}
+
 // Full interleaving: writer, readers, and a background compactor all
 // racing. With compactions in the version stream, per-version content
 // references are no longer enumerable up front, so readers check the
 // frozen-view invariant instead: a pinned epoch answers identically when
-// asked twice. The final state must still equal the oracle.
+// asked twice. They also check every pinned epoch's node index against
+// its (base, delta) — a write that lands during a fold leaves a
+// non-empty trimmed delta the fold must re-resolve against the new base.
+// The final state must still equal the oracle.
 TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
   constexpr size_t kMutations = 30;
   auto opened = VersionedKgStore::Open(BaseKg());
@@ -283,7 +358,8 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
       while (!done.load(std::memory_order_acquire)) {
         const auto epoch = store.PinEpoch();
         const Query& q = probes[rng.UniformIndex(probes.size())];
-        if (store.ExecuteAt(*epoch, q) != store.ExecuteAt(*epoch, q)) {
+        if (store.ExecuteAt(*epoch, q) != store.ExecuteAt(*epoch, q) ||
+            epoch->touched_nodes != RecomputedNodeIndex(*epoch)) {
           violations.fetch_add(1);
         }
       }

@@ -12,7 +12,9 @@
 //      after every batch;
 //   5. for half the worlds, a store reopened from its WAL alone folds
 //      the log into a base that equals a batch build of the oracle and
-//      answers the workload identically.
+//      answers the workload identically;
+//   6. after every commit, compaction and reopen, the epoch's node index
+//      equals a recomputation from its (base, delta).
 // Worlds come from kg::synth universes plus hostile names, duplicate
 // upserts, retractions of base and overlay triples, and resurrections.
 
@@ -20,7 +22,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/exec_policy.h"
@@ -199,6 +203,29 @@ void ExpectStoreMatchesRebuild(const VersionedKgStore& store,
   }
 }
 
+/// Checks the current epoch's node index against its definition: the
+/// sorted, unique base ids of every node its delta names. Answers alone
+/// cannot catch a stale index right after a fold (an empty delta serves
+/// straight off the base), so this is checked directly.
+void ExpectNodeIndexMatchesRecompute(const VersionedKgStore& store,
+                                     uint64_t seed, const char* where) {
+  const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
+  std::vector<serve::NodeId> expected;
+  epoch->delta->ForEach([&](const TripleName& t, const MemDelta::Entry&) {
+    for (const auto& [name, kind] : {std::pair{&t.subject, t.subject_kind},
+                                     std::pair{&t.object, t.object_kind}}) {
+      if (const auto id = epoch->base->FindNode(*name, kind); id.ok()) {
+        expected.push_back(*id);
+      }
+    }
+  });
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  ASSERT_EQ(epoch->touched_nodes, expected)
+      << where << ", world seed " << seed << ", version " << epoch->version;
+}
+
 TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
   int checked = 0;
   for (int world_idx = 0; world_idx < kNumWorlds; ++world_idx) {
@@ -237,6 +264,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ApplyToKg(&oracle, batch.back());
       }
       ASSERT_TRUE(store.ApplyBatch(batch).ok());
+      ExpectNodeIndexMatchesRecompute(store, seed, "after commit");
       ASSERT_EQ(store.AuthoritativeFingerprint(),
                 graph::TripleSetFingerprint(oracle))
           << "world seed " << seed << " after " << applied << " mutations";
@@ -247,6 +275,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ASSERT_EQ(stats.base_fingerprint,
                   serve::KgSnapshot::Compile(oracle).Fingerprint())
             << "mid-stream fold, world seed " << seed;
+        ExpectNodeIndexMatchesRecompute(store, seed, "mid-stream fold");
       }
       if (applied == kMutationsPerWorld / 2 ||
           applied >= kMutationsPerWorld) {
@@ -272,6 +301,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
               serve::KgSnapshot::Compile(oracle).Fingerprint())
         << "world seed " << seed;
     ASSERT_EQ(store.delta_size(), 0u);
+    ExpectNodeIndexMatchesRecompute(store, seed, "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
                               "post-compaction");
     ASSERT_EQ(store.BatchExecute(workload, ExecPolicy::Serial()), serial)
@@ -284,6 +314,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       auto reopened = VersionedKgStore::Open(world.kg, options);
       ASSERT_TRUE(reopened.ok()) << reopened.status();
       ASSERT_EQ((*reopened)->delta_size(), 0u);
+      ExpectNodeIndexMatchesRecompute(**reopened, seed, "reopened from WAL");
       ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),
                 serve::KgSnapshot::Compile(oracle).Fingerprint())
           << "reopened base, world seed " << seed;
