@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -16,6 +17,26 @@ std::string ReadFileBytes(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// Runs `read` (one of a member's store reads) as a `name` span nested
+/// under the router's member span (`parent_span_id`, 0 = untraced),
+/// tagged with the serving member and its epoch tag or refusal.
+template <typename Read>
+auto TracedRead(obs::Tracer* tracer, uint64_t parent_span_id,
+                std::string_view name, const std::string& label,
+                const Read& read) {
+  obs::Span span = obs::Tracer::StartWithParent(tracer, parent_span_id, name);
+  auto result = read();
+  if (span.active()) {
+    span.SetAttr("member", label);
+    if (result.ok()) {
+      span.SetAttr("epoch", result->epoch);
+    } else {
+      span.SetAttr("error", result.status().message());
+    }
+  }
+  return result;
 }
 
 }  // namespace
@@ -116,18 +137,20 @@ Result<serve::EpochTaggedResult> PrimaryMember::Execute(
 
 Result<serve::EpochTaggedResult> PrimaryMember::ExecuteTraced(
     const serve::Query& query, uint64_t parent_span_id) const {
-  obs::Span span = obs::Tracer::StartWithParent(
-      options_.tracer, parent_span_id, "store.execute");
-  auto result = Execute(query);
-  if (span.active()) {
-    span.SetAttr("member", label_);
-    if (result.ok()) {
-      span.SetAttr("epoch", result->epoch);
-    } else {
-      span.SetAttr("error", result.status().message());
-    }
-  }
-  return result;
+  return TracedRead(options_.tracer, parent_span_id, "store.execute", label_,
+                    [&] { return Execute(query); });
+}
+
+Result<store::EpochTaggedAdjacency> PrimaryMember::AdjacentEntitiesTraced(
+    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
+  return TracedRead(
+      options_.tracer, parent_span_id, "store.adjacent_entities", label_,
+      [&]() -> Result<store::EpochTaggedAdjacency> {
+        if (killed_.load(std::memory_order_acquire)) {
+          return Status::Unavailable(label_ + " is down");
+        }
+        return store_->TryAdjacentEntitiesTagged(nodes);
+      });
 }
 
 // ---- ReplicaMember -------------------------------------------------------
@@ -216,18 +239,20 @@ Result<serve::EpochTaggedResult> ReplicaMember::Execute(
 
 Result<serve::EpochTaggedResult> ReplicaMember::ExecuteTraced(
     const serve::Query& query, uint64_t parent_span_id) const {
-  obs::Span span = obs::Tracer::StartWithParent(
-      options_.tracer, parent_span_id, "store.execute");
-  auto result = Execute(query);
-  if (span.active()) {
-    span.SetAttr("member", label_);
-    if (result.ok()) {
-      span.SetAttr("epoch", result->epoch);
-    } else {
-      span.SetAttr("error", result.status().message());
-    }
-  }
-  return result;
+  return TracedRead(options_.tracer, parent_span_id, "store.execute", label_,
+                    [&] { return Execute(query); });
+}
+
+Result<store::EpochTaggedAdjacency> ReplicaMember::AdjacentEntitiesTraced(
+    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
+  return TracedRead(
+      options_.tracer, parent_span_id, "store.adjacent_entities", label_,
+      [&]() -> Result<store::EpochTaggedAdjacency> {
+        if (killed_.load(std::memory_order_acquire)) {
+          return Status::Unavailable(label_ + " is down");
+        }
+        return store_->TryAdjacentEntitiesTagged(nodes);
+      });
 }
 
 }  // namespace kg::cluster

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "cluster/shard_log.h"
@@ -39,6 +40,13 @@ class ShardMember {
     (void)parent_span_id;
     return Execute(query);
   }
+  /// Routed top-k's second hop: the store's entity adjacency of every
+  /// node in `nodes` (VersionedKgStore::TryAdjacentEntitiesTagged), under
+  /// a caller span exactly like ExecuteTraced, and refused the same way
+  /// while dead.
+  virtual Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
+      std::span<const store::NodeKey> nodes,
+      uint64_t parent_span_id) const = 0;
   virtual bool alive() const = 0;
   virtual const std::string& label() const = 0;
 };
@@ -105,6 +113,9 @@ class PrimaryMember : public ShardMember {
       const serve::Query& query) const override;
   Result<serve::EpochTaggedResult> ExecuteTraced(
       const serve::Query& query, uint64_t parent_span_id) const override;
+  Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
+      std::span<const store::NodeKey> nodes,
+      uint64_t parent_span_id) const override;
   bool alive() const override {
     return !killed_.load(std::memory_order_acquire);
   }
@@ -180,6 +191,9 @@ class ReplicaMember : public ShardMember {
       const serve::Query& query) const override;
   Result<serve::EpochTaggedResult> ExecuteTraced(
       const serve::Query& query, uint64_t parent_span_id) const override;
+  Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
+      std::span<const store::NodeKey> nodes,
+      uint64_t parent_span_id) const override;
   bool alive() const override {
     return !killed_.load(std::memory_order_acquire);
   }

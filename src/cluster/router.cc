@@ -1,8 +1,8 @@
 #include "cluster/router.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -23,25 +23,38 @@ std::string_view NeighborRowNode(std::string_view row) {
   return row.substr(second + 1);
 }
 
-/// Inverts serve::RenderNodeName: "E:alice" -> ("alice", kEntity).
-bool ParseRender(std::string_view render, std::string* name,
-                 graph::NodeKind* kind) {
+/// Inverts serve::RenderNodeName: "E:alice" -> (kEntity, "alice"), the
+/// name a view into `render`.
+bool ParseRender(std::string_view render, store::NodeKey* node) {
   if (render.size() < 2 || render[1] != ':') return false;
   switch (render[0]) {
     case 'E':
-      *kind = graph::NodeKind::kEntity;
+      node->first = graph::NodeKind::kEntity;
       break;
     case 'T':
-      *kind = graph::NodeKind::kText;
+      node->first = graph::NodeKind::kText;
       break;
     case 'C':
-      *kind = graph::NodeKind::kClass;
+      node->first = graph::NodeKind::kClass;
       break;
     default:
       return false;
   }
-  *name = std::string(render.substr(2));
+  node->second = render.substr(2);
   return true;
+}
+
+/// The member call that answers `query`.
+auto ExecuteOn(const serve::Query& query) {
+  return [&query](const ShardMember& member, uint64_t span_id) {
+    return member.ExecuteTraced(query, span_id);
+  };
+}
+
+/// The rows of a routed answer, or its error.
+Result<serve::QueryResult> RowsOf(Result<serve::EpochTaggedResult> tagged) {
+  if (!tagged.ok()) return tagged.status();
+  return std::move(tagged->rows);
 }
 
 }  // namespace
@@ -126,9 +139,9 @@ void QueryRouter::RecordOutcome(MemberHealth& health, bool ok,
   }
 }
 
-Result<serve::QueryResult> QueryRouter::AskShard(size_t shard,
-                                                 const serve::Query& query,
-                                                 obs::Span* parent) {
+template <typename Tagged, typename Ask>
+Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
+                                     const Ask& ask) {
   obs::Span shard_span = parent->Child("shard@" + std::to_string(shard));
   const uint64_t committed =
       committed_[shard]->load(std::memory_order_acquire);
@@ -140,8 +153,12 @@ Result<serve::QueryResult> QueryRouter::AskShard(size_t shard,
     MemberHealth& health = *health_[shard][i];
     bool is_probe = false;
     if (!AllowMember(health, &is_probe)) continue;
-    obs::Span member_span = shard_span.Child("member." + group[i]->label());
-    auto tagged = group[i]->ExecuteTraced(query, member_span.id());
+    // Named only when traced: "member.<label>" outgrows the small-string
+    // buffer, and untraced reads should not allocate it per attempt.
+    obs::Span member_span =
+        shard_span.active() ? shard_span.Child("member." + group[i]->label())
+                            : obs::Span();
+    Result<Tagged> tagged = ask(*group[i], member_span.id());
     if (!tagged.ok()) {
       member_span.SetAttr("error", tagged.status().message());
       RecordOutcome(health, false, is_probe);
@@ -161,7 +178,7 @@ Result<serve::QueryResult> QueryRouter::AskShard(size_t shard,
       failovers_.fetch_add(1, std::memory_order_relaxed);
       if (failovers_metric_ != nullptr) failovers_metric_->Inc();
     }
-    return std::move(tagged->rows);
+    return tagged;
   }
   shard_span.SetAttr("shed", "true");
   shed_.fetch_add(1, std::memory_order_relaxed);
@@ -180,7 +197,8 @@ Result<serve::QueryResult> QueryRouter::FanOut(const serve::Query& query,
     parts.reserve(members_.size());
     for (size_t shard = 0; shard < members_.size(); ++shard) {
       KG_ASSIGN_OR_RETURN(serve::QueryResult rows,
-                          AskShard(shard, query, parent));
+                          RowsOf(AskShard<serve::EpochTaggedResult>(
+                              shard, parent, ExecuteOn(query))));
       parts.push_back(std::move(rows));
     }
     return serve::MergeShardResults(std::move(parts));
@@ -196,56 +214,87 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
   const std::string center =
       serve::RenderNodeName(query.node, query.node_kind);
 
-  // Phase 1: the center's distinct neighbors, cluster-wide (out-edges
+  // Round 1: the center's distinct neighbors, cluster-wide (out-edges
   // live on the center's shard, in-edges on each subject's shard).
   KG_ASSIGN_OR_RETURN(
-      serve::QueryResult ring,
+      const serve::QueryResult ring,
       FanOut(serve::Query::Neighborhood(query.node, query.node_kind),
              parent, fanout_us));
-  std::set<std::string> neighbors;
+  std::vector<store::NodeKey> neighbors;  // Views into `ring`.
   for (const std::string& row : ring) {
     const std::string_view node = NeighborRowNode(row);
-    if (node.empty() || node == center) continue;
-    neighbors.emplace(node);
+    store::NodeKey n;
+    if (node == center || !ParseRender(node, &n)) continue;
+    neighbors.push_back(n);
   }
+  std::sort(neighbors.begin(), neighbors.end());
+  neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
+                  neighbors.end());
+  if (neighbors.empty()) return serve::QueryResult{};
 
-  // Phase 2: for each neighbor n, its distinct neighbors m score one
-  // shared-neighbor path center—n—m. This reproduces the single-store
-  // engine exactly: distinct (n, m) adjacency pairs, entity candidates
-  // only, the center never in its own shelf.
-  std::map<std::string, size_t> score;
-  for (const std::string& n : neighbors) {
-    std::string name;
-    graph::NodeKind kind = graph::NodeKind::kEntity;
-    if (!ParseRender(n, &name, &kind)) continue;
-    KG_ASSIGN_OR_RETURN(
-        serve::QueryResult rows,
-        FanOut(serve::Query::Neighborhood(name, kind), parent, fanout_us));
-    std::set<std::string> seen;
-    for (const std::string& row : rows) {
-      const std::string_view m = NeighborRowNode(row);
-      if (m.empty() || m == center) continue;
-      if (m[0] != 'E') continue;  // Entities only.
-      seen.emplace(m);
+  // Round 2: one request per shard carrying every neighbor n; each shard
+  // answers with its share of n's entity adjacency (n's out-edges live on
+  // n's shard, its in-edges on each subject's shard).
+  WallTimer timer;
+  auto ask_all = [&]() -> Result<std::vector<store::EpochTaggedAdjacency>> {
+    std::vector<store::EpochTaggedAdjacency> parts;
+    parts.reserve(members_.size());
+    const auto adjacent = [&](const ShardMember& member, uint64_t span_id) {
+      return member.AdjacentEntitiesTraced(neighbors, span_id);
+    };
+    for (size_t shard = 0; shard < members_.size(); ++shard) {
+      KG_ASSIGN_OR_RETURN(
+          store::EpochTaggedAdjacency part,
+          AskShard<store::EpochTaggedAdjacency>(shard, parent, adjacent));
+      parts.push_back(std::move(part));
     }
-    for (const std::string& m : seen) ++score[m];
+    return parts;
+  };
+  Result<std::vector<store::EpochTaggedAdjacency>> parts = ask_all();
+  if (fanout_us != nullptr) *fanout_us += timer.ElapsedSeconds() * 1e6;
+  KG_RETURN_IF_ERROR(parts.status());
+
+  // Each distinct (n, m) pair scores one shared-neighbor path
+  // center—n—m, which reproduces the single-store engine exactly. The
+  // pair sits on two shards when both n→m and m→n exist, which is why
+  // shards return lists, not counts: `last` dedupes m across n's lists.
+  // The table is keyed by views into the shard answers; only the k
+  // winners are rendered.
+  struct Score {
+    size_t count = 0;
+    size_t last = 0;  ///< 1 + index of the last neighbor that counted m.
+  };
+  const bool center_is_entity = query.node_kind == graph::NodeKind::kEntity;
+  std::unordered_map<std::string_view, Score> score;
+  for (size_t j = 0; j < neighbors.size(); ++j) {
+    for (const store::EpochTaggedAdjacency& part : *parts) {
+      for (const std::string& m : part.entities[j]) {
+        if (center_is_entity && m == query.node) continue;
+        Score& s = score[m];
+        if (s.last == j + 1) continue;
+        s.last = j + 1;
+        ++s.count;
+      }
+    }
   }
 
-  // Rank: count desc, then render asc. Candidates all carry the "E:"
-  // prefix, so render order equals the engine's raw-name tiebreak. The
-  // map already iterates render-asc; a stable sort by count preserves
-  // it within ties.
-  std::vector<std::pair<std::string, size_t>> ranked(score.begin(),
-                                                     score.end());
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  if (ranked.size() > query.k) ranked.resize(query.k);
+  // Rank: count desc, then raw entity name asc — the engine's order
+  // (names are unique among entities, so the order is total).
+  std::vector<std::pair<std::string_view, size_t>> ranked;
+  ranked.reserve(score.size());
+  for (const auto& [m, s] : score) ranked.emplace_back(m, s.count);
+  const size_t keep = std::min(query.k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
   serve::QueryResult rows;
-  rows.reserve(ranked.size());
-  for (const auto& [m, count] : ranked) {
-    rows.push_back(m + '\t' + std::to_string(count));
+  rows.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) {
+    rows.push_back(
+        serve::RenderNodeName(ranked[i].first, graph::NodeKind::kEntity) +
+        '\t' + std::to_string(ranked[i].second));
   }
   return rows;
 }
@@ -260,9 +309,9 @@ Result<serve::QueryResult> QueryRouter::Execute(const serve::Query& query) {
       Status::InvalidArgument("unknown query kind");
   switch (query.kind) {
     case serve::QueryKind::kPointLookup:
-      result = AskShard(
-          ShardOf(query.node, query.node_kind, members_.size()), query,
-          &root);
+      result = RowsOf(AskShard<serve::EpochTaggedResult>(
+          ShardOf(query.node, query.node_kind, members_.size()), &root,
+          ExecuteOn(query)));
       break;
     case serve::QueryKind::kNeighborhood:
     case serve::QueryKind::kAttributeByType:

@@ -49,8 +49,9 @@ struct RouterOptions {
   /// Distributed tracing (not owned). Each Execute roots a
   /// "route.<class>" span with "shard@<i>" / "member.<label>" children
   /// per attempt; member spans parent the serving member's own
-  /// "store.execute" span, so one routed query renders as one connected
-  /// tree from router to store.
+  /// "store.execute" span ("store.adjacent_entities" in top-k's second
+  /// round), so one routed query renders as one connected tree from
+  /// router to store.
   obs::Tracer* tracer = nullptr;
   /// With `registry`, time each scatter-gather (fan out + merge wait)
   /// into per-class "stage_us.fanout.<class>" histograms. Opt-in: two
@@ -75,8 +76,12 @@ struct RouterOptions {
 ///   - point lookup        -> the subject's shard only
 ///   - neighborhood / scan -> every shard, rows merged deterministically
 ///                            (id-ordered; ties broken by shard index)
-///   - top-k related       -> two-phase scatter-gather (the aggregate is
-///                            not per-shard decomposable; see DESIGN §14)
+///   - top-k related       -> two shard rounds whatever the center's
+///                            degree: its neighborhood, then one request
+///                            per shard carrying every neighbor, which
+///                            answers with entity adjacency lists that
+///                            the router unions and counts (the aggregate
+///                            is not per-shard decomposable; DESIGN §14)
 ///
 /// Thread-safe for concurrent Execute; Apply is single-writer.
 class QueryRouter {
@@ -121,18 +126,22 @@ class QueryRouter {
   bool AllowMember(MemberHealth& health, bool* is_probe);
   void RecordOutcome(MemberHealth& health, bool ok, bool was_probe);
 
-  /// One shard's answer under the staleness gate and failover order.
-  /// `parent` (never null; inert without a tracer) gets one "shard@<i>"
-  /// child with a "member.<label>" grandchild per attempt.
-  Result<serve::QueryResult> AskShard(size_t shard,
-                                      const serve::Query& query,
-                                      obs::Span* parent);
+  /// One shard's answer under the staleness gate and failover order —
+  /// the one path every member call takes. `ask(member, span_id)` makes
+  /// the call (ExecuteTraced or AdjacentEntitiesTraced) and returns a
+  /// `Tagged` answer carrying its applied-epoch tag. `parent` (never
+  /// null; inert without a tracer) gets one "shard@<i>" child with a
+  /// "member.<label>" grandchild per attempt.
+  template <typename Tagged, typename Ask>
+  Result<Tagged> AskShard(size_t shard, obs::Span* parent, const Ask& ask);
   /// Fans `query` out to every shard and merges deterministically.
   /// Adds the scatter + merge wall time to `*fanout_us` when non-null
-  /// (Execute observes the total once per routed query, so nested
-  /// fanouts — top-k's phase queries — attribute to the routed class).
+  /// (Execute observes the total once per routed query, so top-k's two
+  /// rounds attribute to the routed class).
   Result<serve::QueryResult> FanOut(const serve::Query& query,
                                     obs::Span* parent, double* fanout_us);
+  /// Two shard rounds: the center's neighborhood, then one adjacency
+  /// request per shard carrying every neighbor (DESIGN §14).
   Result<serve::QueryResult> TopKRelated(const serve::Query& query,
                                          obs::Span* parent,
                                          double* fanout_us);

@@ -83,7 +83,9 @@ class MemDelta {
   bool TouchesPredicate(std::string_view name) const;
 
   /// Visits entries with the given subject in (predicate, object_kind,
-  /// object) order.
+  /// object) order. For every ForEach*, the TripleName argument lives only
+  /// for the call (ForEachByObject builds a temporary per entry): copy a
+  /// name the caller keeps, never hold a string_view into it.
   void ForEachBySubject(
       graph::NodeKind kind, std::string_view name,
       const std::function<void(const TripleName&, const Entry&)>& fn) const;

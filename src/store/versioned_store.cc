@@ -239,7 +239,11 @@ struct MergedView {
 
   /// Sorted-unique nodes adjacent to `n` over live merged edges, either
   /// direction — the merged twin of the engine's AdjacentNodes (multiple
-  /// predicates between a pair collapse to one adjacency).
+  /// predicates between a pair collapse to one adjacency). The commit
+  /// path's walk (BumpGenerations), kept apart from ForEachAdjacent on
+  /// purpose: it probes every edge of a touched node by name, and moving
+  /// commits onto the id-space walk halves their overlay merge, which
+  /// shifts the ingest/read balance `ingest_serve` measures (E29).
   std::vector<NodeRef> AdjacentNodes(const NodeRef& n) const {
     std::vector<NodeRef> out;
     const auto n_id = base.FindNode(n.second, n.first);
@@ -288,6 +292,61 @@ struct MergedView {
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
+  }
+
+  /// The read path's merged adjacency walk (the store's top-k and routed
+  /// top-k's adjacency read): visits every live neighbor of `n` (base id
+  /// `id`, or kInvalidNode when the base lacks it) in either direction,
+  /// repeats included. Neighbors over base edges go to `on_base(base
+  /// id)`; overlay upserts the base lacks go to `on_overlay(kind, name)`,
+  /// whose `name` lives only for the call. A node the overlay doesn't
+  /// touch is a raw CSR read (integer ops, no string work — the hot path,
+  /// since the overlay is small). A touched node stays in id space too: a
+  /// retracted base edge names both endpoints in the overlay, so only
+  /// edges into *other touched nodes* need the string-keyed retract probe.
+  template <typename OnBase, typename OnOverlay>
+  void ForEachAdjacent(serve::NodeId id, const NodeKey& n,
+                       const OnBase& on_base,
+                       const OnOverlay& on_overlay) const {
+    if (id != serve::kInvalidNode) {
+      const bool touched = TouchedBaseNode(id);
+      const std::string name = touched ? std::string(n.second) : "";
+      for (const serve::KgSnapshot::Edge& e : base.OutEdges(id)) {
+        if (touched && TouchedBaseNode(e.second) &&
+            Retracted(TripleName{n.first, name,
+                                 std::string(base.PredicateName(e.first)),
+                                 base.NodeKindOf(e.second),
+                                 std::string(base.NodeName(e.second))})) {
+          continue;
+        }
+        on_base(e.second);
+      }
+      for (const serve::KgSnapshot::Edge& e : base.InEdges(id)) {
+        if (touched && TouchedBaseNode(e.second) &&
+            Retracted(TripleName{base.NodeKindOf(e.second),
+                                 std::string(base.NodeName(e.second)),
+                                 std::string(base.PredicateName(e.first)),
+                                 n.first, name})) {
+          continue;
+        }
+        on_base(e.second);
+      }
+      if (!touched) return;
+    }
+    delta.ForEachBySubject(
+        n.first, n.second,
+        [&](const TripleName& t, const MemDelta::Entry& e) {
+          if (e.state != MemDelta::State::kUpserted) return;
+          if (FindBaseTriple(base, t)) return;
+          on_overlay(t.object_kind, t.object);
+        });
+    delta.ForEachByObject(
+        n.first, n.second,
+        [&](const TripleName& t, const MemDelta::Entry& e) {
+          if (e.state != MemDelta::State::kUpserted) return;
+          if (FindBaseTriple(base, t)) return;
+          on_overlay(t.subject_kind, t.subject);
+        });
   }
 };
 
@@ -372,11 +431,10 @@ serve::QueryResult MergedAttributeByType(const MergedView& view,
 
 /// Merged top-k in id space. Nodes present in the base use their snapshot
 /// ids; delta-only nodes get local ids appended past base.num_nodes().
-/// Adjacency for a node the overlay doesn't touch is a raw CSR scan
-/// (integer ops, no string work — the hot path, since the overlay is
-/// small); touched nodes fall back to the name-space merge and map back.
-/// Strings are materialized only for ranking tie-breaks and the final k
-/// rendered rows, so a miss costs about what the immutable engine pays.
+/// Adjacency is the view's one walk (a raw CSR scan for nodes the overlay
+/// doesn't touch), with overlay neighbors mapped back to ids. Strings are
+/// materialized only for ranking tie-breaks and the final k rendered
+/// rows, so a miss costs about what the immutable engine pays.
 serve::QueryResult MergedTopKRelated(const MergedView& view,
                                      const serve::Query& q) {
   if (q.k == 0) return {};
@@ -394,60 +452,18 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
   };
   const auto adjacency = [&](uint32_t id) {
     std::vector<uint32_t> out;
+    const auto on_base = [&](serve::NodeId m) { out.push_back(m); };
+    const auto on_overlay = [&](graph::NodeKind kind, const std::string& m) {
+      out.push_back(local_id(NodeRef{kind, m}));
+    };
     if (id < base_n) {
-      if (!view.TouchedBaseNode(id)) {
-        out.reserve(base.OutDegree(id) + base.InDegree(id));
-        for (const serve::KgSnapshot::Edge& e : base.OutEdges(id)) {
-          out.push_back(e.second);
-        }
-        for (const serve::KgSnapshot::Edge& e : base.InEdges(id)) {
-          out.push_back(e.second);
-        }
-      } else {
-        // Touched node, still id space: a retracted base edge names both
-        // endpoints in the overlay, so only edges into *other touched
-        // nodes* need the string-keyed retract probe; everything else is
-        // a raw CSR read. Overlay additions come from the per-node delta
-        // scans (a handful of entries).
-        const graph::NodeKind kind = base.NodeKindOf(id);
-        const std::string name(base.NodeName(id));
-        for (const serve::KgSnapshot::Edge& e : base.OutEdges(id)) {
-          if (view.TouchedBaseNode(e.second) &&
-              view.Retracted(TripleName{
-                  kind, name, std::string(base.PredicateName(e.first)),
-                  base.NodeKindOf(e.second),
-                  std::string(base.NodeName(e.second))})) {
-            continue;
-          }
-          out.push_back(e.second);
-        }
-        for (const serve::KgSnapshot::Edge& e : base.InEdges(id)) {
-          if (view.TouchedBaseNode(e.second) &&
-              view.Retracted(TripleName{
-                  base.NodeKindOf(e.second),
-                  std::string(base.NodeName(e.second)),
-                  std::string(base.PredicateName(e.first)), kind, name})) {
-            continue;
-          }
-          out.push_back(e.second);
-        }
-        view.delta.ForEachBySubject(
-            kind, name, [&](const TripleName& t, const MemDelta::Entry& e) {
-              if (e.state != MemDelta::State::kUpserted) return;
-              if (FindBaseTriple(view.base, t)) return;
-              out.push_back(local_id(NodeRef{t.object_kind, t.object}));
-            });
-        view.delta.ForEachByObject(
-            kind, name, [&](const TripleName& t, const MemDelta::Entry& e) {
-              if (e.state != MemDelta::State::kUpserted) return;
-              if (FindBaseTriple(view.base, t)) return;
-              out.push_back(local_id(NodeRef{t.subject_kind, t.subject}));
-            });
-      }
+      out.reserve(base.OutDegree(id) + base.InDegree(id));
+      view.ForEachAdjacent(id, NodeKey{base.NodeKindOf(id), base.NodeName(id)},
+                           on_base, on_overlay);
     } else {
-      for (const NodeRef& n : view.AdjacentNodes(*extra_refs[id - base_n])) {
-        out.push_back(local_id(n));
-      }
+      const NodeRef& n = *extra_refs[id - base_n];
+      view.ForEachAdjacent(serve::kInvalidNode, NodeKey{n.first, n.second},
+                           on_base, on_overlay);
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -489,6 +505,44 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
   return rows;
 }
 
+/// Sorted, distinct names of the entities adjacent to `n` in the view —
+/// this store's share of one neighbor's second hop in a routed top-k.
+std::vector<std::string> AdjacentEntities(const MergedView& view,
+                                          const NodeKey& n) {
+  std::vector<serve::NodeId> ids;
+  std::vector<std::string> names;
+  const auto id = view.base.FindNode(n.second, n.first);
+  view.ForEachAdjacent(
+      id.ok() ? *id : serve::kInvalidNode, n,
+      [&](serve::NodeId m) {
+        if (view.base.NodeKindOf(m) == graph::NodeKind::kEntity) {
+          ids.push_back(m);
+        }
+      },
+      [&](graph::NodeKind kind, const std::string& m) {
+        if (kind == graph::NodeKind::kEntity) names.push_back(m);
+      });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  names.reserve(names.size() + ids.size());
+  for (const serve::NodeId m : ids) names.emplace_back(view.base.NodeName(m));
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
+
+/// kUnavailable when `base` claims a schema generation newer than this
+/// build supports (serve::kSnapshotSchemaVersion).
+Status CheckSchema(const serve::KgSnapshot& base) {
+  if (base.schema_version() <= serve::kSnapshotSchemaVersion) {
+    return Status::OK();
+  }
+  return Status::Unavailable(
+      "snapshot schema version " + std::to_string(base.schema_version()) +
+      " is newer than this store supports (" +
+      std::to_string(serve::kSnapshotSchemaVersion) + ")");
+}
+
 /// Assigns the merged vocabulary of a fold its dense ids: base entries
 /// 0..base_count-1 (sorted by `key_of`; kInvalidNode in `remap` marks
 /// one compiled out) interleaved in key order with the overlay-only keys
@@ -520,7 +574,6 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
                             const MemDelta& delta) {
   if (delta.empty()) return base;
   using Ids = std::array<uint32_t, 3>;
-  using NodeKey = std::pair<graph::NodeKind, std::string_view>;
 
   // 1. Retracted base triples (base ids) and upserts the base lacks;
   //    every other entry changes nothing. The delta iterates in the same
@@ -848,14 +901,7 @@ serve::QueryResult VersionedKgStore::ExecuteAt(
 
 Result<serve::QueryResult> VersionedKgStore::TryExecute(
     const serve::Query& query) const {
-  const auto epoch = PinEpoch();
-  if (epoch->base->schema_version() > serve::kSnapshotSchemaVersion) {
-    return Status::Unavailable(
-        "snapshot schema version " +
-        std::to_string(epoch->base->schema_version()) +
-        " is newer than this store supports (" +
-        std::to_string(serve::kSnapshotSchemaVersion) + ")");
-  }
+  KG_RETURN_IF_ERROR(CheckSchema(*PinEpoch()->base));
   return Execute(query);
 }
 
@@ -866,6 +912,21 @@ Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
   // only be at or past the tag, never behind it.
   tagged.epoch = applied_watermark();
   KG_ASSIGN_OR_RETURN(tagged.rows, TryExecute(query));
+  return tagged;
+}
+
+Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
+    std::span<const NodeKey> nodes) const {
+  EpochTaggedAdjacency tagged;
+  // Watermark before the pin, as in TryExecuteTagged.
+  tagged.epoch = applied_watermark();
+  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
+  KG_RETURN_IF_ERROR(CheckSchema(*epoch->base));
+  const MergedView view(*epoch);
+  tagged.entities.reserve(nodes.size());
+  for (const NodeKey& n : nodes) {
+    tagged.entities.push_back(AdjacentEntities(view, n));
+  }
   return tagged;
 }
 

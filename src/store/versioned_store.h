@@ -11,7 +11,9 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/exec_policy.h"
@@ -66,6 +68,18 @@ struct StoreEpoch {
   /// a commit merges in its batch's ids, and compaction — the only point
   /// where base ids change — rebuilds it for the trimmed delta.
   std::vector<serve::NodeId> touched_nodes;
+};
+
+/// A node addressed by (kind, name), as queries and mutations address it.
+using NodeKey = std::pair<graph::NodeKind, std::string_view>;
+
+/// VersionedKgStore::TryAdjacentEntitiesTagged's answer, tagged like
+/// serve::EpochTaggedResult.
+struct EpochTaggedAdjacency {
+  uint64_t epoch = 0;
+  /// entities[i]: sorted, distinct names of the entities adjacent to the
+  /// i-th requested node.
+  std::vector<std::vector<std::string>> entities;
 };
 
 /// A versioned, mutable KG store layered on the immutable serving
@@ -171,6 +185,14 @@ class VersionedKgStore {
   /// router's bounded-staleness policy rests on.
   Result<serve::EpochTaggedResult> TryExecuteTagged(
       const serve::Query& query) const;
+
+  /// For each node in `nodes`, the sorted, distinct names of the entities
+  /// adjacent to it over live merged edges in either direction, all over
+  /// one pinned epoch and bypassing the cache. The second hop of routed
+  /// top-k (kg::cluster::QueryRouter), which unions these lists across
+  /// shards. Tagged and schema-gated like TryExecuteTagged.
+  Result<EpochTaggedAdjacency> TryAdjacentEntitiesTagged(
+      std::span<const NodeKey> nodes) const;
 
   /// Answers `query` against a pinned epoch, bypassing the cache (the
   /// cache tracks the *current* version; time-travel reads must not mix

@@ -1,6 +1,7 @@
 // kg::cluster routing semantics on crafted graphs: subject-hash
-// partitioning, deterministic scatter-gather merges, the two-phase
-// top-k decomposition (not per-shard decomposable), the bounded
+// partitioning, deterministic scatter-gather merges, the two-round
+// top-k decomposition (not per-shard decomposable; at most two shard
+// rounds whatever the center's degree), the bounded
 // staleness gate (stale replicas are skipped, not served), failover
 // order, and breaker probing after a revive.
 
@@ -12,6 +13,8 @@
 
 #include "cluster/cluster.h"
 #include "graph/knowledge_graph.h"
+#include "obs/json.h"
+#include "obs/trace.h"
 #include "serve/query_engine.h"
 #include "store/versioned_store.h"
 #include "store/wal.h"
@@ -193,6 +196,50 @@ TEST(RouterTest, MutationsRouteBySubjectAndStayIdentical) {
   }
 }
 
+TEST(RouterTest, TopKCostsAtMostTwoShardRounds) {
+  constexpr size_t kShards = 4;
+  const KnowledgeGraph kg = CraftedKg();
+  auto reference = store::VersionedKgStore::Open(kg, {});
+  ASSERT_TRUE(reference.ok());
+  obs::FixedTraceClock clock;
+  obs::Tracer tracer(42, &clock);
+  ClusterOptions opts;
+  opts.num_shards = kShards;
+  opts.tracer = &tracer;
+  auto cluster = Cluster::Create(kg, opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  std::vector<Query> queries = CraftedQueries();
+  // A class center: every person is a neighbor.
+  queries.push_back(Query::TopKRelated("Person", 10, NodeKind::kClass));
+  for (const Query& q : queries) {
+    auto actual = (*cluster)->Execute(q);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    EXPECT_EQ(*actual, *(*reference)->TryExecute(q)) << q.CacheKey();
+  }
+  cluster->reset();  // Joins every member before exporting spans.
+#ifndef KG_OBS_NOOP
+  // Round one asks each shard for the center's neighborhood, round two
+  // asks each shard once for every neighbor's adjacency.
+  const auto doc = obs::ParseJson(tracer.ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  size_t topk_roots = 0;
+  for (const obs::JsonValue& root : doc->Find("spans")->array) {
+    if (root.Find("name")->string_value != "route.topk_related") continue;
+    ++topk_roots;
+    size_t shard_calls = 0;
+    if (const obs::JsonValue* children = root.Find("children")) {
+      for (const obs::JsonValue& child : children->array) {
+        if (child.Find("name")->string_value.rfind("shard@", 0) == 0) {
+          ++shard_calls;
+        }
+      }
+    }
+    EXPECT_LE(shard_calls, 2 * kShards) << "top-k root " << topk_roots;
+  }
+  EXPECT_EQ(topk_roots, 22u);  // 7 centers x 3 budgets + the class center.
+#endif
+}
+
 TEST(RouterTest, StaleReplicaIsSkippedThenShedWhenNoOneCanServe) {
   ClusterOptions opts;
   opts.num_shards = 1;
@@ -250,6 +297,17 @@ TEST(RouterTest, BreakerOpensOnDeadPrimaryAndProbesItBack) {
     auto r = (*cluster)->Execute(q);
     ASSERT_TRUE(r.ok()) << r.status();
   }
+  // A top-k is two shard rounds whatever the center's degree (ann has
+  // four neighbors): each round fails over once, and the answer still
+  // equals the single store's.
+  auto reference = store::VersionedKgStore::Open(CraftedKg(), {});
+  ASSERT_TRUE(reference.ok());
+  const Query topk = Query::TopKRelated("ann", 10);
+  const uint64_t before_topk = (*cluster)->router().stats().failovers;
+  auto related = (*cluster)->Execute(topk);
+  ASSERT_TRUE(related.ok()) << related.status();
+  EXPECT_EQ(*related, *(*reference)->TryExecute(topk));
+  EXPECT_EQ((*cluster)->router().stats().failovers, before_topk + 2);
   const auto mid = (*cluster)->router().stats();
   EXPECT_GE(mid.failovers, 8u);
 

@@ -14,7 +14,9 @@
 //      the log into a base that equals a batch build of the oracle and
 //      answers the workload identically;
 //   6. after every commit, compaction and reopen, the epoch's node index
-//      equals a recomputation from its (base, delta).
+//      equals a recomputation from its (base, delta), and the entity
+//      adjacency read (routed top-k's second hop) equals the entities in
+//      a rebuild's neighborhoods.
 // Worlds come from kg::synth universes plus hostile names, duplicate
 // upserts, retractions of base and overlay triples, and resurrections.
 
@@ -226,6 +228,50 @@ void ExpectNodeIndexMatchesRecompute(const VersionedKgStore& store,
       << where << ", world seed " << seed << ", version " << epoch->version;
 }
 
+/// Checks TryAdjacentEntitiesTagged against a rebuild: for every node of
+/// the oracle, every pool name under every kind, and one absent name, the
+/// store's list must be the distinct "E:" nodes of the rebuild engine's
+/// Neighborhood rows.
+void ExpectAdjacencyMatchesRebuild(const VersionedKgStore& store,
+                                   const KnowledgeGraph& oracle,
+                                   const World& world, uint64_t seed,
+                                   const char* where) {
+  std::vector<NodeKey> nodes;
+  for (graph::NodeId id = 0; id < oracle.num_nodes(); ++id) {
+    nodes.emplace_back(oracle.GetNodeKind(id), oracle.NodeName(id));
+  }
+  for (const std::string& name : world.names) {
+    for (const NodeKind kind :
+         {NodeKind::kEntity, NodeKind::kText, NodeKind::kClass}) {
+      nodes.emplace_back(kind, name);
+    }
+  }
+  nodes.emplace_back(NodeKind::kEntity, "no such node");
+  const auto got = store.TryAdjacentEntitiesTagged(nodes);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->epoch, store.applied_watermark());
+  ASSERT_EQ(got->entities.size(), nodes.size());
+  const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
+  const serve::QueryEngine engine(snap);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const auto& [kind, name] = nodes[i];
+    std::vector<std::string> expected;
+    for (const std::string& row : engine.ExecuteUncached(
+             Query::Neighborhood(std::string(name), kind))) {
+      // "dir\tpredicate\tnode": predicates hold no tabs, names may.
+      const std::string node =
+          row.substr(row.find('\t', row.find('\t') + 1) + 1);
+      if (node.rfind("E:", 0) == 0) expected.push_back(node.substr(2));
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    ASSERT_EQ(got->entities[i], expected)
+        << where << ", world seed " << seed << ", node kind "
+        << static_cast<int>(kind) << " name '" << name << "'";
+  }
+}
+
 TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
   int checked = 0;
   for (int world_idx = 0; world_idx < kNumWorlds; ++world_idx) {
@@ -265,6 +311,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       }
       ASSERT_TRUE(store.ApplyBatch(batch).ok());
       ExpectNodeIndexMatchesRecompute(store, seed, "after commit");
+      ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
+                                    "after commit");
       ASSERT_EQ(store.AuthoritativeFingerprint(),
                 graph::TripleSetFingerprint(oracle))
           << "world seed " << seed << " after " << applied << " mutations";
@@ -276,6 +324,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
                   serve::KgSnapshot::Compile(oracle).Fingerprint())
             << "mid-stream fold, world seed " << seed;
         ExpectNodeIndexMatchesRecompute(store, seed, "mid-stream fold");
+        ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
+                                      "mid-stream fold");
       }
       if (applied == kMutationsPerWorld / 2 ||
           applied >= kMutationsPerWorld) {
@@ -302,6 +352,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         << "world seed " << seed;
     ASSERT_EQ(store.delta_size(), 0u);
     ExpectNodeIndexMatchesRecompute(store, seed, "final fold");
+    ExpectAdjacencyMatchesRebuild(store, oracle, world, seed, "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
                               "post-compaction");
     ASSERT_EQ(store.BatchExecute(workload, ExecPolicy::Serial()), serial)
@@ -315,6 +366,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       ASSERT_TRUE(reopened.ok()) << reopened.status();
       ASSERT_EQ((*reopened)->delta_size(), 0u);
       ExpectNodeIndexMatchesRecompute(**reopened, seed, "reopened from WAL");
+      ExpectAdjacencyMatchesRebuild(**reopened, oracle, world, seed,
+                                    "reopened from WAL");
       ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),
                 serve::KgSnapshot::Compile(oracle).Fingerprint())
           << "reopened base, world seed " << seed;
