@@ -1,5 +1,6 @@
 #include "cluster/member.h"
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -19,15 +20,26 @@ std::string ReadFileBytes(const std::string& path) {
   return out.str();
 }
 
-/// Runs `read` (one of a member's store reads) as a `name` span nested
-/// under the router's member span (`parent_span_id`, 0 = untraced),
-/// tagged with the serving member and its epoch tag or refusal.
+/// Runs `read` (one of a member's store reads) unless the member is
+/// killed, which refuses with kUnavailable.
+template <typename Read>
+auto ServeIfAlive(const std::atomic<bool>& killed, const std::string& label,
+                  const Read& read) -> decltype(read()) {
+  if (killed.load(std::memory_order_acquire)) {
+    return Status::Unavailable(label + " is down");
+  }
+  return read();
+}
+
+/// ServeIfAlive as a `name` span nested under the router's member span
+/// (`parent_span_id`, 0 = untraced), tagged with the serving member and
+/// its epoch tag or refusal.
 template <typename Read>
 auto TracedRead(obs::Tracer* tracer, uint64_t parent_span_id,
-                std::string_view name, const std::string& label,
-                const Read& read) {
+                std::string_view name, const std::atomic<bool>& killed,
+                const std::string& label, const Read& read) {
   obs::Span span = obs::Tracer::StartWithParent(tracer, parent_span_id, name);
-  auto result = read();
+  auto result = ServeIfAlive(killed, label, read);
   if (span.active()) {
     span.SetAttr("member", label);
     if (result.ok()) {
@@ -129,28 +141,21 @@ Status PrimaryMember::Revive() {
 
 Result<serve::EpochTaggedResult> PrimaryMember::Execute(
     const serve::Query& query) const {
-  if (killed_.load(std::memory_order_acquire)) {
-    return Status::Unavailable(label_ + " is down");
-  }
-  return store_->TryExecuteTagged(query);
+  return ServeIfAlive(killed_, label_,
+                      [&] { return store_->TryExecuteTagged(query); });
 }
 
 Result<serve::EpochTaggedResult> PrimaryMember::ExecuteTraced(
     const serve::Query& query, uint64_t parent_span_id) const {
-  return TracedRead(options_.tracer, parent_span_id, "store.execute", label_,
-                    [&] { return Execute(query); });
+  return TracedRead(options_.tracer, parent_span_id, "store.execute", killed_,
+                    label_, [&] { return store_->TryExecuteTagged(query); });
 }
 
 Result<store::EpochTaggedAdjacency> PrimaryMember::AdjacentEntitiesTraced(
     std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
   return TracedRead(
-      options_.tracer, parent_span_id, "store.adjacent_entities", label_,
-      [&]() -> Result<store::EpochTaggedAdjacency> {
-        if (killed_.load(std::memory_order_acquire)) {
-          return Status::Unavailable(label_ + " is down");
-        }
-        return store_->TryAdjacentEntitiesTagged(nodes);
-      });
+      options_.tracer, parent_span_id, "store.adjacent_entities", killed_,
+      label_, [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
 }
 
 // ---- ReplicaMember -------------------------------------------------------
@@ -231,28 +236,21 @@ uint64_t ReplicaMember::lag_bytes() const {
 
 Result<serve::EpochTaggedResult> ReplicaMember::Execute(
     const serve::Query& query) const {
-  if (killed_.load(std::memory_order_acquire)) {
-    return Status::Unavailable(label_ + " is down");
-  }
-  return store_->TryExecuteTagged(query);
+  return ServeIfAlive(killed_, label_,
+                      [&] { return store_->TryExecuteTagged(query); });
 }
 
 Result<serve::EpochTaggedResult> ReplicaMember::ExecuteTraced(
     const serve::Query& query, uint64_t parent_span_id) const {
-  return TracedRead(options_.tracer, parent_span_id, "store.execute", label_,
-                    [&] { return Execute(query); });
+  return TracedRead(options_.tracer, parent_span_id, "store.execute", killed_,
+                    label_, [&] { return store_->TryExecuteTagged(query); });
 }
 
 Result<store::EpochTaggedAdjacency> ReplicaMember::AdjacentEntitiesTraced(
     std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
   return TracedRead(
-      options_.tracer, parent_span_id, "store.adjacent_entities", label_,
-      [&]() -> Result<store::EpochTaggedAdjacency> {
-        if (killed_.load(std::memory_order_acquire)) {
-          return Status::Unavailable(label_ + " is down");
-        }
-        return store_->TryAdjacentEntitiesTagged(nodes);
-      });
+      options_.tracer, parent_span_id, "store.adjacent_entities", killed_,
+      label_, [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
 }
 
 }  // namespace kg::cluster

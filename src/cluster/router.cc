@@ -188,24 +188,37 @@ Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
                              "staleness bound");
 }
 
+template <typename Tagged, typename Ask>
+Result<std::vector<Tagged>> QueryRouter::Scatter(obs::Span* parent,
+                                                 double* fanout_us,
+                                                 const Ask& ask) {
+  WallTimer timer;
+  auto run = [&]() -> Result<std::vector<Tagged>> {
+    std::vector<Tagged> parts;
+    parts.reserve(members_.size());
+    for (size_t shard = 0; shard < members_.size(); ++shard) {
+      KG_ASSIGN_OR_RETURN(Tagged part, AskShard<Tagged>(shard, parent, ask));
+      parts.push_back(std::move(part));
+    }
+    return parts;
+  };
+  Result<std::vector<Tagged>> parts = run();
+  if (fanout_us != nullptr) *fanout_us += timer.ElapsedSeconds() * 1e6;
+  return parts;
+}
+
 Result<serve::QueryResult> QueryRouter::FanOut(const serve::Query& query,
                                                obs::Span* parent,
                                                double* fanout_us) {
-  WallTimer timer;
-  auto run = [&]() -> Result<serve::QueryResult> {
-    std::vector<serve::QueryResult> parts;
-    parts.reserve(members_.size());
-    for (size_t shard = 0; shard < members_.size(); ++shard) {
-      KG_ASSIGN_OR_RETURN(serve::QueryResult rows,
-                          RowsOf(AskShard<serve::EpochTaggedResult>(
-                              shard, parent, ExecuteOn(query))));
-      parts.push_back(std::move(rows));
-    }
-    return serve::MergeShardResults(std::move(parts));
-  };
-  Result<serve::QueryResult> result = run();
-  if (fanout_us != nullptr) *fanout_us += timer.ElapsedSeconds() * 1e6;
-  return result;
+  KG_ASSIGN_OR_RETURN(std::vector<serve::EpochTaggedResult> parts,
+                      Scatter<serve::EpochTaggedResult>(parent, fanout_us,
+                                                        ExecuteOn(query)));
+  std::vector<serve::QueryResult> rows;
+  rows.reserve(parts.size());
+  for (serve::EpochTaggedResult& part : parts) {
+    rows.push_back(std::move(part.rows));
+  }
+  return serve::MergeShardResults(std::move(rows));
 }
 
 Result<serve::QueryResult> QueryRouter::TopKRelated(
@@ -235,24 +248,13 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
   // Round 2: one request per shard carrying every neighbor n; each shard
   // answers with its share of n's entity adjacency (n's out-edges live on
   // n's shard, its in-edges on each subject's shard).
-  WallTimer timer;
-  auto ask_all = [&]() -> Result<std::vector<store::EpochTaggedAdjacency>> {
-    std::vector<store::EpochTaggedAdjacency> parts;
-    parts.reserve(members_.size());
-    const auto adjacent = [&](const ShardMember& member, uint64_t span_id) {
-      return member.AdjacentEntitiesTraced(neighbors, span_id);
-    };
-    for (size_t shard = 0; shard < members_.size(); ++shard) {
-      KG_ASSIGN_OR_RETURN(
-          store::EpochTaggedAdjacency part,
-          AskShard<store::EpochTaggedAdjacency>(shard, parent, adjacent));
-      parts.push_back(std::move(part));
-    }
-    return parts;
-  };
-  Result<std::vector<store::EpochTaggedAdjacency>> parts = ask_all();
-  if (fanout_us != nullptr) *fanout_us += timer.ElapsedSeconds() * 1e6;
-  KG_RETURN_IF_ERROR(parts.status());
+  KG_ASSIGN_OR_RETURN(
+      const std::vector<store::EpochTaggedAdjacency> parts,
+      Scatter<store::EpochTaggedAdjacency>(
+          parent, fanout_us,
+          [&](const ShardMember& member, uint64_t span_id) {
+            return member.AdjacentEntitiesTraced(neighbors, span_id);
+          }));
 
   // Each distinct (n, m) pair scores one shared-neighbor path
   // center—n—m, which reproduces the single-store engine exactly. The
@@ -267,7 +269,7 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
   const bool center_is_entity = query.node_kind == graph::NodeKind::kEntity;
   std::unordered_map<std::string_view, Score> score;
   for (size_t j = 0; j < neighbors.size(); ++j) {
-    for (const store::EpochTaggedAdjacency& part : *parts) {
+    for (const store::EpochTaggedAdjacency& part : parts) {
       for (const std::string& m : part.entities[j]) {
         if (center_is_entity && m == query.node) continue;
         Score& s = score[m];

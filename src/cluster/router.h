@@ -53,9 +53,10 @@ struct RouterOptions {
   /// round), so one routed query renders as one connected tree from
   /// router to store.
   obs::Tracer* tracer = nullptr;
-  /// With `registry`, time each scatter-gather (fan out + merge wait)
-  /// into per-class "stage_us.fanout.<class>" histograms. Opt-in: two
-  /// clock reads per fanned-out query.
+  /// With `registry`, time each query's shard rounds (fan out until the
+  /// last shard answers; merging and scoring count as route time) into
+  /// per-class "stage_us.fanout.<class>" histograms. Opt-in: two clock
+  /// reads per shard round.
   bool time_stages = false;
   /// Worst-N retention for routed queries (not owned). Each Execute
   /// offers one entry keyed by its root span id, with the fanout stage
@@ -134,10 +135,15 @@ class QueryRouter {
   /// "member.<label>" grandchild per attempt.
   template <typename Tagged, typename Ask>
   Result<Tagged> AskShard(size_t shard, obs::Span* parent, const Ask& ask);
-  /// Fans `query` out to every shard and merges deterministically.
-  /// Adds the scatter + merge wall time to `*fanout_us` when non-null
-  /// (Execute observes the total once per routed query, so top-k's two
-  /// rounds attribute to the routed class).
+  /// One shard round: every shard's AskShard answer, in shard order, or
+  /// the first shard's refusal. Adds the round's wall time to
+  /// `*fanout_us` when non-null (Execute observes the total once per
+  /// routed query, so top-k's two rounds attribute to the routed class).
+  template <typename Tagged, typename Ask>
+  Result<std::vector<Tagged>> Scatter(obs::Span* parent, double* fanout_us,
+                                      const Ask& ask);
+  /// Fans `query` out to every shard (Scatter) and merges
+  /// deterministically.
   Result<serve::QueryResult> FanOut(const serve::Query& query,
                                     obs::Span* parent, double* fanout_us);
   /// Two shard rounds: the center's neighborhood, then one adjacency

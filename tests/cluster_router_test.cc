@@ -304,6 +304,7 @@ TEST(RouterTest, BreakerOpensOnDeadPrimaryAndProbesItBack) {
   ASSERT_TRUE(reference.ok());
   const Query topk = Query::TopKRelated("ann", 10);
   const uint64_t before_topk = (*cluster)->router().stats().failovers;
+  EXPECT_GE(before_topk, 8u);  // Every lookup above failed over.
   auto related = (*cluster)->Execute(topk);
   ASSERT_TRUE(related.ok()) << related.status();
   EXPECT_EQ(*related, *(*reference)->TryExecute(topk));
