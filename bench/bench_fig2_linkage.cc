@@ -13,21 +13,21 @@
 
 #include "common/exec_policy.h"
 #include "common/rng.h"
-#include "common/stage_timer.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "core/conversions.h"
 #include "integrate/linkage.h"
 #include "ml/active_learning.h"
+#include "obs/trace.h"
 #include "synth/structured_source.h"
 
 namespace {
 
 using namespace kg;  // NOLINT
 
-// Harness-level stage metrics (per-stage wall time and throughput),
-// printed at the end of the run.
-StageTimer g_metrics;
+// Harness-level stages: one root span each, rolled up into per-stage
+// wall time and throughput at the end of the run.
+obs::Tracer g_tracer(/*seed=*/42);
 
 struct DomainRun {
   std::string domain_name;
@@ -61,10 +61,10 @@ DomainRun RunDomain(const synth::EntityUniverse& universe,
   // bit-identical to the serial build (see core/conversions.h).
   ml::Dataset all_pairs;
   {
-    StageTimer::Scope stage(&g_metrics, domain_name + ".pair_pool");
+    obs::Span stage = g_tracer.Root(domain_name + ".pair_pool");
     all_pairs = core::BuildLinkagePairs(r1, truth1, r2, truth2, schema,
                                         ExecPolicy::Hardware());
-    stage.AddItems(all_pairs.size());
+    stage.SetAttr("items", static_cast<uint64_t>(all_pairs.size()));
   }
 
   // Production linkage follows blocking with a cheap similarity filter so
@@ -107,15 +107,15 @@ DomainRun RunDomain(const synth::EntityUniverse& universe,
     options.label_budgets.pop_back();
   }
   {
-    StageTimer::Scope stage(&g_metrics, domain_name + ".al_random",
-                            pool.size());
+    obs::Span stage = g_tracer.Root(domain_name + ".al_random");
+    stage.SetAttr("items", static_cast<uint64_t>(pool.size()));
     Rng al_rng(seed + 1);
     options.strategy = ml::AcquisitionStrategy::kRandom;
     run.random_results = RunActiveLearning(pool, test, options, al_rng);
   }
   {
-    StageTimer::Scope stage(&g_metrics, domain_name + ".al_active",
-                            pool.size());
+    obs::Span stage = g_tracer.Root(domain_name + ".al_active");
+    stage.SetAttr("items", static_cast<uint64_t>(pool.size()));
     Rng al_rng(seed + 1);
     options.strategy = ml::AcquisitionStrategy::kUncertainty;
     run.active_results = RunActiveLearning(pool, test, options, al_rng);
@@ -191,6 +191,6 @@ int main() {
                "10K active labels (150x).\n";
 
   PrintBanner(std::cout, "Stage timing");
-  g_metrics.Print(std::cout);
+  obs::PrintStageTable(std::cout, obs::Tracer::RollUp(&g_tracer));
   return 0;
 }

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "common/rng.h"
-#include "common/stage_timer.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "core/extraction_scoring.h"
@@ -19,6 +18,7 @@
 #include "extract/open_extraction.h"
 #include "extract/wrapper_induction.h"
 #include "extract/zeroshot_extraction.h"
+#include "obs/trace.h"
 #include "synth/website_generator.h"
 
 namespace {
@@ -31,9 +31,9 @@ struct MethodResult {
   size_t annotated_pages = 0;  ///< Human annotation cost.
 };
 
-// Harness-level per-method stage metrics (wall time, pages/sec),
-// printed after the aggregate table.
-StageTimer g_metrics;
+// Harness-level per-method stages: one root span each, rolled up into
+// wall time and pages/sec after the aggregate table.
+obs::Tracer g_tracer(/*seed=*/42);
 
 // Seed KG for distant supervision: clean canonical values for the
 // head-biased half of each domain.
@@ -99,7 +99,7 @@ int main() {
   // domains only, applied to music sites (unseen domain).
   extract::ZeroshotExtractor zs;
   {
-    StageTimer::Scope stage(&g_metrics, "zero_shot.fit");
+    obs::Span stage = g_tracer.Root("zero_shot.fit");
     std::vector<extract::ZeroshotExtractor::TrainingPage> training;
     for (const auto& site : corpus) {
       if (site.domain == synth::SourceDomain::kMusic) continue;
@@ -115,7 +115,7 @@ int main() {
     }
     Rng zs_rng(7);
     zs.Fit(training, {}, zs_rng);
-    stage.AddItems(training.size());
+    stage.SetAttr("items", static_cast<uint64_t>(training.size()));
   }
 
   TablePrinter per_site({"site", "domain", "method", "accuracy",
@@ -127,7 +127,7 @@ int main() {
                                                       : "music";
     // Wrapper induction: 5 annotated pages per site.
     {
-      StageTimer::Scope stage(&g_metrics, "wrapper.induce_extract");
+      obs::Span stage = g_tracer.Root("wrapper.induce_extract");
       constexpr size_t kAnnotated = 5;
       std::vector<const extract::DomPage*> pages;
       std::vector<extract::PageAnnotation> annotations;
@@ -145,7 +145,8 @@ int main() {
         core::ScoreClosedExtractions(site.pages[p],
                                      w.Extract(site.pages[p].dom), &q);
       }
-      stage.AddItems(site.pages.size() - kAnnotated);
+      stage.SetAttr("items",
+                    static_cast<uint64_t>(site.pages.size() - kAnnotated));
       wrapper.quality.extracted += q.extracted;
       wrapper.quality.correct += q.correct;
       wrapper.annotated_pages += kAnnotated;
@@ -157,8 +158,8 @@ int main() {
     }
     // ClosedIE via distant supervision: no annotations, a seed KG.
     {
-      StageTimer::Scope stage(&g_metrics, "closed_ie.fit_extract",
-                              site.pages.size());
+      obs::Span stage = g_tracer.Root("closed_ie.fit_extract");
+      stage.SetAttr("items", static_cast<uint64_t>(site.pages.size()));
       const size_t seed_size =
           site.domain == synth::SourceDomain::kMovies   ? 800
           : site.domain == synth::SourceDomain::kPeople ? 1200
@@ -182,8 +183,8 @@ int main() {
     }
     // OpenIE: no schema at all.
     {
-      StageTimer::Scope stage(&g_metrics, "open_ie.extract",
-                              site.pages.size());
+      obs::Span stage = g_tracer.Root("open_ie.extract");
+      stage.SetAttr("items", static_cast<uint64_t>(site.pages.size()));
       core::ExtractionQuality q;
       for (const auto& page : site.pages) {
         core::ScoreOpenExtractions(site, page,
@@ -201,8 +202,8 @@ int main() {
     }
     // Zero-shot on the unseen domain only.
     if (site.domain == synth::SourceDomain::kMusic) {
-      StageTimer::Scope stage(&g_metrics, "zero_shot.extract",
-                              site.pages.size());
+      obs::Span stage = g_tracer.Root("zero_shot.extract");
+      stage.SetAttr("items", static_cast<uint64_t>(site.pages.size()));
       core::ExtractionQuality q;
       for (const auto& page : site.pages) {
         core::ScoreOpenExtractions(site, page, zs.Extract(page.dom), &q);
@@ -252,6 +253,6 @@ int main() {
                "wrapper induction >95% but needs per-site annotation.\n";
 
   PrintBanner(std::cout, "Stage timing");
-  g_metrics.Print(std::cout);
+  obs::PrintStageTable(std::cout, obs::Tracer::RollUp(&g_tracer));
   return 0;
 }

@@ -5,7 +5,8 @@
 // while retaining most of the quality. Also covers the §2.3-2.4
 // scalability angle: both end-to-end builders re-run under
 // ExecPolicy{hardware_concurrency} and must produce bit-identical KGs at
-// a wall-clock speedup, with per-stage StageTimer rows.
+// a wall-clock speedup; the parallel builds run traced and print their
+// spans rolled up per stage.
 
 #include <fstream>
 #include <iostream>
@@ -14,12 +15,12 @@
 #include "common/exec_policy.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stage_timer.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "obs/bench_sink.h"
+#include "obs/trace.h"
 #include "core/entity_kg_pipeline.h"
 #include "core/textrich_kg_pipeline.h"
 #include "textrich/pipeline.h"
@@ -33,7 +34,7 @@ struct ScalingRun {
   uint64_t fingerprint = 0;
 };
 
-ScalingRun RunEntityBuild(const ExecPolicy& exec, StageTimer* metrics) {
+ScalingRun RunEntityBuild(const ExecPolicy& exec, obs::Tracer* tracer) {
   synth::UniverseOptions uopt;
   uopt.num_people = 800;
   uopt.num_movies = 1200;
@@ -53,7 +54,7 @@ ScalingRun RunEntityBuild(const ExecPolicy& exec, StageTimer* metrics) {
   core::EntityKgBuilder::Options opt;
   opt.forest.num_trees = 40;
   opt.exec = exec;
-  opt.metrics = metrics;
+  opt.tracer = tracer;
   core::EntityKgBuilder builder(synth::SourceDomain::kMovies, opt);
   const auto t_wiki = synth::EmitSource(universe, wiki, rng);
   const auto t_imdb = synth::EmitSource(universe, imdb, rng);
@@ -68,7 +69,7 @@ ScalingRun RunEntityBuild(const ExecPolicy& exec, StageTimer* metrics) {
                     graph::TripleSetFingerprint(builder.kg())};
 }
 
-ScalingRun RunTextRichBuild(const ExecPolicy& exec, StageTimer* metrics) {
+ScalingRun RunTextRichBuild(const ExecPolicy& exec, obs::Tracer* tracer) {
   Rng rng(42);
   synth::CatalogOptions copt;
   copt.num_types = 16;
@@ -84,7 +85,7 @@ ScalingRun RunTextRichBuild(const ExecPolicy& exec, StageTimer* metrics) {
   // scaling ceiling (Amdahl).
   opt.train_fraction = 0.15;
   opt.exec = exec;
-  opt.metrics = metrics;
+  opt.tracer = tracer;
 
   WallTimer clock;
   const auto build = core::TryBuildTextRichKg(catalog, behavior, opt, rng);
@@ -94,12 +95,12 @@ ScalingRun RunTextRichBuild(const ExecPolicy& exec, StageTimer* metrics) {
 }
 
 void ReportScaling(const std::string& name, const ScalingRun& serial,
-                   const ScalingRun& parallel, const StageTimer& metrics,
+                   const ScalingRun& parallel, const obs::Tracer& tracer,
                    size_t threads) {
   PrintBanner(std::cout,
               name + " — per-stage metrics (" + std::to_string(threads) +
                   " threads)");
-  metrics.Print(std::cout);
+  obs::PrintStageTable(std::cout, obs::Tracer::RollUp(&tracer));
   const double speedup =
       parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
   std::cout << name << ": serial " << FormatDouble(serial.seconds, 2)
@@ -202,20 +203,20 @@ int main() {
               "Parallel sharded construction (ExecPolicy{" +
                   std::to_string(hw.num_threads) + " threads})");
 
-  StageTimer entity_metrics;
+  obs::Tracer entity_tracer(/*seed=*/42);
   const ScalingRun entity_serial =
       RunEntityBuild(ExecPolicy::Serial(), nullptr);
-  const ScalingRun entity_parallel = RunEntityBuild(hw, &entity_metrics);
+  const ScalingRun entity_parallel = RunEntityBuild(hw, &entity_tracer);
   ReportScaling("entity KG build", entity_serial, entity_parallel,
-                entity_metrics, hw.num_threads);
+                entity_tracer, hw.num_threads);
 
-  StageTimer textrich_metrics;
+  obs::Tracer textrich_tracer(/*seed=*/42);
   const ScalingRun textrich_serial =
       RunTextRichBuild(ExecPolicy::Serial(), nullptr);
   const ScalingRun textrich_parallel =
-      RunTextRichBuild(hw, &textrich_metrics);
+      RunTextRichBuild(hw, &textrich_tracer);
   ReportScaling("text-rich KG build", textrich_serial, textrich_parallel,
-                textrich_metrics, hw.num_threads);
+                textrich_tracer, hw.num_threads);
 
   PrintBanner(std::cout, "Scaling verdict");
   const bool deterministic =

@@ -120,7 +120,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
   router_opts.breaker_probe_interval = opts.breaker_probe_interval;
   router_opts.registry = opts.registry;
   router_opts.tracer = opts.tracer;
-  router_opts.time_stages = opts.time_stages;
   router_opts.slow_ring = opts.slow_ring;
   cluster->router_ = std::make_unique<QueryRouter>(
       std::move(groups), std::move(primaries), router_opts);

@@ -23,7 +23,8 @@ struct ClusterOptions {
   /// committed state (see RouterOptions).
   uint64_t max_staleness_bytes = 0;
   /// "cluster.*" (and member "store.*"/"rpc.*") metrics land here when
-  /// non-null (not owned).
+  /// non-null (not owned), with the stages every registry gets: fanout
+  /// at the router, WAL append and overlay merge in member stores.
   obs::MetricsRegistry* registry = nullptr;
   /// Distributed tracing (not owned). Wired into the router and every
   /// member, so each routed query renders as one connected span tree
@@ -35,9 +36,8 @@ struct ClusterOptions {
   /// Worst-N routed-query retention (not owned); also exposed on every
   /// primary endpoint via kIntrospect(kSlowQueries).
   obs::SlowQueryRing* slow_ring = nullptr;
-  /// With `registry`, time request-path stages (fanout at the router,
-  /// cache probe / WAL append / overlay merge in member stores) into
-  /// "stage_us.<stage>[.<class>]" histograms.
+  /// With `registry`, also time the member stores' result-cache probe
+  /// into "stage_us.cache_probe.<class>" histograms (StoreOptions).
   bool time_stages = false;
   /// Worker threads of each primary's in-process RPC endpoint.
   size_t server_worker_threads = 1;

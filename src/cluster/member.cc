@@ -139,12 +139,6 @@ Status PrimaryMember::Revive() {
   return Status::OK();
 }
 
-Result<serve::EpochTaggedResult> PrimaryMember::Execute(
-    const serve::Query& query) const {
-  return ServeIfAlive(killed_, label_,
-                      [&] { return store_->TryExecuteTagged(query); });
-}
-
 Result<serve::EpochTaggedResult> PrimaryMember::ExecuteTraced(
     const serve::Query& query, uint64_t parent_span_id) const {
   return TracedRead(options_.tracer, parent_span_id, "store.execute", killed_,
@@ -232,12 +226,6 @@ uint64_t ReplicaMember::lag_bytes() const {
   const uint64_t seen = receiver_->last_seen_log_end();
   const uint64_t applied = store_->applied_watermark();
   return seen > applied ? seen - applied : 0;
-}
-
-Result<serve::EpochTaggedResult> ReplicaMember::Execute(
-    const serve::Query& query) const {
-  return ServeIfAlive(killed_, label_,
-                      [&] { return store_->TryExecuteTagged(query); });
 }
 
 Result<serve::EpochTaggedResult> ReplicaMember::ExecuteTraced(

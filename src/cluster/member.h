@@ -28,18 +28,12 @@ namespace kg::cluster {
 class ShardMember {
  public:
   virtual ~ShardMember() = default;
-  virtual Result<serve::EpochTaggedResult> Execute(
-      const serve::Query& query) const = 0;
-  /// Execute under a caller span: `parent_span_id` is the router's
-  /// per-attempt "member.<label>" span (0 = untraced). Members with a
-  /// tracer nest their own "store.execute" span under it, completing
-  /// the router -> shard -> member -> store trace tree. The default
-  /// ignores tracing, so test fakes keep working unchanged.
+  /// Answers `query` under a caller span: `parent_span_id` is the
+  /// router's per-attempt "member.<label>" span (0 = untraced). Members
+  /// with a tracer nest their own "store.execute" span under it,
+  /// completing the router -> shard -> member -> store trace tree.
   virtual Result<serve::EpochTaggedResult> ExecuteTraced(
-      const serve::Query& query, uint64_t parent_span_id) const {
-    (void)parent_span_id;
-    return Execute(query);
-  }
+      const serve::Query& query, uint64_t parent_span_id) const = 0;
   /// Routed top-k's second hop: the store's entity adjacency of every
   /// node in `nodes` (VersionedKgStore::TryAdjacentEntitiesTagged), under
   /// a caller span exactly like ExecuteTraced, and refused the same way
@@ -71,8 +65,9 @@ struct PrimaryOptions {
   /// Slow-query retention exposed via kIntrospect(kSlowQueries) on the
   /// primary's endpoint (not owned).
   obs::SlowQueryRing* slow_ring = nullptr;
-  /// With `registry`, time store stages (cache probe / WAL append /
-  /// overlay merge) into "stage_us.*" histograms.
+  /// With `registry`, also time the store's result-cache probe into
+  /// "stage_us.cache_probe.<class>" histograms. WAL append and overlay
+  /// merge are timed whenever `registry` is set (StoreOptions).
   bool time_stages = false;
 };
 
@@ -109,8 +104,6 @@ class PrimaryMember : public ShardMember {
   Status Revive();
 
   // --- ShardMember --------------------------------------------------------
-  Result<serve::EpochTaggedResult> Execute(
-      const serve::Query& query) const override;
   Result<serve::EpochTaggedResult> ExecuteTraced(
       const serve::Query& query, uint64_t parent_span_id) const override;
   Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
@@ -151,7 +144,9 @@ struct ReplicaOptions {
   /// Distributed tracing (not owned): ExecuteTraced nests a
   /// "store.execute" span under the router's member span.
   obs::Tracer* tracer = nullptr;
-  /// With `registry`, time store stages into "stage_us.*" histograms.
+  /// With `registry`, also time the store's result-cache probe into
+  /// "stage_us.cache_probe.<class>" histograms. WAL append and overlay
+  /// merge are timed whenever `registry` is set (StoreOptions).
   bool time_stages = false;
 };
 
@@ -187,8 +182,6 @@ class ReplicaMember : public ShardMember {
   store::VersionedKgStore& store() { return *store_; }
 
   // --- ShardMember --------------------------------------------------------
-  Result<serve::EpochTaggedResult> Execute(
-      const serve::Query& query) const override;
   Result<serve::EpochTaggedResult> ExecuteTraced(
       const serve::Query& query, uint64_t parent_span_id) const override;
   Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(

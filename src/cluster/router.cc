@@ -87,12 +87,10 @@ QueryRouter::QueryRouter(std::vector<std::vector<ShardMember*>> members,
     failovers_metric_ = &options_.registry->GetCounter("cluster.failovers");
     shed_metric_ = &options_.registry->GetCounter("cluster.requests.shed");
     stale_metric_ = &options_.registry->GetCounter("cluster.stale_rejects");
-    if (options_.time_stages) {
-      for (size_t k = 0; k < serve::kNumQueryKinds; ++k) {
-        stage_fanout_[k] = &obs::StageHistogram(
-            *options_.registry, obs::Stage::kFanout,
-            serve::QueryKindName(static_cast<serve::QueryKind>(k)));
-      }
+    for (size_t k = 0; k < serve::kNumQueryKinds; ++k) {
+      stage_fanout_[k] = &obs::StageHistogram(
+          *options_.registry, obs::Stage::kFanout,
+          serve::QueryKindName(static_cast<serve::QueryKind>(k)));
     }
   }
 }

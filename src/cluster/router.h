@@ -44,7 +44,11 @@ struct RouterOptions {
   /// selections, so a revived member is rediscovered without waiting on
   /// the supervisor.
   size_t breaker_probe_interval = 4;
-  /// "cluster.*" metrics land here when non-null (not owned).
+  /// "cluster.*" metrics land here when non-null (not owned), and so
+  /// does the fan-out stage: each routed neighbourhood, attribute or
+  /// top-k query observes the wall time of its shard rounds (fan out
+  /// until the last shard answers; merging and scoring count as route
+  /// time) once into "stage_us.fanout.<class>".
   obs::MetricsRegistry* registry = nullptr;
   /// Distributed tracing (not owned). Each Execute roots a
   /// "route.<class>" span with "shard@<i>" / "member.<label>" children
@@ -53,11 +57,6 @@ struct RouterOptions {
   /// round), so one routed query renders as one connected tree from
   /// router to store.
   obs::Tracer* tracer = nullptr;
-  /// With `registry`, time each query's shard rounds (fan out until the
-  /// last shard answers; merging and scoring count as route time) into
-  /// per-class "stage_us.fanout.<class>" histograms. Opt-in: two clock
-  /// reads per shard round.
-  bool time_stages = false;
   /// Worst-N retention for routed queries (not owned). Each Execute
   /// offers one entry keyed by its root span id, with the fanout stage
   /// attributed.
@@ -168,8 +167,7 @@ class QueryRouter {
   obs::Counter* failovers_metric_ = nullptr;
   obs::Counter* shed_metric_ = nullptr;
   obs::Counter* stale_metric_ = nullptr;
-  /// Per-class fanout stage histograms (null without registry +
-  /// time_stages).
+  /// Per-class fanout stage histograms (null without registry).
   std::array<obs::Histogram*, serve::kNumQueryKinds> stage_fanout_{};
   /// Routed-query order for deterministic slow-ring tie-breaks.
   std::atomic<uint64_t> route_seq_{0};

@@ -43,12 +43,8 @@ Status EntityKgBuilder::FetchSource(
   row.retries = outcome.retries;
   row.virtual_ms = outcome.virtual_ms;
   span.SetAttr("attempts", static_cast<uint64_t>(outcome.attempts));
+  span.SetAttr("virtual_ms", outcome.virtual_ms, 3);
   span.SetAttr("quarantined", outcome.status.ok() ? "false" : "true");
-  if (options_.metrics != nullptr) {
-    options_.metrics->Record("entity.fetch_source",
-                             outcome.virtual_ms / 1000.0,
-                             outcome.attempts);
-  }
   if (!outcome.status.ok()) {
     row.quarantined = true;
     row.final_status = outcome.status;
@@ -121,12 +117,10 @@ void EntityKgBuilder::IngestAndLink(const synth::SourceTable& table,
 void EntityKgBuilder::IngestAnchorImpl(const synth::SourceTable& table,
                                        Rng& rng) {
   (void)rng;
-  StageTimer::Scope stage(options_.metrics, "entity.ingest_anchor",
-                          table.records.size());
   obs::Span span =
       obs::Tracer::Start(options_.tracer, "entity.ingest_anchor");
   span.SetAttr("source", table.source_name);
-  span.SetAttr("records", static_cast<uint64_t>(table.records.size()));
+  span.SetAttr("items", static_cast<uint64_t>(table.records.size()));
   const auto mapping = ManualMappingFor(table);
   std::vector<uint32_t> truth;
   const auto records = ToRecordSet(table, mapping, &truth);
@@ -157,7 +151,7 @@ void EntityKgBuilder::IngestAndLinkImpl(const synth::SourceTable& table,
   obs::Span span =
       obs::Tracer::Start(options_.tracer, "entity.ingest_and_link");
   span.SetAttr("source", table.source_name);
-  span.SetAttr("records", static_cast<uint64_t>(table.records.size()));
+  span.SetAttr("items", static_cast<uint64_t>(table.records.size()));
   const auto mapping = ManualMappingFor(table);
   std::vector<uint32_t> truth;
   const auto records = ToRecordSet(table, mapping, &truth);
@@ -175,12 +169,10 @@ void EntityKgBuilder::IngestAndLinkImpl(const synth::SourceTable& table,
   // Oracle-labeled training pairs within the label budget.
   ml::Dataset pool;
   {
-    StageTimer::Scope stage(options_.metrics, "entity.pair_pool");
     obs::Span child = span.Child("pair_pool");
     pool = BuildLinkagePairs(records, truth, kg_side, kg_truth, schema,
                              options_.exec);
-    stage.AddItems(pool.examples.size());
-    child.SetAttr("pairs", static_cast<uint64_t>(pool.examples.size()));
+    child.SetAttr("items", static_cast<uint64_t>(pool.examples.size()));
   }
   ml::Dataset train;
   train.feature_names = pool.feature_names;
@@ -221,16 +213,12 @@ void EntityKgBuilder::IngestAndLinkImpl(const synth::SourceTable& table,
       forest_options.num_threads = options_.exec.num_threads;
     }
     {
-      StageTimer::Scope stage(options_.metrics, "entity.train_linker",
-                              train.examples.size());
       obs::Span child = span.Child("train_linker");
-      child.SetAttr("examples",
-                    static_cast<uint64_t>(train.examples.size()));
+      child.SetAttr("items", static_cast<uint64_t>(train.examples.size()));
       linker.Fit(train, forest_options, fit_rng);
     }
-    StageTimer::Scope stage(options_.metrics, "entity.link",
-                            records.records.size());
     obs::Span link_span = span.Child("link");
+    link_span.SetAttr("items", static_cast<uint64_t>(records.records.size()));
     const auto matches =
         linker.Link(records, kg_side, schema, options_.linkage_threshold,
                     options_.exec);
@@ -256,9 +244,9 @@ void EntityKgBuilder::IngestAndLinkImpl(const synth::SourceTable& table,
                             static_cast<double>(linkable);
   }
 
-  StageTimer::Scope staging_stage(options_.metrics, "entity.stage_claims",
-                                  records.records.size());
   obs::Span staging_span = span.Child("stage_claims");
+  staging_span.SetAttr("items",
+                       static_cast<uint64_t>(records.records.size()));
   // Serial pass: entity creation (the name counter and node ids depend on
   // record order) and merged-view enrichment for linking later sources.
   std::vector<size_t> entity_of(records.records.size());
@@ -307,10 +295,8 @@ void EntityKgBuilder::IngestAndLinkImpl(const synth::SourceTable& table,
 }
 
 void EntityKgBuilder::FuseValues() {
-  StageTimer::Scope stage(options_.metrics, "entity.fuse",
-                          claims_.size());
   obs::Span span = obs::Tracer::Start(options_.tracer, "entity.fuse");
-  span.SetAttr("claim_keys", static_cast<uint64_t>(claims_.size()));
+  span.SetAttr("items", static_cast<uint64_t>(claims_.size()));
   // Re-key claims into string item ids for the fusion engine.
   integrate::ClaimSet claim_set;
   for (const auto& [key, claims] : claims_) {

@@ -10,7 +10,6 @@
 #include "common/fault.h"
 #include "common/retry.h"
 #include "common/rng.h"
-#include "common/stage_timer.h"
 #include "core/conversions.h"
 #include "graph/knowledge_graph.h"
 #include "integrate/fusion.h"
@@ -49,12 +48,12 @@ class EntityKgBuilder {
     /// count. When parallel and `forest.num_threads` is 1, tree training
     /// inherits `exec.num_threads`.
     ExecPolicy exec;
-    /// Optional per-stage wall-time/throughput registry (not owned).
-    StageTimer* metrics = nullptr;
     /// Optional structured tracer (not owned). Each ingest/fuse call
-    /// records a root span with per-stage children; span ids are pure
-    /// functions of (tracer seed, span path), so seeded builds replay
-    /// identical trace structure at any thread count.
+    /// records a root span with per-stage children, each carrying its
+    /// item count as "items" (Tracer::RollUp sums them per stage); a
+    /// faulted fetch records its "attempts" and "virtual_ms". Span ids
+    /// are pure functions of (tracer seed, span path), so seeded builds
+    /// replay identical trace structure at any thread count.
     obs::Tracer* tracer = nullptr;
     /// Optional chaos profile applied to every ingested source (not
     /// owned). Null skips the fault layer entirely; a plan with all

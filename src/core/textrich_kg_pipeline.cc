@@ -38,7 +38,7 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
   TextRichKgBuild build;
   build.report.products = catalog.products().size();
   obs::Span root = obs::Tracer::Start(options.tracer, "textrich.build");
-  root.SetAttr("products", static_cast<uint64_t>(catalog.products().size()));
+  root.SetAttr("items", static_cast<uint64_t>(catalog.products().size()));
 
   // 1. One-size-fits-all extractor: attribute-conditioned, type-aware,
   //    trained with distant supervision (§3.2-3.3).
@@ -62,11 +62,8 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
   extractor_options.type_aware = true;
   extractor_options.tagger.epochs = 5;
   {
-    StageTimer::Scope stage(options.metrics, "textrich.fit_extractor",
-                            train_examples.size());
     obs::Span child = root.Child("fit_extractor");
-    child.SetAttr("examples",
-                  static_cast<uint64_t>(train_examples.size()));
+    child.SetAttr("items", static_cast<uint64_t>(train_examples.size()));
     Rng fit_rng = rng.Fork();
     extractor.Fit(train_examples, extractor_options, fit_rng);
   }
@@ -79,10 +76,8 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
   const bool faulting = options.faults != nullptr;
   const FaultInjector injector(faulting ? *options.faults : FaultPlan{});
   {
-    StageTimer::Scope stage(options.metrics, "textrich.extract_pages",
-                            all_idx.size());
     obs::Span extract_span = root.Child("extract_pages");
-    extract_span.SetAttr("pages", static_cast<uint64_t>(all_idx.size()));
+    extract_span.SetAttr("items", static_cast<uint64_t>(all_idx.size()));
     std::vector<std::map<std::string, std::string>> page_values(
         all_idx.size());
     // Per-page fault accounting lands in index-addressed slots too, so
@@ -98,8 +93,7 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
           // the begin index is the schedule-independent identity.
           obs::Span chunk_span =
               extract_span.Child("chunk@" + std::to_string(begin));
-          chunk_span.SetAttr("pages",
-                             static_cast<uint64_t>(end - begin));
+          chunk_span.SetAttr("items", static_cast<uint64_t>(end - begin));
           for (size_t slot = begin; slot < end; ++slot) {
             const synth::Product& product =
                 catalog.products()[all_idx[slot]];
@@ -217,11 +211,8 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
         attempts += row.attempts;
         if (row.quarantined) ++build.report.pages_quarantined;
       }
-      if (options.metrics != nullptr) {
-        options.metrics->Record("textrich.fetch_pages",
-                                virtual_ms / 1000.0, attempts);
-      }
       extract_span.SetAttr("attempts", static_cast<uint64_t>(attempts));
+      extract_span.SetAttr("virtual_ms", virtual_ms, 3);
       extract_span.SetAttr(
           "quarantined",
           static_cast<uint64_t>(build.report.pages_quarantined));
@@ -254,12 +245,9 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
 
   // 3. Cleaning.
   if (options.clean) {
-    StageTimer::Scope stage(options.metrics, "textrich.clean",
-                            build.report.extracted_assertions);
     obs::Span child = root.Child("clean");
-    child.SetAttr(
-        "assertions",
-        static_cast<uint64_t>(build.report.extracted_assertions));
+    child.SetAttr("items",
+                  static_cast<uint64_t>(build.report.extracted_assertions));
     textrich::CatalogCleaner cleaner;
     std::vector<textrich::CatalogAssertion> corpus;
     for (const auto& [pid, attrs] : assertions) {
@@ -287,20 +275,16 @@ Result<TextRichKgBuild> TryBuildTextRichKg(
 
   // 4. Taxonomy enrichment from behavior logs.
   if (options.mine_taxonomy) {
-    StageTimer::Scope stage(options.metrics, "textrich.mine_taxonomy",
-                            behavior.searches.size());
     obs::Span child = root.Child("mine_taxonomy");
-    child.SetAttr("searches",
-                  static_cast<uint64_t>(behavior.searches.size()));
+    child.SetAttr("items", static_cast<uint64_t>(behavior.searches.size()));
     build.mined = textrich::MineTaxonomy(catalog, behavior, {});
     build.report.synonyms_added = build.mined.synonyms.size();
     build.report.hypernyms_mined = build.mined.hypernyms.size();
   }
 
   // 5. Assemble the bipartite product KG.
-  StageTimer::Scope stage(options.metrics, "textrich.assemble", kept);
   obs::Span assemble_span = root.Child("assemble");
-  assemble_span.SetAttr("assertions", static_cast<uint64_t>(kept));
+  assemble_span.SetAttr("items", static_cast<uint64_t>(kept));
   build.kg = textrich::BuildProductGraph(
       catalog, assertions,
       options.mine_taxonomy ? &build.mined : nullptr);

@@ -5,7 +5,6 @@
 #include "common/fault.h"
 #include "common/retry.h"
 #include "common/rng.h"
-#include "common/stage_timer.h"
 #include "graph/knowledge_graph.h"
 #include "obs/trace.h"
 #include "synth/behavior_generator.h"
@@ -26,12 +25,13 @@ struct TextRichBuildOptions {
   /// Page results land in index-addressed slots and are merged in page
   /// order, so the built KG is bit-identical for any thread count.
   ExecPolicy exec;
-  /// Optional per-stage wall-time/throughput registry (not owned).
-  StageTimer* metrics = nullptr;
   /// Optional structured tracer (not owned). The build records a
   /// "textrich.build" root with one child per stage, plus a
   /// "chunk@<begin>" child per extraction chunk (named by the chunk's
   /// begin index, so span ids stay deterministic under any schedule).
+  /// Every span carries its item count as "items"; with `faults`,
+  /// "extract_pages" also records the fetch "attempts" and
+  /// "virtual_ms".
   obs::Tracer* tracer = nullptr;
   /// Optional chaos profile applied per product page (not owned). Each
   /// page is a "source" (id "page:<product id>"): its fetch retries

@@ -1,10 +1,13 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 
 #include "common/hash.h"
 #include "common/strings.h"
+#include "common/table_printer.h"
 #include "obs/json.h"
 
 namespace kg::obs {
@@ -167,6 +170,61 @@ void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   finished_.clear();
   next_seq_.clear();
+}
+
+std::vector<StageRow> Tracer::RollUp(const Tracer* tracer) {
+  if (tracer == nullptr) return {};
+  struct Acc {
+    StageRow row;
+    double first_start = 0.0;
+    // Integer nanoseconds, so the sum is independent of the order the
+    // spans finished in.
+    int64_t nanos = 0;
+  };
+  std::vector<Acc> accs;
+  std::unordered_map<std::string, size_t> index;
+  {
+    std::lock_guard<std::mutex> lock(tracer->mu_);
+    for (const SpanRecord& rec : tracer->finished_) {
+      std::string stage = rec.name.substr(0, rec.name.rfind('@'));
+      auto [it, inserted] = index.emplace(std::move(stage), accs.size());
+      if (inserted) accs.push_back(Acc{{it->first}, rec.start_seconds, 0});
+      Acc& acc = accs[it->second];
+      acc.first_start = std::min(acc.first_start, rec.start_seconds);
+      ++acc.row.calls;
+      acc.nanos += std::llround((rec.end_seconds - rec.start_seconds) * 1e9);
+      for (const auto& [key, value] : rec.attrs) {
+        uint64_t items = 0;
+        if (key == "items" &&
+            std::from_chars(value.data(), value.data() + value.size(), items)
+                    .ec == std::errc()) {
+          acc.row.items += items;
+        }
+      }
+    }
+  }
+  std::sort(accs.begin(), accs.end(), [](const Acc& a, const Acc& b) {
+    if (a.first_start != b.first_start) return a.first_start < b.first_start;
+    return a.row.stage < b.row.stage;
+  });
+  std::vector<StageRow> rows;
+  rows.reserve(accs.size());
+  for (Acc& acc : accs) {
+    acc.row.seconds = static_cast<double>(acc.nanos) / 1e9;
+    rows.push_back(std::move(acc.row));
+  }
+  return rows;
+}
+
+void PrintStageTable(std::ostream& os, const std::vector<StageRow>& rows) {
+  TablePrinter table({"stage", "calls", "wall_s", "items", "items/s"});
+  for (const StageRow& row : rows) {
+    table.AddRow({row.stage, std::to_string(row.calls),
+                  FormatDouble(row.seconds, 3),
+                  FormatCount(static_cast<int64_t>(row.items)),
+                  FormatCount(static_cast<int64_t>(row.ItemsPerSec()))});
+  }
+  table.Print(os);
 }
 
 std::string HexSpanId(uint64_t id) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -60,6 +61,18 @@ struct SpanRecord {
   double end_seconds = 0.0;
   // Insertion-ordered key/value annotations (counts, statuses...).
   std::vector<std::pair<std::string, std::string>> attrs;
+};
+
+/// One row of Tracer::RollUp: every finished span of one stage name.
+struct StageRow {
+  std::string stage;
+  size_t calls = 0;
+  double seconds = 0.0;  // summed span wall time
+  uint64_t items = 0;    // summed "items" attributes
+  /// items / seconds, or 0 when no time was recorded.
+  double ItemsPerSec() const {
+    return seconds > 0.0 ? static_cast<double>(items) / seconds : 0.0;
+  }
 };
 
 class Tracer;
@@ -142,6 +155,13 @@ class Tracer {
   /// included — export after the traced work completes.
   std::string ToJson() const;
 
+  /// Null-safe per-stage summary of the finished spans: one row per span
+  /// name, with a trailing "@<id>" dropped so the "chunk@<begin>"
+  /// siblings of a sharded loop share one row. A row sums its spans'
+  /// wall time and their "items" attributes. Rows are ordered by first
+  /// start, ties by name. No rows for a null tracer.
+  static std::vector<StageRow> RollUp(const Tracer* tracer);
+
   size_t finished_spans() const;
   void Clear();
   uint64_t seed() const { return seed_; }
@@ -163,6 +183,9 @@ class Tracer {
 /// "0x%016x" rendering of a span/trace id — the form used in trace
 /// JSON and in the remote-parent path anchor.
 std::string HexSpanId(uint64_t id);
+
+/// Renders `rows` as "stage | calls | wall_s | items | items/s".
+void PrintStageTable(std::ostream& os, const std::vector<StageRow>& rows);
 
 }  // namespace kg::obs
 

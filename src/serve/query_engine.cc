@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "obs/introspect.h"
 
 namespace kg::serve {
 
@@ -166,10 +165,6 @@ QueryEngine::QueryEngine(const KgSnapshot& snapshot, ServeOptions options)
             std::string("serve.latency_us.") + name,
             obs::LatencyBucketsUs());
       }
-      if (options_.time_stages && options_.cache_capacity > 0) {
-        stage_cache_probe_[i] = &obs::StageHistogram(
-            *options_.registry, obs::Stage::kCacheProbe, name);
-      }
     }
   }
 }
@@ -177,18 +172,11 @@ QueryEngine::QueryEngine(const KgSnapshot& snapshot, ServeOptions options)
 QueryResult QueryEngine::Execute(const Query& query) const {
   const size_t k = static_cast<size_t>(query.kind);
   if (query_counters_[k] != nullptr) query_counters_[k]->Inc();
-  if (options_.metrics == nullptr && latency_us_[k] == nullptr) {
-    // Hot path: no timing requested, so no clock reads and no string
-    // for a StageTimer scope.
-    return ExecuteCacheAware(query);
-  }
+  // Hot path: no timing requested, so no clock reads.
+  if (latency_us_[k] == nullptr) return ExecuteCacheAware(query);
   WallTimer timer;
   QueryResult result = ExecuteCacheAware(query);
-  const double seconds = timer.ElapsedSeconds();
-  if (latency_us_[k] != nullptr) latency_us_[k]->Observe(seconds * 1e6);
-  if (options_.metrics != nullptr) {
-    options_.metrics->Record(QueryKindName(query.kind), seconds, 1);
-  }
+  latency_us_[k]->Observe(timer.ElapsedSeconds() * 1e6);
   return result;
 }
 
@@ -205,22 +193,9 @@ Result<QueryResult> QueryEngine::TryExecute(const Query& query) const {
 
 QueryResult QueryEngine::ExecuteCacheAware(const Query& query) const {
   if (cache_ == nullptr) return ExecuteUncached(query);
-  obs::Histogram* probe_hist =
-      stage_cache_probe_[static_cast<size_t>(query.kind)];
-  if (probe_hist == nullptr) {
-    const std::string key = query.CacheKey();
-    QueryResult cached;
-    if (cache_->Get(key, &cached)) return cached;
-    QueryResult result = ExecuteUncached(query);
-    cache_->Put(key, result);
-    return result;
-  }
-  WallTimer timer;
   const std::string key = query.CacheKey();
   QueryResult cached;
-  const bool hit = cache_->Get(key, &cached);
-  probe_hist->Observe(timer.ElapsedSeconds() * 1e6);
-  if (hit) return cached;
+  if (cache_->Get(key, &cached)) return cached;
   QueryResult result = ExecuteUncached(query);
   cache_->Put(key, result);
   return result;

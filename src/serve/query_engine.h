@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/exec_policy.h"
-#include "common/stage_timer.h"
 #include "graph/knowledge_graph.h"
 #include "obs/metrics.h"
 #include "serve/lru_cache.h"
@@ -108,8 +107,6 @@ struct ServeOptions {
   /// Result-cache entries; 0 serves every query uncached.
   size_t cache_capacity = 0;
   size_t cache_shards = 8;
-  /// Per-query-class wall time, recorded when non-null.
-  StageTimer* metrics = nullptr;
   /// Per-class "serve.queries.<class>" counters land here when
   /// non-null (one sharded-atomic increment per query — hot-path
   /// safe; see bench_obs for the measured bound). Not owned; must
@@ -119,11 +116,6 @@ struct ServeOptions {
   /// "serve.latency_us.<class>" histogram. Costs two clock reads per
   /// query, so it is opt-in rather than implied by `registry`.
   bool time_queries = false;
-  /// With `registry`, also time the result-cache probe (key render +
-  /// lookup) into per-class "stage_us.cache_probe.<class>" histograms —
-  /// the engine's contribution to the request-path stage attribution.
-  /// Same opt-in rationale as time_queries.
-  bool time_stages = false;
 };
 
 /// Read path over an immutable KgSnapshot. Thread-safe: Execute only
@@ -178,7 +170,6 @@ class QueryEngine {
   // registration takes a lock, so it happens once here, never per query.
   std::array<obs::Counter*, kNumQueryKinds> query_counters_{};
   std::array<obs::Histogram*, kNumQueryKinds> latency_us_{};
-  std::array<obs::Histogram*, kNumQueryKinds> stage_cache_probe_{};
   // Mutable by design: caching must be invisible to callers, and the
   // sharded cache is internally synchronized.
   mutable std::unique_ptr<ShardedLruCache> cache_;

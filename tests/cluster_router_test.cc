@@ -3,7 +3,8 @@
 // top-k decomposition (not per-shard decomposable; at most two shard
 // rounds whatever the center's degree), the bounded
 // staleness gate (stale replicas are skipped, not served), failover
-// order, and breaker probing after a revive.
+// order, breaker probing after a revive, and the fan-out stage
+// histograms.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@
 
 #include "cluster/cluster.h"
 #include "graph/knowledge_graph.h"
+#include "obs/introspect.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/query_engine.h"
 #include "store/versioned_store.h"
@@ -329,6 +332,35 @@ TEST(RouterTest, BreakerOpensOnDeadPrimaryAndProbesItBack) {
   const auto after = (*cluster)->router().stats();
   EXPECT_EQ(after.failovers, settled.failovers);
   EXPECT_EQ(after.shed, 0u);
+}
+
+TEST(RouterTest, RegistryAloneTimesFanoutOncePerRoutedScan) {
+  // A registry is all the fan-out stage needs: each routed
+  // neighbourhood, attribute or top-k query observes its shard rounds
+  // once, and a point lookup (one shard, nothing fanned out) never does.
+  obs::MetricsRegistry registry;
+  ClusterOptions opts;
+  opts.num_shards = 4;
+  opts.registry = &registry;
+  auto cluster = Cluster::Create(CraftedKg(), opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  uint64_t routed[serve::kNumQueryKinds] = {};
+  for (const Query& q : CraftedQueries()) {
+    auto actual = (*cluster)->Execute(q);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    ++routed[static_cast<size_t>(q.kind)];
+  }
+#ifndef KG_OBS_NOOP
+  for (size_t k = 0; k < serve::kNumQueryKinds; ++k) {
+    const auto kind = static_cast<serve::QueryKind>(k);
+    ASSERT_GT(routed[k], 0u);
+    EXPECT_EQ(obs::StageHistogram(registry, obs::Stage::kFanout,
+                                  serve::QueryKindName(kind))
+                  .Count(),
+              kind == serve::QueryKind::kPointLookup ? 0u : routed[k])
+        << serve::QueryKindName(kind);
+  }
+#endif
 }
 
 }  // namespace

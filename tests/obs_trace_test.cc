@@ -1,12 +1,14 @@
 // Structured tracing semantics: deterministic span ids from
 // (seed, qualified path), per-(parent,name) sequence numbering, inert
-// null-tracer spans, and a JSON export that is a pure function of the
-// trace structure under an injected clock.
+// null-tracer spans, a JSON export that is a pure function of the
+// trace structure under an injected clock, and the per-stage roll-up
+// the bench stage tables print.
 
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,6 +232,197 @@ TEST(TracerTest, ConcurrentUniquelyNamedChildrenExportDeterministically) {
   const std::string serial = traced(1);
   EXPECT_EQ(traced(2), serial);
   EXPECT_EQ(traced(8), serial);
+}
+
+// ---------------------------------------------------------------------------
+// Tracer::RollUp: one row per stage name over the finished spans.
+
+TEST(TraceRollUpTest, SumsExactSecondsCallsAndItems) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  {
+    Span parse = tracer.Root("parse");
+    parse.SetAttr("items", uint64_t{10});
+    clock.Advance(1.5);
+  }
+  {
+    Span parse = tracer.Root("parse");
+    parse.SetAttr("items", uint64_t{6});
+    parse.SetAttr("rows", uint64_t{99});  // only "items" is summed
+    clock.Advance(0.25);
+  }
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].stage, "parse");
+  EXPECT_EQ(rows[0].calls, 2u);
+  EXPECT_EQ(rows[0].items, 16u);
+  EXPECT_EQ(rows[0].seconds, 1.75);
+  EXPECT_DOUBLE_EQ(rows[0].ItemsPerSec(), 16.0 / 1.75);
+}
+
+TEST(TraceRollUpTest, ChunkSpansFoldIntoOneRow) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  Span root = tracer.Root("build");
+  root.SetAttr("items", uint64_t{96});
+  clock.Advance(0.5);
+  for (int begin : {0, 32, 64}) {
+    Span chunk = root.Child("chunk@" + std::to_string(begin));
+    chunk.SetAttr("items", uint64_t{32});
+    clock.Advance(0.125);
+  }
+  root.End();
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].stage, "build");
+  EXPECT_EQ(rows[0].calls, 1u);
+  EXPECT_EQ(rows[0].seconds, 0.875);
+  EXPECT_EQ(rows[0].items, 96u);
+  EXPECT_EQ(rows[1].stage, "chunk");
+  EXPECT_EQ(rows[1].calls, 3u);
+  EXPECT_EQ(rows[1].seconds, 0.375);
+  EXPECT_EQ(rows[1].items, 96u);
+}
+
+TEST(TraceRollUpTest, RowsOrderByFirstStartThenName) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  Span slow = tracer.Root("slow");  // starts first, finishes last
+  clock.Set(1.0);
+  tracer.Root("fast").End();
+  clock.Set(2.0);
+  slow.End();
+  tracer.Root("zeta").End();  // ties with alpha: name decides
+  tracer.Root("alpha").End();
+  clock.Set(3.0);
+  tracer.Root("fast").End();  // a later call keeps the row's place
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].stage, "slow");
+  EXPECT_EQ(rows[1].stage, "fast");
+  EXPECT_EQ(rows[1].calls, 2u);
+  EXPECT_EQ(rows[2].stage, "alpha");
+  EXPECT_EQ(rows[3].stage, "zeta");
+}
+
+TEST(TraceRollUpTest, ZeroSecondsRowReportsZeroThroughput) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  Span instant = tracer.Root("instant");
+  instant.SetAttr("items", uint64_t{100});
+  instant.End();
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].seconds, 0.0);
+  EXPECT_EQ(rows[0].items, 100u);
+  EXPECT_EQ(rows[0].ItemsPerSec(), 0.0);
+}
+
+TEST(TraceRollUpTest, SpanCountsWhenItEnds) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  Span load = tracer.Root("load");
+  load.SetAttr("items", uint64_t{3});
+  clock.Advance(0.5);
+  EXPECT_TRUE(Tracer::RollUp(&tracer).empty());
+  load.SetAttr("items", uint64_t{7});  // items set before End count
+  load.End();
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].calls, 1u);
+  EXPECT_EQ(rows[0].items, 10u);
+  EXPECT_EQ(rows[0].seconds, 0.5);
+}
+
+TEST(TraceRollUpTest, NullTracerHasNoRows) {
+  EXPECT_TRUE(Tracer::RollUp(nullptr).empty());
+  Span inert = Tracer::Start(nullptr, "ignored");
+  inert.SetAttr("items", uint64_t{5});
+  inert.End();
+  EXPECT_TRUE(Tracer::RollUp(nullptr).empty());
+}
+
+TEST(TraceRollUpTest, ClearDropsEveryRow) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  tracer.Root("a").End();
+  tracer.Root("b").End();
+  ASSERT_EQ(Tracer::RollUp(&tracer).size(), 2u);
+  tracer.Clear();
+  EXPECT_TRUE(Tracer::RollUp(&tracer).empty());
+}
+
+TEST(TraceRollUpTest, PrintRendersEveryStageRow) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  {
+    Span fit = tracer.Root("fit");
+    fit.SetAttr("items", uint64_t{3000});
+    clock.Advance(1.5);
+  }
+  tracer.Root("extract").End();
+  std::ostringstream out;
+  PrintStageTable(out, Tracer::RollUp(&tracer));
+  const std::string table = out.str();
+  for (const char* header : {"stage", "calls", "wall_s", "items", "items/s"}) {
+    EXPECT_NE(table.find(header), std::string::npos) << header;
+  }
+  EXPECT_NE(table.find("| fit "), std::string::npos);
+  EXPECT_NE(table.find("| extract "), std::string::npos);
+  EXPECT_NE(table.find("1.500"), std::string::npos);
+  EXPECT_NE(table.find("3,000"), std::string::npos);
+  EXPECT_NE(table.find("2,000"), std::string::npos);  // items/s
+  EXPECT_LT(table.find("| fit "), table.find("| extract "));
+}
+
+TEST(TraceRollUpTest, ConcurrentChunkSpansSumExactly) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  Span root = tracer.Root("parallel");
+  constexpr size_t kThreads = 8;
+  constexpr size_t kChunks = 400;
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&root, t] {
+      for (size_t chunk = t; chunk < kChunks; chunk += kThreads) {
+        Span span = root.Child("chunk@" + std::to_string(chunk));
+        span.SetAttr("items", static_cast<uint64_t>(chunk));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  root.End();
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  // Every span starts at 0 here, so the name orders the rows.
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].stage, "chunk");
+  EXPECT_EQ(rows[0].calls, kChunks);
+  EXPECT_EQ(rows[0].items, kChunks * (kChunks - 1) / 2);
+  EXPECT_EQ(rows[1].stage, "parallel");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end tests for the RPC server: handshake accept/refuse paths,
 // protocol discipline (query-before-handshake, malformed bodies,
 // framing errors), admission control shedding with kUnavailable, the
-// live-store handler, metrics exposition, and a real TCP round trip.
+// live-store handler, metrics exposition and stage attribution, and a
+// real TCP round trip.
 
 #include "rpc/server.h"
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "graph/knowledge_graph.h"
+#include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/frame.h"
@@ -383,6 +385,18 @@ TEST(RpcServerTest, MetricsLandInRegistry) {
                               obs::LatencyBucketsUs())
                 .Count(),
             1u);
+  // Each stage the server owns observes every accepted query once, in
+  // its class.
+  for (const obs::Stage stage :
+       {obs::Stage::kAdmission, obs::Stage::kDecode, obs::Stage::kQueueWait,
+        obs::Stage::kEngineExecute}) {
+    EXPECT_EQ(obs::StageHistogram(registry, stage, "point_lookup").Count(), 3u)
+        << obs::StageName(stage);
+    EXPECT_EQ(obs::StageHistogram(registry, stage, "neighborhood").Count(), 0u)
+        << obs::StageName(stage);
+    EXPECT_EQ(obs::StageHistogram(registry, stage, "topk_related").Count(), 1u)
+        << obs::StageName(stage);
+  }
 }
 
 TEST(RpcServerTest, TcpEndToEnd) {

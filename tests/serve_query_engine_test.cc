@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/exec_policy.h"
-#include "common/stage_timer.h"
 #include "graph/knowledge_graph.h"
+#include "obs/metrics.h"
 #include "serve/snapshot.h"
 
 namespace kg::serve {
@@ -194,19 +195,24 @@ TEST_F(QueryEngineTest, MetricsRecordPerQueryClass) {
 #ifdef KG_OBS_NOOP
   GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
 #endif
-  StageTimer metrics;
+  obs::MetricsRegistry registry;
   ServeOptions options;
-  options.metrics = &metrics;
+  options.registry = &registry;
+  options.time_queries = true;
   const QueryEngine engine(snap_, options);
   engine.Execute(Query::PointLookup("m1", "title"));
   engine.Execute(Query::PointLookup("m2", "title"));
   engine.Execute(Query::TopKRelated("m1", 3));
-  const auto rows = metrics.rows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].stage, "point_lookup");
-  EXPECT_EQ(rows[0].calls, 2u);
-  EXPECT_EQ(rows[1].stage, "topk_related");
-  EXPECT_EQ(rows[1].calls, 1u);
+  const auto latency = [&](const char* kind) -> const obs::Histogram& {
+    return registry.GetHistogram(std::string("serve.latency_us.") + kind,
+                                 obs::LatencyBucketsUs());
+  };
+  EXPECT_EQ(latency("point_lookup").Count(), 2u);
+  EXPECT_EQ(latency("neighborhood").Count(), 0u);
+  EXPECT_EQ(latency("attribute_by_type").Count(), 0u);
+  EXPECT_EQ(latency("topk_related").Count(), 1u);
+  EXPECT_EQ(registry.GetCounter("serve.queries.point_lookup").Value(), 2u);
+  EXPECT_EQ(registry.GetCounter("serve.queries.topk_related").Value(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // VersionedKgStore unit suite: overlay reads vs a from-scratch rebuild,
 // upsert/retract/resurrect semantics, WAL crash recovery (bit-identical
 // state), compaction folding + fingerprint equality with a batch build,
-// targeted cache invalidation, and thread-count-invariant BatchExecute.
+// targeted cache invalidation, thread-count-invariant BatchExecute, and
+// the write- and read-path stage histograms.
 
 #include "store/versioned_store.h"
 
@@ -16,6 +17,8 @@
 #include "common/exec_policy.h"
 #include "common/thread_pool.h"
 #include "graph/knowledge_graph.h"
+#include "obs/introspect.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "store/wal.h"
@@ -422,6 +425,69 @@ TEST(VersionedStoreTest, BatchExecuteIsThreadCountInvariant) {
     EXPECT_EQ(serial[i], store->Execute(workload[i])) << "slot " << i;
   }
 }
+
+#ifndef KG_OBS_NOOP
+TEST(VersionedStoreTest, WriteStagesObservedOncePerAppliedBatch) {
+  // A registry alone times the write path: overlay_merge once per
+  // applied batch, wal_append once per batch that has a WAL to append
+  // to. An empty batch applies nothing and observes nothing.
+  const std::vector<Mutation> pair = {
+      Mutation::Upsert("bob", "knows", "dana", NodeKind::kEntity,
+                       NodeKind::kEntity, kProv),
+      Mutation::Retract("alice", "knows", "carol", NodeKind::kEntity,
+                        NodeKind::kEntity)};
+  for (const bool with_wal : {false, true}) {
+    TempWalPath wal("stages");
+    obs::MetricsRegistry registry;
+    StoreOptions options;
+    if (with_wal) options.wal_path = wal.path;
+    options.registry = &registry;
+    auto store = MustOpen(BaseKg(), options);
+    ASSERT_TRUE(store
+                    ->Apply(Mutation::Upsert("alice", "knows", "dana",
+                                             NodeKind::kEntity,
+                                             NodeKind::kEntity, kProv))
+                    .ok());
+    ASSERT_TRUE(store->ApplyBatch(pair).ok());
+    ASSERT_TRUE(store->ApplyBatch({}).ok());
+    EXPECT_EQ(
+        obs::StageHistogram(registry, obs::Stage::kOverlayMerge).Count(), 2u)
+        << "wal=" << with_wal;
+    EXPECT_EQ(obs::StageHistogram(registry, obs::Stage::kWalAppend).Count(),
+              with_wal ? 2u : 0u)
+        << "wal=" << with_wal;
+  }
+}
+
+TEST(VersionedStoreTest, CacheProbeStageObservedPerCachedReadOnlyWhenTimed) {
+  const std::vector<Query> reads = {
+      Query::PointLookup("alice", "knows"),  // miss
+      Query::PointLookup("alice", "knows"),  // hit
+      Query::Neighborhood("alice"),
+      Query::AttributeByType("Person", "name"),
+      Query::AttributeByType("Person", "name"),
+      Query::AttributeByType("Person", "knows"),
+      Query::TopKRelated("alice", 5),
+  };
+  const uint64_t per_class[serve::kNumQueryKinds] = {2, 1, 3, 1};
+  for (const bool time_stages : {false, true}) {
+    obs::MetricsRegistry registry;
+    StoreOptions options;
+    options.cache_capacity = 64;
+    options.registry = &registry;
+    options.time_stages = time_stages;
+    auto store = MustOpen(BaseKg(), options);
+    for (const Query& q : reads) (void)store->Execute(q);
+    for (size_t k = 0; k < serve::kNumQueryKinds; ++k) {
+      const char* name = serve::QueryKindName(static_cast<serve::QueryKind>(k));
+      EXPECT_EQ(obs::StageHistogram(registry, obs::Stage::kCacheProbe, name)
+                    .Count(),
+                time_stages ? per_class[k] : 0u)
+          << name << " time_stages=" << time_stages;
+    }
+  }
+}
+#endif  // KG_OBS_NOOP
 
 }  // namespace
 }  // namespace kg::store
