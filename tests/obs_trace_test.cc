@@ -337,10 +337,9 @@ TEST(TraceRollUpTest, SpanCountsWhenItEnds) {
   FixedTraceClock clock;
   Tracer tracer(7, &clock);
   Span load = tracer.Root("load");
-  load.SetAttr("items", uint64_t{3});
   clock.Advance(0.5);
-  EXPECT_TRUE(Tracer::RollUp(&tracer).empty());
-  load.SetAttr("items", uint64_t{7});  // items set before End count
+  EXPECT_TRUE(Tracer::RollUp(&tracer).empty());  // still open
+  load.SetAttr("items", uint64_t{10});  // known only once the work is done
   load.End();
   const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
   ASSERT_EQ(rows.size(), 1u);
