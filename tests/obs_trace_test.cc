@@ -348,6 +348,28 @@ TEST(TraceRollUpTest, SpanCountsWhenItEnds) {
   EXPECT_EQ(rows[0].seconds, 0.5);
 }
 
+TEST(TraceRollUpTest, MovedFromSpanDoesNotDoubleRecord) {
+#ifdef KG_OBS_NOOP
+  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
+#endif
+  FixedTraceClock clock;
+  Tracer tracer(7, &clock);
+  {
+    Span a = tracer.Root("stage");
+    a.SetAttr("items", uint64_t{2});  // travels with the move
+    Span b = std::move(a);
+    a.SetAttr("items", uint64_t{50});  // NOLINT(bugprone-use-after-move)
+    a.End();  // inert: no second call
+    clock.Advance(0.5);
+  }
+  const std::vector<StageRow> rows = Tracer::RollUp(&tracer);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].stage, "stage");
+  EXPECT_EQ(rows[0].calls, 1u);
+  EXPECT_EQ(rows[0].items, 2u);
+  EXPECT_EQ(rows[0].seconds, 0.5);
+}
+
 TEST(TraceRollUpTest, NullTracerHasNoRows) {
   EXPECT_TRUE(Tracer::RollUp(nullptr).empty());
   Span inert = Tracer::Start(nullptr, "ignored");
