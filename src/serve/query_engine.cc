@@ -152,8 +152,7 @@ std::string Query::CacheKey() const {
 QueryEngine::QueryEngine(const KgSnapshot& snapshot, ServeOptions options)
     : snapshot_(snapshot), options_(std::move(options)) {
   if (options_.cache_capacity > 0) {
-    cache_ = std::make_unique<ShardedLruCache>(options_.cache_capacity,
-                                               options_.cache_shards);
+    cache_ = std::make_unique<ShardedLruCache>(options_.cache_capacity);
   }
   if (options_.registry != nullptr) {
     for (size_t i = 0; i < kNumQueryKinds; ++i) {
@@ -181,13 +180,7 @@ QueryResult QueryEngine::Execute(const Query& query) const {
 }
 
 Result<QueryResult> QueryEngine::TryExecute(const Query& query) const {
-  if (snapshot_.schema_version() > kSnapshotSchemaVersion) {
-    return Status::Unavailable(
-        "snapshot schema version " +
-        std::to_string(snapshot_.schema_version()) +
-        " is newer than this engine supports (" +
-        std::to_string(kSnapshotSchemaVersion) + ")");
-  }
+  KG_RETURN_IF_ERROR(CheckSchema(snapshot_));
   return Execute(query);
 }
 
@@ -199,17 +192,6 @@ QueryResult QueryEngine::ExecuteCacheAware(const Query& query) const {
   QueryResult result = ExecuteUncached(query);
   cache_->Put(key, result);
   return result;
-}
-
-void QueryEngine::PublishCacheMetrics() const {
-  if (options_.registry == nullptr || cache_ == nullptr) return;
-  const ShardedLruCache::Counters counters = cache_->counters();
-  options_.registry->GetGauge("serve.cache.hits")
-      .Set(static_cast<int64_t>(counters.hits));
-  options_.registry->GetGauge("serve.cache.misses")
-      .Set(static_cast<int64_t>(counters.misses));
-  options_.registry->GetGauge("serve.cache.evictions")
-      .Set(static_cast<int64_t>(counters.evictions));
 }
 
 QueryResult QueryEngine::ExecuteUncached(const Query& query) const {

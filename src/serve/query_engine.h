@@ -106,7 +106,6 @@ struct ServeOptions {
   ExecPolicy exec;
   /// Result-cache entries; 0 serves every query uncached.
   size_t cache_capacity = 0;
-  size_t cache_shards = 8;
   /// Per-class "serve.queries.<class>" counters land here when
   /// non-null (one sharded-atomic increment per query — hot-path
   /// safe; see bench_obs for the measured bound). Not owned; must
@@ -130,12 +129,12 @@ class QueryEngine {
   /// Answers one query, through the result cache when enabled.
   QueryResult Execute(const Query& query) const;
 
-  /// Execute with the forward-compatibility gate: refuses with
-  /// kUnavailable — the retriable "try another replica" signal, never a
-  /// crash or a plausible-but-wrong empty answer — when the snapshot's
-  /// schema generation is newer than this build understands. The RPC
-  /// handshake makes the same check at connection time; this is its
-  /// in-process twin, and the path the RPC server serves through.
+  /// Execute with the forward-compatibility gate (CheckSchema): refuses
+  /// with kUnavailable — the retriable "try another replica" signal,
+  /// never a crash or a plausible-but-wrong empty answer — when the
+  /// snapshot's schema generation is newer than this build understands.
+  /// The RPC handshake checks the client's version at connection time,
+  /// a different rule; this is the path the RPC server serves through.
   Result<QueryResult> TryExecute(const Query& query) const;
 
   /// Bypasses the cache (the reference path the cache is checked against).
@@ -149,13 +148,6 @@ class QueryEngine {
   ShardedLruCache* cache() const { return cache_.get(); }
 
   const KgSnapshot& snapshot() const { return snapshot_; }
-
-  /// Mirrors the result cache's hit/miss/eviction counters into
-  /// "serve.cache.*" gauges of the configured registry. The cache
-  /// already counts its own traffic in atomics, so the bridge runs at
-  /// exposition time instead of taxing every lookup. No-op without a
-  /// registry or cache.
-  void PublishCacheMetrics() const;
 
  private:
   QueryResult ExecuteCacheAware(const Query& query) const;

@@ -78,6 +78,16 @@ std::string_view ViewOf(const std::vector<T>& v) {
 
 }  // namespace
 
+Status CheckSchema(const KgSnapshot& snapshot) {
+  if (snapshot.schema_version() <= kSnapshotSchemaVersion) {
+    return Status::OK();
+  }
+  return Status::Unavailable(
+      "snapshot schema version " + std::to_string(snapshot.schema_version()) +
+      " is newer than this build supports (" +
+      std::to_string(kSnapshotSchemaVersion) + ")");
+}
+
 // --- EdgeRange ----------------------------------------------------------
 
 KgSnapshot::EdgeRange::EdgeRange(const uint8_t* begin, const uint8_t* end) {

@@ -34,9 +34,16 @@ inline constexpr NodeId kInvalidNode = graph::kInvalidNode;
 /// Schema generation of the snapshot format this build compiles and
 /// serves. A snapshot stamped with a *newer* generation (a replica fed
 /// by an upgraded builder, a file from a future version) must be
-/// refused with kUnavailable — never misread — by both the in-process
-/// engine (QueryEngine::TryExecute) and the RPC handshake.
+/// refused with kUnavailable — never misread — by both in-process read
+/// paths (CheckSchema) and the RPC handshake.
 inline constexpr uint32_t kSnapshotSchemaVersion = 1;
+
+class KgSnapshot;
+
+/// The in-process read paths' schema gate (QueryEngine::TryExecute and
+/// the versioned store's Try* reads): kUnavailable when `snapshot`
+/// claims a generation newer than kSnapshotSchemaVersion, else OK.
+Status CheckSchema(const KgSnapshot& snapshot);
 
 /// The sections of a compiled snapshot, in the order they appear in the
 /// binary file format (DESIGN.md §15). Exposed so the binary save/load

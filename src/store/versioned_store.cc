@@ -20,7 +20,7 @@ namespace {
 /// renders at the end.
 using NodeRef = std::pair<graph::NodeKind, std::string>;
 
-std::string Render(const NodeRef& n) {
+std::string Render(const NodeKey& n) {
   return serve::RenderNodeName(n.second, n.first);
 }
 
@@ -92,17 +92,41 @@ std::vector<serve::NodeId> TouchedNodes(const serve::KgSnapshot& base,
   return MergeTouchedNodes({}, std::move(ids));
 }
 
+/// A merged edge walk's direction, seen from the walked node.
+enum class Direction { kOut, kIn };
+
+/// The overlay's key for the triple (s, p, o).
+TripleName NameTriple(const NodeKey& s, std::string_view p,
+                      const NodeKey& o) {
+  return TripleName{s.first, std::string(s.second), std::string(p), o.first,
+                    std::string(o.second)};
+}
+
+/// The endpoint of `t` across from the node a `dir` walk visits.
+NodeKey FarEnd(const TripleName& t, Direction dir) {
+  return dir == Direction::kOut ? NodeKey{t.object_kind, t.object}
+                                : NodeKey{t.subject_kind, t.subject};
+}
+
+/// Restricts a merged walk to one predicate: `name` filters overlay
+/// entries, and `id` — its base id, kInvalidNode when the base lacks it —
+/// bounds the base row to that predicate's run.
+struct OnePredicate {
+  std::string_view name;
+  serve::PredicateId id;
+};
+
 /// One epoch's worth of read state: a base snapshot plus the overlay that
-/// shadows it. Every method mirrors a QueryEngine access pattern with the
+/// shadows it. Every read mirrors a QueryEngine access pattern with the
 /// delta folded in, and is checked (store_property_test) to answer exactly
 /// like QueryEngine over a from-scratch rebuild at the same version.
 struct MergedView {
   const serve::KgSnapshot& base;
   const MemDelta& delta;
-  /// The epoch's node index (StoreEpoch::touched_nodes). Lets per-node
-  /// hot loops (top-k adjacency) test "does the overlay touch this node"
-  /// with an integer binary search instead of two string-keyed map
-  /// probes; borrowed, so a view costs nothing to set up.
+  /// The epoch's node index (StoreEpoch::touched_nodes). Lets ForEachEdge
+  /// test "does the overlay touch this node" with an integer binary
+  /// search instead of two string-keyed map probes; borrowed, so a view
+  /// costs nothing to set up.
   const std::vector<serve::NodeId>& touched_nodes;
 
   explicit MergedView(const StoreEpoch& epoch)
@@ -117,130 +141,22 @@ struct MergedView {
     return delta.Lookup(t) == MemDelta::State::kRetracted;
   }
 
-  /// Objects o with (s, pred, o) live in the merged view: base objects
-  /// not shadowed by a retract, plus overlay upserts the base lacks
-  /// (upserts the base already has would double-count).
-  std::vector<NodeRef> Objects(const NodeRef& s,
-                               const std::string& pred) const {
-    std::vector<NodeRef> out;
-    const bool touched = delta.TouchesSubject(s.first, s.second);
-    const auto s_id = base.FindNode(s.second, s.first);
-    const auto p_id = base.FindPredicate(pred);
-    if (s_id.ok() && p_id.ok()) {
-      for (const serve::NodeId o : base.Objects(*s_id, *p_id)) {
-        if (touched &&
-            Retracted(TripleName{s.first, s.second, pred, base.NodeKindOf(o),
-                                 std::string(base.NodeName(o))})) {
-          continue;
-        }
-        out.push_back(RefOf(base, o));
-      }
-    }
-    if (touched) {
-      delta.ForEachBySubject(
-          s.first, s.second,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (t.predicate != pred) return;
-            if (FindBaseTriple(base, t)) return;
-            out.emplace_back(t.object_kind, t.object);
-          });
-    }
-    return out;
+  /// `n`'s base id, or kInvalidNode when only the overlay can name it.
+  serve::NodeId BaseId(const NodeKey& n) const {
+    const auto id = base.FindNode(n.second, n.first);
+    return id.ok() ? *id : serve::kInvalidNode;
   }
 
-  /// Appends "out\t<pred>\t<object>" rows for every live out-edge of `c`.
-  void AppendOutRows(const NodeRef& c, serve::QueryResult* rows) const {
-    const bool touched = delta.TouchesSubject(c.first, c.second);
-    const auto c_id = base.FindNode(c.second, c.first);
-    if (c_id.ok()) {
-      for (const serve::KgSnapshot::Edge& e : base.OutEdges(*c_id)) {
-        const std::string pred(base.PredicateName(e.first));
-        if (touched &&
-            Retracted(TripleName{c.first, c.second, pred,
-                                 base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second))})) {
-          continue;
-        }
-        rows->push_back("out\t" + pred + '\t' + Render(RefOf(base, e.second)));
-      }
-    }
-    if (touched) {
-      delta.ForEachBySubject(
-          c.first, c.second,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (FindBaseTriple(base, t)) return;
-            rows->push_back("out\t" + t.predicate + '\t' +
-                            Render(NodeRef{t.object_kind, t.object}));
-          });
-    }
-  }
-
-  /// Appends "in\t<pred>\t<subject>" rows for every live in-edge of `c`.
-  void AppendInRows(const NodeRef& c, serve::QueryResult* rows) const {
-    const bool touched = delta.TouchesObject(c.first, c.second);
-    const auto c_id = base.FindNode(c.second, c.first);
-    if (c_id.ok()) {
-      for (const serve::KgSnapshot::Edge& e : base.InEdges(*c_id)) {
-        const std::string pred(base.PredicateName(e.first));
-        if (touched &&
-            Retracted(TripleName{base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second)), pred,
-                                 c.first, c.second})) {
-          continue;
-        }
-        rows->push_back("in\t" + pred + '\t' + Render(RefOf(base, e.second)));
-      }
-    }
-    if (touched) {
-      delta.ForEachByObject(
-          c.first, c.second,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (FindBaseTriple(base, t)) return;
-            rows->push_back("in\t" + t.predicate + '\t' +
-                            Render(NodeRef{t.subject_kind, t.subject}));
-          });
-    }
-  }
-
-  /// Members of class `type_name` under `type_pred` (distinct subjects).
-  std::vector<NodeRef> ClassMembers(const std::string& type_name,
-                                    const std::string& type_pred) const {
-    std::vector<NodeRef> members;
-    const bool touched =
-        delta.TouchesObject(graph::NodeKind::kClass, type_name);
-    const auto cls = base.FindNode(type_name, graph::NodeKind::kClass);
-    const auto tp = base.FindPredicate(type_pred);
-    if (cls.ok() && tp.ok()) {
-      for (serve::NodeId s : base.Subjects(*tp, *cls)) {
-        if (touched &&
-            Retracted(TripleName{base.NodeKindOf(s),
-                                 std::string(base.NodeName(s)), type_pred,
-                                 graph::NodeKind::kClass, type_name})) {
-          continue;
-        }
-        members.push_back(RefOf(base, s));
-      }
-    }
-    if (touched) {
-      delta.ForEachByObject(
-          graph::NodeKind::kClass, type_name,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (t.predicate != type_pred) return;
-            if (FindBaseTriple(base, t)) return;
-            members.emplace_back(t.subject_kind, t.subject);
-          });
-    }
-    return members;
+  /// `name` resolved against the base, once for every walk of one read.
+  OnePredicate Only(std::string_view name) const {
+    const auto id = base.FindPredicate(name);
+    return OnePredicate{name, id.ok() ? *id : serve::kInvalidNode};
   }
 
   /// Sorted-unique nodes adjacent to `n` over live merged edges, either
   /// direction — the merged twin of the engine's AdjacentNodes (multiple
   /// predicates between a pair collapse to one adjacency). The commit
-  /// path's walk (BumpGenerations), kept apart from ForEachAdjacent on
+  /// path's walk (BumpGenerations), kept apart from ForEachEdge on
   /// purpose: it probes every edge of a touched node by name, and moving
   /// commits onto the id-space walk halves their overlay merge, which
   /// shifts the ingest/read balance `ingest_serve` measures (E29).
@@ -294,69 +210,89 @@ struct MergedView {
     return out;
   }
 
-  /// The read path's merged adjacency walk (the store's top-k and routed
-  /// top-k's adjacency read): visits every live neighbor of `n` (base id
-  /// `id`, or kInvalidNode when the base lacks it) in either direction,
-  /// repeats included. Neighbors over base edges go to `on_base(base
-  /// id)`; overlay upserts the base lacks go to `on_overlay(kind, name)`,
-  /// whose `name` lives only for the call. A node the overlay doesn't
-  /// touch is a raw CSR read (integer ops, no string work — the hot path,
-  /// since the overlay is small). A touched node stays in id space too: a
-  /// retracted base edge names both endpoints in the overlay, so only
-  /// edges into *other touched nodes* need the string-keyed retract probe.
+  /// The read path's one merged edge walk: visits each live `dir` edge of
+  /// `n` (base id `id`, or kInvalidNode when only the overlay names it)
+  /// exactly once, under `only`'s predicate when non-null. Base edges go
+  /// to `on_base(predicate id, neighbour id)`; overlay upserts the base
+  /// lacks go to `on_overlay(triple)`, whose argument lives only for the
+  /// call. A node the overlay doesn't touch is a raw CSR read (integer
+  /// ops, no string work — the hot path, since the overlay is small). A
+  /// touched node stays in id space too: a retracted base edge names both
+  /// endpoints in the overlay, so only edges into *other touched nodes*
+  /// pay the string-keyed retract probe. Rows are sorted by predicate id,
+  /// so a restricted walk reads only that predicate's run.
+  template <typename OnBase, typename OnOverlay>
+  void ForEachEdge(serve::NodeId id, const NodeKey& n, Direction dir,
+                   const OnePredicate* only, const OnBase& on_base,
+                   const OnOverlay& on_overlay) const {
+    const bool out = dir == Direction::kOut;
+    if (id != serve::kInvalidNode) {
+      const bool touched = TouchedBaseNode(id);
+      if (only == nullptr || only->id != serve::kInvalidNode) {
+        for (const serve::KgSnapshot::Edge& e :
+             out ? base.OutEdges(id) : base.InEdges(id)) {
+          if (only != nullptr && e.first < only->id) continue;
+          if (only != nullptr && e.first > only->id) break;
+          if (touched && TouchedBaseNode(e.second)) {
+            const NodeKey far{base.NodeKindOf(e.second),
+                              base.NodeName(e.second)};
+            const std::string_view pred = base.PredicateName(e.first);
+            if (Retracted(out ? NameTriple(n, pred, far)
+                              : NameTriple(far, pred, n))) {
+              continue;
+            }
+          }
+          on_base(e.first, e.second);
+        }
+      }
+      if (!touched) return;
+    }
+    const auto surface = [&](const TripleName& t, const MemDelta::Entry& e) {
+      if (e.state != MemDelta::State::kUpserted) return;
+      if (only != nullptr && t.predicate != only->name) return;
+      if (FindBaseTriple(base, t)) return;
+      on_overlay(t);
+    };
+    if (out) {
+      delta.ForEachBySubject(n.first, n.second, surface);
+    } else {
+      delta.ForEachByObject(n.first, n.second, surface);
+    }
+  }
+
+  /// ForEachEdge in both directions under every predicate — every live
+  /// neighbour of `n`, repeats included: base ones to `on_base(id)`,
+  /// overlay ones to `on_overlay(node)`, valid only for the call.
   template <typename OnBase, typename OnOverlay>
   void ForEachAdjacent(serve::NodeId id, const NodeKey& n,
                        const OnBase& on_base,
                        const OnOverlay& on_overlay) const {
-    if (id != serve::kInvalidNode) {
-      const bool touched = TouchedBaseNode(id);
-      const std::string name = touched ? std::string(n.second) : "";
-      for (const serve::KgSnapshot::Edge& e : base.OutEdges(id)) {
-        if (touched && TouchedBaseNode(e.second) &&
-            Retracted(TripleName{n.first, name,
-                                 std::string(base.PredicateName(e.first)),
-                                 base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second))})) {
-          continue;
-        }
-        on_base(e.second);
-      }
-      for (const serve::KgSnapshot::Edge& e : base.InEdges(id)) {
-        if (touched && TouchedBaseNode(e.second) &&
-            Retracted(TripleName{base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second)),
-                                 std::string(base.PredicateName(e.first)),
-                                 n.first, name})) {
-          continue;
-        }
-        on_base(e.second);
-      }
-      if (!touched) return;
+    for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+      ForEachEdge(
+          id, n, dir, nullptr,
+          [&](serve::PredicateId, serve::NodeId m) { on_base(m); },
+          [&](const TripleName& t) { on_overlay(FarEnd(t, dir)); });
     }
-    delta.ForEachBySubject(
-        n.first, n.second,
-        [&](const TripleName& t, const MemDelta::Entry& e) {
-          if (e.state != MemDelta::State::kUpserted) return;
-          if (FindBaseTriple(base, t)) return;
-          on_overlay(t.object_kind, t.object);
-        });
-    delta.ForEachByObject(
-        n.first, n.second,
-        [&](const TripleName& t, const MemDelta::Entry& e) {
-          if (e.state != MemDelta::State::kUpserted) return;
-          if (FindBaseTriple(base, t)) return;
-          on_overlay(t.subject_kind, t.subject);
-        });
   }
 };
+
+std::string RenderBase(const serve::KgSnapshot& base, serve::NodeId id) {
+  return serve::RenderNodeName(base.NodeName(id), base.NodeKindOf(id));
+}
 
 serve::QueryResult MergedPointLookup(const MergedView& view,
                                      const serve::Query& q) {
   serve::QueryResult rows;
-  for (const NodeRef& o :
-       view.Objects(NodeRef{q.node_kind, q.node}, q.predicate)) {
-    rows.push_back(Render(o));
-  }
+  const NodeKey s{q.node_kind, q.node};
+  const OnePredicate only = view.Only(q.predicate);
+  view.ForEachEdge(
+      view.BaseId(s), s, Direction::kOut, &only,
+      [&](serve::PredicateId, serve::NodeId o) {
+        rows.push_back(RenderBase(view.base, o));
+      },
+      [&](const TripleName& t) {
+        rows.push_back(Render(FarEnd(t, Direction::kOut)));
+      });
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -364,9 +300,20 @@ serve::QueryResult MergedPointLookup(const MergedView& view,
 serve::QueryResult MergedNeighborhood(const MergedView& view,
                                       const serve::Query& q) {
   serve::QueryResult rows;
-  const NodeRef c{q.node_kind, q.node};
-  view.AppendOutRows(c, &rows);
-  view.AppendInRows(c, &rows);
+  const NodeKey c{q.node_kind, q.node};
+  const serve::NodeId id = view.BaseId(c);
+  for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+    const std::string tag = dir == Direction::kOut ? "out\t" : "in\t";
+    view.ForEachEdge(
+        id, c, dir, nullptr,
+        [&](serve::PredicateId p, serve::NodeId m) {
+          rows.push_back(tag + std::string(view.base.PredicateName(p)) +
+                         '\t' + RenderBase(view.base, m));
+        },
+        [&](const TripleName& t) {
+          rows.push_back(tag + t.predicate + '\t' + Render(FarEnd(t, dir)));
+        });
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -375,56 +322,31 @@ serve::QueryResult MergedAttributeByType(const MergedView& view,
                                          const serve::Query& q) {
   serve::QueryResult rows;
   const serve::KgSnapshot& base = view.base;
-  // Base members iterate by id; only members the overlay names (an
-  // integer check against the precomputed touched set) pay string-keyed
-  // overlay probes. The overlay is small (bounded by compaction), so
-  // nearly every member takes the raw CSR path, same as the engine.
-  const auto cls = base.FindNode(q.type_name, graph::NodeKind::kClass);
-  const auto tp = base.FindPredicate(q.type_predicate);
-  const auto p_id = base.FindPredicate(q.predicate);
-  const bool class_touched =
-      view.delta.TouchesObject(graph::NodeKind::kClass, q.type_name);
-  if (cls.ok() && tp.ok()) {
-    for (serve::NodeId s : base.Subjects(*tp, *cls)) {
-      const bool touched = view.TouchedBaseNode(static_cast<uint32_t>(s));
-      if (class_touched && touched &&
-          view.Retracted(TripleName{base.NodeKindOf(s),
-                                    std::string(base.NodeName(s)),
-                                    q.type_predicate,
-                                    graph::NodeKind::kClass, q.type_name})) {
-        continue;
-      }
-      const std::string subject =
-          serve::RenderNodeName(base.NodeName(s), base.NodeKindOf(s));
-      if (touched) {
-        for (const NodeRef& o :
-             view.Objects(RefOf(base, s), q.predicate)) {
-          rows.push_back(subject + '\t' + Render(o));
-        }
-      } else if (p_id.ok()) {
-        for (const serve::NodeId o : base.Objects(s, *p_id)) {
-          rows.push_back(subject + '\t' +
-                         serve::RenderNodeName(base.NodeName(o),
-                                               base.NodeKindOf(o)));
-        }
-      }
-    }
-  }
-  // Members the overlay adds to the class (absent from the base).
-  if (class_touched) {
-    view.delta.ForEachByObject(
-        graph::NodeKind::kClass, q.type_name,
-        [&](const TripleName& t, const MemDelta::Entry& e) {
-          if (e.state != MemDelta::State::kUpserted) return;
-          if (t.predicate != q.type_predicate) return;
-          if (FindBaseTriple(view.base, t)) return;
-          const NodeRef member{t.subject_kind, t.subject};
-          const std::string subject = Render(member);
-          for (const NodeRef& o : view.Objects(member, q.predicate)) {
-            rows.push_back(subject + '\t' + Render(o));
-          }
+  const OnePredicate type_only = view.Only(q.type_predicate);
+  const OnePredicate attr_only = view.Only(q.predicate);
+  const auto member_rows = [&](serve::NodeId id, const NodeKey& m) {
+    const std::string subject = Render(m);
+    view.ForEachEdge(
+        id, m, Direction::kOut, &attr_only,
+        [&](serve::PredicateId, serve::NodeId o) {
+          rows.push_back(subject + '\t' + RenderBase(base, o));
+        },
+        [&](const TripleName& t) {
+          rows.push_back(subject + '\t' + Render(FarEnd(t, Direction::kOut)));
         });
-  }
+  };
+  // The members are the class's in-edges under the type predicate. One
+  // the overlay adds may still be a base node, with base attribute edges.
+  const NodeKey cls{graph::NodeKind::kClass, q.type_name};
+  view.ForEachEdge(
+      view.BaseId(cls), cls, Direction::kIn, &type_only,
+      [&](serve::PredicateId, serve::NodeId s) {
+        member_rows(s, NodeKey{base.NodeKindOf(s), base.NodeName(s)});
+      },
+      [&](const TripleName& t) {
+        const NodeKey m = FarEnd(t, Direction::kIn);
+        member_rows(view.BaseId(m), m);
+      });
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -442,19 +364,20 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
   const uint32_t base_n = static_cast<uint32_t>(base.num_nodes());
   std::map<NodeRef, uint32_t> extra_ids;
   std::vector<const NodeRef*> extra_refs;
-  const auto local_id = [&](const NodeRef& n) -> uint32_t {
-    const auto id = base.FindNode(n.second, n.first);
-    if (id.ok()) return static_cast<uint32_t>(*id);
+  const auto local_id = [&](const NodeKey& n) -> uint32_t {
+    const serve::NodeId id = view.BaseId(n);
+    if (id != serve::kInvalidNode) return id;
     const auto [it, inserted] =
-        extra_ids.emplace(n, base_n + static_cast<uint32_t>(extra_refs.size()));
+        extra_ids.emplace(NodeRef{n.first, std::string(n.second)},
+                          base_n + static_cast<uint32_t>(extra_refs.size()));
     if (inserted) extra_refs.push_back(&it->first);
     return it->second;
   };
   const auto adjacency = [&](uint32_t id) {
     std::vector<uint32_t> out;
     const auto on_base = [&](serve::NodeId m) { out.push_back(m); };
-    const auto on_overlay = [&](graph::NodeKind kind, const std::string& m) {
-      out.push_back(local_id(NodeRef{kind, m}));
+    const auto on_overlay = [&](const NodeKey& m) {
+      out.push_back(local_id(m));
     };
     if (id < base_n) {
       out.reserve(base.OutDegree(id) + base.InDegree(id));
@@ -477,7 +400,7 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
     return extra_refs[id - base_n]->second;
   };
 
-  const uint32_t center = local_id(NodeRef{q.node_kind, q.node});
+  const uint32_t center = local_id(NodeKey{q.node_kind, q.node});
   std::unordered_map<uint32_t, size_t> score;
   for (const uint32_t n : adjacency(center)) {
     if (n == center) continue;
@@ -511,16 +434,15 @@ std::vector<std::string> AdjacentEntities(const MergedView& view,
                                           const NodeKey& n) {
   std::vector<serve::NodeId> ids;
   std::vector<std::string> names;
-  const auto id = view.base.FindNode(n.second, n.first);
   view.ForEachAdjacent(
-      id.ok() ? *id : serve::kInvalidNode, n,
+      view.BaseId(n), n,
       [&](serve::NodeId m) {
         if (view.base.NodeKindOf(m) == graph::NodeKind::kEntity) {
           ids.push_back(m);
         }
       },
-      [&](graph::NodeKind kind, const std::string& m) {
-        if (kind == graph::NodeKind::kEntity) names.push_back(m);
+      [&](const NodeKey& m) {
+        if (m.first == graph::NodeKind::kEntity) names.emplace_back(m.second);
       });
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -529,18 +451,6 @@ std::vector<std::string> AdjacentEntities(const MergedView& view,
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
-}
-
-/// kUnavailable when `base` claims a schema generation newer than this
-/// build supports (serve::kSnapshotSchemaVersion).
-Status CheckSchema(const serve::KgSnapshot& base) {
-  if (base.schema_version() <= serve::kSnapshotSchemaVersion) {
-    return Status::OK();
-  }
-  return Status::Unavailable(
-      "snapshot schema version " + std::to_string(base.schema_version()) +
-      " is newer than this store supports (" +
-      std::to_string(serve::kSnapshotSchemaVersion) + ")");
 }
 
 /// Assigns the merged vocabulary of a fold its dense ids: base entries
@@ -729,8 +639,8 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
     }
   }
   if (options.cache_capacity > 0) {
-    store->cache_ = std::make_unique<serve::ShardedLruCache>(
-        options.cache_capacity, options.cache_shards);
+    store->cache_ =
+        std::make_unique<serve::ShardedLruCache>(options.cache_capacity);
   }
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = 0;
@@ -901,7 +811,7 @@ serve::QueryResult VersionedKgStore::ExecuteAt(
 
 Result<serve::QueryResult> VersionedKgStore::TryExecute(
     const serve::Query& query) const {
-  KG_RETURN_IF_ERROR(CheckSchema(*PinEpoch()->base));
+  KG_RETURN_IF_ERROR(serve::CheckSchema(*PinEpoch()->base));
   return Execute(query);
 }
 
@@ -921,7 +831,7 @@ Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
   // Watermark before the pin, as in TryExecuteTagged.
   tagged.epoch = applied_watermark();
   const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
-  KG_RETURN_IF_ERROR(CheckSchema(*epoch->base));
+  KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
   const MergedView view(*epoch);
   tagged.entities.reserve(nodes.size());
   for (const NodeKey& n : nodes) {

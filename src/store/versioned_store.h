@@ -36,7 +36,6 @@ struct StoreOptions {
   std::string wal_path;
   /// Result-cache entries; 0 disables caching.
   size_t cache_capacity = 0;
-  size_t cache_shards = 8;
   /// Write-path metrics land here when non-null (not owned; must outlive
   /// the store): "store.applied_mutations" / "store.wal.appended_records"
   /// / "store.compactions" / "store.compaction.folded" counters plus
@@ -173,10 +172,10 @@ class VersionedKgStore {
   /// cache when enabled.
   serve::QueryResult Execute(const serve::Query& query) const;
 
-  /// Execute with the forward-compatibility gate: kUnavailable when the
-  /// current epoch's base snapshot claims a schema generation newer
-  /// than this build (serve::kSnapshotSchemaVersion). The path the RPC
-  /// server fronts a mutable store through.
+  /// Execute with the forward-compatibility gate (serve::CheckSchema on
+  /// the current epoch's base snapshot): kUnavailable when it claims a
+  /// schema generation newer than this build. The path the RPC server
+  /// fronts a mutable store through.
   Result<serve::QueryResult> TryExecute(const serve::Query& query) const;
 
   /// TryExecute plus the replication-epoch tag (see applied_watermark).

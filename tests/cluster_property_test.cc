@@ -84,6 +84,10 @@ World MakeWorld(uint64_t seed) {
                        NodeKind::kEntity, prov);
     world.names.push_back(hostile[i]);
   }
+  // Names no base triple uses: nodes only the overlay can create.
+  for (int i = 0; i < 3; ++i) {
+    world.names.push_back("fresh:" + std::to_string(i));
+  }
   world.predicates = {"knows",       "type",         "name",    "genre",
                       "directed_by", "acted_in",     "mentors",
                       "performed_by", "hostile_edge", "no_such_predicate"};
@@ -95,8 +99,27 @@ NodeKind RandomKind(Rng& rng) {
   return rng.Bernoulli(0.5) ? NodeKind::kText : NodeKind::kClass;
 }
 
+/// A `type` edge into a queried class, so the overlay changes what
+/// attribute-by-type reads as the class's members. The pool holds
+/// members, base nodes outside the class (songs, the other class, the
+/// hostile nodes) and names only the overlay creates; upserts add
+/// members, retracts remove base and overlay-added ones.
+Mutation MembershipMutation(const World& world, Rng& rng) {
+  static const std::vector<std::string> kClasses = {"Person", "Movie"};
+  const std::string& node =
+      world.names[rng.UniformIndex(world.names.size())];
+  const std::string& cls = kClasses[rng.UniformIndex(kClasses.size())];
+  if (rng.Bernoulli(0.6)) {
+    return Mutation::Upsert(node, "type", cls, NodeKind::kEntity,
+                            NodeKind::kClass, Provenance{"feed_a", 1.0, 0});
+  }
+  return Mutation::Retract(node, "type", cls, NodeKind::kEntity,
+                           NodeKind::kClass);
+}
+
 Mutation RandomMutation(const World& world, const KnowledgeGraph& oracle,
                         Rng& rng) {
+  if (rng.Bernoulli(0.2)) return MembershipMutation(world, rng);
   const double roll = rng.UniformDouble();
   if (roll < 0.4) {
     const std::vector<TripleId> live = oracle.AllTriples();

@@ -157,7 +157,6 @@ TEST(RpcPropertyTest, LoopbackAnswersMatchInProcessWithAndWithoutCache) {
 
     serve::ServeOptions cached_options;
     cached_options.cache_capacity = 16;  // Small: forces evictions.
-    cached_options.cache_shards = 4;
     const serve::QueryEngine cached(snap, cached_options);
     CheckRemoteMatchesLocal(cached, workload, reference, seed, "cached");
   }

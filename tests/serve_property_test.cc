@@ -302,7 +302,6 @@ TEST(ServePropertyTest, EngineMatchesBruteForceCacheAndParallel) {
     const QueryEngine uncached(snap);
     ServeOptions cached_options;
     cached_options.cache_capacity = 32;  // Small: forces evictions.
-    cached_options.cache_shards = 4;
     const QueryEngine cached(snap, cached_options);
 
     // Property 1+2: engine == brute force, cache-on == cache-off —

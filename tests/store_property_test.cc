@@ -18,7 +18,8 @@
 //      adjacency read (routed top-k's second hop) equals the entities in
 //      a rebuild's neighborhoods.
 // Worlds come from kg::synth universes plus hostile names, duplicate
-// upserts, retractions of base and overlay triples, and resurrections.
+// upserts, retractions of base and overlay triples, resurrections, and
+// overlay changes to the membership of the queried classes.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,10 @@ World MakeWorld(uint64_t seed) {
   }
   const auto& hostile = HostileNames();
   world.names.insert(world.names.end(), hostile.begin(), hostile.end());
+  // Names no base triple uses: nodes only the overlay can create.
+  for (int i = 0; i < 3; ++i) {
+    world.names.push_back("fresh:" + std::to_string(i));
+  }
   world.predicates = {"knows",       "type",       "name",    "genre",
                       "directed_by", "acted_in",   "mentors", "hostile_p",
                       "performed_by", "no_such_predicate"};
@@ -107,11 +112,30 @@ NodeKind RandomKind(Rng& rng) {
   return rng.Bernoulli(0.5) ? NodeKind::kText : NodeKind::kClass;
 }
 
+/// A `type` edge into a queried class, so the overlay changes what
+/// attribute-by-type reads as the class's members. The pool holds
+/// members, base nodes outside the class (songs, the other class) and
+/// names only the overlay creates; upserts add members, retracts remove
+/// base and overlay-added ones.
+Mutation MembershipMutation(const World& world, Rng& rng) {
+  static const std::vector<std::string> kClasses = {"Person", "Movie"};
+  const std::string& node =
+      world.names[rng.UniformIndex(world.names.size())];
+  const std::string& cls = kClasses[rng.UniformIndex(kClasses.size())];
+  if (rng.Bernoulli(0.6)) {
+    return Mutation::Upsert(node, "type", cls, NodeKind::kEntity,
+                            NodeKind::kClass, Provenance{"feed_a", 1.0, 0});
+  }
+  return Mutation::Retract(node, "type", cls, NodeKind::kEntity,
+                           NodeKind::kClass);
+}
+
 /// One random mutation. Retracts are aimed at live triples half the
 /// time (via the oracle's current state) so shadowing of real base
 /// triples — not just misses — dominates.
 Mutation RandomMutation(const World& world, const KnowledgeGraph& oracle,
                         Rng& rng) {
+  if (rng.Bernoulli(0.2)) return MembershipMutation(world, rng);
   const double roll = rng.UniformDouble();
   if (roll < 0.45) {
     // Retract: prefer an existing live triple.
@@ -282,7 +306,6 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
 
     StoreOptions options;
     options.cache_capacity = 32;  // small: forces evictions + refills
-    options.cache_shards = 4;
     if (world_idx % 2 == 0) {
       options.wal_path = (std::filesystem::temp_directory_path() /
                           ("kg_store_prop_" + std::to_string(seed) + ".wal"))

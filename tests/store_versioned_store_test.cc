@@ -370,7 +370,6 @@ TEST(VersionedStoreTest, BackgroundCompactionOnThreadPool) {
 TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {
   StoreOptions options;
   options.cache_capacity = 64;
-  options.cache_shards = 4;
   auto store = MustOpen(BaseKg(), options);
   ASSERT_NE(store->cache(), nullptr);
 
