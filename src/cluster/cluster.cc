@@ -47,17 +47,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
       PartitionBySubject(base, opts.num_shards);
 
   for (size_t shard = 0; shard < opts.num_shards; ++shard) {
-    PrimaryOptions popts;
-    popts.registry = opts.registry;
-    popts.heartbeat_interval_ms = opts.heartbeat_interval_ms;
-    popts.wal_batch_max_bytes = opts.wal_batch_max_bytes;
-    popts.server_worker_threads = opts.server_worker_threads;
-    popts.tracer = opts.tracer;
-    popts.slow_ring = opts.slow_ring;
-    popts.time_stages = opts.time_stages;
-    KG_ASSIGN_OR_RETURN(
-        auto primary,
-        PrimaryMember::Create(shard, partitions[shard], popts));
+    KG_ASSIGN_OR_RETURN(auto primary,
+                        PrimaryMember::Create(shard, partitions[shard], opts));
     cluster->primaries_.push_back(std::move(primary));
   }
 
@@ -87,19 +78,17 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
         // Dial-level chaos: injected connection refusals.
         dial = rpc::ChaosConnectFactory(std::move(dial), injector, channel);
       }
-      ReplicaOptions ropts;
-      ropts.registry = opts.registry;
-      ropts.receiver = opts.receiver;
-      ropts.tracer = opts.tracer;
-      ropts.time_stages = opts.time_stages;
-      if (!opts.wal_dir.empty()) {
-        ropts.wal_path = opts.wal_dir + "/s" + std::to_string(shard) + "r" +
-                         std::to_string(r) + ".wal";
-      }
       KG_ASSIGN_OR_RETURN(
-          auto replica,
-          ReplicaMember::Create(shard, r, partitions[shard],
-                                std::move(dial), ropts));
+          auto replica, ReplicaMember::Create(shard, r, partitions[shard],
+                                              std::move(dial), opts));
+      const uint64_t log_end = cluster->primaries_[shard]->log_end();
+      if (replica->applied_offset() > log_end) {
+        return Status::FailedPrecondition(
+            replica->label() + " resumed at offset " +
+            std::to_string(replica->applied_offset()) +
+            ", past its primary's log end " + std::to_string(log_end) +
+            ": " + opts.wal_dir + " holds another cluster's replica logs");
+      }
       cluster->replicas_.push_back(std::move(replica));
     }
   }
@@ -114,24 +103,15 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
           cluster->replicas_[shard * opts.replicas_per_shard + r].get());
     }
   }
-  RouterOptions router_opts;
-  router_opts.max_staleness_bytes = opts.max_staleness_bytes;
-  router_opts.breaker_failure_threshold = opts.breaker_failure_threshold;
-  router_opts.breaker_probe_interval = opts.breaker_probe_interval;
-  router_opts.registry = opts.registry;
-  router_opts.tracer = opts.tracer;
-  router_opts.slow_ring = opts.slow_ring;
   cluster->router_ = std::make_unique<QueryRouter>(
-      std::move(groups), std::move(primaries), router_opts);
+      std::move(groups), std::move(primaries), opts);
 
   std::vector<ReplicaMember*> replica_ptrs;
   for (auto& replica : cluster->replicas_) {
     replica_ptrs.push_back(replica.get());
   }
-  SupervisorOptions sup_opts = opts.supervisor;
-  sup_opts.registry = opts.registry;
-  cluster->supervisor_ = std::make_unique<ClusterSupervisor>(
-      std::move(replica_ptrs), sup_opts);
+  cluster->supervisor_ =
+      std::make_unique<ClusterSupervisor>(std::move(replica_ptrs), opts);
   std::vector<ClusterSupervisor::ScrapeTarget> targets;
   targets.reserve(cluster->primaries_.size());
   for (auto& primary : cluster->primaries_) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cluster/member.h"
+#include "cluster/options.h"
 #include "cluster/router.h"
 #include "cluster/supervisor.h"
 #include "common/fault.h"
@@ -15,49 +16,6 @@
 #include "obs/metrics.h"
 
 namespace kg::cluster {
-
-struct ClusterOptions {
-  size_t num_shards = 1;
-  size_t replicas_per_shard = 0;
-  /// Router staleness bound; 0 = every answer provably matches the
-  /// committed state (see RouterOptions).
-  uint64_t max_staleness_bytes = 0;
-  /// "cluster.*" (and member "store.*"/"rpc.*") metrics land here when
-  /// non-null (not owned), with the stages every registry gets: fanout
-  /// at the router, WAL append and overlay merge in member stores.
-  obs::MetricsRegistry* registry = nullptr;
-  /// Distributed tracing (not owned). Wired into the router and every
-  /// member, so each routed query renders as one connected span tree
-  /// (route -> shard -> member -> store.execute), and into each
-  /// primary's RPC endpoint for kIntrospect(kTrace) scrapes. NOT wired
-  /// into WAL receivers — shipping spans depend on batch timing; opt in
-  /// per-receiver via `receiver.tracer` when forensics beat determinism.
-  obs::Tracer* tracer = nullptr;
-  /// Worst-N routed-query retention (not owned); also exposed on every
-  /// primary endpoint via kIntrospect(kSlowQueries).
-  obs::SlowQueryRing* slow_ring = nullptr;
-  /// With `registry`, also time the member stores' result-cache probe
-  /// into "stage_us.cache_probe.<class>" histograms (StoreOptions).
-  bool time_stages = false;
-  /// Worker threads of each primary's in-process RPC endpoint.
-  size_t server_worker_threads = 1;
-  /// When set, replica r of shard s persists its applied log to
-  /// `<wal_dir>/s<s>r<r>.wal`, making its resume offset durable across
-  /// member re-creation. Empty keeps everything in memory.
-  std::string wal_dir;
-  /// Chaos on the WAL shipping links: dials go through
-  /// ChaosConnectFactory and every shipped byte stream through a
-  /// ChaosTransport, channels "ship-s<s>r<r>[-<session>]". Must outlive
-  /// the cluster. Query routing is in-process and unaffected.
-  const FaultInjector* injector = nullptr;
-
-  int heartbeat_interval_ms = 5;
-  SupervisorOptions supervisor;
-  WalReceiverOptions receiver;
-  size_t breaker_failure_threshold = 3;
-  size_t breaker_probe_interval = 4;
-  size_t wal_batch_max_bytes = 256 * 1024;
-};
 
 /// Splits `base` into per-shard KnowledgeGraphs by subject hash
 /// (ShardOf over the kind-tagged subject name). Triple order and each
@@ -75,6 +33,11 @@ std::vector<graph::KnowledgeGraph> PartitionBySubject(
 /// byte-identical to a single store through all of it.
 class Cluster {
  public:
+  /// Builds every member from `options`. Fails with kFailedPrecondition
+  /// when `options.wal_dir` holds a replica log that runs past its fresh
+  /// primary's (in-memory, so empty) log: that replica would answer from
+  /// commits this cluster never made, with epoch tags that pass the
+  /// router's gate.
   static Result<std::unique_ptr<Cluster>> Create(
       const graph::KnowledgeGraph& base, ClusterOptions options = {});
   ~Cluster();

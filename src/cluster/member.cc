@@ -1,6 +1,5 @@
 #include "cluster/member.h"
 
-#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -20,28 +19,20 @@ std::string ReadFileBytes(const std::string& path) {
   return out.str();
 }
 
-/// Runs `read` (one of a member's store reads) unless the member is
-/// killed, which refuses with kUnavailable.
+/// Runs `read` (one of `member`'s store reads) as a `name` span nested
+/// under the router's member span (`parent_span_id`, 0 = untraced),
+/// tagged with the serving member and its epoch tag — or, while the
+/// member is killed, refuses with kUnavailable and tags the refusal.
 template <typename Read>
-auto ServeIfAlive(const std::atomic<bool>& killed, const std::string& label,
-                  const Read& read) -> decltype(read()) {
-  if (killed.load(std::memory_order_acquire)) {
-    return Status::Unavailable(label + " is down");
-  }
-  return read();
-}
-
-/// ServeIfAlive as a `name` span nested under the router's member span
-/// (`parent_span_id`, 0 = untraced), tagged with the serving member and
-/// its epoch tag or refusal.
-template <typename Read>
-auto TracedRead(obs::Tracer* tracer, uint64_t parent_span_id,
-                std::string_view name, const std::atomic<bool>& killed,
-                const std::string& label, const Read& read) {
+auto TracedRead(const ShardMember& member, obs::Tracer* tracer,
+                uint64_t parent_span_id, std::string_view name,
+                const Read& read) -> decltype(read()) {
   obs::Span span = obs::Tracer::StartWithParent(tracer, parent_span_id, name);
-  auto result = ServeIfAlive(killed, label, read);
+  auto result = member.alive() ? read()
+                               : decltype(read())(Status::Unavailable(
+                                     member.label() + " is down"));
   if (span.active()) {
-    span.SetAttr("member", label);
+    span.SetAttr("member", member.label());
     if (result.ok()) {
       span.SetAttr("epoch", result->epoch);
     } else {
@@ -53,23 +44,45 @@ auto TracedRead(obs::Tracer* tracer, uint64_t parent_span_id,
 
 }  // namespace
 
+// ---- ShardMember ---------------------------------------------------------
+
+ShardMember::ShardMember(std::string label, const ClusterOptions& options)
+    : options_(options), label_(std::move(label)) {}
+
+Status ShardMember::OpenStore(const graph::KnowledgeGraph& base,
+                              const std::string& wal_path) {
+  store::StoreOptions sopts;
+  sopts.wal_path = wal_path;
+  sopts.registry = options_.registry;
+  sopts.time_stages = options_.time_stages;
+  KG_ASSIGN_OR_RETURN(store_, store::VersionedKgStore::Open(base, sopts));
+  return Status::OK();
+}
+
+Result<serve::EpochTaggedResult> ShardMember::ExecuteTraced(
+    const serve::Query& query, uint64_t parent_span_id) const {
+  return TracedRead(*this, options_.tracer, parent_span_id, "store.execute",
+                    [&] { return store_->TryExecuteTagged(query); });
+}
+
+Result<store::EpochTaggedAdjacency> ShardMember::AdjacentEntitiesTraced(
+    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
+  return TracedRead(
+      *this, options_.tracer, parent_span_id, "store.adjacent_entities",
+      [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
+}
+
 // ---- PrimaryMember -------------------------------------------------------
 
-PrimaryMember::PrimaryMember(size_t shard, PrimaryOptions options)
-    : shard_(shard),
-      options_(std::move(options)),
-      label_("s" + std::to_string(shard) + ".primary") {}
+PrimaryMember::PrimaryMember(size_t shard, const ClusterOptions& options)
+    : ShardMember("s" + std::to_string(shard) + ".primary", options) {}
 
 Result<std::unique_ptr<PrimaryMember>> PrimaryMember::Create(
-    size_t shard, const graph::KnowledgeGraph& base, PrimaryOptions options) {
-  auto member = std::unique_ptr<PrimaryMember>(
-      new PrimaryMember(shard, std::move(options)));
-  store::StoreOptions sopts;
-  sopts.wal_path = member->options_.wal_path;
-  sopts.registry = member->options_.registry;
-  sopts.time_stages = member->options_.time_stages;
-  KG_ASSIGN_OR_RETURN(member->store_,
-                      store::VersionedKgStore::Open(base, sopts));
+    size_t shard, const graph::KnowledgeGraph& base,
+    const ClusterOptions& options) {
+  auto member =
+      std::unique_ptr<PrimaryMember>(new PrimaryMember(shard, options));
+  KG_RETURN_IF_ERROR(member->OpenStore(base, /*wal_path=*/""));
   {
     std::lock_guard<std::mutex> lock(member->server_mu_);
     KG_RETURN_IF_ERROR(member->StartServerLocked());
@@ -89,7 +102,6 @@ Status PrimaryMember::StartServerLocked() {
   sopts.slow_ring = options_.slow_ring;
   sopts.wal_source = &log_;
   sopts.wal_heartbeat_interval_ms = options_.heartbeat_interval_ms;
-  sopts.wal_batch_max_bytes = options_.wal_batch_max_bytes;
   server_ = std::make_unique<rpc::RpcServer>(
       rpc::StoreHandler(store_.get()), std::move(listener), sopts);
   const Status started = server_->Start();
@@ -139,42 +151,30 @@ Status PrimaryMember::Revive() {
   return Status::OK();
 }
 
-Result<serve::EpochTaggedResult> PrimaryMember::ExecuteTraced(
-    const serve::Query& query, uint64_t parent_span_id) const {
-  return TracedRead(options_.tracer, parent_span_id, "store.execute", killed_,
-                    label_, [&] { return store_->TryExecuteTagged(query); });
-}
-
-Result<store::EpochTaggedAdjacency> PrimaryMember::AdjacentEntitiesTraced(
-    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
-  return TracedRead(
-      options_.tracer, parent_span_id, "store.adjacent_entities", killed_,
-      label_, [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
-}
-
 // ---- ReplicaMember -------------------------------------------------------
 
 ReplicaMember::ReplicaMember(size_t shard, size_t index,
-                             ReplicaOptions options)
-    : shard_(shard),
-      index_(index),
-      options_(std::move(options)),
-      label_("s" + std::to_string(shard) + ".replica" +
-             std::to_string(index)) {}
+                             const ClusterOptions& options)
+    : ShardMember("s" + std::to_string(shard) + ".replica" +
+                      std::to_string(index),
+                  options) {}
 
 Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
     size_t shard, size_t index, const graph::KnowledgeGraph& base,
-    rpc::TransportFactory dial, ReplicaOptions options) {
+    rpc::TransportFactory dial, const ClusterOptions& options) {
   auto member = std::unique_ptr<ReplicaMember>(
-      new ReplicaMember(shard, index, std::move(options)));
+      new ReplicaMember(shard, index, options));
 
   // Recover the resume point *before* the store truncates a torn tail:
   // the verified prefix of the local WAL is exactly the primary-log
   // prefix this replica had applied, and its chain resumes from there.
+  std::string wal_path;
   uint32_t initial_chain = 0;
   uint64_t resume_offset = 0;
-  if (!member->options_.wal_path.empty()) {
-    const std::string bytes = ReadFileBytes(member->options_.wal_path);
+  if (!options.wal_dir.empty()) {
+    wal_path = options.wal_dir + "/s" + std::to_string(shard) + "r" +
+               std::to_string(index) + ".wal";
+    const std::string bytes = ReadFileBytes(wal_path);
     if (!bytes.empty()) {
       const store::WalReplay replay = store::ReplayWalBuffer(bytes);
       resume_offset = replay.valid_bytes;
@@ -183,19 +183,12 @@ Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
     }
   }
 
-  store::StoreOptions sopts;
-  sopts.wal_path = member->options_.wal_path;
-  sopts.registry = member->options_.registry;
-  sopts.time_stages = member->options_.time_stages;
-  KG_ASSIGN_OR_RETURN(member->store_,
-                      store::VersionedKgStore::Open(base, sopts));
+  KG_RETURN_IF_ERROR(member->OpenStore(base, wal_path));
   member->store_->set_applied_watermark(resume_offset);
 
-  WalReceiverOptions ropts = member->options_.receiver;
-  ropts.registry = member->options_.registry;
   member->receiver_ = std::make_unique<WalReceiver>(
       std::move(dial), member->store_.get(), initial_chain, member->label_,
-      ropts);
+      options.receiver, options.registry);
   member->receiver_->Start();
   return member;
 }
@@ -226,19 +219,6 @@ uint64_t ReplicaMember::lag_bytes() const {
   const uint64_t seen = receiver_->last_seen_log_end();
   const uint64_t applied = store_->applied_watermark();
   return seen > applied ? seen - applied : 0;
-}
-
-Result<serve::EpochTaggedResult> ReplicaMember::ExecuteTraced(
-    const serve::Query& query, uint64_t parent_span_id) const {
-  return TracedRead(options_.tracer, parent_span_id, "store.execute", killed_,
-                    label_, [&] { return store_->TryExecuteTagged(query); });
-}
-
-Result<store::EpochTaggedAdjacency> ReplicaMember::AdjacentEntitiesTraced(
-    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
-  return TracedRead(
-      options_.tracer, parent_span_id, "store.adjacent_entities", killed_,
-      label_, [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
 }
 
 }  // namespace kg::cluster

@@ -67,7 +67,7 @@ size_t ShardOf(std::string_view subject, graph::NodeKind kind,
 
 QueryRouter::QueryRouter(std::vector<std::vector<ShardMember*>> members,
                          std::vector<PrimaryMember*> primaries,
-                         RouterOptions options)
+                         const ClusterOptions& options)
     : members_(std::move(members)),
       primaries_(std::move(primaries)),
       options_(options) {
@@ -143,9 +143,6 @@ Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
   obs::Span shard_span = parent->Child("shard@" + std::to_string(shard));
   const uint64_t committed =
       committed_[shard]->load(std::memory_order_acquire);
-  const uint64_t floor = committed > options_.max_staleness_bytes
-                             ? committed - options_.max_staleness_bytes
-                             : 0;
   const auto& group = members_[shard];
   for (size_t i = 0; i < group.size(); ++i) {
     MemberHealth& health = *health_[shard][i];
@@ -164,7 +161,7 @@ Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
     }
     RecordOutcome(health, true, is_probe);
     member_span.SetAttr("epoch", tagged->epoch);
-    if (tagged->epoch < floor) {
+    if (tagged->epoch < committed) {
       // Healthy but unable to prove freshness: not a fault, keep
       // walking the failover order.
       member_span.SetAttr("stale", "true");

@@ -14,6 +14,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "cluster/member.h"
+#include "cluster/options.h"
 #include "graph/knowledge_graph.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
@@ -32,46 +33,17 @@ namespace kg::cluster {
 size_t ShardOf(std::string_view subject, graph::NodeKind kind,
                size_t num_shards);
 
-struct RouterOptions {
-  /// How many shipped-log bytes behind the committed offset an answer
-  /// may be and still be served. 0 = strict: every answer is provably
-  /// byte-identical to the single-store reference at the committed
-  /// state (the cluster property suite runs here).
-  uint64_t max_staleness_bytes = 0;
-  /// Consecutive failures that open a member's circuit breaker.
-  size_t breaker_failure_threshold = 3;
-  /// While a breaker is open, one probe is let through every this many
-  /// selections, so a revived member is rediscovered without waiting on
-  /// the supervisor.
-  size_t breaker_probe_interval = 4;
-  /// "cluster.*" metrics land here when non-null (not owned), and so
-  /// does the fan-out stage: each routed neighbourhood, attribute or
-  /// top-k query observes the wall time of its shard rounds (fan out
-  /// until the last shard answers; merging and scoring count as route
-  /// time) once into "stage_us.fanout.<class>".
-  obs::MetricsRegistry* registry = nullptr;
-  /// Distributed tracing (not owned). Each Execute roots a
-  /// "route.<class>" span with "shard@<i>" / "member.<label>" children
-  /// per attempt; member spans parent the serving member's own
-  /// "store.execute" span ("store.adjacent_entities" in top-k's second
-  /// round), so one routed query renders as one connected tree from
-  /// router to store.
-  obs::Tracer* tracer = nullptr;
-  /// Worst-N retention for routed queries (not owned). Each Execute
-  /// offers one entry keyed by its root span id, with the fanout stage
-  /// attributed.
-  obs::SlowQueryRing* slow_ring = nullptr;
-};
-
 /// Scatter-gather front door of the cluster. The router is the sole
 /// writer: Apply routes each mutation to its subject's shard primary
 /// (preserving order within a shard) and records the resulting log end
 /// as that shard's *committed offset*. Reads walk a shard group in
 /// failover order (primary, then replicas), skip members whose breaker
-/// is open, and accept the first answer whose applied-epoch tag is
-/// within max_staleness_bytes of committed — a too-stale replica is
-/// not an error, just not proof, so the router keeps looking. When no
-/// live member can prove freshness the query is shed with kUnavailable.
+/// is open, and accept the first answer whose applied-epoch tag is at
+/// least the committed offset, so every answer is byte-identical to the
+/// single-store reference at the committed state (the cluster property
+/// suite proves it). A lagging replica is not an error, just not proof,
+/// so the router keeps looking. When no live member can prove freshness
+/// the query is shed with kUnavailable.
 ///
 ///   - point lookup        -> the subject's shard only
 ///   - neighborhood / scan -> every shard, rows merged deterministically
@@ -95,10 +67,16 @@ class QueryRouter {
 
   /// `members[shard][0]` is the shard primary, the rest its replicas,
   /// in failover order. Raw pointers are not owned and must outlive the
-  /// router.
+  /// router. `options` supplies the breaker settings and the sinks:
+  /// "cluster.*" counters and per-class "stage_us.fanout.<class>"
+  /// histograms (each routed scan's shard-round wall time, observed
+  /// once) in `registry`; per Execute, one "route.<class>" span tree in
+  /// `tracer` ("shard@<i>" / "member.<label>" children per attempt,
+  /// parenting the member's store span) and one `slow_ring` entry keyed
+  /// by its root span id, with the fanout stage attributed.
   QueryRouter(std::vector<std::vector<ShardMember*>> members,
               std::vector<PrimaryMember*> primaries,
-              RouterOptions options = {});
+              const ClusterOptions& options);
 
   /// Applies one logical commit, split by subject shard. Mutations for
   /// the same shard keep their relative order; per-shard sub-batches
@@ -126,7 +104,7 @@ class QueryRouter {
   bool AllowMember(MemberHealth& health, bool* is_probe);
   void RecordOutcome(MemberHealth& health, bool ok, bool was_probe);
 
-  /// One shard's answer under the staleness gate and failover order —
+  /// One shard's answer under the epoch gate and failover order —
   /// the one path every member call takes. `ask(member, span_id)` makes
   /// the call (ExecuteTraced or AdjacentEntitiesTraced) and returns a
   /// `Tagged` answer carrying its applied-epoch tag. `parent` (never
@@ -153,7 +131,7 @@ class QueryRouter {
 
   std::vector<std::vector<ShardMember*>> members_;
   std::vector<PrimaryMember*> primaries_;
-  RouterOptions options_;
+  const ClusterOptions options_;
   /// Per-shard committed shipped-log offset (unique_ptr: atomics don't
   /// move, vectors need to).
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> committed_;

@@ -8,16 +8,23 @@
 #include "obs/json.h"
 
 namespace kg::cluster {
+namespace {
+
+/// A running link silent this long (no batch, no heartbeat) is presumed
+/// wedged and torn down for a fresh dial. Comfortably above any
+/// shipping heartbeat interval.
+constexpr int64_t kStallTimeoutMs = 2000;
+
+}  // namespace
 
 ClusterSupervisor::ClusterSupervisor(std::vector<ReplicaMember*> replicas,
-                                     SupervisorOptions options)
-    : replicas_(std::move(replicas)), options_(options) {
-  if (options_.registry != nullptr) {
-    restarts_metric_ =
-        &options_.registry->GetCounter("cluster.supervisor.restarts");
-    max_lag_gauge_ =
-        &options_.registry->GetGauge("cluster.replica.lag_bytes.max");
-    down_gauge_ = &options_.registry->GetGauge("cluster.replicas.down");
+                                     const ClusterOptions& options)
+    : replicas_(std::move(replicas)),
+      interval_ms_(options.supervisor.interval_ms) {
+  if (obs::MetricsRegistry* registry = options.registry) {
+    restarts_metric_ = &registry->GetCounter("cluster.supervisor.restarts");
+    max_lag_gauge_ = &registry->GetGauge("cluster.replica.lag_bytes.max");
+    down_gauge_ = &registry->GetGauge("cluster.replicas.down");
   }
 }
 
@@ -31,7 +38,7 @@ void ClusterSupervisor::Start() {
     while (!stop_.load(std::memory_order_acquire)) {
       Tick();
       for (int waited = 0;
-           waited < options_.interval_ms &&
+           waited < interval_ms_ &&
            !stop_.load(std::memory_order_acquire);
            ++waited) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -62,7 +69,7 @@ void ClusterSupervisor::Tick() {
       restarts_.fetch_add(1, std::memory_order_relaxed);
       if (restarts_metric_ != nullptr) restarts_metric_->Inc();
       replica->EnsureLink();
-    } else if (receiver.ms_since_progress() > options_.stall_timeout_ms) {
+    } else if (receiver.ms_since_progress() > kStallTimeoutMs) {
       // Nominally connected but silent well past the heartbeat cadence:
       // kick the session so it re-dials rather than hanging forever.
       restarts_.fetch_add(1, std::memory_order_relaxed);

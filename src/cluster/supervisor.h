@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/member.h"
+#include "cluster/options.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
@@ -16,28 +17,19 @@
 
 namespace kg::cluster {
 
-struct SupervisorOptions {
-  /// Sweep cadence of the background thread.
-  int interval_ms = 20;
-  /// A running link silent this long (no batch, no heartbeat) is
-  /// presumed wedged and torn down for a fresh dial. Keep comfortably
-  /// above the shipping heartbeat interval.
-  int stall_timeout_ms = 2000;
-  obs::MetricsRegistry* registry = nullptr;
-};
-
 /// Cluster health loop: watches every replica's WAL link and (a) restarts
 /// receiver threads that gave up while their primary was dead — the
 /// re-subscribe resumes from the replica's persisted offset, so a revived
 /// primary ships only the missing suffix — and (b) kicks links that are
 /// nominally running but silent past the stall timeout. Also exports
 /// per-sweep lag gauges ("cluster.replica.lag_bytes.max",
-/// "cluster.replicas.down"). Sweeps run on a background thread; tests
-/// can call Tick() directly for deterministic single-steps.
+/// "cluster.replicas.down") into `options.registry`. Sweeps run every
+/// `options.supervisor.interval_ms` on a background thread; tests can
+/// call Tick() directly for deterministic single-steps.
 class ClusterSupervisor {
  public:
-  explicit ClusterSupervisor(std::vector<ReplicaMember*> replicas,
-                             SupervisorOptions options = {});
+  ClusterSupervisor(std::vector<ReplicaMember*> replicas,
+                    const ClusterOptions& options);
   ~ClusterSupervisor();
 
   ClusterSupervisor(const ClusterSupervisor&) = delete;
@@ -80,7 +72,7 @@ class ClusterSupervisor {
 
  private:
   std::vector<ReplicaMember*> replicas_;
-  SupervisorOptions options_;
+  int interval_ms_;
   std::vector<ScrapeTarget> scrape_targets_;
 
   std::mutex lifecycle_mu_;

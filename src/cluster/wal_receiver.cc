@@ -54,21 +54,20 @@ Result<rpc::Frame> ReadFrame(rpc::ITransport* transport,
 WalReceiver::WalReceiver(rpc::TransportFactory dial,
                          store::VersionedKgStore* store,
                          uint32_t initial_chain, std::string label,
-                         WalReceiverOptions options)
+                         WalReceiverOptions options,
+                         obs::MetricsRegistry* registry)
     : dial_(std::move(dial)),
       store_(store),
       label_(std::move(label)),
       options_(options),
       chain_(initial_chain) {
   last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
-  if (options_.registry != nullptr) {
-    resubscribes_ = &options_.registry->GetCounter("cluster.resubscribes");
-    heartbeats_missed_ =
-        &options_.registry->GetCounter("cluster.heartbeats.missed");
+  if (registry != nullptr) {
+    resubscribes_ = &registry->GetCounter("cluster.resubscribes");
+    heartbeats_missed_ = &registry->GetCounter("cluster.heartbeats.missed");
     batches_rejected_ =
-        &options_.registry->GetCounter("cluster.wal.batches.rejected");
-    batches_applied_ =
-        &options_.registry->GetCounter("cluster.wal.batches.applied");
+        &registry->GetCounter("cluster.wal.batches.rejected");
+    batches_applied_ = &registry->GetCounter("cluster.wal.batches.applied");
   }
 }
 

@@ -9,37 +9,12 @@
 #include <string>
 #include <thread>
 
+#include "cluster/options.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "store/versioned_store.h"
 
-namespace kg::obs {
-class Tracer;
-}  // namespace kg::obs
-
 namespace kg::cluster {
-
-struct WalReceiverOptions {
-  /// How long a subscribed link may go silent (no batch, no heartbeat)
-  /// before the receiver declares the session dead and re-dials.
-  int heartbeat_timeout_ms = 500;
-  /// Pause between dial attempts while the primary is unreachable.
-  int dial_retry_ms = 2;
-  /// Consecutive failed dials before the receiver thread gives up and
-  /// exits (link down); the ClusterSupervisor restarts it later.
-  size_t max_dial_attempts = 40;
-  obs::MetricsRegistry* registry = nullptr;
-  /// Distributed tracing of the shipping link (not owned). Each session
-  /// roots a "wal.session" span whose id rides the kWalSubscribe frame
-  /// as trace context; the primary parents "wal.ship" spans under it
-  /// and echoes the context on every kWalBatch, which this receiver
-  /// extracts to root "wal.apply" spans under the originating ship.
-  /// Batch boundaries are timing-dependent, so WAL spans are
-  /// best-effort forensics, not part of the determinism-gated trace
-  /// surfaces — leave this null (the Cluster facade does) when
-  /// byte-identical trace JSON matters.
-  obs::Tracer* tracer = nullptr;
-};
 
 /// One replica's end of the WAL shipping protocol. A background thread
 /// dials the shard primary, handshakes, subscribes from the replica's
@@ -61,10 +36,13 @@ class WalReceiver {
  public:
   /// `store` must outlive the receiver; `initial_chain` is the chain
   /// value at the store's applied watermark (0 for a fresh replica, or
-  /// folded over the local WAL for one recovering from disk).
+  /// folded over the local WAL for one recovering from disk). The
+  /// "cluster.*" link counters land in `registry` when non-null (not
+  /// owned).
   WalReceiver(rpc::TransportFactory dial, store::VersionedKgStore* store,
               uint32_t initial_chain, std::string label,
-              WalReceiverOptions options = {});
+              WalReceiverOptions options = {},
+              obs::MetricsRegistry* registry = nullptr);
   ~WalReceiver();
 
   WalReceiver(const WalReceiver&) = delete;

@@ -230,37 +230,4 @@ Result<serve::QueryResult> RetryingClient::Execute(
   return result;
 }
 
-Result<std::string> RetryingClient::Introspect(IntrospectWhat what) {
-  Result<std::string> result = Status::Unavailable("no attempt made");
-  const RetryOutcome outcome = RetryWithBackoff(
-      policy_, rng_.Split(stats_.attempts), &breaker_,
-      [&](size_t) -> AttemptResult {
-        ++stats_.attempts;
-        if (client_ == nullptr || !client_->healthy() ||
-            !client_->handshook()) {
-          client_.reset();
-          auto transport = factory_();
-          if (!transport.ok()) {
-            result = transport.status();
-            return {transport.status(), 0.0};
-          }
-          ++stats_.reconnects;
-          client_ = std::make_unique<RpcClient>(std::move(*transport),
-                                                options_);
-          auto handshake = client_->Handshake();
-          if (!handshake.ok()) {
-            result = handshake.status();
-            return {handshake.status(), 0.0};
-          }
-        }
-        result = client_->Introspect(what);
-        return {result.status(), 0.0};
-      });
-  stats_.virtual_ms += outcome.virtual_ms;
-  if (!outcome.status.ok() && result.ok()) {
-    return outcome.status;
-  }
-  return result;
-}
-
 }  // namespace kg::rpc

@@ -67,8 +67,6 @@ class RpcClient {
   /// queries and should be reconnected.
   bool handshook() const { return handshook_; }
 
-  ITransport* transport() { return transport_.get(); }
-
  private:
   /// Reads frames until one with `request_id` arrives, the timeout
   /// expires, or the stream breaks. Frames of type `expected_type` with
@@ -129,9 +127,6 @@ class RetryingClient {
   /// non-null `trace` is attached to every wire attempt.
   Result<serve::QueryResult> Execute(const serve::Query& query,
                                      const TraceContext* trace = nullptr);
-
-  /// Scrapes the server with the same retry/reconnect machinery.
-  Result<std::string> Introspect(IntrospectWhat what);
 
   const Stats& stats() const { return stats_; }
   const CircuitBreaker& breaker() const { return breaker_; }

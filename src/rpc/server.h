@@ -161,7 +161,6 @@ class RpcServer {
   /// that was admitted dies mid-frame (examples/rpc_server.cpp).
   void Drain(int max_wait_ms = 5000);
 
-  const ITransportServer* listener() const { return listener_.get(); }
   std::string address() const { return listener_->address(); }
 
   Stats stats() const;

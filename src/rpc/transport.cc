@@ -371,7 +371,6 @@ ChaosTransport::ChaosTransport(std::unique_ptr<ITransport> inner,
 Status ChaosTransport::Write(std::string_view bytes) {
   const FaultInjector::Attempt attempt =
       injector_->Probe(write_channel_, writes_++);
-  virtual_latency_ms_ += attempt.latency_ms;
   switch (attempt.kind) {
     case FaultKind::kTransient:
       // The frame vanishes in flight; the caller's read deadline and
@@ -418,7 +417,6 @@ Result<size_t> ChaosTransport::Read(std::string* out, size_t max,
 void ChaosTransport::MaybeGarbleRead(std::string* out, size_t before) {
   const FaultInjector::Attempt attempt =
       injector_->Probe(read_channel_, reads_++);
-  virtual_latency_ms_ += attempt.latency_ms;
   if (attempt.kind == FaultKind::kTransient && out->size() > before) {
     const size_t at = before + (out->size() - before) / 2;
     (*out)[at] = static_cast<char>((*out)[at] ^ 0x20);

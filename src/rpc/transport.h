@@ -127,8 +127,9 @@ Result<std::unique_ptr<ITransport>> TcpConnect(const std::string& host,
 /// Wraps a transport with FaultInjector-driven wire chaos: per written
 /// frame, the injector's pure hash of (seed, channel, frame index)
 /// decides drop / garble (one flipped byte — the peer's checksum catches
-/// it) / slow (virtual latency surfaced to the caller); received bytes
-/// can be garbled the same way on a separate channel. Decisions never
+/// it); a "slow" decision delivers the frame unchanged, since nothing
+/// here sleeps. Received bytes can be garbled the same way on a separate
+/// channel. Decisions never
 /// depend on wall clock or thread schedule, so a chaos run replays
 /// bit-for-bit per seed (rpc_chaos_test).
 ///
@@ -148,10 +149,6 @@ class ChaosTransport : public ITransport {
   void Close() override;
   std::string peer() const override;
 
-  /// Virtual milliseconds of injected latency so far (for deadline
-  /// accounting in retry loops; nothing here sleeps for real).
-  double virtual_latency_ms() const { return virtual_latency_ms_; }
-
   size_t frames_dropped() const { return frames_dropped_; }
   size_t frames_garbled() const { return frames_garbled_; }
 
@@ -168,7 +165,6 @@ class ChaosTransport : public ITransport {
   size_t reads_ = 0;
   size_t frames_dropped_ = 0;
   size_t frames_garbled_ = 0;
-  double virtual_latency_ms_ = 0.0;
 };
 
 }  // namespace kg::rpc

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -411,8 +412,10 @@ TEST(WalReceiverTest, TamperedChainIsRejectedThenHonestBatchApplies) {
 // and resubscribes from exactly that byte offset — even when the tail
 // was torn mid-frame.
 TEST(ReplicaResumeTest, PersistedOffsetSurvivesRecreationAndTornTail) {
-  const std::string wal_path =
-      ::testing::TempDir() + "/cluster_replica_resume.wal";
+  ClusterOptions ropts;
+  ropts.wal_dir = ::testing::TempDir() + "/cluster_replica_resume";
+  std::filesystem::create_directories(ropts.wal_dir);
+  const std::string wal_path = ropts.wal_dir + "/s0r0.wal";
   std::remove(wal_path.c_str());
 
   KnowledgeGraph base;
@@ -421,8 +424,6 @@ TEST(ReplicaResumeTest, PersistedOffsetSurvivesRecreationAndTornTail) {
   auto primary = PrimaryMember::Create(0, base);
   ASSERT_TRUE(primary.ok());
 
-  ReplicaOptions ropts;
-  ropts.wal_path = wal_path;
   ropts.receiver.dial_retry_ms = 1;
   ropts.receiver.max_dial_attempts = 10;
   auto replica = ReplicaMember::Create(0, 0, base,
@@ -480,6 +481,56 @@ TEST(ReplicaResumeTest, PersistedOffsetSurvivesRecreationAndTornTail) {
   }));
   EXPECT_EQ(ReadFileBytes(wal_path), full);
   std::remove(wal_path.c_str());
+}
+
+// A cluster over a wal_dir persists every replica's applied log, byte
+// for byte its primary's. Primaries keep their log in memory only, so a
+// second cluster over the same directory would start each primary at
+// offset 0 while its replica resumed ahead of it — and the router's gate
+// would then accept that replica's answers (its epoch tag is past the
+// committed offset) from commits the new cluster never made. Create must
+// refuse instead.
+TEST(ClusterWalDirTest, PersistsReplicaLogsAndRefusesLogsAheadOfPrimary) {
+  ClusterOptions opts;
+  opts.num_shards = 2;
+  opts.replicas_per_shard = 2;
+  opts.heartbeat_interval_ms = 2;
+  opts.receiver.dial_retry_ms = 1;
+  opts.wal_dir = ::testing::TempDir() + "/cluster_wal_dir";
+  std::filesystem::remove_all(opts.wal_dir);
+  std::filesystem::create_directories(opts.wal_dir);
+
+  KnowledgeGraph base;
+  base.AddTriple("seed", "links", "root", NodeKind::kEntity,
+                 NodeKind::kEntity, kProv);
+  std::vector<std::string> primary_logs;
+  {
+    auto cluster = Cluster::Create(base, opts);
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    ASSERT_TRUE((*cluster)->Apply(SomeMutations(5, 1)).ok());
+    ASSERT_TRUE((*cluster)->WaitForCatchUp(5000));
+    for (size_t s = 0; s < opts.num_shards; ++s) {
+      primary_logs.push_back(LogBytes((*cluster)->primary(s).log()));
+      ASSERT_FALSE(primary_logs.back().empty()) << "shard " << s;
+    }
+  }
+  for (size_t s = 0; s < opts.num_shards; ++s) {
+    for (size_t r = 0; r < opts.replicas_per_shard; ++r) {
+      EXPECT_EQ(ReadFileBytes(opts.wal_dir + "/s" + std::to_string(s) +
+                              "r" + std::to_string(r) + ".wal"),
+                primary_logs[s])
+          << "s" << s << "r" << r;
+    }
+  }
+
+  // The first cluster wrote node101 -> node102. A second cluster over the
+  // same logs must not come up: with its primary down, its replica would
+  // answer node101 from the old log and miss what this cluster commits.
+  auto again = Cluster::Create(base, opts);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition)
+      << again.status();
+  std::filesystem::remove_all(opts.wal_dir);
 }
 
 // The supervisor's job: a receiver that exhausted its dial budget while
