@@ -1,7 +1,6 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -30,6 +29,26 @@ std::string RenderNode(const KgSnapshot& snap, NodeId id) {
   return RenderNodeName(snap.NodeName(id), snap.NodeKindOf(id));
 }
 
+/// Appends `name`'s kind-tagged rendering ("E:name", see RenderNodeName).
+void AppendNode(std::string* out, std::string_view name,
+                graph::NodeKind kind) {
+  char tag = 'E';
+  switch (kind) {
+    case graph::NodeKind::kEntity:
+      tag = 'E';
+      break;
+    case graph::NodeKind::kText:
+      tag = 'T';
+      break;
+    case graph::NodeKind::kClass:
+      tag = 'C';
+      break;
+  }
+  out->push_back(tag);
+  out->push_back(':');
+  out->append(name);
+}
+
 void AppendField(std::string* key, const std::string& field) {
   key->append(std::to_string(field.size()));
   key->push_back(':');
@@ -54,24 +73,45 @@ const char* QueryKindName(QueryKind kind) {
 }
 
 std::string RenderNodeName(std::string_view name, graph::NodeKind kind) {
-  char tag = 'E';
-  switch (kind) {
-    case graph::NodeKind::kEntity:
-      tag = 'E';
-      break;
-    case graph::NodeKind::kText:
-      tag = 'T';
-      break;
-    case graph::NodeKind::kClass:
-      tag = 'C';
-      break;
-  }
   std::string out;
   out.reserve(name.size() + 2);
-  out.push_back(tag);
-  out.push_back(':');
-  out.append(name);
+  AppendNode(&out, name, kind);
   return out;
+}
+
+std::string RenderAttributeRow(std::string_view subject,
+                               graph::NodeKind subject_kind,
+                               std::string_view object,
+                               graph::NodeKind object_kind) {
+  std::string out;
+  out.reserve(subject.size() + object.size() + 5);
+  AppendNode(&out, subject, subject_kind);
+  out.push_back('\t');
+  AppendNode(&out, object, object_kind);
+  return out;
+}
+
+QueryResult RankTopK(std::vector<NodeId> scored,
+                     const std::vector<uint32_t>& counts, size_t k,
+                     NodeId by_id,
+                     const std::function<std::string_view(NodeId)>& name_of) {
+  const auto better = [&](NodeId a, NodeId b) {
+    if (counts[a] != counts[b]) return counts[a] > counts[b];
+    if (a < by_id && b < by_id) return a < b;
+    return name_of(a) < name_of(b);
+  };
+  const auto cut = scored.begin() + std::min(k, scored.size());
+  std::partial_sort(scored.begin(), cut, scored.end(), better);
+  scored.erase(cut, scored.end());
+  QueryResult rows;
+  rows.reserve(scored.size());
+  for (const NodeId m : scored) {
+    std::string row = RenderNodeName(name_of(m), graph::NodeKind::kEntity);
+    row.push_back('\t');
+    row.append(std::to_string(counts[m]));
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 QueryResult MergeShardResults(std::vector<QueryResult> parts) {
@@ -257,14 +297,27 @@ QueryResult QueryEngine::AttributeByType(const Query& query) const {
   const auto type_pred = snapshot_.FindPredicate(query.type_predicate);
   const auto attr_pred = snapshot_.FindPredicate(query.predicate);
   if (!cls.ok() || !type_pred.ok() || !attr_pred.ok()) return {};
+  // The members are one run of the class's in-edges, and each member's
+  // attributes one run of its out-edges, so rows come out in (subject
+  // id, object id) order. That is byte order unless kinds mix (ids order
+  // E < T < C, tags C < E < T) or one member's name is a prefix of
+  // another's followed by a byte below '\t'; only then does it sort.
   QueryResult rows;
-  for (NodeId s : snapshot_.Subjects(*type_pred, *cls)) {
-    const std::string subject = RenderNode(snapshot_, s);
-    for (NodeId o : snapshot_.Objects(s, *attr_pred)) {
-      rows.push_back(subject + '\t' + RenderNode(snapshot_, o));
+  for (const KgSnapshot::Edge& member : snapshot_.InEdges(*cls)) {
+    if (member.first < *type_pred) continue;
+    if (member.first > *type_pred) break;
+    const NodeId s = member.second;
+    for (const KgSnapshot::Edge& e : snapshot_.OutEdges(s)) {
+      if (e.first < *attr_pred) continue;
+      if (e.first > *attr_pred) break;
+      rows.push_back(RenderAttributeRow(
+          snapshot_.NodeName(s), snapshot_.NodeKindOf(s),
+          snapshot_.NodeName(e.second), snapshot_.NodeKindOf(e.second)));
     }
   }
-  std::sort(rows.begin(), rows.end());
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
   return rows;
 }
 
@@ -273,30 +326,22 @@ QueryResult QueryEngine::TopKRelated(const Query& query) const {
   if (!center.ok() || query.k == 0) return {};
   // Score every entity m by the number of distinct length-2 paths
   // center — n — m (shared neighbors), both edge directions, any
-  // predicate. The center itself never appears in its own shelf.
-  std::unordered_map<NodeId, size_t> score;
+  // predicate. The center itself never appears in its own shelf. An id
+  // past the count array can only come from corrupt postings, and is
+  // skipped.
+  std::vector<uint32_t> counts(snapshot_.num_nodes());
+  std::vector<NodeId> scored;
   for (NodeId n : AdjacentNodes(snapshot_, *center)) {
     if (n == *center) continue;
     for (NodeId m : AdjacentNodes(snapshot_, n)) {
-      if (m == *center) continue;
+      if (m == *center || m >= counts.size()) continue;
       if (snapshot_.NodeKindOf(m) != graph::NodeKind::kEntity) continue;
-      ++score[m];
+      if (counts[m]++ == 0) scored.push_back(m);
     }
   }
-  std::vector<std::pair<NodeId, size_t>> ranked(score.begin(), score.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [this](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return snapshot_.NodeName(a.first) <
-                     snapshot_.NodeName(b.first);
-            });
-  if (ranked.size() > query.k) ranked.resize(query.k);
-  QueryResult rows;
-  rows.reserve(ranked.size());
-  for (const auto& [m, count] : ranked) {
-    rows.push_back(RenderNode(snapshot_, m) + '\t' + std::to_string(count));
-  }
-  return rows;
+  return RankTopK(std::move(scored), counts, query.k,
+                  static_cast<NodeId>(counts.size()),
+                  [this](NodeId m) { return snapshot_.NodeName(m); });
 }
 
 }  // namespace kg::serve

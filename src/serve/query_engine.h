@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +80,25 @@ using QueryResult = std::vector<std::string>;
 /// result rows (kinds can share a surface name, so the tag keeps rows
 /// unambiguous).
 std::string RenderNodeName(std::string_view name, graph::NodeKind kind);
+
+/// An attribute-by-type row, "<subject>\t<object>", built in one
+/// allocation.
+std::string RenderAttributeRow(std::string_view subject,
+                               graph::NodeKind subject_kind,
+                               std::string_view object,
+                               graph::NodeKind object_kind);
+
+/// Top-k's rank-and-render step, shared by QueryEngine and the versioned
+/// store's merged read. `scored` lists each scored entity id once, and
+/// `counts[id]` is its shared-neighbour count. Keeps the `k` best by
+/// count, descending, then by name, ascending, and renders them as top-k
+/// rows. Two ids below `by_id` compare as integers, since snapshot ids
+/// number entities in name order; a pair with an id at or past it
+/// compares `name_of`, which also names the rendered rows.
+QueryResult RankTopK(std::vector<NodeId> scored,
+                     const std::vector<uint32_t>& counts, size_t k,
+                     NodeId by_id,
+                     const std::function<std::string_view(NodeId)>& name_of);
 
 /// A query answer tagged with the replication epoch the serving member
 /// had applied when the answer was computed. The tag is read *before*

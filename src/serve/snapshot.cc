@@ -625,16 +625,6 @@ size_t KgSnapshot::CountObjects(NodeId s, PredicateId p) const {
   return count;
 }
 
-std::vector<NodeId> KgSnapshot::Subjects(PredicateId p, NodeId o) const {
-  std::vector<NodeId> out;
-  for (const Edge& e : PredicateEdges(p)) {
-    if (e.first < o) continue;
-    if (e.first > o) break;
-    out.push_back(e.second);
-  }
-  return out;
-}
-
 bool KgSnapshot::HasTriple(NodeId s, PredicateId p, NodeId o) const {
   for (const Edge& e : OutEdges(s)) {
     if (e.first < p) continue;

@@ -227,9 +227,6 @@ class KgSnapshot {
   /// |Objects(s, p)| without materializing the vector.
   size_t CountObjects(NodeId s, PredicateId p) const;
 
-  /// Subjects s with (s, p, o), ascending.
-  std::vector<NodeId> Subjects(PredicateId p, NodeId o) const;
-
   bool HasTriple(NodeId s, PredicateId p, NodeId o) const;
 
   size_t OutDegree(NodeId s) const { return OutEdges(s).size(); }

@@ -325,14 +325,15 @@ serve::QueryResult MergedAttributeByType(const MergedView& view,
   const OnePredicate type_only = view.Only(q.type_predicate);
   const OnePredicate attr_only = view.Only(q.predicate);
   const auto member_rows = [&](serve::NodeId id, const NodeKey& m) {
-    const std::string subject = Render(m);
     view.ForEachEdge(
         id, m, Direction::kOut, &attr_only,
         [&](serve::PredicateId, serve::NodeId o) {
-          rows.push_back(subject + '\t' + RenderBase(base, o));
+          rows.push_back(serve::RenderAttributeRow(
+              m.second, m.first, base.NodeName(o), base.NodeKindOf(o)));
         },
         [&](const TripleName& t) {
-          rows.push_back(subject + '\t' + Render(FarEnd(t, Direction::kOut)));
+          rows.push_back(serve::RenderAttributeRow(m.second, m.first,
+                                                   t.object, t.object_kind));
         });
   };
   // The members are the class's in-edges under the type predicate. One
@@ -347,15 +348,20 @@ serve::QueryResult MergedAttributeByType(const MergedView& view,
         const NodeKey m = FarEnd(t, Direction::kIn);
         member_rows(view.BaseId(m), m);
       });
-  std::sort(rows.begin(), rows.end());
+  // Base rows arrive in (subject id, object id) order, as in the engine;
+  // overlay rows and mixed kinds are what can break byte order.
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
   return rows;
 }
 
 /// Merged top-k in id space. Nodes present in the base use their snapshot
-/// ids; delta-only nodes get local ids appended past base.num_nodes().
-/// Adjacency is the view's one walk (a raw CSR scan for nodes the overlay
-/// doesn't touch), with overlay neighbors mapped back to ids. Strings are
-/// materialized only for ranking tie-breaks and the final k rendered
+/// ids; delta-only nodes get local ids appended past base.num_nodes(),
+/// and the count array grows with them. Adjacency is the view's one walk
+/// (a raw CSR scan for nodes the overlay doesn't touch), with overlay
+/// neighbors mapped back to ids. Strings are materialized only for
+/// tie-breaks that involve a delta-only entity and the final k rendered
 /// rows, so a miss costs about what the immutable engine pays.
 serve::QueryResult MergedTopKRelated(const MergedView& view,
                                      const serve::Query& q) {
@@ -364,13 +370,18 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
   const uint32_t base_n = static_cast<uint32_t>(base.num_nodes());
   std::map<NodeRef, uint32_t> extra_ids;
   std::vector<const NodeRef*> extra_refs;
+  // One count per local id: counts.size() == base_n + extra_refs.size().
+  std::vector<uint32_t> counts(base_n);
   const auto local_id = [&](const NodeKey& n) -> uint32_t {
     const serve::NodeId id = view.BaseId(n);
     if (id != serve::kInvalidNode) return id;
     const auto [it, inserted] =
         extra_ids.emplace(NodeRef{n.first, std::string(n.second)},
                           base_n + static_cast<uint32_t>(extra_refs.size()));
-    if (inserted) extra_refs.push_back(&it->first);
+    if (inserted) {
+      extra_refs.push_back(&it->first);
+      counts.push_back(0);
+    }
     return it->second;
   };
   const auto adjacency = [&](uint32_t id) {
@@ -400,32 +411,19 @@ serve::QueryResult MergedTopKRelated(const MergedView& view,
     return extra_refs[id - base_n]->second;
   };
 
+  // An id past the count array can only come from a corrupt base row,
+  // and is skipped.
   const uint32_t center = local_id(NodeKey{q.node_kind, q.node});
-  std::unordered_map<uint32_t, size_t> score;
+  std::vector<uint32_t> scored;
   for (const uint32_t n : adjacency(center)) {
-    if (n == center) continue;
+    if (n == center || n >= counts.size()) continue;
     for (const uint32_t m : adjacency(n)) {
-      if (m == center) continue;
+      if (m == center || m >= counts.size()) continue;
       if (kind_of(m) != graph::NodeKind::kEntity) continue;
-      ++score[m];
+      if (counts[m]++ == 0) scored.push_back(m);
     }
   }
-  std::vector<std::pair<uint32_t, size_t>> ranked(score.begin(), score.end());
-  // Count desc, then raw entity name asc — scored nodes are all kEntity,
-  // whose names are unique, so the name is a complete tie-break.
-  std::sort(ranked.begin(), ranked.end(), [&](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return name_of(a.first) < name_of(b.first);
-  });
-  if (ranked.size() > q.k) ranked.resize(q.k);
-  serve::QueryResult rows;
-  rows.reserve(ranked.size());
-  for (const auto& [m, count] : ranked) {
-    rows.push_back(
-        serve::RenderNodeName(name_of(m), graph::NodeKind::kEntity) + '\t' +
-        std::to_string(count));
-  }
-  return rows;
+  return serve::RankTopK(std::move(scored), counts, q.k, base_n, name_of);
 }
 
 /// Sorted, distinct names of the entities adjacent to `n` in the view —

@@ -231,6 +231,21 @@ World MakeWorld(uint64_t seed) {
       NodeKind::kEntity, prov);
   world.kg.RemoveTriple(orphaned);
 
+  // Hostile members of Person, each with one name of its own, so Person
+  // scans mix kinds and names with bytes below '\t': rows the engine
+  // produces out of byte order. Their own stream leaves the draws above
+  // as they were.
+  Rng member_rng(seed * 17 + 3);
+  for (int i = 0; i < 6; ++i) {
+    const auto& m = hostile[member_rng.UniformIndex(hostile.size())];
+    const NodeKind kind = kinds[member_rng.UniformIndex(kinds.size())];
+    world.kg.AddTriple(m, "type", "Person", kind, NodeKind::kClass, prov);
+    world.kg.AddTriple(m, "name",
+                       hostile[member_rng.UniformIndex(hostile.size())],
+                       kind, kinds[member_rng.UniformIndex(kinds.size())],
+                       prov);
+  }
+
   for (const auto& p : universe.people()) {
     world.entity_names.push_back(
         synth::EntityUniverse::PersonNodeName(p.id));

@@ -114,13 +114,16 @@ size_t ExerciseSnapshot(const KgSnapshot& snap) {
   }
   if (nodes > 0 && preds > 0) {
     sink += snap.Objects(0, 0).size();
-    sink += snap.Subjects(0, static_cast<NodeId>(nodes - 1)).size();
     sink += snap.CountObjects(static_cast<NodeId>(nodes - 1), 0);
     sink += snap.HasTriple(0, 0, 0);
   }
   const QueryEngine engine(snap);
   sink += engine.Execute(Query::Neighborhood("plain")).size();
   sink += engine.Execute(Query::PointLookup("e000000001", "has_brand")).size();
+  // Attribute-by-type walks the class's in-edge run, then each decoded
+  // member's out-edge run, and renders both ends.
+  sink += engine.Execute(Query::AttributeByType("c\nlass", "rel\ttab")).size();
+  sink += engine.Execute(Query::AttributeByType("c0000", "has_brand")).size();
   // TopKRelated BFS-expands decoded edge targets through OutEdges/
   // InEdges and renders the winners; runs on whatever ids survive.
   sink += engine.Execute(Query::TopKRelated("e000000001", 5)).size();
