@@ -30,7 +30,7 @@ void HashU32(uint64_t* h, uint32_t v) {
 inline constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 
 /// Core row encoder over packed (first << 32 | second) entries, the form
-/// the builder's transient per-order buffer holds (uint64 sort order ==
+/// the builder's transient row buffers hold (uint64 sort order ==
 /// (first, second) lexicographic order, so a sorted slice is a sorted
 /// row). Format documented at AppendEdgeRow.
 void EncodeRowPacked(const uint64_t* begin, const uint64_t* end,
@@ -201,8 +201,8 @@ struct SnapshotBuilder::Storage {
   std::vector<uint32_t> pred_name_offsets{0};
   std::string pred_arena;
 
-  std::vector<uint64_t> spo_offsets, pos_offsets, osp_offsets;
-  std::string spo_bytes, pos_bytes, osp_bytes;
+  std::vector<uint64_t> spo_offsets, osp_offsets, pred_triple_counts;
+  std::string spo_bytes, osp_bytes;
 
   std::array<std::vector<SnapshotIndexSlot>, 3> node_index;
   std::vector<SnapshotIndexSlot> pred_index;
@@ -288,9 +288,11 @@ Result<KgSnapshot> SnapshotBuilder::Build(const TripleStream& stream) {
 
   // Pass 1 over the stream: validate ids and (s, p, o) ordering, encode
   // the SPO order directly (the stream order *is* SPO row order), count
-  // rows for the other two orders, and extend the fingerprint with the
-  // triple walk.
-  std::vector<uint64_t> pos_counts(m, 0), osp_counts(n, 0);
+  // each predicate's triples and each OSP row's entries (into the slot
+  // after the row's, so a prefix sum turns them into row starts), and
+  // extend the fingerprint with the triple walk.
+  st.pred_triple_counts.assign(m, 0);
+  std::vector<uint64_t> osp_starts(n + 1, 0);
   std::vector<uint64_t> row_edges;  // (p << 32 | o) of the open SPO row
   Status error = Status::OK();
   uint64_t prev_s = 0, prev_p = 0, prev_o = 0;
@@ -325,8 +327,8 @@ Result<KgSnapshot> SnapshotBuilder::Build(const TripleStream& stream) {
       open_row = s;
     }
     row_edges.push_back(static_cast<uint64_t>(p) << 32 | o);
-    ++pos_counts[p];
-    ++osp_counts[o];
+    ++st.pred_triple_counts[p];
+    ++osp_starts[o + 1];
     ++st.num_triples;
     HashU32(&h, s);
     HashU32(&h, p);
@@ -340,60 +342,31 @@ Result<KgSnapshot> SnapshotBuilder::Build(const TripleStream& stream) {
   flush_rows_through(n);
   st.fingerprint = h;
 
-  // Passes 2 and 3: for each remaining order, place packed entries into
-  // their rows with a cursor array, sort each row, and varint-encode.
-  // Transient cost is 8 bytes per posting for exactly one order at a
-  // time, independent of how the stream produces the triples.
-  const auto build_order = [&](const std::vector<uint64_t>& counts,
-                               auto key_row, auto key_packed,
-                               std::vector<uint64_t>* offsets,
-                               std::string* bytes) -> Status {
-    const size_t rows = counts.size();
-    std::vector<uint64_t> starts(rows + 1, 0);
-    std::partial_sum(counts.begin(), counts.end(), starts.begin() + 1);
-    std::vector<uint64_t> cursor(starts.begin(), starts.end() - 1);
-    std::vector<uint64_t> packed(st.num_triples);
-    Status pass_error = Status::OK();
-    stream([&](uint32_t s, uint32_t p, uint32_t o) {
-      if (!pass_error.ok()) return;
-      const uint64_t row = key_row(s, p, o);
-      if (row >= rows || cursor[row] >= starts[row + 1]) {
-        pass_error =
-            Status::InvalidArgument("triple stream did not replay identically");
-        return;
-      }
-      packed[cursor[row]++] = key_packed(s, p, o);
-    });
-    if (!pass_error.ok()) return pass_error;
-    for (size_t row = 0; row < rows; ++row) {
-      if (cursor[row] != starts[row + 1]) {
-        return Status::InvalidArgument(
-            "triple stream did not replay identically");
-      }
-    }
-    offsets->assign(1, 0);
-    offsets->reserve(rows + 1);
-    for (size_t row = 0; row < rows; ++row) {
-      uint64_t* b = packed.data() + starts[row];
-      uint64_t* e = packed.data() + starts[row + 1];
-      std::sort(b, e);
-      EncodeRowPacked(b, e, bytes);
-      offsets->push_back(bytes->size());
-    }
-    return Status::OK();
-  };
-  KG_RETURN_IF_ERROR(build_order(
-      pos_counts, [](uint32_t, uint32_t p, uint32_t) { return p; },
-      [](uint32_t s, uint32_t, uint32_t o) {
-        return static_cast<uint64_t>(o) << 32 | s;
-      },
-      &st.pos_offsets, &st.pos_bytes));
-  KG_RETURN_IF_ERROR(build_order(
-      osp_counts, [](uint32_t, uint32_t, uint32_t o) { return o; },
-      [](uint32_t s, uint32_t p, uint32_t) {
-        return static_cast<uint64_t>(p) << 32 | s;
-      },
-      &st.osp_offsets, &st.osp_bytes));
+  // Pass 2: place packed (p << 32 | s) entries into their object's OSP
+  // row with a cursor array, sort each row, and varint-encode. Transient
+  // cost is 8 bytes per posting, independent of how the stream produces
+  // the triples.
+  std::partial_sum(osp_starts.begin(), osp_starts.end(), osp_starts.begin());
+  std::vector<uint64_t> cursor(osp_starts.begin(), osp_starts.end() - 1);
+  std::vector<uint64_t> packed(st.num_triples);
+  bool replayed = true;
+  stream([&](uint32_t s, uint32_t p, uint32_t o) {
+    replayed = replayed && o < n && cursor[o] < osp_starts[o + 1];
+    if (replayed) packed[cursor[o]++] = static_cast<uint64_t>(p) << 32 | s;
+  });
+  if (!replayed || !std::equal(cursor.begin(), cursor.end(),
+                               osp_starts.begin() + 1)) {
+    return Status::InvalidArgument("triple stream did not replay identically");
+  }
+  st.osp_offsets.assign(1, 0);
+  st.osp_offsets.reserve(n + 1);
+  for (size_t row = 0; row < n; ++row) {
+    uint64_t* b = packed.data() + osp_starts[row];
+    uint64_t* e = packed.data() + osp_starts[row + 1];
+    std::sort(b, e);
+    EncodeRowPacked(b, e, &st.osp_bytes);
+    st.osp_offsets.push_back(st.osp_bytes.size());
+  }
 
   // Name indexes, one table per node kind plus one for predicates.
   std::array<size_t, 3> kind_counts{};
@@ -426,8 +399,7 @@ Result<KgSnapshot> SnapshotBuilder::Build(const TripleStream& stream) {
   parts.sections[kSectionPredArena] = ViewOf(st.pred_arena);
   parts.sections[kSectionSpoOffsets] = ViewOf(st.spo_offsets);
   parts.sections[kSectionSpoBytes] = ViewOf(st.spo_bytes);
-  parts.sections[kSectionPosOffsets] = ViewOf(st.pos_offsets);
-  parts.sections[kSectionPosBytes] = ViewOf(st.pos_bytes);
+  parts.sections[kSectionPredTripleCounts] = ViewOf(st.pred_triple_counts);
   parts.sections[kSectionOspOffsets] = ViewOf(st.osp_offsets);
   parts.sections[kSectionOspBytes] = ViewOf(st.osp_bytes);
   parts.sections[kSectionNodeIndexEntity] = ViewOf(st.node_index[0]);
@@ -466,10 +438,9 @@ KgSnapshot KgSnapshot::FromRawParts(const RawParts& parts,
   s.pred_arena_size_ = sec[kSectionPredArena].size();
   s.spo_ = CsrView{u64(sec[kSectionSpoOffsets]),
                    u8(sec[kSectionSpoBytes]), sec[kSectionSpoBytes].size()};
-  s.pos_ = CsrView{u64(sec[kSectionPosOffsets]),
-                   u8(sec[kSectionPosBytes]), sec[kSectionPosBytes].size()};
   s.osp_ = CsrView{u64(sec[kSectionOspOffsets]),
                    u8(sec[kSectionOspBytes]), sec[kSectionOspBytes].size()};
+  s.pred_triple_counts_ = u64(sec[kSectionPredTripleCounts]);
   const auto index = [](std::string_view v) {
     IndexView out;
     const size_t slots = v.size() / sizeof(SnapshotIndexSlot);
@@ -600,11 +571,6 @@ KgSnapshot::EdgeRange KgSnapshot::InEdges(NodeId o) const {
   return Row(osp_, o);
 }
 
-KgSnapshot::EdgeRange KgSnapshot::PredicateEdges(PredicateId p) const {
-  if (p >= num_predicates_) return EdgeRange();
-  return Row(pos_, p);
-}
-
 std::vector<NodeId> KgSnapshot::Objects(NodeId s, PredicateId p) const {
   std::vector<NodeId> out;
   for (const Edge& e : OutEdges(s)) {
@@ -644,10 +610,9 @@ KgSnapshot::Footprint KgSnapshot::MemoryFootprint() const {
   f.offset_bytes = sections[kSectionNodeNameOffsets].size() +
                    sections[kSectionPredNameOffsets].size() +
                    sections[kSectionSpoOffsets].size() +
-                   sections[kSectionPosOffsets].size() +
+                   sections[kSectionPredTripleCounts].size() +
                    sections[kSectionOspOffsets].size();
   f.posting_bytes = sections[kSectionSpoBytes].size() +
-                    sections[kSectionPosBytes].size() +
                     sections[kSectionOspBytes].size();
   f.index_bytes = sections[kSectionNodeIndexEntity].size() +
                   sections[kSectionNodeIndexText].size() +
@@ -674,9 +639,8 @@ std::array<std::string_view, kNumSnapshotSections> KgSnapshot::SectionBytes()
   out[kSectionSpoOffsets] =
       view(spo_.offsets, (num_nodes_ + 1) * sizeof(uint64_t));
   out[kSectionSpoBytes] = view(spo_.bytes, spo_.byte_size);
-  out[kSectionPosOffsets] =
-      view(pos_.offsets, (num_predicates_ + 1) * sizeof(uint64_t));
-  out[kSectionPosBytes] = view(pos_.bytes, pos_.byte_size);
+  out[kSectionPredTripleCounts] =
+      view(pred_triple_counts_, num_predicates_ * sizeof(uint64_t));
   out[kSectionOspOffsets] =
       view(osp_.offsets, (num_nodes_ + 1) * sizeof(uint64_t));
   out[kSectionOspBytes] = view(osp_.bytes, osp_.byte_size);

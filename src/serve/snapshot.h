@@ -57,8 +57,7 @@ enum SnapshotSection : size_t {
   kSectionPredArena,         ///< concatenated predicate names, id order
   kSectionSpoOffsets,        ///< uint64_t[num_nodes + 1] into SPO bytes
   kSectionSpoBytes,          ///< varint edge rows, Edge{predicate, object}
-  kSectionPosOffsets,        ///< uint64_t[num_predicates + 1]
-  kSectionPosBytes,          ///< varint edge rows, Edge{object, subject}
+  kSectionPredTripleCounts,  ///< uint64_t[num_predicates], triple counts
   kSectionOspOffsets,        ///< uint64_t[num_nodes + 1]
   kSectionOspBytes,          ///< varint edge rows, Edge{predicate, subject}
   kSectionNodeIndexEntity,   ///< IndexSlot[power of two], kEntity names
@@ -80,10 +79,10 @@ static_assert(sizeof(SnapshotIndexSlot) == 16);
 
 /// An immutable, read-optimized compilation of a KnowledgeGraph: the live
 /// triple set re-interned into dense sorted ids with CSR-style adjacency in
-/// the three access orders the serving queries need —
+/// the two access orders the serving queries need —
 ///   SPO (per subject, sorted by predicate then object),
-///   POS (per predicate, sorted by object then subject),
-///   OSP (per object,  sorted by predicate then subject).
+///   OSP (per object,  sorted by predicate then subject) —
+/// plus each predicate's triple count.
 /// Tombstoned triples and nodes/predicates that appear only in tombstones
 /// are compiled out, so the snapshot — including `Fingerprint()` — is a
 /// pure function of the asserted knowledge.
@@ -217,8 +216,10 @@ class KgSnapshot {
   /// In-edges of `o`: Edge{predicate, subject}, sorted (p, s).
   EdgeRange InEdges(NodeId o) const;
 
-  /// All assertions of `p`: Edge{object, subject}, sorted (o, s).
-  EdgeRange PredicateEdges(PredicateId p) const;
+  /// Number of triples whose predicate is `p`; 0 for an out-of-range id.
+  uint64_t PredicateTripleCount(PredicateId p) const {
+    return p < num_predicates_ ? pred_triple_counts_[p] : 0;
+  }
 
   /// Objects o with (s, p, o), ascending. One pass over row s with early
   /// exit past predicate p: O(deg(s)) worst case, O(prefix) typical.
@@ -253,8 +254,8 @@ class KgSnapshot {
   struct Footprint {
     uint64_t kind_bytes = 0;      ///< node kind array
     uint64_t arena_bytes = 0;     ///< node + predicate name bytes
-    uint64_t offset_bytes = 0;    ///< name-offset + CSR-offset arrays
-    uint64_t posting_bytes = 0;   ///< varint edge rows, all three orders
+    uint64_t offset_bytes = 0;    ///< name + CSR offsets, predicate counts
+    uint64_t posting_bytes = 0;   ///< varint edge rows, both orders
     uint64_t index_bytes = 0;     ///< name index slot arrays
 
     uint64_t total() const {
@@ -347,8 +348,8 @@ class KgSnapshot {
   uint64_t pred_arena_size_ = 0;
 
   CsrView spo_{};
-  CsrView pos_{};
   CsrView osp_{};
+  const uint64_t* pred_triple_counts_ = nullptr;
 
   std::array<IndexView, 3> node_index_{};  ///< One table per NodeKind.
   IndexView predicate_index_{};
@@ -376,8 +377,8 @@ bool DecodeEdgeRow(std::string_view bytes,
 
 /// Streams a snapshot together without materializing a KnowledgeGraph:
 /// feed the vocabulary in dense-id order, then Build() with a triple
-/// stream. Peak transient memory is O(vocab + 8 bytes * max per-order
-/// postings), independent of how the triples are produced.
+/// stream. Peak transient memory is O(vocab + 8 bytes * triples),
+/// independent of how the triples are produced.
 class SnapshotBuilder {
  public:
   using TripleSink = std::function<void(uint32_t s, uint32_t p, uint32_t o)>;
@@ -393,7 +394,7 @@ class SnapshotBuilder {
 
   /// Phase 2: `stream` must invoke the sink once per triple, sorted by
   /// (s, p, o) (duplicates allowed), and must replay the identical
-  /// sequence each time it is called — Build calls it up to three times,
+  /// sequence each time it is called — Build calls it at most twice,
   /// once per CSR order. Returns InvalidArgument on out-of-range ids,
   /// ordering violations, or a vocabulary whose name arena would exceed
   /// the 32-bit offset space of the snapshot format.

@@ -43,7 +43,6 @@ uint64_t ReadU64(const uint8_t* p) {
 }
 
 struct ParsedHeader {
-  uint32_t container_version = 0;
   uint32_t schema_version = 0;
   uint64_t num_nodes = 0;
   uint64_t num_predicates = 0;
@@ -67,12 +66,24 @@ Result<ParsedHeader> ValidateHeader(std::string_view data) {
   const auto bad = [](const char* why) {
     return Status::InvalidArgument(std::string("binary snapshot: ") + why);
   };
-  if (data.size() < kBinarySnapshotHeaderSize) return bad("truncated header");
+  if (data.size() < 12) return bad("truncated header");  // magic, version
   const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data());
   if (std::memcmp(p, kBinarySnapshotMagic, 8) != 0) return bad("bad magic");
+  // The container version fixes where every later field lives, the
+  // header checksum included, so it is read first. A newer file is
+  // retriable (an upgraded reader may open it); an older one is not.
+  const uint32_t version = ReadU32(p + 8);
+  if (version != kBinarySnapshotContainerVersion) {
+    const bool newer = version > kBinarySnapshotContainerVersion;
+    const std::string why = "binary snapshot: container version " +
+                            std::to_string(version) +
+                            (newer ? " newer" : " older") + " than supported " +
+                            std::to_string(kBinarySnapshotContainerVersion);
+    return newer ? Status::Unavailable(why) : Status::InvalidArgument(why);
+  }
+  if (data.size() < kBinarySnapshotHeaderSize) return bad("truncated header");
 
   ParsedHeader h;
-  h.container_version = ReadU32(p + 8);
   h.schema_version = ReadU32(p + 12);
   h.num_nodes = ReadU64(p + 16);
   h.num_predicates = ReadU64(p + 24);
@@ -93,12 +104,6 @@ Result<ParsedHeader> ValidateHeader(std::string_view data) {
   if (Checksum32(data.substr(0, kBinarySnapshotHeaderSize - 4)) !=
       header_checksum) {
     return bad("header checksum mismatch");
-  }
-  if (h.container_version != kBinarySnapshotContainerVersion) {
-    return Status::Unavailable(
-        "binary snapshot: container version " +
-        std::to_string(h.container_version) + " newer than supported " +
-        std::to_string(kBinarySnapshotContainerVersion));
   }
   if (h.num_nodes >= UINT32_MAX || h.num_predicates >= UINT32_MAX) {
     return bad("counts exceed 32-bit id space");
@@ -129,7 +134,7 @@ Result<ParsedHeader> ValidateHeader(std::string_view data) {
   KG_RETURN_IF_ERROR(
       expect(h.sections[kSectionPredNameOffsets], (m + 1) * 4, 4));
   KG_RETURN_IF_ERROR(expect(h.sections[kSectionSpoOffsets], (n + 1) * 8, 8));
-  KG_RETURN_IF_ERROR(expect(h.sections[kSectionPosOffsets], (m + 1) * 8, 8));
+  KG_RETURN_IF_ERROR(expect(h.sections[kSectionPredTripleCounts], m * 8, 8));
   KG_RETURN_IF_ERROR(expect(h.sections[kSectionOspOffsets], (n + 1) * 8, 8));
   // Variable-size sections: arenas and posting bytes are free-form (the
   // accessors clamp), index tables must be whole power-of-two slot

@@ -13,7 +13,7 @@ namespace kg::serve {
 /// layout and section framing. Independent of kSnapshotSchemaVersion,
 /// which describes the *section contents* and is carried inside the
 /// header: a future schema can ship in the same container.
-inline constexpr uint32_t kBinarySnapshotContainerVersion = 1;
+inline constexpr uint32_t kBinarySnapshotContainerVersion = 2;
 
 /// The 8-byte magic that opens every binary snapshot file.
 inline constexpr char kBinarySnapshotMagic[8] = {'K', 'G', 'S', 'N',
@@ -28,8 +28,8 @@ inline constexpr char kBinarySnapshotMagic[8] = {'K', 'G', 'S', 'N',
 ///   [32]  u64 num_triples
 ///   [40]  u64 fingerprint
 ///   [48]  {u64 offset, u64 size}[kNumSnapshotSections] section table
-///   [288] u32 payload_checksum   (Checksum32 of file[296, file_size))
-///   [292] u32 header_checksum    (Checksum32 of file[0, 292))
+///   [272] u32 payload_checksum   (Checksum32 of file[280, file_size))
+///   [276] u32 header_checksum    (Checksum32 of file[0, 276))
 /// Sections start at 8-byte-aligned offsets with zero padding between
 /// them; the payload checksum covers the padding too, so *every* bit of
 /// the file after the header is integrity-checked.
@@ -58,8 +58,8 @@ std::string SerializeSnapshotBinary(const KgSnapshot& snapshot);
 /// Parses binary bytes into a snapshot backed by a fresh 8-aligned heap
 /// copy of `data` (the copy is what makes arbitrary test/fuzz buffers
 /// safe — std::string storage guarantees no alignment). Rejects with
-/// InvalidArgument on any structural violation, Unavailable on a newer
-/// container version.
+/// InvalidArgument on any structural violation or an older container
+/// version, Unavailable on a newer one.
 Result<KgSnapshot> DeserializeSnapshotBinary(
     std::string_view data, BinaryVerify verify = BinaryVerify::kChecksum);
 

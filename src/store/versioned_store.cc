@@ -510,7 +510,7 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
   for (const Ids& t : removed) {
     cut_node(t[0]);
     cut_node(t[2]);
-    if (++pred_cut[t[1]] == base.PredicateEdges(t[1]).size()) {
+    if (++pred_cut[t[1]] == base.PredicateTripleCount(t[1])) {
       pred_remap[t[1]] = serve::kInvalidNode;
     }
   }
@@ -912,30 +912,41 @@ std::vector<serve::QueryResult> VersionedKgStore::BatchExecute(
 }
 
 VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
-  CompactionStats stats;
+  std::optional<PendingFold> fold = PinAndFold();
+  if (!fold) return CompactionStats{};  // another fold is running
+  return InstallFold(std::move(*fold));
+}
+
+std::optional<VersionedKgStore::PendingFold> VersionedKgStore::PinAndFold() {
   if (compaction_in_flight_.exchange(true, std::memory_order_acq_rel)) {
-    return stats;  // another fold is running; ran stays false
+    return std::nullopt;
   }
-  const auto started = std::chrono::steady_clock::now();
+  PendingFold fold;
+  fold.started = std::chrono::steady_clock::now();
   std::shared_ptr<const StoreEpoch> pinned;
-  uint64_t fold_seq = 0;
   {
     std::lock_guard<std::mutex> writer(writer_mu_);
     pinned = current_;  // O(1) pin; Apply resumes as soon as we unlock
-    fold_seq = next_seq_ - 1;
+    fold.seq = next_seq_ - 1;
   }
   // The slow part — folding the pinned overlay into a fresh CSR
   // snapshot — runs without any lock, so writers and readers proceed at
   // full speed underneath it.
-  auto base = std::make_shared<const serve::KgSnapshot>(
+  fold.base = std::make_shared<const serve::KgSnapshot>(
       FoldDelta(*pinned->base, *pinned->delta));
+  return fold;
+}
+
+VersionedKgStore::CompactionStats VersionedKgStore::InstallFold(
+    PendingFold fold) {
+  CompactionStats stats;
   {
     std::lock_guard<std::mutex> writer(writer_mu_);
     const std::shared_ptr<const MemDelta> old_delta = current_->delta;
     auto next_delta = std::make_shared<MemDelta>(*old_delta);
     // Entries at or before the fold line are the new base's; newer ones
     // keep shadowing it (their state already accounts for any base).
-    next_delta->TrimThrough(fold_seq);
+    next_delta->TrimThrough(fold.seq);
     stats.folded = old_delta->size() - next_delta->size();
     std::set<size_t> shards;
     if (cache_) {
@@ -944,7 +955,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
       // the folded mutations map to keeps the blast radius of any future
       // merge bug bounded — and only those shards, the rest keep serving.
       old_delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-        if (e.seq > fold_seq) return;
+        if (e.seq > fold.seq) return;
         for (const std::string& key : AffectedCacheKeys(t)) {
           shards.insert(cache_->ShardOf(key));
         }
@@ -952,7 +963,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
     }
     auto epoch = std::make_shared<StoreEpoch>();
     epoch->version = current_->version + 1;
-    epoch->base = std::move(base);
+    epoch->base = std::move(fold.base);
     epoch->delta = std::move(next_delta);
     // The fold renumbered the base: resolve the surviving entries anew.
     epoch->touched_nodes = TouchedNodes(*epoch->base, *epoch->delta);
@@ -971,7 +982,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
     }
   }
   stats.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - started)
+                      std::chrono::steady_clock::now() - fold.started)
                       .count();
   stats.ran = true;
   if (metrics_.compactions != nullptr) {

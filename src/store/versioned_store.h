@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -258,7 +259,24 @@ class VersionedKgStore {
   }
 
  private:
+  /// Runs Compact()'s two steps apart, so a test can land a write
+  /// between the fold's pin and its install.
+  friend class CompactionSteps;
+
   VersionedKgStore() = default;
+
+  /// A pinned epoch's fold, waiting to be installed.
+  struct PendingFold {
+    std::chrono::steady_clock::time_point started;
+    uint64_t seq = 0;  ///< Last mutation the fold covers.
+    std::shared_ptr<const serve::KgSnapshot> base;
+  };
+  /// Compact()'s first step: claims the compaction slot (empty when it is
+  /// taken), pins the current epoch and folds it with no lock held.
+  std::optional<PendingFold> PinAndFold();
+  /// Compact()'s second step: trims the folded entries, publishes the new
+  /// base and releases the compaction slot.
+  CompactionStats InstallFold(PendingFold fold);
 
   /// The generation suffix for `q`'s cache key ("" for node-addressed
   /// classes, which use erase-based invalidation instead).

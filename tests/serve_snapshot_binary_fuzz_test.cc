@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +51,34 @@ KgSnapshot HostileSnapshot() {
   }
   return KgSnapshot::Compile(kg);
 }
+
+uint64_t ReadU64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void WriteU64At(std::string* bytes, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Re-stamps the header checksum after a deliberate header edit, so the
+/// edit is the only defect the loader sees.
+void RestampHeaderChecksum(std::string* bytes) {
+  const uint32_t fixed = Checksum32(
+      std::string_view(*bytes).substr(0, kBinarySnapshotHeaderSize - 4));
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[kBinarySnapshotHeaderSize - 4 + i] =
+        static_cast<char>((fixed >> (8 * i)) & 0xff);
+  }
+}
+
+/// Byte offset of section `sec`'s {offset, size} entry in the header.
+size_t SectionEntry(SnapshotSection sec) { return 48 + 16 * sec; }
 
 KgSnapshot ScaleSnapshot() {
   synth::ScaleWorldSpec spec;
@@ -93,15 +123,10 @@ size_t ExerciseSnapshot(const KgSnapshot& snap) {
   for (size_t p = 0; p < preds; ++p) {
     const PredicateId id = static_cast<PredicateId>(p);
     sink += snap.PredicateName(id).size();
-    for (const KgSnapshot::Edge& e : snap.PredicateEdges(id)) {
-      // Edge{object, subject}: both halves are node ids.
-      sink += snap.NodeName(e.first).size();
-      sink += snap.NodeName(e.second).size();
-      sink += static_cast<size_t>(snap.NodeKindOf(e.first));
-    }
+    sink += snap.PredicateTripleCount(id);
   }
   // Out-of-range ids must degrade (empty name / default kind / empty
-  // range), never read or abort.
+  // range / zero count), never read or abort.
   for (const uint32_t hostile :
        {static_cast<uint32_t>(nodes), static_cast<uint32_t>(nodes + 1),
         static_cast<uint32_t>(preds), UINT32_MAX}) {
@@ -110,7 +135,7 @@ size_t ExerciseSnapshot(const KgSnapshot& snap) {
     sink += snap.PredicateName(hostile).size();
     sink += snap.OutEdges(hostile).size();
     sink += snap.InEdges(hostile).size();
-    sink += snap.PredicateEdges(hostile).size();
+    sink += snap.PredicateTripleCount(hostile);
   }
   if (nodes > 0 && preds > 0) {
     sink += snap.Objects(0, 0).size();
@@ -246,33 +271,14 @@ TEST(SnapshotBinaryFuzzTest, RejectsOverlappingSectionsEvenWithValidChecksums) {
   // check while aliasing two sections onto the same bytes. That is
   // memory-safe but structurally unsound; the loader must reject it.
   std::string bytes = SerializeSnapshotBinary(HostileSnapshot());
-  const auto read_u64 = [&bytes](size_t at) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto write_u64 = [&bytes](size_t at, uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-  };
   // Point the predicate arena at the node arena's bytes. Both are
   // free-form byte sections (no size-from-counts or alignment demands),
   // and the node arena is the larger, so every per-section check passes.
-  const size_t table = 48;
-  const uint64_t node_arena_off = read_u64(table + 16 * kSectionNodeArena);
-  write_u64(table + 16 * kSectionPredArena, node_arena_off);
-  // Re-stamp the header checksum; the payload bytes are untouched, so
-  // the payload checksum stays valid and overlap is the only defect.
-  const uint32_t fixed = Checksum32(
-      std::string_view(bytes).substr(0, kBinarySnapshotHeaderSize - 4));
-  for (int i = 0; i < 4; ++i) {
-    bytes[kBinarySnapshotHeaderSize - 4 + i] =
-        static_cast<char>((fixed >> (8 * i)) & 0xff);
-  }
+  WriteU64At(&bytes, SectionEntry(kSectionPredArena),
+             ReadU64At(bytes, SectionEntry(kSectionNodeArena)));
+  // The payload bytes are untouched, so the payload checksum stays valid
+  // and overlap is the only defect.
+  RestampHeaderChecksum(&bytes);
   for (const BinaryVerify verify :
        {BinaryVerify::kHeader, BinaryVerify::kChecksum}) {
     const auto result = DeserializeSnapshotBinary(bytes, verify);
@@ -283,17 +289,60 @@ TEST(SnapshotBinaryFuzzTest, RejectsOverlappingSectionsEvenWithValidChecksums) {
 
 TEST(SnapshotBinaryFuzzTest, NewerContainerVersionIsUnavailable) {
   std::string bytes = SerializeSnapshotBinary(HostileSnapshot());
-  bytes[8] = 2;  // container version (little-endian u32 at offset 8)
-  // Re-stamp the header checksum so version is the only difference.
-  const uint32_t fixed = Checksum32(
-      std::string_view(bytes).substr(0, kBinarySnapshotHeaderSize - 4));
-  for (int i = 0; i < 4; ++i) {
-    bytes[kBinarySnapshotHeaderSize - 4 + i] =
-        static_cast<char>((fixed >> (8 * i)) & 0xff);
-  }
+  // Container version: little-endian u32 at offset 8.
+  bytes[8] = static_cast<char>(kBinarySnapshotContainerVersion + 1);
+  RestampHeaderChecksum(&bytes);  // version is the only difference
   const auto result = DeserializeSnapshotBinary(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(SnapshotBinaryFuzzTest, OlderContainerVersionIsRefused) {
+  // An older container lays its header out differently, so the version
+  // is judged before the header checksum: the refusal names both
+  // versions instead of reporting a checksum mismatch.
+  const std::string current = SerializeSnapshotBinary(HostileSnapshot());
+  for (const uint32_t older : {kBinarySnapshotContainerVersion - 1, 0u}) {
+    std::string bytes = current;
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>((older >> (8 * i)) & 0xff);
+    }
+    for (const BinaryVerify verify :
+         {BinaryVerify::kHeader, BinaryVerify::kChecksum}) {
+      const auto result = DeserializeSnapshotBinary(bytes, verify);
+      ASSERT_FALSE(result.ok()) << older;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      const std::string message = result.status().ToString();
+      EXPECT_NE(message.find("container version " + std::to_string(older) +
+                             " older than supported " +
+                             std::to_string(kBinarySnapshotContainerVersion)),
+                std::string::npos)
+          << message;
+    }
+  }
+}
+
+TEST(SnapshotBinaryFuzzTest, RejectsPredicateCountSectionOfWrongShape) {
+  // PredicateTripleCount indexes the count section by any in-range
+  // predicate id, so the section must hold exactly one aligned uint64
+  // per predicate; a header claiming otherwise is refused.
+  const std::string bytes = SerializeSnapshotBinary(HostileSnapshot());
+  const size_t entry = SectionEntry(kSectionPredTripleCounts);
+  const uint64_t offset = ReadU64At(bytes, entry);
+  const uint64_t size = ReadU64At(bytes, entry + 8);
+  ASSERT_GT(size, 8u);
+  for (const auto& [new_offset, new_size] :
+       {std::pair{offset, size - 8}, std::pair{offset, size + 8},
+        std::pair{offset + 4, size}}) {
+    std::string mutated = bytes;
+    WriteU64At(&mutated, entry, new_offset);
+    WriteU64At(&mutated, entry + 8, new_size);
+    RestampHeaderChecksum(&mutated);
+    const auto result =
+        DeserializeSnapshotBinary(mutated, BinaryVerify::kHeader);
+    ASSERT_FALSE(result.ok()) << new_offset << " " << new_size;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SnapshotBinaryFuzzTest, FileRoundTripPreservesFingerprint) {
