@@ -5,7 +5,7 @@
 // are compared against the immutable-snapshot path (same cache budget);
 // the headline check is read p99 at 1% writes within 2x of immutable.
 // Each replay runs with stage timing on, so the report attributes the
-// tail by stage (result-cache probe per query class, WAL append and
+// tail by stage (result-cache probe per cached query class, WAL append and
 // overlay merge on the write path) — the breakdown that shows *where*
 // a p99-over-budget run actually spends its extra time.
 // Correctness is enforced the hard way: at checkpoints the store's
@@ -446,8 +446,9 @@ int main() {
   // Attribute the 1%-writes tail: which timed stage is widest at p99.
   // When the headline ratio runs past budget, this is the row to read —
   // the scan-heavy classes' cache probes (attribute_by_type,
-  // topk_related) absorb overlay invalidations, while write-path stages
-  // (WAL append, overlay merge) never block readers directly.
+  // topk_related, the only cached ones) absorb each commit's tag bumps,
+  // while write-path stages (WAL append, overlay merge) never block
+  // readers directly.
   std::string tail_stage;
   if (!reports[1].stage_rows.empty()) {
     const StageRow* widest = &reports[1].stage_rows[0];

@@ -57,27 +57,6 @@ void ShardedLruCache::Put(const std::string& key, Value value) {
   }
 }
 
-bool ShardedLruCache::Erase(const std::string& key) {
-  Shard& shard = *shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return false;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  ++shard.counters.invalidations;
-  return true;
-}
-
-size_t ShardedLruCache::InvalidateShard(size_t shard_id) {
-  Shard& shard = *shards_[shard_id % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const size_t dropped = shard.lru.size();
-  shard.lru.clear();
-  shard.index.clear();
-  shard.counters.invalidations += dropped;
-  return dropped;
-}
-
 size_t ShardedLruCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
@@ -110,7 +89,6 @@ ShardedLruCache::Counters ShardedLruCache::counters() const {
     total.misses += shard->counters.misses;
     total.evictions += shard->counters.evictions;
     total.inserts += shard->counters.inserts;
-    total.invalidations += shard->counters.invalidations;
   }
   return total;
 }

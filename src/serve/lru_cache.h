@@ -34,9 +34,6 @@ class ShardedLruCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t inserts = 0;
-    /// Entries dropped by Erase/InvalidateShard (explicit invalidation),
-    /// counted separately from capacity-driven evictions.
-    uint64_t invalidations = 0;
 
     double HitRate() const {
       const uint64_t total = hits + misses;
@@ -64,17 +61,6 @@ class ShardedLruCache {
   /// entry when the shard is full. Re-putting an existing key updates the
   /// value and recency without counting an insert.
   void Put(const std::string& key, Value value);
-
-  /// Drops `key` if present; returns whether an entry was dropped.
-  /// The exact-key invalidation the versioned store uses when a
-  /// mutation changes one query's answer.
-  bool Erase(const std::string& key);
-
-  /// Drops every entry of one shard (0 <= shard < num_shards) and
-  /// returns how many were dropped. Compaction's coarse invalidation:
-  /// only the shards whose keys a folded mutation could touch are
-  /// flushed, the rest keep serving hits.
-  size_t InvalidateShard(size_t shard);
 
   /// Live entries across all shards.
   size_t size() const;

@@ -40,20 +40,6 @@ std::optional<std::array<uint32_t, 3>> FindBaseTriple(
   return std::array<uint32_t, 3>{*s, *p, *o};
 }
 
-/// The node-addressed cache keys whose answers a change to triple `t` (a
-/// Mutation or a TripleName) can change: a triple (s, p, o) can only
-/// change the point lookup (s, p) and the neighborhoods of s and o — the
-/// full invalidation set for the erase-based query classes.
-template <typename T>
-std::vector<std::string> AffectedCacheKeys(const T& t) {
-  return {
-      serve::Query::PointLookup(t.subject, t.predicate, t.subject_kind)
-          .CacheKey(),
-      serve::Query::Neighborhood(t.subject, t.subject_kind).CacheKey(),
-      serve::Query::Neighborhood(t.object, t.object_kind).CacheKey(),
-  };
-}
-
 /// Appends the base ids of the subject and object of `t` (a Mutation or a
 /// TripleName) that the base has.
 template <typename T>
@@ -156,10 +142,10 @@ struct MergedView {
   /// Sorted-unique nodes adjacent to `n` over live merged edges, either
   /// direction — the merged twin of the engine's AdjacentNodes (multiple
   /// predicates between a pair collapse to one adjacency). The commit
-  /// path's walk (BumpGenerations), kept apart from ForEachEdge on
-  /// purpose: it probes every edge of a touched node by name, and moving
-  /// commits onto the id-space walk halves their overlay merge, which
-  /// shifts the ingest/read balance `ingest_serve` measures (E29).
+  /// path's walk (BumpsOf), kept apart from ForEachEdge on purpose: it
+  /// probes every edge of a touched node by name, and moving commits onto
+  /// the id-space walk halves their overlay merge, which shifts the
+  /// ingest/read balance `ingest_serve` measures (E29).
   std::vector<NodeRef> AdjacentNodes(const NodeRef& n) const {
     std::vector<NodeRef> out;
     const auto n_id = base.FindNode(n.second, n.first);
@@ -451,6 +437,48 @@ std::vector<std::string> AdjacentEntities(const MergedView& view,
   return names;
 }
 
+/// The generation counters a commit bumps (VersionedKgStore's cache
+/// rule): the predicates it writes and the top-k centers it can reach.
+struct GenerationBumps {
+  std::set<std::string> predicates;
+  std::set<std::string> nodes;
+};
+
+/// The bumps of committing `mutations`, read off `next`, the epoch the
+/// commit publishes.
+GenerationBumps BumpsOf(const StoreEpoch& next,
+                        std::span<const Mutation> mutations) {
+  // Top-k(x) depends on edges incident to x (first hop) and to x's
+  // neighbors (second hop). A mutation of edge (s, o) therefore affects
+  // {s, o}, plus N(s) — but only when o is an entity (for x in N(s) the
+  // edge contributes the candidate o via the path x–s–o, and candidates
+  // are entity-filtered) — and symmetrically N(o) only when s is an
+  // entity. Adjacency is read from the post-commit epoch; within a batch
+  // that post-state union still covers every intermediate state, because
+  // a neighbor another batch entry disconnected appears in that entry's
+  // own {s, o} set.
+  const MergedView view(next);
+  GenerationBumps bumps;
+  for (const Mutation& m : mutations) {
+    bumps.predicates.insert(m.predicate);
+    const NodeRef s{m.subject_kind, m.subject};
+    const NodeRef o{m.object_kind, m.object};
+    bumps.nodes.insert(Render(s));
+    bumps.nodes.insert(Render(o));
+    if (o.first == graph::NodeKind::kEntity) {
+      for (const NodeRef& n : view.AdjacentNodes(s)) {
+        bumps.nodes.insert(Render(n));
+      }
+    }
+    if (s.first == graph::NodeKind::kEntity) {
+      for (const NodeRef& n : view.AdjacentNodes(o)) {
+        bumps.nodes.insert(Render(n));
+      }
+    }
+  }
+  return bumps;
+}
+
 /// Assigns the merged vocabulary of a fold its dense ids: base entries
 /// 0..base_count-1 (sorted by `key_of`; kInvalidNode in `remap` marks
 /// one compiled out) interleaved in key order with the overlay-only keys
@@ -652,12 +680,18 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
 }
 
 void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
-                                    const std::function<void()>& invalidate) {
+                                    std::span<const Mutation> mutations) {
+  // The walk reads only `epoch`, which no reader can see yet, so it runs
+  // before the lock.
+  const GenerationBumps bumps =
+      cache_ ? BumpsOf(*epoch, mutations) : GenerationBumps{};
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   current_ = std::move(epoch);
-  // Cache maintenance happens inside the exclusive section so no reader
-  // can fill a stale answer between the swap and the invalidation.
-  if (invalidate) invalidate();
+  // Bumped with the swap: no reader can take the new epoch with an old
+  // tag (and hit an older answer), or an old epoch with a new tag (and
+  // park an older answer under it).
+  for (const std::string& p : bumps.predicates) ++predicate_gen_[p];
+  for (const std::string& n : bumps.nodes) ++node_gen_[n];
 }
 
 Status VersionedKgStore::Apply(const Mutation& mutation) {
@@ -682,15 +716,9 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   // writers store to it, and they all serialize here.
   auto next_delta = std::make_shared<MemDelta>(*current_->delta);
   std::vector<serve::NodeId> named;
-  std::vector<std::string> affected;
   for (const Mutation& m : mutations) {
     next_delta->Apply(m, next_seq_++);
     AppendBaseNodes(*current_->base, m, &named);
-    if (cache_) {
-      for (std::string& key : AffectedCacheKeys(m)) {
-        affected.push_back(std::move(key));
-      }
-    }
   }
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = current_->version + 1;
@@ -702,10 +730,7 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
       MergeTouchedNodes(current_->touched_nodes, std::move(named));
   const uint64_t published_version = epoch->version;
   const size_t published_delta = epoch->delta->size();
-  PublishEpoch(std::move(epoch), [&] {
-    for (const std::string& key : affected) cache_->Erase(key);
-  });
-  if (cache_) BumpGenerations(mutations);
+  PublishEpoch(std::move(epoch), mutations);
   if (metrics_.stage_overlay_merge != nullptr) {
     metrics_.stage_overlay_merge->Observe(
         std::chrono::duration<double, std::micro>(
@@ -727,7 +752,6 @@ std::string VersionedKgStore::GenTag(const serve::Query& q) const {
     const auto it = map.find(key);
     return it == map.end() ? 0 : it->second;
   };
-  std::shared_lock<std::shared_mutex> lock(gen_mu_);
   switch (q.kind) {
     case serve::QueryKind::kAttributeByType:
       // The answer is members(type_predicate) x objects(predicate): only
@@ -740,37 +764,6 @@ std::string VersionedKgStore::GenTag(const serve::Query& q) const {
     default:
       return {};
   }
-}
-
-void VersionedKgStore::BumpGenerations(std::span<const Mutation> mutations) {
-  // Top-k(x) depends on edges incident to x (first hop) and to x's
-  // neighbors (second hop). A mutation of edge (s, o) therefore affects
-  // {s, o}, plus N(s) — but only when o is an entity (for x in N(s) the
-  // edge contributes the candidate o via the path x–s–o, and candidates
-  // are entity-filtered) — and symmetrically N(o) only when s is an
-  // entity. Adjacency is read from the just-published epoch; within a
-  // batch that post-state union still covers every intermediate state,
-  // because a neighbor another batch entry disconnected appears in that
-  // entry's own {s, o} set.
-  const MergedView view(*current_);
-  std::set<std::string> preds;
-  std::set<std::string> nodes;
-  for (const Mutation& m : mutations) {
-    preds.insert(m.predicate);
-    const NodeRef s{m.subject_kind, m.subject};
-    const NodeRef o{m.object_kind, m.object};
-    nodes.insert(Render(s));
-    nodes.insert(Render(o));
-    if (o.first == graph::NodeKind::kEntity) {
-      for (const NodeRef& n : view.AdjacentNodes(s)) nodes.insert(Render(n));
-    }
-    if (s.first == graph::NodeKind::kEntity) {
-      for (const NodeRef& n : view.AdjacentNodes(o)) nodes.insert(Render(n));
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(gen_mu_);
-  for (const std::string& p : preds) ++predicate_gen_[p];
-  for (const std::string& n : nodes) ++node_gen_[n];
 }
 
 std::shared_ptr<const StoreEpoch> VersionedKgStore::PinEpoch() const {
@@ -839,61 +832,49 @@ Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
 }
 
 serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
-  if (cache_ == nullptr) return ExecuteAt(*PinEpoch(), query);
-  const bool erase_invalidated =
-      query.kind == serve::QueryKind::kPointLookup ||
-      query.kind == serve::QueryKind::kNeighborhood;
-  // Gen-tagged classes read the tag BEFORE pinning: the pinned state is
-  // then always at-or-after the tag, so a fill can never park an older
-  // answer under a current tag. (The converse — a newer answer under an
-  // old tag — only happens when a concurrent write already retired that
-  // tag, so nothing stale survives it.) The tag lives in row 0 of the
-  // cached value — not in the key — so every query owns exactly one
-  // entry: a retired generation is overwritten in place by the next
-  // read instead of lingering as unreachable garbage that would crowd
-  // live entries out of the LRU.
+  if (cache_ == nullptr || query.kind == serve::QueryKind::kPointLookup ||
+      query.kind == serve::QueryKind::kNeighborhood) {
+    return ExecuteAt(*PinEpoch(), query);
+  }
   obs::Histogram* probe_hist =
       metrics_.stage_cache_probe[static_cast<size_t>(query.kind)];
   const auto t_probe = probe_hist != nullptr
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-  const std::string key = query.CacheKey();
-  const std::string tag = erase_invalidated ? std::string() : GenTag(query);
-  serve::QueryResult cached;
-  bool hit = false;
-  if (cache_->Get(key, &cached)) {
-    if (erase_invalidated) {
-      hit = true;
-    } else if (!cached.empty() && cached.front() == tag) {
-      cached.erase(cached.begin());
-      hit = true;
-    }
-    // Otherwise: retired generation, recompute and overwrite below.
+  // The tag and the epoch come from one shared section, and a commit
+  // publishes and bumps in one exclusive section, so the tag names the
+  // pinned epoch's answer: an entry stored under it holds that answer,
+  // and a miss stores the pinned epoch's answer under it. The tag lives
+  // in row 0 of the cached value — not in the key — so every query owns
+  // exactly one entry: a retired generation is overwritten in place by
+  // the next read instead of lingering as unreachable garbage that would
+  // crowd live entries out of the LRU.
+  std::string tag;
+  std::shared_ptr<const StoreEpoch> epoch;
+  {
+    std::shared_lock<std::shared_mutex> lock(epoch_mu_);
+    tag = GenTag(query);
+    epoch = current_;
   }
+  const std::string key = query.CacheKey();
+  serve::QueryResult cached;
+  const bool hit = cache_->Get(key, &cached) && !cached.empty() &&
+                   cached.front() == tag;
   if (probe_hist != nullptr) {
     probe_hist->Observe(std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t_probe)
                             .count());
   }
-  if (hit) return cached;
-  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
-  serve::QueryResult result = ExecuteAt(*epoch, query);
-  if (erase_invalidated) {
-    // Fill only while the epoch we computed against is still current.
-    // try_to_lock so a publisher holding the exclusive lock is never
-    // waited on (writers must not block readers); losing the race just
-    // skips the fill.
-    std::shared_lock<std::shared_mutex> lock(epoch_mu_, std::try_to_lock);
-    if (lock.owns_lock() && current_->version == epoch->version) {
-      cache_->Put(key, result);
-    }
-  } else {
-    serve::QueryResult stored;
-    stored.reserve(result.size() + 1);
-    stored.push_back(tag);
-    stored.insert(stored.end(), result.begin(), result.end());
-    cache_->Put(key, std::move(stored));
+  if (hit) {
+    cached.erase(cached.begin());
+    return cached;
   }
+  serve::QueryResult result = ExecuteAt(*epoch, query);
+  serve::QueryResult stored;
+  stored.reserve(result.size() + 1);
+  stored.push_back(tag);
+  stored.insert(stored.end(), result.begin(), result.end());
+  cache_->Put(key, std::move(stored));
   return result;
 }
 
@@ -948,19 +929,6 @@ VersionedKgStore::CompactionStats VersionedKgStore::InstallFold(
     // keep shadowing it (their state already accounts for any base).
     next_delta->TrimThrough(fold.seq);
     stats.folded = old_delta->size() - next_delta->size();
-    std::set<size_t> shards;
-    if (cache_) {
-      // Defense in depth: cached answers are maintained incrementally by
-      // Apply and stay correct across the swap, but flushing the shards
-      // the folded mutations map to keeps the blast radius of any future
-      // merge bug bounded — and only those shards, the rest keep serving.
-      old_delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-        if (e.seq > fold.seq) return;
-        for (const std::string& key : AffectedCacheKeys(t)) {
-          shards.insert(cache_->ShardOf(key));
-        }
-      });
-    }
     auto epoch = std::make_shared<StoreEpoch>();
     epoch->version = current_->version + 1;
     epoch->base = std::move(fold.base);
@@ -970,12 +938,8 @@ VersionedKgStore::CompactionStats VersionedKgStore::InstallFold(
     stats.version = epoch->version;
     stats.base_fingerprint = epoch->base->Fingerprint();
     const size_t remaining_delta = epoch->delta->size();
-    PublishEpoch(std::move(epoch), [&] {
-      for (size_t shard : shards) {
-        cache_->InvalidateShard(shard);
-        ++stats.shards_invalidated;
-      }
-    });
+    // A fold changes no answer, so it bumps no tag.
+    PublishEpoch(std::move(epoch));
     if (metrics_.delta_size != nullptr) {
       metrics_.epoch_version->Set(static_cast<int64_t>(stats.version));
       metrics_.delta_size->Set(static_cast<int64_t>(remaining_delta));

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,7 +34,9 @@ struct StoreOptions {
   /// ephemeral replicas). When the file exists, Open replays it —
   /// truncating any torn tail — before serving.
   std::string wal_path;
-  /// Result-cache entries; 0 disables caching.
+  /// Result-cache entries; 0 disables caching. Only the scan classes
+  /// (attribute-by-type, top-k related) are cached; point lookups and
+  /// neighborhoods always read the pinned epoch.
   size_t cache_capacity = 0;
   /// Write-path metrics land here when non-null (not owned; must outlive
   /// the store): "store.applied_mutations" / "store.wal.appended_records"
@@ -47,9 +48,12 @@ struct StoreOptions {
   /// (durable log flush) and "stage_us.overlay_merge" (delta apply and
   /// epoch publish) per applied batch.
   obs::MetricsRegistry* registry = nullptr;
-  /// With `registry`, also time the read path's result-cache probe into
-  /// per-class "stage_us.cache_probe.<class>" histograms. Two extra
-  /// clock reads per cached read, so opt-in like serve's time_queries.
+  /// With `registry` and a cache, also time the read path's result-cache
+  /// probe into per-class "stage_us.cache_probe.<class>" histograms. All
+  /// four are registered; only the cached classes (attribute_by_type,
+  /// topk_related) observe, so the point_lookup and neighborhood ones
+  /// stay empty. Two extra clock reads per cached read, so opt-in like
+  /// serve's time_queries.
   bool time_stages = false;
 };
 
@@ -105,33 +109,35 @@ struct EpochTaggedAdjacency {
 /// Concurrency contract:
 ///   - Writers (Apply*/Compact) serialize on an internal writer lock.
 ///   - Readers never block writers and writers never block readers
-///     beyond the epoch-pointer swap (a pointer assignment under a brief
-///     exclusive lock). Pinned epochs stay valid forever.
+///     beyond the epoch publish: a pointer swap plus the commit's
+///     generation bumps, under one brief exclusive lock. Pinned epochs
+///     stay valid forever.
 ///   - Mutation order is fully specified by the log; replaying the WAL
 ///     onto the same base yields a bit-identical store.
 ///
-/// Cache policy — every query class is cached, with a class-appropriate
-/// targeted invalidation:
-///   - Node-addressed classes (point lookup, neighborhood) have an exact
-///     erase set: a mutation (s, p, o) can only change the point lookup
-///     (s, p) and the neighborhoods of s and o. Apply erases exactly
-///     those keys inside the publish section, and fills are gated on the
-///     epoch still being current, so a slow reader can never poison the
-///     cache with a stale answer.
-///   - Scan-shaped classes (attribute-by-type, top-k related) are cached
-///     under generation-tagged keys instead: an attribute-by-type answer
-///     depends only on triples whose predicate is the queried attribute
-///     or the type predicate, so its tag is those two predicates'
-///     generation counters; a top-k answer depends only on the 2-hop
-///     ball around its center, so its tag is the center's node
-///     generation, and a mutation of edge (s, o) bumps {s, o}, plus
-///     N(s) when o is an entity and N(o) when s is an entity (second-hop
-///     candidates are entity-filtered, so a center two hops away only
-///     sees the edge through its entity endpoint). The tag is stored in
-///     the cached value (row 0) under a stable key, so a bump retires an
-///     entry logically and the next read overwrites it in place — no
-///     scans, no flushes, no unreachable garbage crowding the LRU, and
-///     untouched predicates/nodes keep their hits across writes.
+/// Cache policy — one rule, for the scan-shaped classes only. Point
+/// lookups and neighborhoods always answer from the pinned epoch.
+/// Attribute-by-type and top-k answers are cached under one stable key
+/// per query, with a generation tag in row 0 of the stored value; a hit
+/// needs the stored tag to equal the current one. An attribute-by-type
+/// answer depends only on triples whose predicate is the queried
+/// attribute or the type predicate, so its tag is those two predicates'
+/// generation counters. A top-k answer depends only on the 2-hop ball
+/// around its center, so its tag is the center's node generation, and a
+/// mutation of edge (s, o) bumps {s, o}, plus N(s) when o is an entity
+/// and N(o) when s is an entity (second-hop candidates are
+/// entity-filtered, so a center two hops away only sees the edge
+/// through its entity endpoint).
+///
+/// The rule is exact because tags and epochs move together: a commit
+/// computes its bumps from the epoch it is about to publish and applies
+/// them in the exclusive section that swaps that epoch in, and a cached
+/// read takes its tag and pins its epoch in one shared section. A tag
+/// therefore names the answer of the epoch pinned with it, so a hit
+/// equals that epoch's answer and a miss fills from it. A retired entry
+/// is overwritten in place by the next read — no erase sets, no flushes
+/// (a fold changes no answer and tags are keyed by name), and untouched
+/// predicates/nodes keep their hits across writes.
 class VersionedKgStore {
  public:
   struct CompactionStats {
@@ -139,7 +145,6 @@ class VersionedKgStore {
     uint64_t folded = 0;      ///< Overlay entries folded into the base.
     uint64_t version = 0;     ///< Version of the installed epoch.
     uint64_t base_fingerprint = 0;
-    size_t shards_invalidated = 0;
     double seconds = 0.0;
   };
 
@@ -169,8 +174,10 @@ class VersionedKgStore {
   /// disturbing it.
   std::shared_ptr<const StoreEpoch> PinEpoch() const;
 
-  /// Answers `query` against the current epoch, through the result
-  /// cache when enabled.
+  /// Answers `query` against the current epoch. With a cache, the scan
+  /// classes go through it under the generation-tag rule (see the class
+  /// comment); every answer equals ExecuteAt on an epoch current during
+  /// the call.
   serve::QueryResult Execute(const serve::Query& query) const;
 
   /// Execute with the forward-compatibility gate (serve::CheckSchema on
@@ -278,19 +285,16 @@ class VersionedKgStore {
   /// base and releases the compaction slot.
   CompactionStats InstallFold(PendingFold fold);
 
-  /// The generation suffix for `q`'s cache key ("" for node-addressed
-  /// classes, which use erase-based invalidation instead).
+  /// The generation tag for `q`, a cached (scan-class) query. Caller
+  /// holds `epoch_mu_`.
   std::string GenTag(const serve::Query& q) const;
 
-  /// Advances the generation counters invalidated by `mutations`
-  /// (computed against the just-published epoch; caller holds
-  /// `writer_mu_`).
-  void BumpGenerations(std::span<const Mutation> mutations);
-
-  /// Publishes `epoch` and runs `invalidate` (cache maintenance) under
-  /// the epoch lock, so no stale fill can slip between the two.
+  /// Publishes `epoch`, the result of committing `mutations` (none for a
+  /// fold, which changes no answer). With a cache, the generation bumps
+  /// the commit makes are computed from `epoch` first, then applied in
+  /// the exclusive section that swaps it in. Caller holds `writer_mu_`.
   void PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
-                    const std::function<void()>& invalidate);
+                    std::span<const Mutation> mutations = {});
 
   /// Pre-resolved registry handles (all null when options_.registry is);
   /// registration locks once in Open, never on the write path.
@@ -316,8 +320,9 @@ class VersionedKgStore {
   mutable std::mutex writer_mu_;
   uint64_t next_seq_ = 1;
 
-  /// Guards the current-epoch pointer and gates cache fills against
-  /// concurrent publishes. Shared: pin + fill; exclusive: publish.
+  /// Guards the current-epoch pointer and the generation counters, so a
+  /// tag and an epoch are always read and published together. Shared:
+  /// pin (+ tag, for a cached read); exclusive: publish + bump.
   mutable std::shared_mutex epoch_mu_;
   std::shared_ptr<const StoreEpoch> current_;
 
@@ -325,12 +330,9 @@ class VersionedKgStore {
   std::atomic<bool> compaction_in_flight_{false};
   std::atomic<uint64_t> applied_watermark_{0};
 
-  /// Generation counters behind the gen-tagged cache keys. Written by
-  /// writers (after publish, still inside the writer section), read by
-  /// every attribute-by-type / top-k Execute. Entries accumulate per
-  /// distinct touched predicate/node — bounded by the vocabulary, not by
-  /// the write count.
-  mutable std::shared_mutex gen_mu_;
+  /// Generation counters behind the cached answers' tags, read by every
+  /// cached Execute. Entries accumulate per distinct touched
+  /// predicate/node — bounded by the vocabulary, not by the write count.
   std::unordered_map<std::string, uint64_t> predicate_gen_;
   std::unordered_map<std::string, uint64_t> node_gen_;
 };

@@ -16,7 +16,7 @@ namespace {
 /// outputs, so the generated graph has no accidental structure.
 uint64_t Mix(uint64_t seed, uint64_t s, uint64_t j) {
   uint64_t x = seed ^ (s * 0x9E3779B97F4A7C15ULL) ^
-               (j * 0xBF58476D1CE4E5B9ULL) + 0x94D049BB133111EBULL;
+               ((j * 0xBF58476D1CE4E5B9ULL) + 0x94D049BB133111EBULL);
   x ^= x >> 30;
   x *= 0xBF58476D1CE4E5B9ULL;
   x ^= x >> 27;

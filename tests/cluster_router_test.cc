@@ -73,8 +73,8 @@ KnowledgeGraph CraftedKg() {
 
 std::vector<Query> CraftedQueries() {
   std::vector<Query> queries;
-  for (const std::string& node : {"ann", "bob", "cat", "dan", "eve",
-                                  "tab\there", "missing"}) {
+  for (const char* node : {"ann", "bob", "cat", "dan", "eve", "tab\there",
+                           "missing"}) {
     queries.push_back(Query::PointLookup(node, "knows"));
     queries.push_back(Query::Neighborhood(node));
     queries.push_back(Query::TopKRelated(node, 10));

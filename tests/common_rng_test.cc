@@ -94,7 +94,9 @@ TEST_P(ZipfTest, PmfSumsToOneAndIsDecreasing) {
   double total = 0.0;
   for (size_t r = 0; r < zipf.size(); ++r) {
     total += zipf.Pmf(r);
-    if (r > 0) EXPECT_LE(zipf.Pmf(r), zipf.Pmf(r - 1) + 1e-12);
+    if (r > 0) {
+      EXPECT_LE(zipf.Pmf(r), zipf.Pmf(r - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }

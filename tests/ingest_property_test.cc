@@ -160,16 +160,21 @@ TEST(IngestPropertyTest, ConcurrentReaderSeesConsistentEpochs) {
 
     std::atomic<bool> stop{false};
     std::atomic<size_t> reads{0};
+    std::atomic<size_t> disagreements{0};
     std::thread reader([&] {
       size_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
         // Execute (cached, current epoch) and ExecuteAt (pinned) must
-        // agree within one pinned epoch.
+        // agree within one pinned epoch: when no commit lands around the
+        // Execute, its answer is the pinned epoch's.
         const Query& q = probes[i++ % probes.size()];
-        auto epoch = (*store)->PinEpoch();
-        const auto pinned = (*store)->ExecuteAt(*epoch, q);
-        (void)pinned;
-        (void)(*store)->Execute(q);
+        const auto before = (*store)->PinEpoch();
+        const auto pinned = (*store)->ExecuteAt(*before, q);
+        const auto rows = (*store)->Execute(q);
+        const auto after = (*store)->PinEpoch();
+        if (before->version == after->version && rows != pinned) {
+          disagreements.fetch_add(1);
+        }
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -178,6 +183,7 @@ TEST(IngestPropertyTest, ConcurrentReaderSeesConsistentEpochs) {
     stop.store(true, std::memory_order_release);
     reader.join();
     EXPECT_GT(reads.load(), 0u);
+    EXPECT_EQ(disagreements.load(), 0u);
     EXPECT_EQ(report.units_processed, w.plan.num_units());
 
     // Post-drain answers match a from-scratch rebuild exactly.

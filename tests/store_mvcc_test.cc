@@ -294,6 +294,96 @@ TEST(MvccTest, ConcurrentReadersAlwaysSeeAnExactPublishedVersion) {
   EXPECT_GE(reads.load(), 200u * 1);
 }
 
+// A cached scan answer is never older than the read that returns it: it
+// must equal the reference at some version published between version()
+// before and after the call. A commit that bumped its generation tags
+// after publishing its epoch would let a read that already saw the new
+// version hit the answer cached under the old tag. The writer is paced
+// by the readers' progress, so the answers are cached when each commit
+// lands.
+TEST(MvccTest, CachedScanAnswersAreNeverOlderThanTheRead) {
+  constexpr size_t kMembers = 300;
+  constexpr size_t kCommits = 24;
+  constexpr size_t kReadsPerCommit = 8;
+  const auto member = [](const std::string& prefix, size_t i) {
+    std::string name = std::to_string(i);
+    return prefix + std::string(3 - name.size(), '0') + name;
+  };
+  // Commit c adds one typed, named member, which changes both answers.
+  const auto commit = [&](size_t c) {
+    const std::string m = member("new", c);
+    return std::vector<Mutation>{
+        Mutation::Upsert(m, "type", "Person", NodeKind::kEntity,
+                         NodeKind::kClass, kProv),
+        Mutation::Upsert(m, "name", "Name " + m, NodeKind::kEntity,
+                         NodeKind::kText, kProv)};
+  };
+  KnowledgeGraph base;
+  for (size_t i = 0; i < kMembers; ++i) {
+    const std::string m = member("m", i);
+    base.AddTriple(m, "type", "Person", NodeKind::kEntity, NodeKind::kClass,
+                   kProv);
+    base.AddTriple(m, "name", "Name " + m, NodeKind::kEntity,
+                   NodeKind::kText, kProv);
+  }
+  const std::vector<Query> probes = {
+      Query::AttributeByType("Person", "name"),
+      Query::TopKRelated(member("m", 0), kMembers + kCommits)};
+  std::vector<std::vector<QueryResult>> reference(kCommits + 1);
+  {
+    KnowledgeGraph oracle = base;
+    for (size_t v = 0; v <= kCommits; ++v) {
+      if (v > 0) {
+        for (const Mutation& m : commit(v - 1)) ApplyToKg(&oracle, m);
+      }
+      const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
+      const serve::QueryEngine engine(snap);
+      for (const Query& q : probes) {
+        reference[v].push_back(engine.ExecuteUncached(q));
+      }
+    }
+  }
+
+  StoreOptions options;
+  options.cache_capacity = 16;  // Two entries per shard: both probes fit.
+  auto opened = VersionedKgStore::Open(base, options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto& store = **opened;
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<size_t> reads{0};
+  std::atomic<size_t> older{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = r; !writer_done.load(std::memory_order_acquire); ++i) {
+        const size_t qi = i % probes.size();
+        const uint64_t first = store.version();
+        const QueryResult rows = store.Execute(probes[qi]);
+        const uint64_t last = store.version();
+        bool current = false;
+        for (uint64_t v = first; v <= last && !current; ++v) {
+          current = rows == reference[v][qi];
+        }
+        if (!current) older.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  for (size_t c = 0; c < kCommits; ++c) {
+    const size_t due = reads.load(std::memory_order_acquire) + kReadsPerCommit;
+    while (reads.load(std::memory_order_acquire) < due) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(store.ApplyBatch(commit(c)).ok());
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(older.load(), 0u);
+  EXPECT_EQ(store.version(), kCommits);
+}
+
 // A write that lands while a fold runs survives it in the trimmed delta,
 // and the installed epoch must resolve that entry's nodes against the
 // new base, whose ids the fold shifted. The write lands between the

@@ -82,15 +82,24 @@ TEST(StoreSustainedUpsertTest, CompactionCyclesNeverChangeAnswers) {
   const std::vector<Query> probes = FourClassProbes();
 
   // Background reader: loops the four query classes against whatever
-  // epoch is current, across every batch and compaction below.
+  // epoch is current, across every batch and compaction below. When no
+  // commit or fold lands around an Execute, its answer must be the
+  // pinned epoch's.
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
+  std::atomic<size_t> disagreements{0};
   std::thread reader([&] {
     size_t i = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      auto epoch = store.PinEpoch();
-      (void)store.ExecuteAt(*epoch, probes[i % probes.size()]);
-      (void)store.Execute(probes[(i + 1) % probes.size()]);
+      const Query& q = probes[(i + 1) % probes.size()];
+      const auto before = store.PinEpoch();
+      (void)store.ExecuteAt(*before, probes[i % probes.size()]);
+      const serve::QueryResult rows = store.Execute(q);
+      const auto after = store.PinEpoch();
+      if (before->version == after->version &&
+          rows != store.ExecuteAt(*before, q)) {
+        disagreements.fetch_add(1);
+      }
       ++i;
       reads.fetch_add(1, std::memory_order_relaxed);
     }
@@ -147,6 +156,7 @@ TEST(StoreSustainedUpsertTest, CompactionCyclesNeverChangeAnswers) {
 
   EXPECT_GE(compactions_done, 3) << "the regression needs >= 3 cycles";
   EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(disagreements.load(), 0u);
   EXPECT_EQ(store.applied_mutations(), stream.size());
   check_against_rebuild("final");
 }

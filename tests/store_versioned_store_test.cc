@@ -1,8 +1,8 @@
 // VersionedKgStore unit suite: overlay reads vs a from-scratch rebuild,
 // upsert/retract/resurrect semantics, WAL crash recovery (bit-identical
 // state), compaction folding + fingerprint equality with a batch build,
-// targeted cache invalidation, thread-count-invariant BatchExecute, and
-// the write- and read-path stage histograms.
+// the scan-answer cache's generation-tag rule, thread-count-invariant
+// BatchExecute, and the write- and read-path stage histograms.
 
 #include "store/versioned_store.h"
 
@@ -104,6 +104,18 @@ std::unique_ptr<VersionedKgStore> MustOpen(KnowledgeGraph base,
   auto store = VersionedKgStore::Open(std::move(base), std::move(options));
   EXPECT_TRUE(store.ok()) << store.status();
   return std::move(*store);
+}
+
+/// Runs `q` through `store` and reports whether the cached answer served
+/// it: a miss recomputes and stores the answer under a new tag (row 0),
+/// while a hit leaves the stored entry as it was.
+bool ServedFromCache(VersionedKgStore& store, const Query& q) {
+  QueryResult before;
+  QueryResult after;
+  const bool stored = store.cache()->Get(q.CacheKey(), &before);
+  (void)store.Execute(q);
+  store.cache()->Get(q.CacheKey(), &after);
+  return stored && before == after;
 }
 
 struct TempWalPath {
@@ -367,42 +379,72 @@ TEST(VersionedStoreTest, BackgroundCompactionOnThreadPool) {
   ExpectMatchesRebuild(*store, oracle, "background compaction");
 }
 
-TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {
+TEST(VersionedStoreTest, ScanAnswersHitUntilACommitBumpsTheirTags) {
   StoreOptions options;
   options.cache_capacity = 64;
   auto store = MustOpen(BaseKg(), options);
   ASSERT_NE(store->cache(), nullptr);
-
-  const Query affected = Query::PointLookup("alice", "knows");
-  const Query bystander = Query::Neighborhood("carol");
-  const QueryResult first = store->Execute(affected);
-  const QueryResult second = store->Execute(affected);
-  EXPECT_EQ(first, second);
-  (void)store->Execute(bystander);
-  auto counters = store->cache()->counters();
-  EXPECT_GE(counters.hits, 1u);
-
-  // A write touching (alice, knows, dana) must invalidate the point
-  // lookup and both neighborhoods — and nothing else.
-  ASSERT_TRUE(store->Apply(Mutation::Upsert("alice", "knows", "dana",
-                                            NodeKind::kEntity,
-                                            NodeKind::kEntity, kProv))
-                  .ok());
-  QueryResult updated = store->Execute(affected);
-  ASSERT_EQ(updated.size(), first.size() + 1);
-  // The fresh answer includes the new object and is served consistently
-  // (second read hits the refilled entry).
-  EXPECT_EQ(store->Execute(affected), updated);
-
-  counters = store->cache()->counters();
-  EXPECT_GE(counters.invalidations, 1u);
-
-  // Cached answers always equal uncached recomputation.
   KnowledgeGraph oracle = BaseKg();
-  ApplyToKg(&oracle,
-            Mutation::Upsert("alice", "knows", "dana", NodeKind::kEntity,
-                             NodeKind::kEntity, kProv));
-  ExpectMatchesRebuild(*store, oracle, "cached store");
+  const auto apply = [&](const Mutation& m) {
+    ASSERT_TRUE(store->Apply(m).ok());
+    ApplyToKg(&oracle, m);
+  };
+  const Query names = Query::AttributeByType("Person", "name");
+  const Query related = Query::TopKRelated("alice", 5);
+  EXPECT_FALSE(ServedFromCache(*store, names));
+  EXPECT_FALSE(ServedFromCache(*store, related));
+  EXPECT_TRUE(ServedFromCache(*store, names));
+  EXPECT_TRUE(ServedFromCache(*store, related));
+
+  // A write to another predicate, away from alice, retires neither
+  // answer; nor does a fold, which changes no answer.
+  apply(Mutation::Upsert("dana", "likes", "jazz", NodeKind::kEntity,
+                         NodeKind::kText, kProv));
+  EXPECT_TRUE(ServedFromCache(*store, names));
+  EXPECT_TRUE(ServedFromCache(*store, related));
+  ExpectMatchesRebuild(*store, oracle, "unrelated write");
+  ASSERT_TRUE(store->Compact().ran);
+  EXPECT_TRUE(ServedFromCache(*store, names));
+  EXPECT_TRUE(ServedFromCache(*store, related));
+  ExpectMatchesRebuild(*store, oracle, "fold");
+
+  // A write to the attribute predicate retires the attribute answer.
+  apply(Mutation::Upsert("dana", "name", "Dana D.", NodeKind::kEntity,
+                         NodeKind::kText, kProv));
+  EXPECT_FALSE(ServedFromCache(*store, names));
+  ExpectMatchesRebuild(*store, oracle, "attribute write");
+  // So does one to the type predicate alone: typing the named dana adds
+  // her row.
+  apply(Mutation::Upsert("dana", "type", "Person", NodeKind::kEntity,
+                         NodeKind::kClass, kProv));
+  EXPECT_FALSE(ServedFromCache(*store, names));
+  ExpectMatchesRebuild(*store, oracle, "type write");
+
+  // The rebuild check above cached alice's top-k under its current tag.
+  // carol–erin is two hops from alice: only the entity rule's N(s) bump
+  // (o is an entity, so every neighbor of carol) retires that answer,
+  // which now counts erin.
+  EXPECT_TRUE(ServedFromCache(*store, related));
+  apply(Mutation::Upsert("carol", "knows", "erin", NodeKind::kEntity,
+                         NodeKind::kEntity, kProv));
+  EXPECT_FALSE(ServedFromCache(*store, related));
+  EXPECT_TRUE(ServedFromCache(*store, names));
+  ExpectMatchesRebuild(*store, oracle, "two-hop write");
+
+  // Point lookups and neighborhoods read the epoch, never the cache.
+  const auto before = store->cache()->counters();
+  const size_t entries = store->cache()->size();
+  for (const Query& q : ProbeQueries()) {
+    if (q.kind == serve::QueryKind::kPointLookup ||
+        q.kind == serve::QueryKind::kNeighborhood) {
+      (void)store->Execute(q);
+    }
+  }
+  const auto after = store->cache()->counters();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(store->cache()->size(), entries);
 }
 
 TEST(VersionedStoreTest, BatchExecuteIsThreadCountInvariant) {
@@ -460,15 +502,15 @@ TEST(VersionedStoreTest, WriteStagesObservedOncePerAppliedBatch) {
 
 TEST(VersionedStoreTest, CacheProbeStageObservedPerCachedReadOnlyWhenTimed) {
   const std::vector<Query> reads = {
-      Query::PointLookup("alice", "knows"),  // miss
-      Query::PointLookup("alice", "knows"),  // hit
-      Query::Neighborhood("alice"),
-      Query::AttributeByType("Person", "name"),
-      Query::AttributeByType("Person", "name"),
+      Query::PointLookup("alice", "knows"),  // never cached
+      Query::PointLookup("alice", "knows"),
+      Query::Neighborhood("alice"),              // never cached
+      Query::AttributeByType("Person", "name"),  // miss
+      Query::AttributeByType("Person", "name"),  // hit
       Query::AttributeByType("Person", "knows"),
       Query::TopKRelated("alice", 5),
   };
-  const uint64_t per_class[serve::kNumQueryKinds] = {2, 1, 3, 1};
+  const uint64_t per_class[serve::kNumQueryKinds] = {0, 0, 3, 1};
   for (const bool time_stages : {false, true}) {
     obs::MetricsRegistry registry;
     StoreOptions options;
