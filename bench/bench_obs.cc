@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "core/textrich_kg_pipeline.h"
 #include "graph/knowledge_graph.h"
 #include "obs/bench_sink.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rpc/client.h"
@@ -108,8 +108,6 @@ double TimeReplay(const serve::QueryEngine& engine,
   *sink += rows;
   return seconds;
 }
-
-std::string JsonNumber(double v) { return FormatDouble(v, 3); }
 
 // One timed serial pass over the loopback wire; `trace` (when non-null)
 // rides every request's trace-context extension.
@@ -334,31 +332,34 @@ int main() {
   // ---- Artifacts -------------------------------------------------------
   const size_t threads = ExecPolicy::Hardware().num_threads;
   {
-    std::ostringstream payload;
-    payload << "{\"lookups\":" << kLookups
-            << ",\"repetitions\":" << kRepetitions
-            << ",\"rungs\":{\"bare_ns\":" << JsonNumber(ns_a)
-            << ",\"counters_ns\":" << JsonNumber(ns_b)
-            << ",\"timed_ns\":" << JsonNumber(ns_c) << "}"
-            << ",\"counter_overhead_pct\":" << JsonNumber(counter_pct)
-            << ",\"timed_overhead_pct\":" << JsonNumber(timed_pct)
-            << ",\"budget_pct\":" << JsonNumber(kOverheadBudgetPct)
-            << ",\"gate_ok\":" << (gate_ok ? "true" : "false")
-            << ",\"remote\":{\"lookups\":" << kRemoteLookups
-            << ",\"bare_us\":" << JsonNumber(us_d)
-            << ",\"trace_context_us\":" << JsonNumber(us_e)
-            << ",\"span_recording_us\":" << JsonNumber(us_f)
-            << ",\"propagation_overhead_pct\":" << JsonNumber(propagation_pct)
-            << ",\"recording_overhead_pct\":" << JsonNumber(recording_pct)
-            << ",\"gate_ok\":" << (propagation_gate_ok ? "true" : "false")
-            << "}"
-            << ",\"metrics_deterministic\":"
-            << (metrics_deterministic ? "true" : "false")
-            << ",\"trace_deterministic\":"
-            << (trace_deterministic ? "true" : "false")
-            << ",\"metrics\":" << metrics_1 << "}";
+    obs::JsonWriter w;
+    w.BeginObject();
+    w.Key("lookups").UInt(kLookups);
+    w.Key("repetitions").UInt(kRepetitions);
+    w.Key("rungs").BeginObject();
+    w.Key("bare_ns").Double(ns_a, 3);
+    w.Key("counters_ns").Double(ns_b, 3);
+    w.Key("timed_ns").Double(ns_c, 3);
+    w.EndObject();
+    w.Key("counter_overhead_pct").Double(counter_pct, 3);
+    w.Key("timed_overhead_pct").Double(timed_pct, 3);
+    w.Key("budget_pct").Double(kOverheadBudgetPct, 3);
+    w.Key("gate_ok").Bool(gate_ok);
+    w.Key("remote").BeginObject();
+    w.Key("lookups").UInt(kRemoteLookups);
+    w.Key("bare_us").Double(us_d, 3);
+    w.Key("trace_context_us").Double(us_e, 3);
+    w.Key("span_recording_us").Double(us_f, 3);
+    w.Key("propagation_overhead_pct").Double(propagation_pct, 3);
+    w.Key("recording_overhead_pct").Double(recording_pct, 3);
+    w.Key("gate_ok").Bool(propagation_gate_ok);
+    w.EndObject();
+    w.Key("metrics_deterministic").Bool(metrics_deterministic);
+    w.Key("trace_deterministic").Bool(trace_deterministic);
+    w.Key("metrics").Raw(metrics_1);
+    w.EndObject();
     const obs::JsonSink sink_json("obs", 42, threads);
-    KG_CHECK_OK(sink_json.WriteFile("BENCH_obs.json", payload.str()));
+    KG_CHECK_OK(sink_json.WriteFile("BENCH_obs.json", w.Take()));
   }
   {
     const obs::JsonSink trace_sink("obs_trace", 42, threads);

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -31,41 +32,6 @@ bool Closer(const Neighbor& a, const Neighbor& b) {
 size_t MaxDegree(const HnswOptions& options, size_t layer) {
   return layer == 0 ? options.M * 2 : options.M;
 }
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out->append(buf, sizeof v);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out->append(buf, sizeof v);
-}
-
-// Little cursor over the serialized bytes; every Read checks bounds so a
-// truncated container fails cleanly instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool ReadBytes(void* out, size_t n) {
-    if (data_.size() - pos_ < n) return false;
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) { return ReadBytes(v, sizeof *v); }
-  bool ReadU64(uint64_t* v) { return ReadBytes(v, sizeof *v); }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -327,8 +293,9 @@ std::string HnswIndex::Serialize() const {
   for (uint32_t id = 0; id < count_; ++id) {
     for (size_t layer = 0; layer < links_[id].size(); ++layer) {
       const auto& nbrs = links_[id][layer];
-      AppendU32(&payload, static_cast<uint32_t>(nbrs.size()));
-      for (uint32_t n : nbrs) AppendU32(&payload, n);
+      PutU32(&payload, static_cast<uint32_t>(nbrs.size()));
+      payload.append(reinterpret_cast<const char*>(nbrs.data()),
+                     nbrs.size() * sizeof(uint32_t));
     }
   }
   payload.append(reinterpret_cast<const char*>(vectors_.data()),
@@ -336,47 +303,58 @@ std::string HnswIndex::Serialize() const {
 
   std::string out;
   out.append(kAnnMagic, sizeof kAnnMagic);
-  AppendU32(&out, kAnnContainerVersion);
-  AppendU32(&out, static_cast<uint32_t>(options_.dim));
-  AppendU32(&out, static_cast<uint32_t>(count_));
-  AppendU32(&out, static_cast<uint32_t>(options_.M));
-  AppendU32(&out, static_cast<uint32_t>(options_.ef_construction));
-  AppendU32(&out, static_cast<uint32_t>(options_.ef_search));
-  AppendU64(&out, options_.seed);
-  AppendU32(&out, entry_point_);
-  AppendU32(&out, max_level_);
-  AppendU64(&out, payload.size());
-  AppendU32(&out, Checksum32(payload));
+  PutU32(&out, kAnnContainerVersion);
+  PutU32(&out, static_cast<uint32_t>(options_.dim));
+  PutU32(&out, static_cast<uint32_t>(count_));
+  PutU32(&out, static_cast<uint32_t>(options_.M));
+  PutU32(&out, static_cast<uint32_t>(options_.ef_construction));
+  PutU32(&out, static_cast<uint32_t>(options_.ef_search));
+  PutU64(&out, options_.seed);
+  PutU32(&out, entry_point_);
+  PutU32(&out, max_level_);
+  PutU64(&out, payload.size());
+  PutU32(&out, Checksum32(payload));
   // The header checksum covers every byte before it.
-  AppendU32(&out, Checksum32(out));
+  PutU32(&out, Checksum32(out));
   out += payload;
   return out;
 }
 
 Result<HnswIndex> HnswIndex::Deserialize(std::string_view data) {
-  Reader r(data);
-  char magic[sizeof kAnnMagic];
-  if (!r.ReadBytes(magic, sizeof magic)) {
+  ByteReader r(data);
+  const Result<std::string_view> magic = r.TakeBytes(sizeof kAnnMagic);
+  if (!magic.ok()) {
     return Status::InvalidArgument("ann index: truncated magic");
   }
-  if (std::memcmp(magic, kAnnMagic, sizeof magic) != 0) {
+  if (std::memcmp(magic->data(), kAnnMagic, sizeof kAnnMagic) != 0) {
     return Status::InvalidArgument("ann index: bad magic");
   }
   uint32_t version = 0, dim = 0, count = 0, m = 0, ef_c = 0, ef_s = 0,
-           entry = 0, max_level = 0, payload_checksum = 0,
-           header_checksum = 0;
+           entry = 0, max_level = 0, payload_checksum = 0;
   uint64_t seed = 0, payload_size = 0;
-  if (!r.ReadU32(&version) || !r.ReadU32(&dim) || !r.ReadU32(&count) ||
-      !r.ReadU32(&m) || !r.ReadU32(&ef_c) || !r.ReadU32(&ef_s) ||
-      !r.ReadU64(&seed) || !r.ReadU32(&entry) || !r.ReadU32(&max_level) ||
-      !r.ReadU64(&payload_size) || !r.ReadU32(&payload_checksum)) {
+  const Status header = [&]() -> Status {
+    KG_ASSIGN_OR_RETURN(version, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(dim, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(count, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(m, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(ef_c, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(ef_s, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(seed, r.TakeU64());
+    KG_ASSIGN_OR_RETURN(entry, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(max_level, r.TakeU32());
+    KG_ASSIGN_OR_RETURN(payload_size, r.TakeU64());
+    KG_ASSIGN_OR_RETURN(payload_checksum, r.TakeU32());
+    return Status::OK();
+  }();
+  if (!header.ok()) {
     return Status::InvalidArgument("ann index: truncated header");
   }
   const size_t header_end = r.pos();
-  if (!r.ReadU32(&header_checksum)) {
+  const Result<uint32_t> header_checksum = r.TakeU32();
+  if (!header_checksum.ok()) {
     return Status::InvalidArgument("ann index: truncated header checksum");
   }
-  if (Checksum32(data.substr(0, header_end)) != header_checksum) {
+  if (Checksum32(data.substr(0, header_end)) != *header_checksum) {
     return Status::InvalidArgument("ann index: header checksum mismatch");
   }
   if (version > kAnnContainerVersion) {
@@ -410,11 +388,12 @@ Result<HnswIndex> HnswIndex::Deserialize(std::string_view data) {
   index.entry_point_ = entry;
   index.max_level_ = static_cast<uint8_t>(max_level);
 
-  Reader p(payload);
-  index.levels_.resize(count);
-  if (!p.ReadBytes(index.levels_.data(), count)) {
+  ByteReader p(payload);
+  const Result<std::string_view> levels = p.TakeBytes(count);
+  if (!levels.ok()) {
     return Status::InvalidArgument("ann index: truncated levels");
   }
+  index.levels_.assign(levels->begin(), levels->end());
   index.links_.resize(count);
   for (uint32_t id = 0; id < count; ++id) {
     if (index.levels_[id] > max_level) {
@@ -422,21 +401,20 @@ Result<HnswIndex> HnswIndex::Deserialize(std::string_view data) {
     }
     index.links_[id].resize(index.levels_[id] + 1);
     for (size_t layer = 0; layer <= index.levels_[id]; ++layer) {
-      uint32_t n = 0;
-      if (!p.ReadU32(&n)) {
+      const Result<uint32_t> n = p.TakeU32();
+      if (!n.ok()) {
         return Status::InvalidArgument("ann index: truncated adjacency");
       }
       const size_t cap = layer == 0 ? static_cast<size_t>(m) * 2
                                     : static_cast<size_t>(m);
-      if (n > cap || n > p.remaining() / sizeof(uint32_t)) {
+      if (*n > cap || *n > p.remaining() / sizeof(uint32_t)) {
         return Status::InvalidArgument("ann index: degree out of range");
       }
+      // The degree check above leaves room for the whole array.
+      const std::string_view raw = *p.TakeBytes(*n * sizeof(uint32_t));
       auto& nbrs = index.links_[id][layer];
-      nbrs.resize(n);
-      if (n > 0 &&
-          !p.ReadBytes(nbrs.data(), static_cast<size_t>(n) * sizeof(uint32_t))) {
-        return Status::InvalidArgument("ann index: truncated adjacency");
-      }
+      nbrs.resize(*n);
+      if (*n > 0) std::memcpy(nbrs.data(), raw.data(), raw.size());
       for (uint32_t nbr : nbrs) {
         if (nbr >= count) {
           return Status::InvalidArgument("ann index: neighbor id out of range");
@@ -450,9 +428,9 @@ Result<HnswIndex> HnswIndex::Deserialize(std::string_view data) {
     return Status::InvalidArgument("ann index: vector blob size mismatch");
   }
   index.vectors_.resize(static_cast<size_t>(count) * dim);
-  if (vec_bytes > 0 &&
-      !p.ReadBytes(index.vectors_.data(), static_cast<size_t>(vec_bytes))) {
-    return Status::InvalidArgument("ann index: truncated vectors");
+  if (vec_bytes > 0) {
+    std::memcpy(index.vectors_.data(), payload.data() + p.pos(),
+                static_cast<size_t>(vec_bytes));
   }
   return index;
 }

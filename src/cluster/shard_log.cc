@@ -2,42 +2,26 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace kg::cluster {
-namespace {
-
-// Reads the u32le payload length at `offset`; the frame spans
-// [offset, offset + 8 + length).
-uint64_t FrameSpan(std::string_view bytes, uint64_t offset) {
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(
-                  static_cast<uint8_t>(bytes[offset + i]))
-              << (8 * i);
-  }
-  return 8 + static_cast<uint64_t>(length);
-}
-
-}  // namespace
 
 uint32_t ShardLog::ChainStep(uint32_t chain, std::string_view frame_bytes) {
   std::string seed;
   seed.reserve(4 + frame_bytes.size());
-  for (int i = 0; i < 4; ++i) {
-    seed.push_back(static_cast<char>((chain >> (8 * i)) & 0xff));
-  }
+  PutU32(&seed, chain);
   seed.append(frame_bytes);
   return Checksum32(seed);
 }
 
 uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames) {
   uint64_t offset = 0;
-  while (offset + 8 <= frames.size()) {
-    const uint64_t span = FrameSpan(frames, offset);
-    if (offset + span > frames.size()) break;  // Caller validated; be safe.
-    chain = ChainStep(chain, frames.substr(offset, span));
-    offset += span;
+  for (;;) {
+    const RecordScan record = ScanRecord(frames.substr(offset));
+    if (record.step != RecordStep::kRecord) break;  // Caller validated.
+    chain = ChainStep(chain, frames.substr(offset, record.size()));
+    offset += record.size();
   }
   return chain;
 }
@@ -48,7 +32,7 @@ void ShardLog::Append(std::span<const store::Mutation> mutations) {
   uint32_t chain = boundaries_.empty() ? 0 : boundaries_.back().second;
   for (const store::Mutation& mutation : mutations) {
     const size_t frame_start = log_.size();
-    store::AppendWalFrame(&log_, store::EncodeMutation(mutation));
+    AppendRecord(&log_, store::EncodeMutation(mutation));
     chain = ChainStep(
         chain, std::string_view(log_).substr(frame_start,
                                              log_.size() - frame_start));

@@ -16,8 +16,8 @@ namespace kg::cluster {
 /// A shard primary's shipping log: the byte-exact WAL image of every
 /// mutation the primary has applied, kept in memory for streaming to
 /// replicas (the primary's own durability is its store WAL; this log
-/// exists to be *shipped*). Records use the store::AppendWalFrame
-/// framing, so a replica that writes the shipped bytes to its local WAL
+/// exists to be *shipped*). Records use the WAL's kg::AppendRecord
+/// envelope, so a replica that writes the shipped bytes to its local WAL
 /// gets a file byte-identical to the primary's log prefix — which is
 /// why a replica's persisted resume offset is simply its WAL size.
 ///
@@ -51,9 +51,10 @@ class ShardLog : public rpc::WalSource {
   static uint32_t ChainStep(uint32_t chain, std::string_view frame_bytes);
 
   /// Folds the chain over a run of complete frames (the shape a
-  /// kWalBatch ships and a replica's WAL file stores). `frames` must be
-  /// whole valid frames — callers validate with store::ReplayWalBuffer
-  /// first.
+  /// kWalBatch ships and a replica's WAL file stores), walking them with
+  /// kg::ScanRecord. `frames` must be whole valid frames — callers
+  /// validate with store::ReplayWalBuffer first; the fold stops at the
+  /// first record that does not scan.
   static uint32_t FoldChain(uint32_t chain, std::string_view frames);
 
  private:

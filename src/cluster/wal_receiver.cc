@@ -5,8 +5,6 @@
 
 #include "cluster/shard_log.h"
 #include "obs/trace.h"
-#include "rpc/frame.h"
-#include "serve/snapshot.h"
 #include "store/wal.h"
 
 namespace kg::cluster {
@@ -16,37 +14,6 @@ int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Reads one frame off the stream, feeding the persistent decoder.
-/// Sets *timed_out when the deadline expired with no complete frame.
-Result<rpc::Frame> ReadFrame(rpc::ITransport* transport,
-                             rpc::FrameDecoder* decoder, int timeout_ms,
-                             bool* timed_out) {
-  *timed_out = false;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  std::string chunk;
-  for (;;) {
-    rpc::Frame frame;
-    const rpc::FrameDecoder::Step step = decoder->Next(&frame);
-    if (step == rpc::FrameDecoder::Step::kFrame) return frame;
-    if (step == rpc::FrameDecoder::Step::kError) {
-      return Status::Unavailable("wal stream corrupted: " +
-                                 decoder->error().message());
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      *timed_out = true;
-      return Status::Unavailable("wal stream silent past deadline");
-    }
-    chunk.clear();
-    auto read = transport->Read(&chunk, 64 * 1024,
-                                static_cast<int>(left.count()));
-    if (!read.ok()) return read.status();
-    decoder->Feed(chunk);
-  }
 }
 
 }  // namespace
@@ -109,14 +76,17 @@ void WalReceiver::Run() {
       continue;
     }
     dial_failures = 0;
-    std::unique_ptr<rpc::ITransport> transport = std::move(*dialed);
+    rpc::ITransport* transport = dialed->get();
+    rpc::RpcClientOptions client_options;
+    client_options.read_timeout_ms = options_.heartbeat_timeout_ms;
+    rpc::RpcClient client(std::move(*dialed), client_options);
     {
       std::lock_guard<std::mutex> lock(transport_mu_);
       if (stop_.load(std::memory_order_acquire)) break;
-      live_transport_ = transport.get();
+      live_transport_ = transport;
     }
     sessions_.fetch_add(1, std::memory_order_relaxed);
-    RunSession(transport.get());
+    RunSession(&client);
     {
       std::lock_guard<std::mutex> lock(transport_mu_);
       live_transport_ = nullptr;
@@ -131,113 +101,82 @@ void WalReceiver::Run() {
   running_.store(false, std::memory_order_release);
 }
 
-void WalReceiver::RunSession(rpc::ITransport* transport) {
-  rpc::FrameDecoder decoder;
-  bool timed_out = false;
+void WalReceiver::RunSession(rpc::RpcClient* client) {
+  // Handshake (request id 1): WAL subscribers speak the same front door
+  // as query clients, so a schema-incompatible primary refuses us here.
+  if (!client->Handshake().ok()) return;
 
-  // Handshake: WAL subscribers speak the same front door as query
-  // clients, so a schema-incompatible primary refuses us here.
-  rpc::HandshakeRequest hs;
-  hs.max_schema_version = serve::kSnapshotSchemaVersion;
-  std::string frame_bytes;
-  rpc::AppendFrame(&frame_bytes, rpc::MessageType::kHandshakeRequest, 1,
-                   rpc::EncodeHandshakeRequest(hs));
-  if (!transport->Write(frame_bytes).ok()) return;
-  auto hs_frame = ReadFrame(transport, &decoder,
-                            options_.heartbeat_timeout_ms, &timed_out);
-  if (!hs_frame.ok() ||
-      hs_frame->type != rpc::MessageType::kHandshakeResponse) {
-    return;
-  }
-  auto hs_resp = rpc::DecodeHandshakeResponse(hs_frame->body);
-  if (!hs_resp.ok() || hs_resp->code != StatusCode::kOk) return;
-
-  // Subscribe from the last verified offset. A configured tracer roots
-  // one span per session whose id rides the subscribe as trace context,
-  // so the primary's ship spans and our apply spans share one tree.
+  // Subscribe (request id 2) from the last verified offset. A configured
+  // tracer roots one span per session whose id rides the subscribe as
+  // trace context, so the primary's ship spans and our apply spans share
+  // one tree.
   obs::Span session =
       obs::Tracer::Start(options_.tracer, "wal.session." + label_);
   rpc::TraceContext session_ctx;
   session_ctx.trace_id = session.id();
   session_ctx.parent_span_id = session.id();
   session_ctx.sampled = true;
-  rpc::WalSubscribe sub;
-  sub.from_offset = store_->applied_watermark();
-  frame_bytes.clear();
-  rpc::AppendFrame(&frame_bytes, rpc::MessageType::kWalSubscribe, 2,
-                   session.active() ? &session_ctx : nullptr,
-                   rpc::EncodeWalSubscribe(sub));
-  if (!transport->Write(frame_bytes).ok()) return;
+  if (!client
+           ->Subscribe(store_->applied_watermark(),
+                       session.active() ? &session_ctx : nullptr)
+           .ok()) {
+    return;
+  }
 
+  const auto reject = [this] {
+    if (batches_rejected_ != nullptr) batches_rejected_->Inc();
+  };
   while (!stop_.load(std::memory_order_acquire)) {
-    auto frame = ReadFrame(transport, &decoder,
-                           options_.heartbeat_timeout_ms, &timed_out);
-    if (!frame.ok()) {
-      if (timed_out && heartbeats_missed_ != nullptr) {
-        heartbeats_missed_->Inc();
+    auto push = client->ReadWalPush();
+    if (!push.ok()) {
+      if (client->healthy()) {
+        // Silent past the deadline with the stream intact.
+        if (heartbeats_missed_ != nullptr) heartbeats_missed_->Inc();
+      } else if (push.status().code() != StatusCode::kUnavailable) {
+        reject();  // The primary refused the subscription.
       }
       return;
     }
-    if (frame->type == rpc::MessageType::kWalHeartbeat) {
-      auto hb = rpc::DecodeWalHeartbeat(frame->body);
-      if (!hb.ok()) return;
-      last_seen_log_end_.store(hb->log_end, std::memory_order_release);
+    if (push->type == rpc::MessageType::kWalHeartbeat) {
+      const rpc::WalHeartbeat& hb = push->heartbeat;
+      last_seen_log_end_.store(hb.log_end, std::memory_order_release);
       last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
-      if (hb->log_end == store_->applied_watermark() &&
-          hb->chain_at_end != chain_) {
+      if (hb.log_end == store_->applied_watermark() &&
+          hb.chain_at_end != chain_) {
         // Our fully-caught-up prefix disagrees with the primary's
         // chain: this session cannot be trusted. Tear down and
         // re-verify from scratch on the next subscribe.
-        if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-        return;
+        return reject();
       }
       continue;
     }
-    if (frame->type != rpc::MessageType::kWalBatch) return;
-    auto batch = rpc::DecodeWalBatch(frame->body);
-    if (!batch.ok()) return;
-    if (batch->code != StatusCode::kOk) {
-      // The primary refused the subscription (bad offset, no source).
-      if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-      return;
-    }
+    const rpc::WalBatch& batch = push->batch;
 
     // A traced batch carries the primary's ship-span id; the apply span
     // roots under it, so the cross-process tree reads
     // session -> ship -> apply per shipped batch.
     obs::Span apply = obs::Tracer::StartWithParent(
-        options_.tracer, frame->has_trace ? frame->trace.parent_span_id : 0,
+        options_.tracer, push->has_trace ? push->trace.parent_span_id : 0,
         "wal.apply");
     if (apply.active()) {
-      apply.SetAttr("start_offset", batch->start_offset);
-      apply.SetAttr("end_offset", batch->end_offset);
+      apply.SetAttr("start_offset", batch.start_offset);
+      apply.SetAttr("end_offset", batch.end_offset);
     }
 
     // Verify before apply: exact continuation, clean replay, chain
     // agreement. A failure means a lost/garbled segment — drop the
     // session and resubscribe from the last verified offset.
-    const uint64_t applied = store_->applied_watermark();
-    if (batch->start_offset != applied) {
-      if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-      return;
+    if (batch.start_offset != store_->applied_watermark()) return reject();
+    const store::WalReplay replay = store::ReplayWalBuffer(batch.frames);
+    if (!replay.clean || replay.valid_bytes != batch.frames.size()) {
+      return reject();
     }
-    const store::WalReplay replay = store::ReplayWalBuffer(batch->frames);
-    if (!replay.clean || replay.valid_bytes != batch->frames.size()) {
-      if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-      return;
-    }
-    const uint32_t chain_after = ShardLog::FoldChain(chain_, batch->frames);
-    if (chain_after != batch->chain_after) {
-      if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-      return;
-    }
-    if (!store_->ApplyBatch(replay.mutations).ok()) {
-      if (batches_rejected_ != nullptr) batches_rejected_->Inc();
-      return;
-    }
-    store_->set_applied_watermark(batch->end_offset);
+    const uint32_t chain_after = ShardLog::FoldChain(chain_, batch.frames);
+    if (chain_after != batch.chain_after) return reject();
+    if (!store_->ApplyBatch(replay.mutations).ok()) return reject();
+    store_->set_applied_watermark(batch.end_offset);
     chain_ = chain_after;
-    last_seen_log_end_.store(std::max(batch->log_end, batch->end_offset),
+    last_seen_log_end_.store(std::max(batch.log_end, batch.end_offset),
                              std::memory_order_release);
     last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
     if (batches_applied_ != nullptr) batches_applied_->Inc();

@@ -17,8 +17,9 @@
 namespace kg::cluster {
 
 /// One replica's end of the WAL shipping protocol. A background thread
-/// dials the shard primary, handshakes, subscribes from the replica's
-/// applied offset, and then applies verified kWalBatch frames:
+/// dials the shard primary and, through an rpc::RpcClient, handshakes,
+/// subscribes from the replica's applied offset, and then applies
+/// verified kWalBatch frames:
 ///
 ///   - the batch must start exactly at our applied offset,
 ///   - its frames must replay cleanly (store::ReplayWalBuffer), and
@@ -75,9 +76,10 @@ class WalReceiver {
 
  private:
   void Run();
-  /// One connected session: handshake, subscribe, stream until the link
-  /// breaks, a verification fails, or Stop() is called.
-  void RunSession(rpc::ITransport* transport);
+  /// One connected session, spoken through `client`: handshake,
+  /// subscribe, stream until the link breaks, a verification fails, or
+  /// Stop() is called.
+  void RunSession(rpc::RpcClient* client);
 
   rpc::TransportFactory dial_;
   store::VersionedKgStore* store_;

@@ -7,9 +7,7 @@
 
 namespace kg::graph {
 
-namespace {
-
-const char* KindName(NodeKind kind) {
+const char* NodeKindName(NodeKind kind) {
   switch (kind) {
     case NodeKind::kEntity:
       return "entity";
@@ -21,14 +19,12 @@ const char* KindName(NodeKind kind) {
   return "entity";
 }
 
-Result<NodeKind> ParseKind(const std::string& name) {
+Result<NodeKind> ParseNodeKind(const std::string& name) {
   if (name == "entity") return NodeKind::kEntity;
   if (name == "text") return NodeKind::kText;
   if (name == "class") return NodeKind::kClass;
   return Status::InvalidArgument("unknown node kind: " + name);
 }
-
-}  // namespace
 
 // Tabs and newlines inside names would corrupt the line format.
 std::string EscapeTsvField(std::string_view s) {
@@ -67,10 +63,10 @@ std::string SerializeKg(const KnowledgeGraph& kg) {
     const Triple& t = kg.triple(id);
     for (const Provenance& prov : kg.provenance(id)) {
       out << EscapeTsvField(kg.NodeName(t.subject)) << '\t'
-          << KindName(kg.GetNodeKind(t.subject)) << '\t'
+          << NodeKindName(kg.GetNodeKind(t.subject)) << '\t'
           << EscapeTsvField(kg.PredicateName(t.predicate)) << '\t'
           << EscapeTsvField(kg.NodeName(t.object)) << '\t'
-          << KindName(kg.GetNodeKind(t.object)) << '\t'
+          << NodeKindName(kg.GetNodeKind(t.object)) << '\t'
           << EscapeTsvField(prov.source) << '\t' << prov.confidence << '\t'
           << prov.timestamp << '\n';
     }
@@ -90,8 +86,8 @@ Result<KnowledgeGraph> DeserializeKg(const std::string& data) {
           "line " + std::to_string(line_number) + ": expected 8 fields, "
           "got " + std::to_string(fields.size()));
     }
-    KG_ASSIGN_OR_RETURN(const NodeKind subject_kind, ParseKind(fields[1]));
-    KG_ASSIGN_OR_RETURN(const NodeKind object_kind, ParseKind(fields[4]));
+    KG_ASSIGN_OR_RETURN(const NodeKind subject_kind, ParseNodeKind(fields[1]));
+    KG_ASSIGN_OR_RETURN(const NodeKind object_kind, ParseNodeKind(fields[4]));
     Provenance prov;
     prov.source = UnescapeTsvField(fields[5]);
     try {

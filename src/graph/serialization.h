@@ -10,13 +10,17 @@
 namespace kg::graph {
 
 /// Escapes backslashes, tabs, and newlines so an arbitrary byte string can
-/// ride in one field of the line/tab-delimited formats (`SerializeKg`,
-/// snapshot serialization). The output contains no raw '\t' or '\n'.
+/// ride in one field of the text formats (`SerializeKg`, WAL mutations).
 std::string EscapeTsvField(std::string_view s);
 
 /// Inverts `EscapeTsvField`. Unknown escapes decode to the escaped
 /// character; a trailing lone backslash decodes to itself.
 std::string UnescapeTsvField(std::string_view s);
+
+/// A node kind's name in the text formats ("entity", "text" or "class"),
+/// and its inverse, which refuses any other name.
+const char* NodeKindName(NodeKind kind);
+Result<NodeKind> ParseNodeKind(const std::string& name);
 
 /// Serializes a KG to a TSV-style text format, one provenance entry per
 /// line:

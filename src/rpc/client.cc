@@ -1,5 +1,6 @@
 #include "rpc/client.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
@@ -28,13 +29,29 @@ RpcClient::RpcClient(std::unique_ptr<ITransport> transport,
                      RpcClientOptions options)
     : transport_(std::move(transport)), options_(options) {}
 
-Result<Frame> RpcClient::ReadResponse(uint32_t request_id,
-                                      MessageType expected_type) {
+Status RpcClient::Break(std::string why) {
+  healthy_ = false;
+  transport_->Close();
+  return Status::Unavailable(std::move(why));
+}
+
+Result<uint32_t> RpcClient::Send(MessageType type, const TraceContext* trace,
+                                 std::string_view body) {
+  const uint32_t id = next_request_id_++;
+  std::string frame;
+  AppendFrame(&frame, type, id, trace, body);
+  const Status write = transport_->Write(frame);
+  if (!write.ok()) {
+    healthy_ = false;
+    return write;
+  }
+  return id;
+}
+
+Result<Frame> RpcClient::ReadResponse(uint32_t request_id) {
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.read_timeout_ms < 0
-                                    ? 0
-                                    : options_.read_timeout_ms);
+      std::chrono::milliseconds(std::max(options_.read_timeout_ms, 0));
   std::string chunk;
   for (;;) {
     Frame frame;
@@ -47,19 +64,14 @@ Result<Frame> RpcClient::ReadResponse(uint32_t request_id,
         // later Introspect waits, and vice versa.)
         continue;
       }
-      if (frame.type != expected_type || frame.request_id != request_id) {
-        healthy_ = false;
-        transport_->Close();
-        return Status::Unavailable("protocol error: unexpected frame");
+      if (request_id != kAnyRequest && frame.request_id != request_id) {
+        return Break("protocol error: unexpected frame");
       }
       return frame;
     }
     if (step == FrameDecoder::Step::kError) {
       // Garbled stream: nothing after the bad frame can be trusted.
-      healthy_ = false;
-      transport_->Close();
-      return Status::Unavailable("stream corrupted: " +
-                                 decoder_.error().message());
+      return Break("stream corrupted: " + decoder_.error().message());
     }
     int timeout_ms = -1;
     if (options_.read_timeout_ms >= 0) {
@@ -71,10 +83,7 @@ Result<Frame> RpcClient::ReadResponse(uint32_t request_id,
           // sitting in the decoder. Carrying on would splice the next
           // response's bytes onto this fragment and "resynchronize" on
           // garbage — the stream is broken, not merely slow.
-          healthy_ = false;
-          transport_->Close();
-          return Status::Unavailable(
-              "response timed out mid-frame; stream broken");
+          return Break("response timed out mid-frame; stream broken");
         }
         // The response never arrived (lost frame, stalled server). The
         // stream stays usable: if the answer limps in later it carries
@@ -94,35 +103,46 @@ Result<Frame> RpcClient::ReadResponse(uint32_t request_id,
   }
 }
 
+template <typename Message>
+Result<Message> RpcClient::Decode(const Frame& frame,
+                                  Result<Message> (*decode)(std::string_view)) {
+  Result<Message> message = decode(frame.body);
+  if (!message.ok()) {
+    return Break(std::string("bad ") + MessageTypeName(frame.type) + ": " +
+                 message.status().message());
+  }
+  return message;
+}
+
+template <typename Response>
+Result<Response> RpcClient::Call(MessageType type, const TraceContext* trace,
+                                 std::string_view body,
+                                 MessageType response_type,
+                                 Result<Response> (*decode)(std::string_view)) {
+  KG_ASSIGN_OR_RETURN(const uint32_t id, Send(type, trace, body));
+  KG_ASSIGN_OR_RETURN(Frame frame, ReadResponse(id));
+  if (frame.type != response_type) {
+    return Break("protocol error: unexpected frame");
+  }
+  return Decode(frame, decode);
+}
+
 Result<uint32_t> RpcClient::Handshake() {
   if (!healthy_) return Status::Unavailable("client stream is broken");
   if (handshook_) return Status::FailedPrecondition("already handshook");
-  const uint32_t id = next_request_id_++;
   HandshakeRequest req;
   req.max_schema_version = options_.max_schema_version;
-  std::string frame;
-  AppendFrame(&frame, MessageType::kHandshakeRequest, id,
-              EncodeHandshakeRequest(req));
-  auto write = transport_->Write(frame);
-  if (!write.ok()) {
+  KG_ASSIGN_OR_RETURN(
+      HandshakeResponse resp,
+      Call(MessageType::kHandshakeRequest, nullptr,
+           EncodeHandshakeRequest(req), MessageType::kHandshakeResponse,
+           &DecodeHandshakeResponse));
+  if (resp.code != StatusCode::kOk) {
     healthy_ = false;
-    return write;
-  }
-  KG_ASSIGN_OR_RETURN(Frame resp_frame,
-                      ReadResponse(id, MessageType::kHandshakeResponse));
-  auto resp = DecodeHandshakeResponse(resp_frame.body);
-  if (!resp.ok()) {
-    healthy_ = false;
-    transport_->Close();
-    return Status::Unavailable("bad handshake response: " +
-                               resp.status().message());
-  }
-  if (resp->code != StatusCode::kOk) {
-    healthy_ = false;
-    return Status(resp->code, resp->message);
+    return Status(resp.code, resp.message);
   }
   handshook_ = true;
-  return resp->schema_version;
+  return resp.schema_version;
 }
 
 Result<serve::QueryResult> RpcClient::Execute(const serve::Query& query,
@@ -131,28 +151,12 @@ Result<serve::QueryResult> RpcClient::Execute(const serve::Query& query,
   if (!handshook_) {
     return Status::FailedPrecondition("Execute before Handshake");
   }
-  const uint32_t id = next_request_id_++;
-  std::string frame;
-  AppendFrame(&frame, MessageType::kQueryRequest, id, trace,
-              EncodeQuery(query));
-  auto write = transport_->Write(frame);
-  if (!write.ok()) {
-    healthy_ = false;
-    return write;
-  }
-  KG_ASSIGN_OR_RETURN(Frame resp_frame,
-                      ReadResponse(id, MessageType::kQueryResponse));
-  auto resp = DecodeQueryResponse(resp_frame.body);
-  if (!resp.ok()) {
-    healthy_ = false;
-    transport_->Close();
-    return Status::Unavailable("bad query response: " +
-                               resp.status().message());
-  }
-  if (resp->code != StatusCode::kOk) {
-    return Status(resp->code, resp->message);
-  }
-  return std::move(resp->rows);
+  KG_ASSIGN_OR_RETURN(
+      QueryResponse resp,
+      Call(MessageType::kQueryRequest, trace, EncodeQuery(query),
+           MessageType::kQueryResponse, &DecodeQueryResponse));
+  if (resp.code != StatusCode::kOk) return Status(resp.code, resp.message);
+  return std::move(resp.rows);
 }
 
 Result<std::string> RpcClient::Introspect(IntrospectWhat what) {
@@ -160,30 +164,57 @@ Result<std::string> RpcClient::Introspect(IntrospectWhat what) {
   if (!handshook_) {
     return Status::FailedPrecondition("Introspect before Handshake");
   }
-  const uint32_t id = next_request_id_++;
   IntrospectRequest req;
   req.what = what;
-  std::string frame;
-  AppendFrame(&frame, MessageType::kIntrospectRequest, id,
-              EncodeIntrospectRequest(req));
-  auto write = transport_->Write(frame);
-  if (!write.ok()) {
+  KG_ASSIGN_OR_RETURN(
+      IntrospectResponse resp,
+      Call(MessageType::kIntrospectRequest, nullptr,
+           EncodeIntrospectRequest(req), MessageType::kIntrospectResponse,
+           &DecodeIntrospectResponse));
+  if (resp.code != StatusCode::kOk) return Status(resp.code, resp.message);
+  return std::move(resp.payload);
+}
+
+Status RpcClient::Subscribe(uint64_t from_offset, const TraceContext* trace) {
+  if (!healthy_) return Status::Unavailable("client stream is broken");
+  if (!handshook_) {
+    return Status::FailedPrecondition("Subscribe before Handshake");
+  }
+  WalSubscribe req;
+  req.from_offset = from_offset;
+  KG_RETURN_IF_ERROR(
+      Send(MessageType::kWalSubscribe, trace, EncodeWalSubscribe(req))
+          .status());
+  subscribed_ = true;
+  return Status::OK();
+}
+
+Result<WalPush> RpcClient::ReadWalPush() {
+  if (!healthy_) return Status::Unavailable("client stream is broken");
+  if (!subscribed_) {
+    return Status::FailedPrecondition("ReadWalPush before Subscribe");
+  }
+  // A subscribed connection carries nothing but the pushed stream.
+  KG_ASSIGN_OR_RETURN(Frame frame, ReadResponse(kAnyRequest));
+  WalPush push;
+  push.type = frame.type;
+  push.has_trace = frame.has_trace;
+  push.trace = frame.trace;
+  if (frame.type == MessageType::kWalHeartbeat) {
+    KG_ASSIGN_OR_RETURN(push.heartbeat, Decode(frame, &DecodeWalHeartbeat));
+    return push;
+  }
+  if (frame.type != MessageType::kWalBatch) {
+    return Break("protocol error: unexpected frame");
+  }
+  KG_ASSIGN_OR_RETURN(push.batch, Decode(frame, &DecodeWalBatch));
+  if (push.batch.code != StatusCode::kOk) {
+    // The server refused the subscription (bad offset, no log behind
+    // it) and closes the stream after saying so.
     healthy_ = false;
-    return write;
+    return Status(push.batch.code, push.batch.message);
   }
-  KG_ASSIGN_OR_RETURN(Frame resp_frame,
-                      ReadResponse(id, MessageType::kIntrospectResponse));
-  auto resp = DecodeIntrospectResponse(resp_frame.body);
-  if (!resp.ok()) {
-    healthy_ = false;
-    transport_->Close();
-    return Status::Unavailable("bad introspect response: " +
-                               resp.status().message());
-  }
-  if (resp->code != StatusCode::kOk) {
-    return Status(resp->code, resp->message);
-  }
-  return std::move(resp->payload);
+  return push;
 }
 
 RetryingClient::RetryingClient(TransportFactory factory, RetryPolicy policy,

@@ -26,11 +26,22 @@ struct RpcClientOptions {
   int read_timeout_ms = 2000;
 };
 
-/// Synchronous client for one connection: Handshake once, then
-/// Execute serially. Every failure mode the wire can produce — refused
-/// handshake, shed request, lost or garbled response, closed stream,
-/// timeout — surfaces as a Status, and the retriable ones all map to
-/// kUnavailable so RetryWithBackoff treats local and remote failures
+/// One frame a subscribed server pushes: a shipped batch (with the trace
+/// context the server attached, if any) or a heartbeat.
+struct WalPush {
+  MessageType type = MessageType::kWalHeartbeat;  ///< Or kWalBatch.
+  WalBatch batch;          ///< For kWalBatch; its code is always OK.
+  WalHeartbeat heartbeat;  ///< For kWalHeartbeat.
+  bool has_trace = false;
+  TraceContext trace;
+};
+
+/// Synchronous client for one connection, the one client-side speaker of
+/// the protocol: Handshake once, then Execute serially (or Subscribe and
+/// read the pushed WAL stream). Every failure mode the wire can produce —
+/// refused handshake, shed request, lost or garbled response, closed
+/// stream, timeout — surfaces as a Status, and the retriable ones all map
+/// to kUnavailable so RetryWithBackoff treats local and remote failures
 /// identically. Not thread-safe; use one RpcClient per thread.
 class RpcClient {
  public:
@@ -58,6 +69,19 @@ class RpcClient {
   /// is returned as that status.
   Result<std::string> Introspect(IntrospectWhat what);
 
+  /// Subscribes to the server's WAL from frame boundary `from_offset`; a
+  /// non-null `trace` rides the subscribe frame and comes back on every
+  /// batch. The server then pushes a heartbeat acknowledging it, a batch
+  /// whenever its log grows, and a heartbeat while it stays idle.
+  Status Subscribe(uint64_t from_offset, const TraceContext* trace = nullptr);
+
+  /// Reads the next pushed frame under options.read_timeout_ms. A timeout
+  /// with no partial frame buffered returns kUnavailable and leaves the
+  /// client healthy. A refused subscription returns the server's status
+  /// (kFailedPrecondition or kInvalidArgument, never kUnavailable) and
+  /// breaks the client: the server closes the stream after refusing.
+  Result<WalPush> ReadWalPush();
+
   /// False once the stream has broken (framing error, closed transport,
   /// failed handshake). A broken client never recovers; reconnect.
   bool healthy() const { return healthy_; }
@@ -68,16 +92,37 @@ class RpcClient {
   bool handshook() const { return handshook_; }
 
  private:
+  /// Writes one request frame under the next request id and returns it.
+  Result<uint32_t> Send(MessageType type, const TraceContext* trace,
+                        std::string_view body);
+
   /// Reads frames until one with `request_id` arrives, the timeout
-  /// expires, or the stream breaks. Frames of type `expected_type` with
-  /// older request ids are stale (their request was abandoned after a
-  /// lost response) and are skipped.
-  Result<Frame> ReadResponse(uint32_t request_id, MessageType expected_type);
+  /// expires, or the stream breaks. Frames with older request ids are
+  /// stale (their request was abandoned after a lost response) and are
+  /// skipped; kAnyRequest takes the next frame whatever its id.
+  static constexpr uint32_t kAnyRequest = 0;  // Request ids start at 1.
+  Result<Frame> ReadResponse(uint32_t request_id);
+
+  /// The path every request shares: Send, await the `response_type`
+  /// frame answering it, and Decode its body.
+  template <typename Response>
+  Result<Response> Call(MessageType type, const TraceContext* trace,
+                        std::string_view body, MessageType response_type,
+                        Result<Response> (*decode)(std::string_view));
+
+  /// A body that does not decode breaks the stream.
+  template <typename Message>
+  Result<Message> Decode(const Frame& frame,
+                         Result<Message> (*decode)(std::string_view));
+
+  /// Marks the stream broken, closes it, and returns kUnavailable(why).
+  Status Break(std::string why);
 
   std::unique_ptr<ITransport> transport_;
   RpcClientOptions options_;
   FrameDecoder decoder_;
   uint32_t next_request_id_ = 1;
+  bool subscribed_ = false;
   bool handshook_ = false;
   bool healthy_ = true;
 };

@@ -1,100 +1,10 @@
 #include "rpc/frame.h"
 
-#include <cstring>
-
-#include "common/hash.h"
-
 namespace kg::rpc {
 
 namespace {
 
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-void AppendU32Le(std::string* buf, uint32_t v) {
-  buf->push_back(static_cast<char>(v & 0xff));
-  buf->push_back(static_cast<char>((v >> 8) & 0xff));
-  buf->push_back(static_cast<char>((v >> 16) & 0xff));
-  buf->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void AppendU16Le(std::string* buf, uint16_t v) {
-  buf->push_back(static_cast<char>(v & 0xff));
-  buf->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void AppendU64Le(std::string* buf, uint64_t v) {
-  AppendU32Le(buf, static_cast<uint32_t>(v & 0xffffffffu));
-  AppendU32Le(buf, static_cast<uint32_t>(v >> 32));
-}
-
-void AppendString(std::string* buf, std::string_view s) {
-  AppendU32Le(buf, static_cast<uint32_t>(s.size()));
-  buf->append(s);
-}
-
-/// Sequential reader over a body; every Take* fails cleanly at the end
-/// of the buffer instead of reading past it.
-class BodyReader {
- public:
-  explicit BodyReader(std::string_view body) : body_(body) {}
-
-  Result<uint8_t> TakeU8() {
-    if (pos_ + 1 > body_.size()) return Short("u8");
-    return static_cast<uint8_t>(body_[pos_++]);
-  }
-  Result<uint16_t> TakeU16() {
-    if (pos_ + 2 > body_.size()) return Short("u16");
-    const uint16_t v =
-        static_cast<uint16_t>(static_cast<uint8_t>(body_[pos_])) |
-        static_cast<uint16_t>(static_cast<uint8_t>(body_[pos_ + 1])) << 8;
-    pos_ += 2;
-    return v;
-  }
-  Result<uint32_t> TakeU32() {
-    if (pos_ + 4 > body_.size()) return Short("u32");
-    const uint32_t v = ReadU32Le(body_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> TakeU64() {
-    KG_ASSIGN_OR_RETURN(const uint32_t lo, TakeU32());
-    KG_ASSIGN_OR_RETURN(const uint32_t hi, TakeU32());
-    return static_cast<uint64_t>(hi) << 32 | lo;
-  }
-  Result<std::string> TakeString() {
-    KG_ASSIGN_OR_RETURN(const uint32_t len, TakeU32());
-    if (len > body_.size() - pos_) return Short("string body");
-    std::string out(body_.substr(pos_, len));
-    pos_ += len;
-    return out;
-  }
-
-  /// Decoders call this last: a well-formed body has no trailing bytes.
-  Status ExpectEnd() const {
-    if (pos_ != body_.size()) {
-      return Status::InvalidArgument(
-          "trailing bytes after message body: " +
-          std::to_string(body_.size() - pos_));
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Short(const char* what) const {
-    return Status::InvalidArgument(std::string("message body truncated at ") +
-                                   what);
-  }
-
-  std::string_view body_;
-  size_t pos_ = 0;
-};
-
-Result<StatusCode> TakeStatusCode(BodyReader* reader) {
+Result<StatusCode> TakeStatusCode(ByteReader* reader) {
   KG_ASSIGN_OR_RETURN(const uint8_t raw, reader->TakeU8());
   const auto code = StatusCodeFromInt(raw);
   if (!code.has_value()) {
@@ -180,20 +90,18 @@ void AppendFrame(std::string* buf, MessageType type, uint32_t request_id,
   payload.reserve(kMessageHeaderBytes +
                   (trace != nullptr ? 1 + kTraceContextBytes : 0) +
                   body.size());
-  payload.push_back(static_cast<char>(kProtocolVersion));
-  payload.push_back(static_cast<char>(type));
-  AppendU16Le(&payload, trace != nullptr ? kFlagTraceContext : 0);
-  AppendU32Le(&payload, request_id);
+  PutU8(&payload, kProtocolVersion);
+  PutU8(&payload, static_cast<uint8_t>(type));
+  PutU16(&payload, trace != nullptr ? kFlagTraceContext : 0);
+  PutU32(&payload, request_id);
   if (trace != nullptr) {
-    payload.push_back(static_cast<char>(kTraceContextBytes));
-    AppendU64Le(&payload, trace->trace_id);
-    AppendU64Le(&payload, trace->parent_span_id);
-    payload.push_back(trace->sampled ? 1 : 0);
+    PutU8(&payload, kTraceContextBytes);
+    PutU64(&payload, trace->trace_id);
+    PutU64(&payload, trace->parent_span_id);
+    PutU8(&payload, trace->sampled ? 1 : 0);
   }
   payload.append(body);
-  AppendU32Le(buf, static_cast<uint32_t>(payload.size()));
-  AppendU32Le(buf, Checksum32(payload));
-  buf->append(payload);
+  AppendRecord(buf, payload);
 }
 
 void FrameDecoder::Feed(std::string_view bytes) {
@@ -210,47 +118,42 @@ void FrameDecoder::Feed(std::string_view bytes) {
 
 FrameDecoder::Step FrameDecoder::Next(Frame* out) {
   if (!error_.ok()) return Step::kError;
-  if (buf_.size() - pos_ < kFrameHeaderBytes) return Step::kNeedMore;
-  const uint32_t length = ReadU32Le(buf_.data() + pos_);
-  const uint32_t checksum = ReadU32Le(buf_.data() + pos_ + 4);
-  if (length > kMaxPayloadBytes) {
-    error_ = Status::InvalidArgument("frame length " + std::to_string(length) +
-                                     " exceeds limit");
+  const auto fail = [this](std::string why) {
+    error_ = Status::InvalidArgument(std::move(why));
     return Step::kError;
+  };
+  const RecordScan record =
+      ScanRecord(std::string_view(buf_).substr(pos_), kMessageHeaderBytes);
+  switch (record.step) {
+    case RecordStep::kNeedMore:
+      return Step::kNeedMore;
+    case RecordStep::kTooLong:
+      return fail("frame length " + std::to_string(record.length) +
+                  " exceeds limit");
+    case RecordStep::kTooShort:
+      return fail("frame length " + std::to_string(record.length) +
+                  " shorter than message header");
+    case RecordStep::kBadChecksum:
+      return fail("frame checksum mismatch");
+    case RecordStep::kRecord:
+      break;
   }
-  if (length < kMessageHeaderBytes) {
-    error_ = Status::InvalidArgument("frame length " + std::to_string(length) +
-                                     " shorter than message header");
-    return Step::kError;
-  }
-  if (buf_.size() - pos_ < kFrameHeaderBytes + length) return Step::kNeedMore;
-  const std::string_view payload(buf_.data() + pos_ + kFrameHeaderBytes,
-                                 length);
-  if (Checksum32(payload) != checksum) {
-    error_ = Status::InvalidArgument("frame checksum mismatch");
-    return Step::kError;
-  }
-  const uint8_t version = static_cast<uint8_t>(payload[0]);
+  // The scan guaranteed kMessageHeaderBytes of payload, so the four
+  // header fields cannot come up short.
+  ByteReader payload(record.payload);
+  const uint8_t version = *payload.TakeU8();
   if (version != kProtocolVersion) {
-    error_ = Status::InvalidArgument("unsupported protocol version " +
-                                     std::to_string(version));
-    return Step::kError;
+    return fail("unsupported protocol version " + std::to_string(version));
   }
-  const uint8_t raw_type = static_cast<uint8_t>(payload[1]);
+  const uint8_t raw_type = *payload.TakeU8();
   if (raw_type > kMaxMessageType) {
-    error_ = Status::InvalidArgument("unknown message type " +
-                                     std::to_string(raw_type));
-    return Step::kError;
+    return fail("unknown message type " + std::to_string(raw_type));
   }
-  const uint16_t flags =
-      static_cast<uint16_t>(static_cast<uint8_t>(payload[2])) |
-      static_cast<uint16_t>(static_cast<uint8_t>(payload[3])) << 8;
+  const uint16_t flags = *payload.TakeU16();
   if ((flags & ~kFlagTraceContext) != 0) {
-    error_ = Status::InvalidArgument("nonzero reserved flags " +
-                                     std::to_string(flags));
-    return Step::kError;
+    return fail("nonzero reserved flags " + std::to_string(flags));
   }
-  size_t body_start = kMessageHeaderBytes;
+  const uint32_t request_id = *payload.TakeU32();
   out->has_trace = false;
   out->trace = TraceContext{};
   if ((flags & kFlagTraceContext) != 0) {
@@ -258,45 +161,30 @@ FrameDecoder::Step FrameDecoder::Next(Frame* out) {
     // The length prefix lets a future extension grow without moving the
     // body, but today exactly one layout is valid — anything else is a
     // peer this decoder cannot trust.
-    if (length < kMessageHeaderBytes + 1) {
-      error_ = Status::InvalidArgument("trace flag set but extension absent");
-      return Step::kError;
+    const Result<uint8_t> ext_len = payload.TakeU8();
+    if (!ext_len.ok()) return fail("trace flag set but extension absent");
+    if (*ext_len != kTraceContextBytes) {
+      return fail("trace extension length " + std::to_string(*ext_len) +
+                  " is not " + std::to_string(kTraceContextBytes));
     }
-    const uint8_t ext_len =
-        static_cast<uint8_t>(payload[kMessageHeaderBytes]);
-    if (ext_len != kTraceContextBytes) {
-      error_ = Status::InvalidArgument("trace extension length " +
-                                       std::to_string(ext_len) +
-                                       " is not " +
-                                       std::to_string(kTraceContextBytes));
-      return Step::kError;
+    if (payload.remaining() < kTraceContextBytes) {
+      return fail("trace extension truncated");
     }
-    if (length < kMessageHeaderBytes + 1 + kTraceContextBytes) {
-      error_ = Status::InvalidArgument("trace extension truncated");
-      return Step::kError;
-    }
-    const char* ext = payload.data() + kMessageHeaderBytes + 1;
-    out->trace.trace_id = static_cast<uint64_t>(ReadU32Le(ext)) |
-                          static_cast<uint64_t>(ReadU32Le(ext + 4)) << 32;
-    out->trace.parent_span_id =
-        static_cast<uint64_t>(ReadU32Le(ext + 8)) |
-        static_cast<uint64_t>(ReadU32Le(ext + 12)) << 32;
-    const uint8_t sampled = static_cast<uint8_t>(ext[16]);
+    out->trace.trace_id = *payload.TakeU64();
+    out->trace.parent_span_id = *payload.TakeU64();
+    const uint8_t sampled = *payload.TakeU8();
     if (sampled > 1) {
-      error_ = Status::InvalidArgument("trace sampled byte " +
-                                       std::to_string(sampled) +
-                                       " is not 0 or 1");
-      return Step::kError;
+      return fail("trace sampled byte " + std::to_string(sampled) +
+                  " is not 0 or 1");
     }
     out->trace.sampled = sampled != 0;
     out->has_trace = true;
-    body_start += 1 + kTraceContextBytes;
   }
   out->protocol_version = version;
   out->type = static_cast<MessageType>(raw_type);
-  out->request_id = ReadU32Le(payload.data() + 4);
-  out->body.assign(payload.substr(body_start));
-  pos_ += kFrameHeaderBytes + length;
+  out->request_id = request_id;
+  out->body.assign(record.payload.substr(payload.pos()));
+  pos_ += record.size();
   return Step::kFrame;
 }
 
@@ -304,12 +192,12 @@ FrameDecoder::Step FrameDecoder::Next(Frame* out) {
 
 std::string EncodeHandshakeRequest(const HandshakeRequest& req) {
   std::string body;
-  AppendU32Le(&body, req.max_schema_version);
+  PutU32(&body, req.max_schema_version);
   return body;
 }
 
 Result<HandshakeRequest> DecodeHandshakeRequest(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   HandshakeRequest req;
   KG_ASSIGN_OR_RETURN(req.max_schema_version, reader.TakeU32());
   KG_RETURN_IF_ERROR(reader.ExpectEnd());
@@ -318,14 +206,14 @@ Result<HandshakeRequest> DecodeHandshakeRequest(std::string_view body) {
 
 std::string EncodeHandshakeResponse(const HandshakeResponse& resp) {
   std::string body;
-  body.push_back(static_cast<char>(resp.code));
-  AppendString(&body, resp.message);
-  AppendU32Le(&body, resp.schema_version);
+  PutU8(&body, static_cast<uint8_t>(resp.code));
+  PutString(&body, resp.message);
+  PutU32(&body, resp.schema_version);
   return body;
 }
 
 Result<HandshakeResponse> DecodeHandshakeResponse(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   HandshakeResponse resp;
   KG_ASSIGN_OR_RETURN(resp.code, TakeStatusCode(&reader));
   KG_ASSIGN_OR_RETURN(resp.message, reader.TakeString());
@@ -338,18 +226,18 @@ Result<HandshakeResponse> DecodeHandshakeResponse(std::string_view body) {
 
 std::string EncodeQuery(const serve::Query& query) {
   std::string body;
-  body.push_back(static_cast<char>(query.kind));
-  body.push_back(static_cast<char>(NodeKindToWire(query.node_kind)));
-  AppendU64Le(&body, query.k);
-  AppendString(&body, query.node);
-  AppendString(&body, query.predicate);
-  AppendString(&body, query.type_name);
-  AppendString(&body, query.type_predicate);
+  PutU8(&body, static_cast<uint8_t>(query.kind));
+  PutU8(&body, NodeKindToWire(query.node_kind));
+  PutU64(&body, query.k);
+  PutString(&body, query.node);
+  PutString(&body, query.predicate);
+  PutString(&body, query.type_name);
+  PutString(&body, query.type_predicate);
   return body;
 }
 
 Result<serve::Query> DecodeQuery(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   serve::Query query;
   KG_ASSIGN_OR_RETURN(const uint8_t raw_kind, reader.TakeU8());
   if (raw_kind >= serve::kNumQueryKinds) {
@@ -373,17 +261,17 @@ Result<serve::Query> DecodeQuery(std::string_view body) {
 
 std::string EncodeQueryResponse(const QueryResponse& resp) {
   std::string body;
-  body.push_back(static_cast<char>(resp.code));
-  AppendString(&body, resp.message);
-  AppendU32Le(&body, static_cast<uint32_t>(resp.rows.size()));
+  PutU8(&body, static_cast<uint8_t>(resp.code));
+  PutString(&body, resp.message);
+  PutU32(&body, static_cast<uint32_t>(resp.rows.size()));
   for (const std::string& row : resp.rows) {
-    AppendString(&body, row);
+    PutString(&body, row);
   }
   return body;
 }
 
 Result<QueryResponse> DecodeQueryResponse(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   QueryResponse resp;
   KG_ASSIGN_OR_RETURN(resp.code, TakeStatusCode(&reader));
   KG_ASSIGN_OR_RETURN(resp.message, reader.TakeString());
@@ -407,12 +295,12 @@ Result<QueryResponse> DecodeQueryResponse(std::string_view body) {
 
 std::string EncodeWalSubscribe(const WalSubscribe& req) {
   std::string body;
-  AppendU64Le(&body, req.from_offset);
+  PutU64(&body, req.from_offset);
   return body;
 }
 
 Result<WalSubscribe> DecodeWalSubscribe(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   WalSubscribe req;
   KG_ASSIGN_OR_RETURN(req.from_offset, reader.TakeU64());
   KG_RETURN_IF_ERROR(reader.ExpectEnd());
@@ -421,18 +309,18 @@ Result<WalSubscribe> DecodeWalSubscribe(std::string_view body) {
 
 std::string EncodeWalBatch(const WalBatch& batch) {
   std::string body;
-  body.push_back(static_cast<char>(batch.code));
-  AppendString(&body, batch.message);
-  AppendU64Le(&body, batch.start_offset);
-  AppendU64Le(&body, batch.end_offset);
-  AppendU32Le(&body, batch.chain_after);
-  AppendU64Le(&body, batch.log_end);
-  AppendString(&body, batch.frames);
+  PutU8(&body, static_cast<uint8_t>(batch.code));
+  PutString(&body, batch.message);
+  PutU64(&body, batch.start_offset);
+  PutU64(&body, batch.end_offset);
+  PutU32(&body, batch.chain_after);
+  PutU64(&body, batch.log_end);
+  PutString(&body, batch.frames);
   return body;
 }
 
 Result<WalBatch> DecodeWalBatch(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   WalBatch batch;
   KG_ASSIGN_OR_RETURN(batch.code, TakeStatusCode(&reader));
   KG_ASSIGN_OR_RETURN(batch.message, reader.TakeString());
@@ -452,13 +340,13 @@ Result<WalBatch> DecodeWalBatch(std::string_view body) {
 
 std::string EncodeWalHeartbeat(const WalHeartbeat& hb) {
   std::string body;
-  AppendU64Le(&body, hb.log_end);
-  AppendU32Le(&body, hb.chain_at_end);
+  PutU64(&body, hb.log_end);
+  PutU32(&body, hb.chain_at_end);
   return body;
 }
 
 Result<WalHeartbeat> DecodeWalHeartbeat(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   WalHeartbeat hb;
   KG_ASSIGN_OR_RETURN(hb.log_end, reader.TakeU64());
   KG_ASSIGN_OR_RETURN(hb.chain_at_end, reader.TakeU32());
@@ -470,12 +358,12 @@ Result<WalHeartbeat> DecodeWalHeartbeat(std::string_view body) {
 
 std::string EncodeIntrospectRequest(const IntrospectRequest& req) {
   std::string body;
-  body.push_back(static_cast<char>(req.what));
+  PutU8(&body, static_cast<uint8_t>(req.what));
   return body;
 }
 
 Result<IntrospectRequest> DecodeIntrospectRequest(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   IntrospectRequest req;
   KG_ASSIGN_OR_RETURN(const uint8_t raw, reader.TakeU8());
   if (raw > kMaxIntrospectWhat) {
@@ -489,14 +377,14 @@ Result<IntrospectRequest> DecodeIntrospectRequest(std::string_view body) {
 
 std::string EncodeIntrospectResponse(const IntrospectResponse& resp) {
   std::string body;
-  body.push_back(static_cast<char>(resp.code));
-  AppendString(&body, resp.message);
-  AppendString(&body, resp.payload);
+  PutU8(&body, static_cast<uint8_t>(resp.code));
+  PutString(&body, resp.message);
+  PutString(&body, resp.payload);
   return body;
 }
 
 Result<IntrospectResponse> DecodeIntrospectResponse(std::string_view body) {
-  BodyReader reader(body);
+  ByteReader reader(body);
   IntrospectResponse resp;
   KG_ASSIGN_OR_RETURN(resp.code, TakeStatusCode(&reader));
   KG_ASSIGN_OR_RETURN(resp.message, reader.TakeString());

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "serve/query_engine.h"
 
@@ -16,13 +17,6 @@ namespace kg::rpc {
 /// clean error instead of misparsing each other.
 inline constexpr uint8_t kProtocolVersion = 1;
 
-/// Refuse to believe a single message exceeds this; a larger declared
-/// length is corruption, not data (the WAL framing rule — keeps a
-/// flipped length bit from swallowing the stream as one "frame").
-inline constexpr uint32_t kMaxPayloadBytes = 1u << 24;
-
-/// Bytes of the fixed frame prefix: u32 payload length, u32 checksum.
-inline constexpr size_t kFrameHeaderBytes = 8;
 /// Bytes of the message header inside the payload: u8 protocol version,
 /// u8 message type, u16 flags (reserved, zero), u32 request id.
 inline constexpr size_t kMessageHeaderBytes = 8;
@@ -84,7 +78,8 @@ struct Frame {
   std::string body;
 };
 
-/// Appends one framed message to `*buf`:
+/// Appends one framed message to `*buf` as one kg::AppendRecord record
+/// (common/bytes.h, the WAL's envelope):
 ///   [u32le payload length][u32le Checksum32(payload)][payload]
 /// where payload = [u8 version][u8 type][u16le flags=0][u32le request id]
 /// [body]. The checksum covers the message header too, so a bit flip in
@@ -101,13 +96,15 @@ void AppendFrame(std::string* buf, MessageType type, uint32_t request_id,
                  const TraceContext* trace, std::string_view body);
 
 /// Incremental frame scanner for a byte stream. Feed() appends received
-/// bytes; Next() yields complete frames until the buffer holds only a
-/// partial one. Any malformed input — oversize length, checksum
-/// mismatch, wrong protocol version, unknown type, unassigned flag
-/// bits, bad trace-context extension — parks the decoder in an error
-/// state (the stream is unrecoverable
-/// once framing is lost; the connection must be dropped). Never throws
-/// or crashes on arbitrary bytes (rpc_frame_fuzz_test).
+/// bytes; Next() finds each record with kg::ScanRecord and yields
+/// complete frames until the buffer holds only a partial one. Any
+/// malformed input — oversize length or one shorter than the message
+/// header (both refused from the 8 header bytes), checksum mismatch,
+/// wrong protocol version, unknown type, unassigned flag bits, bad
+/// trace-context extension — parks the decoder in an error state (the
+/// stream is unrecoverable once framing is lost; the connection must be
+/// dropped). Never throws or crashes on arbitrary bytes
+/// (rpc_frame_fuzz_test).
 class FrameDecoder {
  public:
   enum class Step {

@@ -40,7 +40,7 @@ QueryHandler StoreHandler(const store::VersionedKgStore* store);
 
 /// What a replication-enabled server streams to kWalSubscribe
 /// subscribers: an append-only log of framed WAL records (the
-/// store::AppendWalFrame framing) with a running Checksum32 chain over
+/// kg::AppendRecord envelope) with a running Checksum32 chain over
 /// whole frames, so a subscriber can prove its replayed prefix is
 /// byte-identical to the primary's before serving from it.
 ///

@@ -23,35 +23,38 @@ size_t ShardedLruCache::ShardOf(const std::string& key) const {
   return Fnv1a64(key) % shards_.size();
 }
 
-bool ShardedLruCache::Get(const std::string& key, Value* out) {
+bool ShardedLruCache::Get(const std::string& key, std::string_view tag,
+                          Value* out) {
   Shard& shard = *shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  if (it == shard.index.end() || it->second->tag != tag) {
     ++shard.counters.misses;
     return false;
   }
   ++shard.counters.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (out != nullptr) *out = it->second->second;
+  if (out != nullptr) *out = it->second->value;
   return true;
 }
 
-void ShardedLruCache::Put(const std::string& key, Value value) {
+void ShardedLruCache::Put(const std::string& key, std::string_view tag,
+                          Value value) {
   Shard& shard = *shards_[ShardOf(key)];
   if (shard.capacity == 0) return;
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = std::move(value);
+    it->second->tag.assign(tag);
+    it->second->value = std::move(value);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(key, std::move(value));
+  shard.lru.push_front(Entry{key, std::string(tag), std::move(value)});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.counters.inserts;
   while (shard.lru.size() > shard.capacity) {
-    shard.index.erase(shard.lru.back().first);
+    shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     ++shard.counters.evictions;
   }

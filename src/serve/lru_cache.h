@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,14 +54,19 @@ class ShardedLruCache {
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
 
-  /// On hit, copies the value into `*out` (may be null to just probe),
-  /// refreshes the entry's recency, and counts a hit; else counts a miss.
-  bool Get(const std::string& key, Value* out);
+  /// On a hit — `key` is present and was stored under `tag` — copies the
+  /// value into `*out` (may be null to just probe), refreshes the entry's
+  /// recency, and counts a hit. Anything else counts a miss, including an
+  /// entry stored under another tag: that entry is retired, and the next
+  /// Put of the key replaces it in place. Callers that need no
+  /// generations (the serve engine) pass an empty tag throughout.
+  bool Get(const std::string& key, std::string_view tag, Value* out);
 
-  /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry when the shard is full. Re-putting an existing key updates the
-  /// value and recency without counting an insert.
-  void Put(const std::string& key, Value value);
+  /// Inserts or refreshes `key` under `tag`, evicting the shard's
+  /// least-recently-used entry when the shard is full. Re-putting an
+  /// existing key replaces its tag and value in place and refreshes its
+  /// recency without counting an insert.
+  void Put(const std::string& key, std::string_view tag, Value value);
 
   /// Live entries across all shards.
   size_t size() const;
@@ -80,14 +86,17 @@ class ShardedLruCache {
   size_t ShardOf(const std::string& key) const;
 
  private:
+  struct Entry {
+    std::string key;
+    std::string tag;
+    Value value;
+  };
   struct Shard {
     mutable std::mutex mu;
     size_t capacity = 0;
     // Front = most recently used.
-    std::list<std::pair<std::string, Value>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, Value>>::iterator>
-        index;
+    std::list<Entry> lru;
+    std::unordered_map<std::string, std::list<Entry>::iterator> index;
     Counters counters;
   };
 

@@ -228,9 +228,9 @@ QueryResult QueryEngine::ExecuteCacheAware(const Query& query) const {
   if (cache_ == nullptr) return ExecuteUncached(query);
   const std::string key = query.CacheKey();
   QueryResult cached;
-  if (cache_->Get(key, &cached)) return cached;
+  if (cache_->Get(key, {}, &cached)) return cached;
   QueryResult result = ExecuteUncached(query);
-  cache_->Put(key, result);
+  cache_->Put(key, {}, result);
   return result;
 }
 

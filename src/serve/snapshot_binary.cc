@@ -12,35 +12,12 @@
 #include <cstring>
 #include <memory>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace kg::serve {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 struct ParsedHeader {
   uint32_t schema_version = 0;
@@ -67,12 +44,12 @@ Result<ParsedHeader> ValidateHeader(std::string_view data) {
     return Status::InvalidArgument(std::string("binary snapshot: ") + why);
   };
   if (data.size() < 12) return bad("truncated header");  // magic, version
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data());
+  const char* p = data.data();
   if (std::memcmp(p, kBinarySnapshotMagic, 8) != 0) return bad("bad magic");
   // The container version fixes where every later field lives, the
   // header checksum included, so it is read first. A newer file is
   // retriable (an upgraded reader may open it); an older one is not.
-  const uint32_t version = ReadU32(p + 8);
+  const uint32_t version = LoadU32(p + 8);
   if (version != kBinarySnapshotContainerVersion) {
     const bool newer = version > kBinarySnapshotContainerVersion;
     const std::string why = "binary snapshot: container version " +
@@ -84,19 +61,19 @@ Result<ParsedHeader> ValidateHeader(std::string_view data) {
   if (data.size() < kBinarySnapshotHeaderSize) return bad("truncated header");
 
   ParsedHeader h;
-  h.schema_version = ReadU32(p + 12);
-  h.num_nodes = ReadU64(p + 16);
-  h.num_predicates = ReadU64(p + 24);
-  h.num_triples = ReadU64(p + 32);
-  h.fingerprint = ReadU64(p + 40);
+  h.schema_version = LoadU32(p + 12);
+  h.num_nodes = LoadU64(p + 16);
+  h.num_predicates = LoadU64(p + 24);
+  h.num_triples = LoadU64(p + 32);
+  h.fingerprint = LoadU64(p + 40);
   size_t at = 48;
   for (size_t i = 0; i < kNumSnapshotSections; ++i) {
-    h.sections[i].offset = ReadU64(p + at);
-    h.sections[i].size = ReadU64(p + at + 8);
+    h.sections[i].offset = LoadU64(p + at);
+    h.sections[i].size = LoadU64(p + at + 8);
     at += 16;
   }
-  h.payload_checksum = ReadU32(p + at);
-  const uint32_t header_checksum = ReadU32(p + at + 4);
+  h.payload_checksum = LoadU32(p + at);
+  const uint32_t header_checksum = LoadU32(p + at + 4);
 
   // The header checksum gates everything parsed above: a flipped bit in
   // a count or a section-table entry is caught before any derived check
@@ -238,18 +215,18 @@ std::string SerializeSnapshotBinary(const KgSnapshot& snapshot) {
   std::string out;
   out.reserve(kBinarySnapshotHeaderSize + payload.size());
   out.append(kBinarySnapshotMagic, 8);
-  AppendU32(&out, kBinarySnapshotContainerVersion);
-  AppendU32(&out, snapshot.schema_version());
-  AppendU64(&out, snapshot.num_nodes());
-  AppendU64(&out, snapshot.num_predicates());
-  AppendU64(&out, snapshot.num_triples());
-  AppendU64(&out, snapshot.Fingerprint());
+  PutU32(&out, kBinarySnapshotContainerVersion);
+  PutU32(&out, snapshot.schema_version());
+  PutU64(&out, snapshot.num_nodes());
+  PutU64(&out, snapshot.num_predicates());
+  PutU64(&out, snapshot.num_triples());
+  PutU64(&out, snapshot.Fingerprint());
   for (size_t i = 0; i < kNumSnapshotSections; ++i) {
-    AppendU64(&out, offsets[i]);
-    AppendU64(&out, sections[i].size());
+    PutU64(&out, offsets[i]);
+    PutU64(&out, sections[i].size());
   }
-  AppendU32(&out, Checksum32(payload));
-  AppendU32(&out, Checksum32(out));  // header checksum over all bytes so far
+  PutU32(&out, Checksum32(payload));
+  PutU32(&out, Checksum32(out));  // header checksum over all bytes so far
   out.append(payload);
   return out;
 }

@@ -685,8 +685,12 @@ void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
   // before the lock.
   const GenerationBumps bumps =
       cache_ ? BumpsOf(*epoch, mutations) : GenerationBumps{};
+  // Declared before the lock, so it is destroyed after the unlock: when
+  // no reader pins the retired epoch, freeing it (its copied MemDelta,
+  // and after a fold the old base) must not hold every reader's pin.
+  std::shared_ptr<const StoreEpoch> retired;
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-  current_ = std::move(epoch);
+  retired = std::exchange(current_, std::move(epoch));
   // Bumped with the swap: no reader can take the new epoch with an old
   // tag (and hit an older answer), or an old epoch with a new tag (and
   // park an older answer under it).
@@ -844,11 +848,11 @@ serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
   // The tag and the epoch come from one shared section, and a commit
   // publishes and bumps in one exclusive section, so the tag names the
   // pinned epoch's answer: an entry stored under it holds that answer,
-  // and a miss stores the pinned epoch's answer under it. The tag lives
-  // in row 0 of the cached value — not in the key — so every query owns
-  // exactly one entry: a retired generation is overwritten in place by
-  // the next read instead of lingering as unreachable garbage that would
-  // crowd live entries out of the LRU.
+  // and a miss stores the pinned epoch's answer under it. The tag rides
+  // with the entry — not in the key — so every query owns exactly one
+  // entry: a probe under a newer tag counts a miss, and the next Put
+  // overwrites the retired generation in place instead of leaving it as
+  // unreachable garbage that would crowd live entries out of the LRU.
   std::string tag;
   std::shared_ptr<const StoreEpoch> epoch;
   {
@@ -858,23 +862,15 @@ serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
   }
   const std::string key = query.CacheKey();
   serve::QueryResult cached;
-  const bool hit = cache_->Get(key, &cached) && !cached.empty() &&
-                   cached.front() == tag;
+  const bool hit = cache_->Get(key, tag, &cached);
   if (probe_hist != nullptr) {
     probe_hist->Observe(std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t_probe)
                             .count());
   }
-  if (hit) {
-    cached.erase(cached.begin());
-    return cached;
-  }
+  if (hit) return cached;
   serve::QueryResult result = ExecuteAt(*epoch, query);
-  serve::QueryResult stored;
-  stored.reserve(result.size() + 1);
-  stored.push_back(tag);
-  stored.insert(stored.end(), result.begin(), result.end());
-  cache_->Put(key, std::move(stored));
+  cache_->Put(key, tag, result);
   return result;
 }
 

@@ -3,54 +3,11 @@
 #include <filesystem>
 #include <sstream>
 
-#include "common/hash.h"
+#include "common/bytes.h"
 #include "common/strings.h"
 #include "graph/serialization.h"
 
 namespace kg::store {
-
-namespace {
-
-constexpr size_t kFrameHeaderBytes = 8;
-/// Refuse to believe a single logged mutation exceeds this; a larger
-/// declared length is corruption, not data (keeps a flipped length bit
-/// from swallowing the rest of the file as one "record").
-constexpr uint32_t kMaxPayloadBytes = 1u << 24;
-
-const char* KindName(graph::NodeKind kind) {
-  switch (kind) {
-    case graph::NodeKind::kEntity:
-      return "entity";
-    case graph::NodeKind::kText:
-      return "text";
-    case graph::NodeKind::kClass:
-      return "class";
-  }
-  return "entity";
-}
-
-Result<graph::NodeKind> ParseKind(const std::string& name) {
-  if (name == "entity") return graph::NodeKind::kEntity;
-  if (name == "text") return graph::NodeKind::kText;
-  if (name == "class") return graph::NodeKind::kClass;
-  return Status::InvalidArgument("unknown node kind: " + name);
-}
-
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-void AppendU32Le(std::string* buf, uint32_t v) {
-  buf->push_back(static_cast<char>(v & 0xff));
-  buf->push_back(static_cast<char>((v >> 8) & 0xff));
-  buf->push_back(static_cast<char>((v >> 16) & 0xff));
-  buf->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-}  // namespace
 
 Mutation Mutation::Upsert(std::string subject, std::string predicate,
                           std::string object, graph::NodeKind subject_kind,
@@ -85,10 +42,11 @@ std::string EncodeMutation(const Mutation& m) {
   std::ostringstream out;
   out << (m.op == MutationOp::kUpsert ? 'U' : 'R') << '\t'
       << graph::EscapeTsvField(m.subject) << '\t'
-      << KindName(m.subject_kind) << '\t'
+      << graph::NodeKindName(m.subject_kind) << '\t'
       << graph::EscapeTsvField(m.predicate) << '\t'
-      << graph::EscapeTsvField(m.object) << '\t' << KindName(m.object_kind)
-      << '\t' << graph::EscapeTsvField(m.prov.source) << '\t'
+      << graph::EscapeTsvField(m.object) << '\t'
+      << graph::NodeKindName(m.object_kind) << '\t'
+      << graph::EscapeTsvField(m.prov.source) << '\t'
       // %.17g round-trips any double exactly, so a replayed provenance is
       // bit-identical to the logged one.
       << StrFormat("%.17g", m.prov.confidence) << '\t' << m.prov.timestamp;
@@ -111,10 +69,10 @@ Result<Mutation> DecodeMutation(std::string_view payload) {
     return Status::InvalidArgument("unknown mutation op: " + fields[0]);
   }
   m.subject = graph::UnescapeTsvField(fields[1]);
-  KG_ASSIGN_OR_RETURN(m.subject_kind, ParseKind(fields[2]));
+  KG_ASSIGN_OR_RETURN(m.subject_kind, graph::ParseNodeKind(fields[2]));
   m.predicate = graph::UnescapeTsvField(fields[3]);
   m.object = graph::UnescapeTsvField(fields[4]);
-  KG_ASSIGN_OR_RETURN(m.object_kind, ParseKind(fields[5]));
+  KG_ASSIGN_OR_RETURN(m.object_kind, graph::ParseNodeKind(fields[5]));
   m.prov.source = graph::UnescapeTsvField(fields[6]);
   try {
     m.prov.confidence = std::stod(fields[7]);
@@ -125,28 +83,17 @@ Result<Mutation> DecodeMutation(std::string_view payload) {
   return m;
 }
 
-void AppendWalFrame(std::string* buf, std::string_view payload) {
-  AppendU32Le(buf, static_cast<uint32_t>(payload.size()));
-  AppendU32Le(buf, Checksum32(payload));
-  buf->append(payload);
-}
-
 WalReplay ReplayWalBuffer(std::string_view data) {
   WalReplay replay;
   size_t offset = 0;
-  while (offset + kFrameHeaderBytes <= data.size()) {
-    const uint32_t length = ReadU32Le(data.data() + offset);
-    const uint32_t checksum = ReadU32Le(data.data() + offset + 4);
-    if (length > kMaxPayloadBytes) break;
-    if (offset + kFrameHeaderBytes + length > data.size()) break;
-    const std::string_view payload =
-        data.substr(offset + kFrameHeaderBytes, length);
-    if (Checksum32(payload) != checksum) break;
-    auto decoded = DecodeMutation(payload);
+  for (;;) {
+    const RecordScan record = ScanRecord(data.substr(offset));
+    if (record.step != RecordStep::kRecord) break;
+    auto decoded = DecodeMutation(record.payload);
     if (!decoded.ok()) break;
     replay.mutations.push_back(std::move(*decoded));
     replay.frame_offsets.push_back(offset);
-    offset += kFrameHeaderBytes + length;
+    offset += record.size();
   }
   replay.valid_bytes = offset;
   replay.dropped_bytes = data.size() - offset;
@@ -192,7 +139,7 @@ Status Wal::Append(const Mutation& m) {
 Status Wal::AppendBatch(std::span<const Mutation> mutations) {
   std::string buf;
   for (const Mutation& m : mutations) {
-    AppendWalFrame(&buf, EncodeMutation(m));
+    AppendRecord(&buf, EncodeMutation(m));
   }
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   out_.flush();

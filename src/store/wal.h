@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "graph/knowledge_graph.h"
 
@@ -64,11 +65,6 @@ std::string EncodeMutation(const Mutation& m);
 /// start of a torn tail).
 Result<Mutation> DecodeMutation(std::string_view payload);
 
-/// Appends one framed record to `*buf`: a fixed 8-byte header
-/// (little-endian uint32 payload length, little-endian uint32
-/// `Checksum32(payload)`) followed by the payload bytes.
-void AppendWalFrame(std::string* buf, std::string_view payload);
-
 /// The result of scanning a WAL image. `mutations` is the longest valid
 /// record prefix; `valid_bytes` is where that prefix ends (the recovery
 /// truncation point); `clean` is true when the scan consumed every byte.
@@ -85,15 +81,17 @@ struct WalReplay {
   bool clean = true;
 };
 
-/// Truncation-tolerant scan of a WAL byte image. Replay stops — without
-/// failing — at the first frame that is incomplete, overruns the buffer,
+/// Truncation-tolerant scan of a WAL byte image: one kg::ScanRecord per
+/// frame (common/bytes.h). Replay stops — without failing — at the first
+/// frame that is incomplete, declares more than kg::kMaxRecordBytes,
 /// fails its checksum, or does not decode; everything before it is
 /// returned. A WAL torn at *any* byte boundary therefore recovers every
 /// fully-written record (store_wal_test cuts at every offset to prove
 /// it). Never crashes on arbitrary bytes (store_wal_fuzz_test).
 WalReplay ReplayWalBuffer(std::string_view data);
 
-/// Append-only write-ahead log for store mutations, one framed record
+/// Append-only write-ahead log for store mutations, one kg::AppendRecord
+/// record (common/bytes.h: [u32le length][u32le Checksum32][payload])
 /// per mutation. Not internally synchronized: the store serializes
 /// appends under its writer lock.
 class Wal {

@@ -57,7 +57,7 @@ TEST(RpcFrameFuzzTest, SurvivesTruncationAtEveryOffset) {
     Frame out;
     size_t consumed = 0;
     while (decoder.Next(&out) == FrameDecoder::Step::kFrame) {
-      consumed += kFrameHeaderBytes + kMessageHeaderBytes + out.body.size();
+      consumed += kRecordHeaderBytes + kMessageHeaderBytes + out.body.size();
       ends.push_back(consumed);
     }
     ASSERT_EQ(ends.size(), 4u);
@@ -157,7 +157,7 @@ TEST(RpcFrameFuzzTest, TracedStreamSurvivesTruncationAtEveryOffset) {
     Frame out;
     size_t consumed = 0;
     while (decoder.Next(&out) == FrameDecoder::Step::kFrame) {
-      consumed += kFrameHeaderBytes + kMessageHeaderBytes + out.body.size();
+      consumed += kRecordHeaderBytes + kMessageHeaderBytes + out.body.size();
       if (out.has_trace) consumed += 1 + kTraceContextBytes;
       ends.push_back(consumed);
     }
@@ -229,10 +229,10 @@ TEST(RpcFrameFuzzTest, ExhaustiveFlagValuesNeverCrash) {
               EncodeQuery(serve::Query::PointLookup("node", "pred")));
   for (uint32_t flags = 0; flags <= 0xffff; ++flags) {
     std::string frame = base;
-    frame[kFrameHeaderBytes + 2] = static_cast<char>(flags & 0xff);
-    frame[kFrameHeaderBytes + 3] = static_cast<char>((flags >> 8) & 0xff);
-    const std::string_view payload(frame.data() + kFrameHeaderBytes,
-                                   frame.size() - kFrameHeaderBytes);
+    frame[kRecordHeaderBytes + 2] = static_cast<char>(flags & 0xff);
+    frame[kRecordHeaderBytes + 3] = static_cast<char>((flags >> 8) & 0xff);
+    const std::string_view payload(frame.data() + kRecordHeaderBytes,
+                                   frame.size() - kRecordHeaderBytes);
     const uint32_t checksum = Checksum32(payload);
     for (int i = 0; i < 4; ++i) {
       frame[4 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
@@ -268,15 +268,15 @@ TEST(RpcFrameFuzzTest, TraceExtensionTruncationAlwaysRejected) {
   std::string traced;
   AppendFrame(&traced, MessageType::kHandshakeRequest, 2, &trace,
               std::string_view());
-  const size_t full_payload = traced.size() - kFrameHeaderBytes;
+  const size_t full_payload = traced.size() - kRecordHeaderBytes;
   ASSERT_EQ(full_payload, kMessageHeaderBytes + 1 + kTraceContextBytes);
   for (size_t payload = kMessageHeaderBytes; payload < full_payload;
        ++payload) {
-    std::string frame = traced.substr(0, kFrameHeaderBytes + payload);
+    std::string frame = traced.substr(0, kRecordHeaderBytes + payload);
     for (int i = 0; i < 4; ++i) {
       frame[i] = static_cast<char>((payload >> (8 * i)) & 0xff);
     }
-    const std::string_view view(frame.data() + kFrameHeaderBytes, payload);
+    const std::string_view view(frame.data() + kRecordHeaderBytes, payload);
     const uint32_t checksum = Checksum32(view);
     for (int i = 0; i < 4; ++i) {
       frame[4 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);

@@ -25,8 +25,8 @@ std::string EncodeFrame(MessageType type, uint32_t request_id,
 // After hand-mutating payload bytes, rewrite the frame checksum so only
 // the mutated field's own validation can fire.
 void FixupChecksum(std::string* frame) {
-  const std::string_view payload(frame->data() + kFrameHeaderBytes,
-                                 frame->size() - kFrameHeaderBytes);
+  const std::string_view payload(frame->data() + kRecordHeaderBytes,
+                                 frame->size() - kRecordHeaderBytes);
   const uint32_t checksum = Checksum32(payload);
   for (int i = 0; i < 4; ++i) {
     (*frame)[4 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
@@ -105,7 +105,7 @@ TEST(RpcFrameTest, GoldenQueryRequestFrameWithTraceContext) {
       0x00, 0x00, 0x00, 0x00,                          // type name = ""
       0x04, 0x00, 0x00, 0x00, 't', 'y', 'p', 'e',      // type predicate
   };
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + expected_payload.size());
+  ASSERT_EQ(frame.size(), kRecordHeaderBytes + expected_payload.size());
   // Length prefix covers the whole payload including the extension.
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(static_cast<uint8_t>(frame[i]),
@@ -121,7 +121,7 @@ TEST(RpcFrameTest, GoldenQueryRequestFrameWithTraceContext) {
         << "checksum byte " << i;
   }
   for (size_t i = 0; i < expected_payload.size(); ++i) {
-    EXPECT_EQ(static_cast<uint8_t>(frame[kFrameHeaderBytes + i]),
+    EXPECT_EQ(static_cast<uint8_t>(frame[kRecordHeaderBytes + i]),
               expected_payload[i])
         << "payload byte " << i;
   }
@@ -141,7 +141,7 @@ TEST(RpcFrameTest, ChecksumCoversMessageHeader) {
   // body — must be caught by the frame checksum.
   std::string frame = EncodeFrame(MessageType::kQueryRequest, 42,
                                   EncodeQuery(serve::Query::Neighborhood("n")));
-  frame[kFrameHeaderBytes + 4] ^= 0x01;  // low byte of request id
+  frame[kRecordHeaderBytes + 4] ^= 0x01;  // low byte of request id
   FrameDecoder decoder;
   decoder.Feed(frame);
   Frame out;
@@ -246,7 +246,7 @@ TEST(RpcFrameTest, RejectsMalformedTraceExtension) {
   const std::string body = EncodeQuery(serve::Query::Neighborhood("n"));
   std::string traced;
   AppendFrame(&traced, MessageType::kQueryRequest, 3, &trace, body);
-  const size_t ext_at = kFrameHeaderBytes + kMessageHeaderBytes;
+  const size_t ext_at = kRecordHeaderBytes + kMessageHeaderBytes;
 
   {
     // Wrong extension length byte.
@@ -276,7 +276,7 @@ TEST(RpcFrameTest, RejectsMalformedTraceExtension) {
     AppendFrame(&frame, MessageType::kHandshakeRequest, 1, &trace,
                 std::string_view());
     const size_t new_payload = kMessageHeaderBytes + 1 + 10;
-    frame.resize(kFrameHeaderBytes + new_payload);
+    frame.resize(kRecordHeaderBytes + new_payload);
     for (int i = 0; i < 4; ++i) {
       frame[i] = static_cast<char>((new_payload >> (8 * i)) & 0xff);
     }
@@ -293,7 +293,7 @@ TEST(RpcFrameTest, RejectsMalformedTraceExtension) {
     std::string frame;
     AppendFrame(&frame, MessageType::kHandshakeRequest, 1,
                 std::string_view());
-    frame[kFrameHeaderBytes + 2] = 1;  // Set the trace flag.
+    frame[kRecordHeaderBytes + 2] = 1;  // Set the trace flag.
     FixupChecksum(&frame);
     FrameDecoder decoder;
     decoder.Feed(frame);
@@ -310,9 +310,9 @@ TEST(RpcFrameTest, RejectsWrongProtocolVersion) {
                                   EncodeQuery(serve::Query::Neighborhood("n")));
   // Rewrite the version byte and fix up the checksum so only the
   // version check can fire.
-  frame[kFrameHeaderBytes] = 2;
-  const std::string_view payload(frame.data() + kFrameHeaderBytes,
-                                 frame.size() - kFrameHeaderBytes);
+  frame[kRecordHeaderBytes] = 2;
+  const std::string_view payload(frame.data() + kRecordHeaderBytes,
+                                 frame.size() - kRecordHeaderBytes);
   const uint32_t checksum = Checksum32(payload);
   for (int i = 0; i < 4; ++i) {
     frame[4 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
@@ -335,9 +335,9 @@ TEST(RpcFrameTest, RejectsUnknownMessageTypeAndNonzeroFlags) {
     std::string frame =
         EncodeFrame(MessageType::kQueryRequest, 1,
                     EncodeQuery(serve::Query::Neighborhood("n")));
-    frame[kFrameHeaderBytes + offset] = value;
-    const std::string_view payload(frame.data() + kFrameHeaderBytes,
-                                   frame.size() - kFrameHeaderBytes);
+    frame[kRecordHeaderBytes + offset] = value;
+    const std::string_view payload(frame.data() + kRecordHeaderBytes,
+                                   frame.size() - kRecordHeaderBytes);
     const uint32_t checksum = Checksum32(payload);
     for (int i = 0; i < 4; ++i) {
       frame[4 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
@@ -352,7 +352,7 @@ TEST(RpcFrameTest, RejectsUnknownMessageTypeAndNonzeroFlags) {
 
 TEST(RpcFrameTest, RejectsOversizeDeclaredLength) {
   std::string frame;
-  const uint32_t length = kMaxPayloadBytes + 1;
+  const uint32_t length = kMaxRecordBytes + 1;
   for (int i = 0; i < 4; ++i) {
     frame.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
   }
@@ -403,7 +403,7 @@ TEST(RpcFrameTest, ErrorStateIsSticky) {
   std::string good = EncodeFrame(MessageType::kQueryRequest, 1,
                                  EncodeQuery(serve::Query::Neighborhood("n")));
   std::string bad = good;
-  bad[kFrameHeaderBytes + kMessageHeaderBytes] ^= 0xff;  // Body corruption.
+  bad[kRecordHeaderBytes + kMessageHeaderBytes] ^= 0xff;  // Body corruption.
   FrameDecoder decoder;
   decoder.Feed(bad);
   decoder.Feed(good);  // A valid frame after the bad one must not revive it.

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/shard_log.h"
 #include "graph/knowledge_graph.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
@@ -502,6 +503,117 @@ TEST(RpcClientTest, TimeoutMidFrameBreaksTheStream) {
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(server.get().ok());
   (*server_end)->Close();
+}
+
+TEST(RpcClientTest, SubscribeReadsAckThenShippedBatchThenIdleHeartbeat) {
+  const graph::KnowledgeGraph kg = SampleKg();
+  const serve::KgSnapshot snap = serve::KgSnapshot::Compile(kg);
+  const serve::QueryEngine engine(snap);
+  cluster::ShardLog log;
+  auto listener = std::make_unique<InMemoryTransportServer>();
+  InMemoryTransportServer* loopback = listener.get();
+  RpcServerOptions options;
+  options.wal_source = &log;
+  RpcServer server(EngineHandler(&engine), std::move(listener), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto transport = loopback->Connect();
+  ASSERT_TRUE(transport.ok());
+  RpcClientOptions client_options;
+  client_options.read_timeout_ms = 5000;
+  RpcClient client(std::move(*transport), client_options);
+  ASSERT_TRUE(client.Handshake().ok());
+  ASSERT_TRUE(client.Subscribe(0).ok());
+
+  // The subscription is acknowledged by a heartbeat at the log end.
+  auto ack = client.ReadWalPush();
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->type, MessageType::kWalHeartbeat);
+  EXPECT_EQ(ack->heartbeat.log_end, 0u);
+  EXPECT_EQ(ack->heartbeat.chain_at_end, 0u);
+
+  // An append is pushed as one batch of whole frames (idle heartbeats at
+  // the old log end may precede it).
+  const std::vector<store::Mutation> mutations = {
+      store::Mutation::Upsert("m3", "title", "Low Tide", NodeKind::kEntity,
+                              NodeKind::kText, kProv),
+      store::Mutation::Retract("m1", "directed_by", "ada", NodeKind::kEntity,
+                               NodeKind::kEntity),
+  };
+  log.Append(mutations);
+  const uint64_t end = log.EndOffset();
+  Result<WalPush> push = client.ReadWalPush();
+  for (int i = 0; i < 100 && push.ok() &&
+                  push->type == MessageType::kWalHeartbeat;
+       ++i) {
+    EXPECT_EQ(push->heartbeat.log_end, 0u);
+    push = client.ReadWalPush();
+  }
+  ASSERT_TRUE(push.ok()) << push.status();
+  ASSERT_EQ(push->type, MessageType::kWalBatch);
+  EXPECT_EQ(push->batch.start_offset, 0u);
+  EXPECT_EQ(push->batch.end_offset, end);
+  EXPECT_EQ(push->batch.log_end, end);
+  EXPECT_EQ(push->batch.chain_after, log.ChainAt(end));
+  const store::WalReplay replay = store::ReplayWalBuffer(push->batch.frames);
+  EXPECT_TRUE(replay.clean);
+  EXPECT_EQ(replay.mutations, mutations);
+  EXPECT_FALSE(push->has_trace);
+
+  // Caught up and idle: heartbeats carry the new end and its chain.
+  auto idle = client.ReadWalPush();
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  EXPECT_EQ(idle->type, MessageType::kWalHeartbeat);
+  EXPECT_EQ(idle->heartbeat.log_end, end);
+  EXPECT_EQ(idle->heartbeat.chain_at_end, log.ChainAt(end));
+  EXPECT_TRUE(client.healthy());
+  server.Stop();
+}
+
+TEST(RpcClientTest, RefusedSubscriptionSurfacesItsStatus) {
+  const graph::KnowledgeGraph kg = SampleKg();
+  const serve::KgSnapshot snap = serve::KgSnapshot::Compile(kg);
+  const serve::QueryEngine engine(snap);
+  cluster::ShardLog log;
+  log.Append(std::vector<store::Mutation>{store::Mutation::Upsert(
+      "m3", "title", "Low Tide", NodeKind::kEntity, NodeKind::kText,
+      kProv)});
+  auto listener = std::make_unique<InMemoryTransportServer>();
+  InMemoryTransportServer* loopback = listener.get();
+  RpcServerOptions options;
+  options.wal_source = &log;
+  RpcServer server(EngineHandler(&engine), std::move(listener), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Offset 1 is inside the first frame, not a boundary.
+  auto transport = loopback->Connect();
+  ASSERT_TRUE(transport.ok());
+  RpcClient client(std::move(*transport));
+  ASSERT_TRUE(client.Handshake().ok());
+  ASSERT_TRUE(client.Subscribe(1).ok());
+  const auto refused = client.ReadWalPush();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("boundary"), std::string::npos)
+      << refused.status();
+  EXPECT_FALSE(client.healthy());
+  server.Stop();
+
+  // A server with no log behind it refuses every subscription.
+  auto plain_listener = std::make_unique<InMemoryTransportServer>();
+  InMemoryTransportServer* plain_loopback = plain_listener.get();
+  RpcServer plain(EngineHandler(&engine), std::move(plain_listener));
+  ASSERT_TRUE(plain.Start().ok());
+  auto plain_transport = plain_loopback->Connect();
+  ASSERT_TRUE(plain_transport.ok());
+  RpcClient plain_client(std::move(*plain_transport));
+  ASSERT_TRUE(plain_client.Handshake().ok());
+  ASSERT_TRUE(plain_client.Subscribe(0).ok());
+  const auto no_log = plain_client.ReadWalPush();
+  ASSERT_FALSE(no_log.ok());
+  EXPECT_EQ(no_log.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(plain_client.healthy());
+  plain.Stop();
 }
 
 }  // namespace

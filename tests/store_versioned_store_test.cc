@@ -107,15 +107,12 @@ std::unique_ptr<VersionedKgStore> MustOpen(KnowledgeGraph base,
 }
 
 /// Runs `q` through `store` and reports whether the cached answer served
-/// it: a miss recomputes and stores the answer under a new tag (row 0),
-/// while a hit leaves the stored entry as it was.
+/// it: the cache counts a hit only for an entry stored under the query's
+/// current tag.
 bool ServedFromCache(VersionedKgStore& store, const Query& q) {
-  QueryResult before;
-  QueryResult after;
-  const bool stored = store.cache()->Get(q.CacheKey(), &before);
+  const uint64_t hits = store.cache()->counters().hits;
   (void)store.Execute(q);
-  store.cache()->Get(q.CacheKey(), &after);
-  return stored && before == after;
+  return store.cache()->counters().hits == hits + 1;
 }
 
 struct TempWalPath {

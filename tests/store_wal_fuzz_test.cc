@@ -107,7 +107,7 @@ TEST(WalFuzzTest, ReplayValidLogWithRandomCorruptionYieldsTruePrefix) {
     std::string buf;
     for (size_t i = 0; i < count; ++i) {
       mutations.push_back(RandomMutation(rng));
-      AppendWalFrame(&buf, EncodeMutation(mutations.back()));
+      AppendRecord(&buf, EncodeMutation(mutations.back()));
       frame_ends.push_back(buf.size());
     }
     // One of: byte flip, truncation, or garbage appended at a random spot.
@@ -140,7 +140,7 @@ TEST(WalFuzzTest, OversizedDeclaredLengthIsRejectedNotBelieved) {
   // A header declaring a payload far larger than the file must stop the
   // replay rather than read out of bounds or allocate the declared size.
   std::string buf;
-  AppendWalFrame(&buf, EncodeMutation(Mutation::Retract(
+  AppendRecord(&buf, EncodeMutation(Mutation::Retract(
                            "s", "p", "o", NodeKind::kEntity,
                            NodeKind::kEntity)));
   const size_t valid = buf.size();

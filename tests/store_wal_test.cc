@@ -46,7 +46,7 @@ std::string FrameAll(const std::vector<Mutation>& mutations,
                      std::vector<size_t>* frame_ends = nullptr) {
   std::string buf;
   for (const Mutation& m : mutations) {
-    AppendWalFrame(&buf, EncodeMutation(m));
+    AppendRecord(&buf, EncodeMutation(m));
     if (frame_ends != nullptr) frame_ends->push_back(buf.size());
   }
   return buf;
@@ -129,7 +129,7 @@ TEST(WalTest, ReplayFromAnyFrameOffsetResumesBitIdentically) {
     // Re-encoding the resumed records reproduces the suffix bytes.
     std::string reframed;
     for (const Mutation& m : suffix.mutations) {
-      AppendWalFrame(&reframed, EncodeMutation(m));
+      AppendRecord(&reframed, EncodeMutation(m));
     }
     EXPECT_EQ(reframed, buf.substr(offset));
   }
@@ -199,7 +199,7 @@ TEST(WalTest, ZeroLengthFrameIsATornTail) {
   // A zero-length frame with a "valid" checksum of the empty payload:
   // the frame parses but the empty payload does not decode, so replay
   // treats it as the start of a torn tail.
-  AppendWalFrame(&buf, "");
+  AppendRecord(&buf, "");
   const WalReplay replay = ReplayWalBuffer(buf);
   EXPECT_FALSE(replay.clean);
   EXPECT_EQ(replay.mutations.size(), mutations.size());
@@ -240,7 +240,7 @@ TEST(WalTest, OpenTruncatesTornTailAndAppendsExtendValidPrefix) {
   {
     std::ofstream out(tmp.path, std::ios::binary | std::ios::app);
     std::string torn;
-    AppendWalFrame(&torn, EncodeMutation(mutations[0]));
+    AppendRecord(&torn, EncodeMutation(mutations[0]));
     out.write(torn.data(), static_cast<std::streamsize>(torn.size() / 2));
   }
   ASSERT_GT(std::filesystem::file_size(tmp.path), full_size);
