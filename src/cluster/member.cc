@@ -179,7 +179,8 @@ Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
       const store::WalReplay replay = store::ReplayWalBuffer(bytes);
       resume_offset = replay.valid_bytes;
       initial_chain = ShardLog::FoldChain(
-          0, std::string_view(bytes).substr(0, replay.valid_bytes));
+          0, std::string_view(bytes).substr(0, replay.valid_bytes),
+          replay.frame_offsets);
     }
   }
 

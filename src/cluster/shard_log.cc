@@ -8,11 +8,23 @@
 namespace kg::cluster {
 
 uint32_t ShardLog::ChainStep(uint32_t chain, std::string_view frame_bytes) {
+  // Checksum32(le32(chain) ++ frame), hashed from a running state instead
+  // of over a concatenated copy. Four bytes fit the small-string buffer,
+  // so the seed allocates nothing.
   std::string seed;
-  seed.reserve(4 + frame_bytes.size());
   PutU32(&seed, chain);
-  seed.append(frame_bytes);
-  return Checksum32(seed);
+  return Fold32(Fnv1a64(frame_bytes, Fnv1a64(seed)));
+}
+
+uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames,
+                             std::span<const uint64_t> frame_offsets) {
+  for (size_t i = 0; i < frame_offsets.size(); ++i) {
+    const uint64_t end =
+        i + 1 < frame_offsets.size() ? frame_offsets[i + 1] : frames.size();
+    chain = ChainStep(chain, frames.substr(frame_offsets[i],
+                                           end - frame_offsets[i]));
+  }
+  return chain;
 }
 
 uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames) {

@@ -51,10 +51,15 @@ class ShardLog : public rpc::WalSource {
   static uint32_t ChainStep(uint32_t chain, std::string_view frame_bytes);
 
   /// Folds the chain over a run of complete frames (the shape a
-  /// kWalBatch ships and a replica's WAL file stores), walking them with
-  /// kg::ScanRecord. `frames` must be whole valid frames — callers
-  /// validate with store::ReplayWalBuffer first; the fold stops at the
-  /// first record that does not scan.
+  /// kWalBatch ships and a replica's WAL file stores) that start at
+  /// `frame_offsets` and end at `frames.size()` — the frames and offsets a
+  /// store::ReplayWalBuffer of `frames` verified and reported, so the
+  /// fold hashes each byte once and scans nothing.
+  static uint32_t FoldChain(uint32_t chain, std::string_view frames,
+                            std::span<const uint64_t> frame_offsets);
+
+  /// The same fold for a caller without a replay: finds the frames with
+  /// kg::ScanRecord, stopping at the first record that does not scan.
   static uint32_t FoldChain(uint32_t chain, std::string_view frames);
 
  private:

@@ -171,7 +171,8 @@ void WalReceiver::RunSession(rpc::RpcClient* client) {
     if (!replay.clean || replay.valid_bytes != batch.frames.size()) {
       return reject();
     }
-    const uint32_t chain_after = ShardLog::FoldChain(chain_, batch.frames);
+    const uint32_t chain_after =
+        ShardLog::FoldChain(chain_, batch.frames, replay.frame_offsets);
     if (chain_after != batch.chain_after) return reject();
     if (!store_->ApplyBatch(replay.mutations).ok()) return reject();
     store_->set_applied_watermark(batch.end_offset);

@@ -91,6 +91,20 @@ std::string RenderAttributeRow(std::string_view subject,
   return out;
 }
 
+std::string RenderNeighborhoodRow(std::string_view direction,
+                                  std::string_view predicate,
+                                  std::string_view node,
+                                  graph::NodeKind kind) {
+  std::string out;
+  out.reserve(direction.size() + predicate.size() + node.size() + 4);
+  out.append(direction);
+  out.push_back('\t');
+  out.append(predicate);
+  out.push_back('\t');
+  AppendNode(&out, node, kind);
+  return out;
+}
+
 QueryResult RankTopK(std::vector<NodeId> scored,
                      const std::vector<uint32_t>& counts, size_t k,
                      NodeId by_id,
@@ -277,17 +291,24 @@ QueryResult QueryEngine::PointLookup(const Query& query) const {
 QueryResult QueryEngine::Neighborhood(const Query& query) const {
   const auto node = snapshot_.FindNode(query.node, query.node_kind);
   if (!node.ok()) return {};
+  // In-rows first: "in" sorts before "out", and each row comes in
+  // (predicate id, node id) order, which is byte order unless kinds mix
+  // or a name byte sorts below '\t'; only then does it sort.
   QueryResult rows;
   rows.reserve(snapshot_.OutDegree(*node) + snapshot_.InDegree(*node));
-  for (const KgSnapshot::Edge& e : snapshot_.OutEdges(*node)) {
-    rows.push_back("out\t" + std::string(snapshot_.PredicateName(e.first)) +
-                   '\t' + RenderNode(snapshot_, e.second));
-  }
   for (const KgSnapshot::Edge& e : snapshot_.InEdges(*node)) {
-    rows.push_back("in\t" + std::string(snapshot_.PredicateName(e.first)) +
-                   '\t' + RenderNode(snapshot_, e.second));
+    rows.push_back(RenderNeighborhoodRow(
+        "in", snapshot_.PredicateName(e.first), snapshot_.NodeName(e.second),
+        snapshot_.NodeKindOf(e.second)));
   }
-  std::sort(rows.begin(), rows.end());
+  for (const KgSnapshot::Edge& e : snapshot_.OutEdges(*node)) {
+    rows.push_back(RenderNeighborhoodRow(
+        "out", snapshot_.PredicateName(e.first), snapshot_.NodeName(e.second),
+        snapshot_.NodeKindOf(e.second)));
+  }
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
   return rows;
 }
 

@@ -88,6 +88,13 @@ std::string RenderAttributeRow(std::string_view subject,
                                std::string_view object,
                                graph::NodeKind object_kind);
 
+/// A neighborhood row, "<direction>\t<predicate>\t<node>", built in one
+/// allocation; `direction` is "in" or "out".
+std::string RenderNeighborhoodRow(std::string_view direction,
+                                  std::string_view predicate,
+                                  std::string_view node,
+                                  graph::NodeKind kind);
+
 /// Top-k's rank-and-render step, shared by QueryEngine and the versioned
 /// store's merged read. `scored` lists each scored entity id once, and
 /// `counts[id]` is its shared-neighbour count. Keeps the `k` best by

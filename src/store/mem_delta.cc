@@ -12,16 +12,21 @@ MemDelta::State StateOf(const Mutation& m) {
 }  // namespace
 
 void MemDelta::Apply(const Mutation& m, uint64_t seq) {
-  const TripleName name = TripleName::Of(m);
   const Entry entry{StateOf(m), seq};
-  const auto [it, inserted] = by_subject_.insert_or_assign(name, entry);
-  if (inserted) ++predicate_counts_[name.predicate];
-  by_object_[ObjectKey{name.object_kind, name.object, name.predicate,
-                       name.subject_kind, name.subject}] = entry;
+  const auto it = by_subject_.find(TripleView::Of(m));
+  if (it != by_subject_.end()) {
+    it->second = entry;
+    by_object_.find(TripleView::Of(m))->second = entry;
+  } else {
+    const TripleName name = TripleName::Of(m);
+    by_subject_.emplace(name, entry);
+    by_object_.emplace(name, entry);
+    ++predicate_counts_[name.predicate];
+  }
   if (seq > last_seq_) last_seq_ = seq;
 }
 
-MemDelta::State MemDelta::Lookup(const TripleName& t) const {
+MemDelta::State MemDelta::Lookup(const TripleView& t) const {
   const auto it = by_subject_.find(t);
   return it == by_subject_.end() ? State::kUntouched : it->second.state;
 }
@@ -29,52 +34,22 @@ MemDelta::State MemDelta::Lookup(const TripleName& t) const {
 bool MemDelta::TouchesSubject(graph::NodeKind kind,
                               std::string_view name) const {
   const auto it = by_subject_.lower_bound(
-      TripleName{kind, std::string(name), "", graph::NodeKind::kEntity, ""});
+      TripleView(kind, name, {}, graph::NodeKind::kEntity, {}));
   return it != by_subject_.end() && it->first.subject_kind == kind &&
          it->first.subject == name;
+}
+
+bool MemDelta::TouchesObject(graph::NodeKind kind,
+                             std::string_view name) const {
+  const auto it = by_object_.lower_bound(
+      TripleView(graph::NodeKind::kEntity, {}, {}, kind, name));
+  return it != by_object_.end() && it->first.object_kind == kind &&
+         it->first.object == name;
 }
 
 bool MemDelta::TouchesPredicate(std::string_view name) const {
   const auto it = predicate_counts_.find(name);
   return it != predicate_counts_.end() && it->second > 0;
-}
-
-bool MemDelta::TouchesObject(graph::NodeKind kind,
-                             std::string_view name) const {
-  const auto it = by_object_.lower_bound(ObjectKey{
-      kind, std::string(name), "", graph::NodeKind::kEntity, ""});
-  return it != by_object_.end() && std::get<0>(it->first) == kind &&
-         std::get<1>(it->first) == name;
-}
-
-void MemDelta::ForEachBySubject(
-    graph::NodeKind kind, std::string_view name,
-    const std::function<void(const TripleName&, const Entry&)>& fn) const {
-  for (auto it = by_subject_.lower_bound(TripleName{
-           kind, std::string(name), "", graph::NodeKind::kEntity, ""});
-       it != by_subject_.end() && it->first.subject_kind == kind &&
-       it->first.subject == name;
-       ++it) {
-    fn(it->first, it->second);
-  }
-}
-
-void MemDelta::ForEachByObject(
-    graph::NodeKind kind, std::string_view name,
-    const std::function<void(const TripleName&, const Entry&)>& fn) const {
-  for (auto it = by_object_.lower_bound(ObjectKey{
-           kind, std::string(name), "", graph::NodeKind::kEntity, ""});
-       it != by_object_.end() && std::get<0>(it->first) == kind &&
-       std::get<1>(it->first) == name;
-       ++it) {
-    const auto& [o_kind, object, predicate, s_kind, subject] = it->first;
-    fn(TripleName{s_kind, subject, predicate, o_kind, object}, it->second);
-  }
-}
-
-void MemDelta::ForEach(
-    const std::function<void(const TripleName&, const Entry&)>& fn) const {
-  for (const auto& [name, entry] : by_subject_) fn(name, entry);
 }
 
 void MemDelta::TrimThrough(uint64_t seq) {

@@ -2,8 +2,8 @@
 #define KGRAPH_STORE_MEM_DELTA_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -28,11 +28,30 @@ struct TripleName {
   }
 
   friend bool operator==(const TripleName&, const TripleName&) = default;
-  friend auto operator<=>(const TripleName& a, const TripleName& b) {
-    return std::tie(a.subject_kind, a.subject, a.predicate, a.object_kind,
-                    a.object) <=> std::tie(b.subject_kind, b.subject,
-                                           b.predicate, b.object_kind,
-                                           b.object);
+};
+
+/// A triple addressed by borrowed names: the key MemDelta's probes take,
+/// so a probe copies no name. Converts implicitly from a TripleName, as a
+/// std::string_view does from a std::string; valid while the names it
+/// views are.
+struct TripleView {
+  graph::NodeKind subject_kind = graph::NodeKind::kEntity;
+  std::string_view subject;
+  std::string_view predicate;
+  graph::NodeKind object_kind = graph::NodeKind::kEntity;
+  std::string_view object;
+
+  TripleView(graph::NodeKind s_kind, std::string_view s, std::string_view p,
+             graph::NodeKind o_kind, std::string_view o)
+      : subject_kind(s_kind), subject(s), predicate(p), object_kind(o_kind),
+        object(o) {}
+  TripleView(const TripleName& t)  // NOLINT(runtime/explicit)
+      : TripleView(t.subject_kind, t.subject, t.predicate, t.object_kind,
+                   t.object) {}
+
+  static TripleView Of(const Mutation& m) {
+    return TripleView(m.subject_kind, m.subject, m.predicate, m.object_kind,
+                      m.object);
   }
 };
 
@@ -46,11 +65,12 @@ struct TripleName {
 ///     shadows any base correctly regardless of where the fold line
 ///     falls.
 ///
-/// Ordered (std::map over TripleName, subject-major) so iteration order —
-/// and everything derived from it, e.g. merged query answers — is a pure
-/// function of content. A secondary object-major index serves in-edge
-/// merges. Not internally synchronized: the store publishes deltas as
-/// immutable copy-on-write snapshots behind an epoch swap.
+/// Ordered (subject-major, plus an object-major index for in-edge walks)
+/// so iteration order — and everything derived from it, e.g. merged
+/// query answers — is a pure function of content. Probes and walks take
+/// borrowed names and a callable, and allocate nothing. Not internally
+/// synchronized: the store publishes deltas as immutable copy-on-write
+/// snapshots behind an epoch swap.
 class MemDelta {
  public:
   enum class State : uint8_t {
@@ -69,11 +89,10 @@ class MemDelta {
   void Apply(const Mutation& m, uint64_t seq);
 
   /// The overlay's verdict on one triple.
-  State Lookup(const TripleName& t) const;
+  State Lookup(const TripleView& t) const;
 
-  /// True when the overlay touches any triple with this subject
-  /// (cheap pre-check so base-edge merges skip per-edge probes for
-  /// untouched subjects).
+  /// True when the overlay touches any triple with this subject (or
+  /// object): exact, never a name-prefix match.
   bool TouchesSubject(graph::NodeKind kind, std::string_view name) const;
   bool TouchesObject(graph::NodeKind kind, std::string_view name) const;
 
@@ -82,23 +101,50 @@ class MemDelta {
   /// skip the merge entirely and read the base snapshot directly.
   bool TouchesPredicate(std::string_view name) const;
 
-  /// Visits entries with the given subject in (predicate, object_kind,
-  /// object) order. For every ForEach*, the TripleName argument lives only
-  /// for the call (ForEachByObject builds a temporary per entry): copy a
-  /// name the caller keeps, never hold a string_view into it.
-  void ForEachBySubject(
-      graph::NodeKind kind, std::string_view name,
-      const std::function<void(const TripleName&, const Entry&)>& fn) const;
+  /// Calls `fn(const TripleName&, const Entry&)` for the entries with
+  /// the given subject, in (predicate, object_kind, object) order — only
+  /// those under `predicate` when it is set. The TripleName is the
+  /// stored key: a caller may view into it while the delta lives.
+  template <typename Fn>
+  void ForEachBySubject(graph::NodeKind kind, std::string_view name,
+                        std::optional<std::string_view> predicate,
+                        const Fn& fn) const {
+    // kEntity and "" are the smallest kind and name, so the probe sorts
+    // first among the entries it bounds.
+    for (auto it = by_subject_.lower_bound(
+             TripleView(kind, name, predicate.value_or(std::string_view()),
+                        graph::NodeKind::kEntity, {}));
+         it != by_subject_.end() && it->first.subject_kind == kind &&
+         it->first.subject == name &&
+         (!predicate || it->first.predicate == *predicate);
+         ++it) {
+      fn(it->first, it->second);
+    }
+  }
 
-  /// Visits entries with the given object in (predicate, subject_kind,
-  /// subject) order.
-  void ForEachByObject(
-      graph::NodeKind kind, std::string_view name,
-      const std::function<void(const TripleName&, const Entry&)>& fn) const;
+  /// ForEachBySubject's twin over the entries with the given object, in
+  /// (predicate, subject_kind, subject) order.
+  template <typename Fn>
+  void ForEachByObject(graph::NodeKind kind, std::string_view name,
+                       std::optional<std::string_view> predicate,
+                       const Fn& fn) const {
+    for (auto it = by_object_.lower_bound(
+             TripleView(graph::NodeKind::kEntity, {},
+                        predicate.value_or(std::string_view()), kind, name));
+         it != by_object_.end() && it->first.object_kind == kind &&
+         it->first.object == name &&
+         (!predicate || it->first.predicate == *predicate);
+         ++it) {
+      fn(it->first, it->second);
+    }
+  }
 
-  /// Visits every entry in subject-major order.
-  void ForEach(
-      const std::function<void(const TripleName&, const Entry&)>& fn) const;
+  /// Calls `fn(const TripleName&, const Entry&)` for every entry, in
+  /// subject-major order.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (const auto& [name, entry] : by_subject_) fn(name, entry);
+  }
 
   /// Drops entries whose last op is <= `seq` — the fold line of a
   /// completed compaction (those states are now the base's).
@@ -111,15 +157,31 @@ class MemDelta {
   uint64_t last_seq() const { return last_seq_; }
 
  private:
-  /// Object-major key: (object_kind, object, predicate, subject_kind,
-  /// subject).
-  using ObjectKey = std::tuple<graph::NodeKind, std::string, std::string,
-                               graph::NodeKind, std::string>;
+  /// (subject_kind, subject, predicate, object_kind, object) order.
+  struct SubjectMajor {
+    using is_transparent = void;
+    bool operator()(const TripleView& a, const TripleView& b) const {
+      return std::tie(a.subject_kind, a.subject, a.predicate, a.object_kind,
+                      a.object) < std::tie(b.subject_kind, b.subject,
+                                           b.predicate, b.object_kind,
+                                           b.object);
+    }
+  };
+  /// (object_kind, object, predicate, subject_kind, subject) order.
+  struct ObjectMajor {
+    using is_transparent = void;
+    bool operator()(const TripleView& a, const TripleView& b) const {
+      return std::tie(a.object_kind, a.object, a.predicate, a.subject_kind,
+                      a.subject) < std::tie(b.object_kind, b.object,
+                                            b.predicate, b.subject_kind,
+                                            b.subject);
+    }
+  };
 
   // Entries are duplicated (by value) across both maps so the default
   // copy — the store's copy-on-write publish — stays trivially correct.
-  std::map<TripleName, Entry> by_subject_;
-  std::map<ObjectKey, Entry> by_object_;
+  std::map<TripleName, Entry, SubjectMajor> by_subject_;
+  std::map<TripleName, Entry, ObjectMajor> by_object_;
   /// Live-entry count per predicate, kept in lockstep with by_subject_.
   std::map<std::string, size_t, std::less<>> predicate_counts_;
   uint64_t last_seq_ = 0;

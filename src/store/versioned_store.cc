@@ -5,7 +5,10 @@
 #include <chrono>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -28,9 +31,22 @@ NodeRef RefOf(const serve::KgSnapshot& base, serve::NodeId id) {
   return NodeRef{base.NodeKindOf(id), std::string(base.NodeName(id))};
 }
 
+/// `name`'s base id, or kInvalidNode when only the overlay can name it.
+serve::NodeId BaseNode(const serve::KgSnapshot& base, std::string_view name,
+                       graph::NodeKind kind) {
+  const auto id = base.FindNode(name, kind);
+  return id.ok() ? *id : serve::kInvalidNode;
+}
+
+serve::PredicateId BasePredicate(const serve::KgSnapshot& base,
+                                 std::string_view name) {
+  const auto id = base.FindPredicate(name);
+  return id.ok() ? *id : serve::kInvalidNode;
+}
+
 /// (s, p, o) base ids of `t`, or nullopt when the base lacks the triple.
 std::optional<std::array<uint32_t, 3>> FindBaseTriple(
-    const serve::KgSnapshot& base, const TripleName& t) {
+    const serve::KgSnapshot& base, const TripleView& t) {
   const auto s = base.FindNode(t.subject, t.subject_kind);
   const auto p = base.FindPredicate(t.predicate);
   const auto o = base.FindNode(t.object, t.object_kind);
@@ -40,53 +56,121 @@ std::optional<std::array<uint32_t, 3>> FindBaseTriple(
   return std::array<uint32_t, 3>{*s, *p, *o};
 }
 
-/// Appends the base ids of the subject and object of `t` (a Mutation or a
-/// TripleName) that the base has.
-template <typename T>
-void AppendBaseNodes(const serve::KgSnapshot& base, const T& t,
-                     std::vector<serve::NodeId>* ids) {
-  if (const auto s = base.FindNode(t.subject, t.subject_kind); s.ok()) {
-    ids->push_back(*s);
-  }
-  if (const auto o = base.FindNode(t.object, t.object_kind); o.ok()) {
-    ids->push_back(*o);
-  }
-}
-
-/// `touched` (sorted, unique) ∪ `added`, sorted and unique: a commit's
-/// extension of the epoch's node index, O(|touched| + |batch| log |batch|).
-std::vector<serve::NodeId> MergeTouchedNodes(
-    const std::vector<serve::NodeId>& touched,
-    std::vector<serve::NodeId> added) {
-  std::sort(added.begin(), added.end());
-  added.erase(std::unique(added.begin(), added.end()), added.end());
+/// `a` (sorted, unique) ∪ `b`, sorted and unique: a commit's extension of
+/// the epoch's gate, O(|a| + |b| log |b|).
+std::vector<serve::NodeId> UnionSorted(const std::vector<serve::NodeId>& a,
+                                       std::vector<serve::NodeId> b) {
+  std::sort(b.begin(), b.end());
+  b.erase(std::unique(b.begin(), b.end()), b.end());
   std::vector<serve::NodeId> out;
-  out.reserve(touched.size() + added.size());
-  std::set_union(touched.begin(), touched.end(), added.begin(), added.end(),
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                  std::back_inserter(out));
   return out;
 }
 
-/// The node index of (base, delta) from scratch — what compaction
-/// publishes, since a fold renumbers the base.
-std::vector<serve::NodeId> TouchedNodes(const serve::KgSnapshot& base,
-                                        const MemDelta& delta) {
-  std::vector<serve::NodeId> ids;
-  delta.ForEach([&](const TripleName& t, const MemDelta::Entry&) {
-    AppendBaseNodes(base, t, &ids);
+/// A run entry's sort key: (walked node, predicate, far node).
+std::tuple<uint32_t, uint32_t, uint32_t> RunKey(const OverlayEdge& e) {
+  return {e.node, e.predicate, e.far};
+}
+
+/// One overlay triple whose three parts the base names, resolved: its
+/// out-run entry, and whether the runs keep it at all (an upsert the base
+/// already holds, or a retraction of a triple it lacks, changes nothing).
+struct RunChange {
+  OverlayEdge edge;
+  bool kept = false;
+};
+
+/// Resolves the overlay's verdict `state` on `t` against `base`: a run
+/// change when the base names all three parts, else the base endpoints
+/// join the gate.
+void Resolve(const serve::KgSnapshot& base, const TripleView& t,
+             MemDelta::State state, std::vector<RunChange>* changes,
+             std::vector<serve::NodeId>* gate) {
+  const serve::NodeId s = BaseNode(base, t.subject, t.subject_kind);
+  const serve::PredicateId p = BasePredicate(base, t.predicate);
+  const serve::NodeId o = BaseNode(base, t.object, t.object_kind);
+  if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
+      o == serve::kInvalidNode) {
+    if (s != serve::kInvalidNode) gate->push_back(s);
+    if (o != serve::kInvalidNode) gate->push_back(o);
+    return;
+  }
+  const bool in_base = base.HasTriple(s, p, o);
+  const bool added = state == MemDelta::State::kUpserted && !in_base;
+  const bool retracted = state == MemDelta::State::kRetracted && in_base;
+  changes->push_back(
+      RunChange{OverlayEdge{s, p, o, added}, added || retracted});
+}
+
+/// `run` with `changes` applied: a changed triple's old entry goes, and
+/// its new one comes in when kept. Duplicates in `changes` name one
+/// triple with one verdict (the delta's final state), so any one stands.
+std::vector<OverlayEdge> ApplyToRun(const std::vector<OverlayEdge>& run,
+                                    std::vector<RunChange> changes) {
+  std::sort(changes.begin(), changes.end(),
+            [](const RunChange& a, const RunChange& b) {
+              return RunKey(a.edge) < RunKey(b.edge);
+            });
+  changes.erase(std::unique(changes.begin(), changes.end(),
+                            [](const RunChange& a, const RunChange& b) {
+                              return RunKey(a.edge) == RunKey(b.edge);
+                            }),
+                changes.end());
+  std::vector<OverlayEdge> out;
+  out.reserve(run.size() + changes.size());
+  auto c = changes.begin();
+  for (const OverlayEdge& e : run) {
+    for (; c != changes.end() && RunKey(c->edge) < RunKey(e); ++c) {
+      if (c->kept) out.push_back(c->edge);
+    }
+    if (c != changes.end() && RunKey(c->edge) == RunKey(e)) {
+      if (c->kept) out.push_back(c->edge);
+      ++c;
+      continue;
+    }
+    out.push_back(e);
+  }
+  for (; c != changes.end(); ++c) {
+    if (c->kept) out.push_back(c->edge);
+  }
+  return out;
+}
+
+/// `prev` — runs over the same base — with `changes` (out-run order) and
+/// the `gate` additions applied to both directions.
+OverlayRuns ExtendOverlay(const OverlayRuns& prev,
+                          std::vector<RunChange> changes,
+                          std::vector<serve::NodeId> gate) {
+  std::vector<RunChange> in_changes;
+  in_changes.reserve(changes.size());
+  for (const RunChange& c : changes) {
+    in_changes.push_back(RunChange{
+        OverlayEdge{c.edge.far, c.edge.predicate, c.edge.node, c.edge.added},
+        c.kept});
+  }
+  OverlayRuns next;
+  next.out = ApplyToRun(prev.out, std::move(changes));
+  next.in = ApplyToRun(prev.in, std::move(in_changes));
+  next.gate = UnionSorted(prev.gate, std::move(gate));
+  return next;
+}
+
+/// The runs of (base, delta) from scratch — what compaction publishes,
+/// since a fold renumbers the base.
+OverlayRuns ResolveOverlay(const serve::KgSnapshot& base,
+                           const MemDelta& delta) {
+  std::vector<RunChange> changes;
+  std::vector<serve::NodeId> gate;
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
+    Resolve(base, t, e.state, &changes, &gate);
   });
-  return MergeTouchedNodes({}, std::move(ids));
+  return ExtendOverlay({}, std::move(changes), std::move(gate));
 }
 
 /// A merged edge walk's direction, seen from the walked node.
 enum class Direction { kOut, kIn };
-
-/// The overlay's key for the triple (s, p, o).
-TripleName NameTriple(const NodeKey& s, std::string_view p,
-                      const NodeKey& o) {
-  return TripleName{s.first, std::string(s.second), std::string(p), o.first,
-                    std::string(o.second)};
-}
 
 /// The endpoint of `t` across from the node a `dir` walk visits.
 NodeKey FarEnd(const TripleName& t, Direction dir) {
@@ -109,34 +193,28 @@ struct OnePredicate {
 struct MergedView {
   const serve::KgSnapshot& base;
   const MemDelta& delta;
-  /// The epoch's node index (StoreEpoch::touched_nodes). Lets ForEachEdge
-  /// test "does the overlay touch this node" with an integer binary
-  /// search instead of two string-keyed map probes; borrowed, so a view
-  /// costs nothing to set up.
-  const std::vector<serve::NodeId>& touched_nodes;
+  /// The epoch's overlay in base ids (StoreEpoch::overlay); borrowed, so
+  /// a view costs nothing to set up.
+  const OverlayRuns& overlay;
 
   explicit MergedView(const StoreEpoch& epoch)
-      : base(*epoch.base), delta(*epoch.delta),
-        touched_nodes(epoch.touched_nodes) {}
+      : base(*epoch.base), delta(*epoch.delta), overlay(epoch.overlay) {}
 
-  bool TouchedBaseNode(uint32_t id) const {
-    return std::binary_search(touched_nodes.begin(), touched_nodes.end(), id);
+  bool Gated(serve::NodeId id) const {
+    return std::binary_search(overlay.gate.begin(), overlay.gate.end(), id);
   }
 
-  bool Retracted(const TripleName& t) const {
+  bool Retracted(const TripleView& t) const {
     return delta.Lookup(t) == MemDelta::State::kRetracted;
   }
 
-  /// `n`'s base id, or kInvalidNode when only the overlay can name it.
   serve::NodeId BaseId(const NodeKey& n) const {
-    const auto id = base.FindNode(n.second, n.first);
-    return id.ok() ? *id : serve::kInvalidNode;
+    return BaseNode(base, n.second, n.first);
   }
 
   /// `name` resolved against the base, once for every walk of one read.
   OnePredicate Only(std::string_view name) const {
-    const auto id = base.FindPredicate(name);
-    return OnePredicate{name, id.ok() ? *id : serve::kInvalidNode};
+    return OnePredicate{name, BasePredicate(base, name)};
   }
 
   /// Sorted-unique nodes adjacent to `n` over live merged edges, either
@@ -148,26 +226,26 @@ struct MergedView {
   /// ingest/read balance `ingest_serve` measures (E29).
   std::vector<NodeRef> AdjacentNodes(const NodeRef& n) const {
     std::vector<NodeRef> out;
-    const auto n_id = base.FindNode(n.second, n.first);
+    const serve::NodeId n_id = BaseNode(base, n.second, n.first);
     const bool touches_s = delta.TouchesSubject(n.first, n.second);
     const bool touches_o = delta.TouchesObject(n.first, n.second);
-    if (n_id.ok()) {
-      for (const serve::KgSnapshot::Edge& e : base.OutEdges(*n_id)) {
+    if (n_id != serve::kInvalidNode) {
+      for (const serve::KgSnapshot::Edge& e : base.OutEdges(n_id)) {
         if (touches_s &&
-            Retracted(TripleName{n.first, n.second,
-                                 std::string(base.PredicateName(e.first)),
+            Retracted(TripleView(n.first, n.second,
+                                 base.PredicateName(e.first),
                                  base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second))})) {
+                                 base.NodeName(e.second)))) {
           continue;
         }
         out.push_back(RefOf(base, e.second));
       }
-      for (const serve::KgSnapshot::Edge& e : base.InEdges(*n_id)) {
+      for (const serve::KgSnapshot::Edge& e : base.InEdges(n_id)) {
         if (touches_o &&
-            Retracted(TripleName{base.NodeKindOf(e.second),
-                                 std::string(base.NodeName(e.second)),
-                                 std::string(base.PredicateName(e.first)),
-                                 n.first, n.second})) {
+            Retracted(TripleView(base.NodeKindOf(e.second),
+                                 base.NodeName(e.second),
+                                 base.PredicateName(e.first), n.first,
+                                 n.second))) {
           continue;
         }
         out.push_back(RefOf(base, e.second));
@@ -175,7 +253,7 @@ struct MergedView {
     }
     if (touches_s) {
       delta.ForEachBySubject(
-          n.first, n.second,
+          n.first, n.second, std::nullopt,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
             if (FindBaseTriple(base, t)) return;
@@ -184,7 +262,7 @@ struct MergedView {
     }
     if (touches_o) {
       delta.ForEachByObject(
-          n.first, n.second,
+          n.first, n.second, std::nullopt,
           [&](const TripleName& t, const MemDelta::Entry& e) {
             if (e.state != MemDelta::State::kUpserted) return;
             if (FindBaseTriple(base, t)) return;
@@ -196,59 +274,100 @@ struct MergedView {
     return out;
   }
 
+  /// Base node `id`'s entries in `run`, only `only`'s predicate when
+  /// non-null.
+  static std::span<const OverlayEdge> RunOf(
+      const std::vector<OverlayEdge>& run, serve::NodeId id,
+      const OnePredicate* only) {
+    const auto first = std::partition_point(
+        run.begin(), run.end(), [&](const OverlayEdge& e) {
+          return e.node < id ||
+                 (only != nullptr && e.node == id && e.predicate < only->id);
+        });
+    const auto last =
+        std::partition_point(first, run.end(), [&](const OverlayEdge& e) {
+          return e.node == id && (only == nullptr || e.predicate == only->id);
+        });
+    return {first, last};
+  }
+
   /// The read path's one merged edge walk: visits each live `dir` edge of
   /// `n` (base id `id`, or kInvalidNode when only the overlay names it)
-  /// exactly once, under `only`'s predicate when non-null. Base edges go
-  /// to `on_base(predicate id, neighbour id)`; overlay upserts the base
-  /// lacks go to `on_overlay(triple)`, whose argument lives only for the
-  /// call. A node the overlay doesn't touch is a raw CSR read (integer
-  /// ops, no string work — the hot path, since the overlay is small). A
-  /// touched node stays in id space too: a retracted base edge names both
-  /// endpoints in the overlay, so only edges into *other touched nodes*
-  /// pay the string-keyed retract probe. Rows are sorted by predicate id,
-  /// so a restricted walk reads only that predicate's run.
+  /// exactly once, under `only`'s predicate when non-null. Edges whose
+  /// three parts the base names go to `on_base(predicate id, neighbour
+  /// id)`, in (predicate, neighbour id) order: the base row merged with
+  /// the node's run, which drops retracted edges and adds upserts. The
+  /// rest — upserts with a part only the overlay names — go to
+  /// `on_overlay(triple)`, whose argument lives as long as the delta.
+  /// Only those need the name-keyed delta, so it is read for overlay-only
+  /// nodes and for the base nodes of the gate, never per edge.
   template <typename OnBase, typename OnOverlay>
   void ForEachEdge(serve::NodeId id, const NodeKey& n, Direction dir,
                    const OnePredicate* only, const OnBase& on_base,
                    const OnOverlay& on_overlay) const {
     const bool out = dir == Direction::kOut;
     if (id != serve::kInvalidNode) {
-      const bool touched = TouchedBaseNode(id);
       if (only == nullptr || only->id != serve::kInvalidNode) {
+        const std::span<const OverlayEdge> run =
+            RunOf(out ? overlay.out : overlay.in, id, only);
+        auto r = run.begin();
         for (const serve::KgSnapshot::Edge& e :
              out ? base.OutEdges(id) : base.InEdges(id)) {
           if (only != nullptr && e.first < only->id) continue;
           if (only != nullptr && e.first > only->id) break;
-          if (touched && TouchedBaseNode(e.second)) {
-            const NodeKey far{base.NodeKindOf(e.second),
-                              base.NodeName(e.second)};
-            const std::string_view pred = base.PredicateName(e.first);
-            if (Retracted(out ? NameTriple(n, pred, far)
-                              : NameTriple(far, pred, n))) {
-              continue;
-            }
+          for (; r != run.end() && std::tie(r->predicate, r->far) <
+                                       std::tie(e.first, e.second);
+               ++r) {
+            if (r->added) on_base(r->predicate, r->far);
+          }
+          if (r != run.end() && r->predicate == e.first &&
+              r->far == e.second) {
+            const bool retracted = !r->added;
+            ++r;
+            if (retracted) continue;
           }
           on_base(e.first, e.second);
         }
+        for (; r != run.end(); ++r) {
+          if (r->added) on_base(r->predicate, r->far);
+        }
       }
-      if (!touched) return;
+      if (!Gated(id)) return;
     }
+    // An upsert of a base node whose predicate and far end the base both
+    // name was emitted above (from the run, or from the row it repeats).
+    // Entries come predicate-major, so an unrestricted walk resolves the
+    // predicate once per run of equal names.
+    std::optional<std::string_view> pred_name;
+    serve::PredicateId pred_id =
+        only != nullptr ? only->id : serve::kInvalidNode;
     const auto surface = [&](const TripleName& t, const MemDelta::Entry& e) {
       if (e.state != MemDelta::State::kUpserted) return;
-      if (only != nullptr && t.predicate != only->name) return;
-      if (FindBaseTriple(base, t)) return;
+      if (id != serve::kInvalidNode) {
+        if (only == nullptr && pred_name != t.predicate) {
+          pred_name = t.predicate;
+          pred_id = BasePredicate(base, t.predicate);
+        }
+        if (pred_id != serve::kInvalidNode &&
+            BaseId(FarEnd(t, dir)) != serve::kInvalidNode) {
+          return;
+        }
+      }
       on_overlay(t);
     };
+    const std::optional<std::string_view> bound =
+        only != nullptr ? std::optional<std::string_view>(only->name)
+                        : std::nullopt;
     if (out) {
-      delta.ForEachBySubject(n.first, n.second, surface);
+      delta.ForEachBySubject(n.first, n.second, bound, surface);
     } else {
-      delta.ForEachByObject(n.first, n.second, surface);
+      delta.ForEachByObject(n.first, n.second, bound, surface);
     }
   }
 
   /// ForEachEdge in both directions under every predicate — every live
   /// neighbour of `n`, repeats included: base ones to `on_base(id)`,
-  /// overlay ones to `on_overlay(node)`, valid only for the call.
+  /// overlay ones to `on_overlay(node)`.
   template <typename OnBase, typename OnOverlay>
   void ForEachAdjacent(serve::NodeId id, const NodeKey& n,
                        const OnBase& on_base,
@@ -288,19 +407,26 @@ serve::QueryResult MergedNeighborhood(const MergedView& view,
   serve::QueryResult rows;
   const NodeKey c{q.node_kind, q.node};
   const serve::NodeId id = view.BaseId(c);
-  for (const Direction dir : {Direction::kOut, Direction::kIn}) {
-    const std::string tag = dir == Direction::kOut ? "out\t" : "in\t";
+  // In-rows first: "in" sorts before "out", so base rows arrive in byte
+  // order unless kinds mix or a name byte sorts below '\t'.
+  for (const Direction dir : {Direction::kIn, Direction::kOut}) {
+    const std::string_view tag = dir == Direction::kOut ? "out" : "in";
     view.ForEachEdge(
         id, c, dir, nullptr,
         [&](serve::PredicateId p, serve::NodeId m) {
-          rows.push_back(tag + std::string(view.base.PredicateName(p)) +
-                         '\t' + RenderBase(view.base, m));
+          rows.push_back(serve::RenderNeighborhoodRow(
+              tag, view.base.PredicateName(p), view.base.NodeName(m),
+              view.base.NodeKindOf(m)));
         },
         [&](const TripleName& t) {
-          rows.push_back(tag + t.predicate + '\t' + Render(FarEnd(t, dir)));
+          const NodeKey far = FarEnd(t, dir);
+          rows.push_back(serve::RenderNeighborhoodRow(tag, t.predicate,
+                                                      far.second, far.first));
         });
   }
-  std::sort(rows.begin(), rows.end());
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
   return rows;
 }
 
@@ -671,7 +797,7 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = 0;
   // The replayed log is folded into the first base, so a reopened store
-  // starts with an empty overlay (and an empty node index).
+  // starts with an empty overlay (and empty runs).
   epoch->base = std::make_shared<const serve::KgSnapshot>(
       FoldDelta(serve::KgSnapshot::Compile(base), recovered));
   epoch->delta = std::make_shared<const MemDelta>();
@@ -719,19 +845,21 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   // Holding writer_mu_ makes the unlocked read of current_ safe: only
   // writers store to it, and they all serialize here.
   auto next_delta = std::make_shared<MemDelta>(*current_->delta);
-  std::vector<serve::NodeId> named;
+  for (const Mutation& m : mutations) next_delta->Apply(m, next_seq_++);
+  // The base is unchanged, so the previous runs stay valid; the batch's
+  // triples are resolved at their final state and replace their entries.
+  std::vector<RunChange> changes;
+  std::vector<serve::NodeId> gate;
   for (const Mutation& m : mutations) {
-    next_delta->Apply(m, next_seq_++);
-    AppendBaseNodes(*current_->base, m, &named);
+    const TripleView t = TripleView::Of(m);
+    Resolve(*current_->base, t, next_delta->Lookup(t), &changes, &gate);
   }
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = current_->version + 1;
   epoch->base = current_->base;
   epoch->delta = std::move(next_delta);
-  // The base is unchanged, so the previous index stays valid; a delta
-  // only gains entries between folds, so the batch's ids extend it.
-  epoch->touched_nodes =
-      MergeTouchedNodes(current_->touched_nodes, std::move(named));
+  epoch->overlay =
+      ExtendOverlay(current_->overlay, std::move(changes), std::move(gate));
   const uint64_t published_version = epoch->version;
   const size_t published_delta = epoch->delta->size();
   PublishEpoch(std::move(epoch), mutations);
@@ -806,8 +934,7 @@ serve::QueryResult VersionedKgStore::ExecuteAt(
 
 Result<serve::QueryResult> VersionedKgStore::TryExecute(
     const serve::Query& query) const {
-  KG_RETURN_IF_ERROR(serve::CheckSchema(*PinEpoch()->base));
-  return Execute(query);
+  return Read(query, /*check_schema=*/true);
 }
 
 Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
@@ -836,12 +963,17 @@ Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
 }
 
 serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
-  if (cache_ == nullptr || query.kind == serve::QueryKind::kPointLookup ||
-      query.kind == serve::QueryKind::kNeighborhood) {
-    return ExecuteAt(*PinEpoch(), query);
-  }
+  return Read(query, /*check_schema=*/false).value();
+}
+
+Result<serve::QueryResult> VersionedKgStore::Read(const serve::Query& query,
+                                                  bool check_schema) const {
+  const bool cached = cache_ != nullptr &&
+                      query.kind != serve::QueryKind::kPointLookup &&
+                      query.kind != serve::QueryKind::kNeighborhood;
   obs::Histogram* probe_hist =
-      metrics_.stage_cache_probe[static_cast<size_t>(query.kind)];
+      cached ? metrics_.stage_cache_probe[static_cast<size_t>(query.kind)]
+             : nullptr;
   const auto t_probe = probe_hist != nullptr
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
@@ -857,18 +989,21 @@ serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
   std::shared_ptr<const StoreEpoch> epoch;
   {
     std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-    tag = GenTag(query);
+    if (cached) tag = GenTag(query);
     epoch = current_;
   }
+  // The schema gate vouches for the epoch that answers, not a later one.
+  if (check_schema) KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
+  if (!cached) return ExecuteAt(*epoch, query);
   const std::string key = query.CacheKey();
-  serve::QueryResult cached;
-  const bool hit = cache_->Get(key, tag, &cached);
+  serve::QueryResult cached_rows;
+  const bool hit = cache_->Get(key, tag, &cached_rows);
   if (probe_hist != nullptr) {
     probe_hist->Observe(std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t_probe)
                             .count());
   }
-  if (hit) return cached;
+  if (hit) return cached_rows;
   serve::QueryResult result = ExecuteAt(*epoch, query);
   cache_->Put(key, tag, result);
   return result;
@@ -930,7 +1065,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::InstallFold(
     epoch->base = std::move(fold.base);
     epoch->delta = std::move(next_delta);
     // The fold renumbered the base: resolve the surviving entries anew.
-    epoch->touched_nodes = TouchedNodes(*epoch->base, *epoch->delta);
+    epoch->overlay = ResolveOverlay(*epoch->base, *epoch->delta);
     stats.version = epoch->version;
     stats.base_fingerprint = epoch->base->Fingerprint();
     const size_t remaining_delta = epoch->delta->size();

@@ -57,6 +57,35 @@ struct StoreOptions {
   bool time_stages = false;
 };
 
+/// One overlay triple resolved against its epoch's base, as a walk in one
+/// direction meets it: `node` is the walked endpoint (the subject in the
+/// out-run, the object in the in-run) and `far` the other one.
+struct OverlayEdge {
+  serve::NodeId node = 0;
+  serve::PredicateId predicate = 0;
+  serve::NodeId far = 0;
+  bool added = false;  ///< An upsert the base lacks; else a retraction.
+
+  friend bool operator==(const OverlayEdge&, const OverlayEdge&) = default;
+};
+
+/// An epoch's overlay resolved against its own base, in id space: what
+/// merged reads merge with the base CSR rows instead of probing the
+/// name-keyed delta edge by edge.
+struct OverlayRuns {
+  /// Sorted (subject, predicate, object): every retracted base triple,
+  /// and every upsert the base lacks whose three parts the base names.
+  std::vector<OverlayEdge> out;
+  /// The same triples, sorted (object, predicate, subject).
+  std::vector<OverlayEdge> in;
+  /// Sorted, unique base ids of the nodes that some delta entry with a
+  /// part the base lacks names: the only base nodes whose walks read the
+  /// delta itself.
+  std::vector<serve::NodeId> gate;
+
+  friend bool operator==(const OverlayRuns&, const OverlayRuns&) = default;
+};
+
 /// One immutable MVCC version of the store: a base snapshot plus the
 /// overlay of mutations applied after the base was compiled. Readers pin
 /// an epoch with a `shared_ptr` and keep a frozen, consistent view for
@@ -66,12 +95,11 @@ struct StoreEpoch {
   uint64_t version = 0;  ///< Bumps on every applied batch and compaction.
   std::shared_ptr<const serve::KgSnapshot> base;
   std::shared_ptr<const MemDelta> delta;
-  /// Sorted, unique base ids of every node the delta names (as subject
-  /// or object). Merged reads test "does the overlay touch this node"
-  /// with an integer binary search against it. Resolved once per epoch:
-  /// a commit merges in its batch's ids, and compaction — the only point
-  /// where base ids change — rebuilds it for the trimmed delta.
-  std::vector<serve::NodeId> touched_nodes;
+  /// `delta` resolved against `base`. Resolved once per epoch: a commit
+  /// extends its predecessor's runs with its batch, and compaction — the
+  /// only point where base ids change — rebuilds them for the trimmed
+  /// delta. Empty at Open, whose overlay is empty.
+  OverlayRuns overlay;
 };
 
 /// A node addressed by (kind, name), as queries and mutations address it.
@@ -96,7 +124,8 @@ struct EpochTaggedAdjacency {
 /// The epoch's (base, delta) pair is the store's only copy of the
 /// knowledge. Reads pin an epoch and merge base CSR range reads with the
 /// overlay (retractions shadow base triples, upserts surface new ones);
-/// the epoch's node index spares each read any O(|delta|) setup. Every
+/// the epoch's id-space overlay runs spare each read any O(|delta|)
+/// setup and any per-edge name probe. Every
 /// answer is byte-identical to `serve::QueryEngine` over a
 /// from-scratch rebuild at that version (store_property_test, 100
 /// worlds). Compaction streams base ⊕ delta through one fold into a
@@ -284,6 +313,13 @@ class VersionedKgStore {
   /// Compact()'s second step: trims the folded entries, publishes the new
   /// base and releases the compaction slot.
   CompactionStats InstallFold(PendingFold fold);
+
+  /// Execute and TryExecute's one body: pins the current epoch — with
+  /// the query's generation tag, for a cached class — in one shared
+  /// section, gates on that epoch's schema when asked, and answers from
+  /// it.
+  Result<serve::QueryResult> Read(const serve::Query& query,
+                                  bool check_schema) const;
 
   /// The generation tag for `q`, a cached (scan-class) query. Caller
   /// holds `epoch_mu_`.

@@ -22,6 +22,8 @@
 #include "cluster/member.h"
 #include "cluster/shard_log.h"
 #include "cluster/wal_receiver.h"
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "graph/knowledge_graph.h"
 #include "rpc/client.h"
 #include "rpc/frame.h"
@@ -139,6 +141,40 @@ TEST(ShardLogTest, BatchingInvariantAndChainAlgebra) {
   }
   EXPECT_TRUE(batched.IsBoundary(bytes.size()));
   EXPECT_EQ(batched.ChainAt(bytes.size()), chain);
+}
+
+// ChainStep hashes from a running state; it must equal the checksum of
+// the concatenation it replaces, whatever the frame holds. And the fold
+// over a replay's offsets equals the fold that scans for itself.
+TEST(ShardLogTest, ChainStepEqualsChecksumOfChainThenFrame) {
+  std::string ramp(1 << 16, '\0');
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<char>(i * 131 + 7);
+  }
+  const std::vector<std::string> frames = {
+      "", std::string(1, '\0'), std::string(3, '\0'), "\xff\xfe\x80",
+      "frame", std::string(1 << 16, '\0'), ramp,
+  };
+  for (const uint32_t chain :
+       {0u, 1u, 0x80u, 0xdeadbeefu, 0xffffffffu, 0x00ff00ffu}) {
+    for (const std::string& frame : frames) {
+      std::string seeded;
+      PutU32(&seeded, chain);
+      seeded += frame;
+      EXPECT_EQ(ShardLog::ChainStep(chain, frame), Checksum32(seeded))
+          << "chain " << chain << ", frame of " << frame.size() << " bytes";
+    }
+  }
+  ShardLog log;
+  log.Append(SomeMutations(9));
+  const std::string bytes = LogBytes(log);
+  const store::WalReplay replay = store::ReplayWalBuffer(bytes);
+  ASSERT_TRUE(replay.clean);
+  EXPECT_EQ(ShardLog::FoldChain(7, bytes, replay.frame_offsets),
+            ShardLog::FoldChain(7, bytes));
+  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.frame_offsets),
+            log.ChainAt(log.EndOffset()));
+  EXPECT_EQ(ShardLog::FoldChain(5, "", {}), 5u);
 }
 
 TEST(ShardLogTest, ReadFromShipsWholeFramesWithinBudget) {

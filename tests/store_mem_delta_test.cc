@@ -1,13 +1,17 @@
 // MemDelta: last-op-wins state per triple, subject/object-major
-// iteration order, prefix-probe exactness (TouchesSubject must not match
-// name prefixes), fold-line trimming, and the copy-on-write property the
-// store's epoch publishing relies on.
+// iteration order, predicate-bounded walks, prefix-probe exactness
+// (TouchesSubject must not match name prefixes), borrowed-key probes
+// that agree with owned keys, fold-line trimming, and the copy-on-write
+// property the store's epoch publishing relies on.
 
 #include "store/mem_delta.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "graph/knowledge_graph.h"
@@ -83,7 +87,7 @@ TEST(MemDeltaTest, ForEachBySubjectIsOrderedAndScoped) {
 
   std::vector<std::string> seen;
   delta.ForEachBySubject(
-      NodeKind::kEntity, "s",
+      NodeKind::kEntity, "s", std::nullopt,
       [&](const TripleName& t, const MemDelta::Entry& e) {
         seen.push_back(t.predicate + "/" + t.object + "/" +
                        (e.state == MemDelta::State::kUpserted ? "U" : "R"));
@@ -105,7 +109,7 @@ TEST(MemDeltaTest, ForEachByObjectReconstructsFullTripleNames) {
   delta.Apply(Up("s3", "p", "elsewhere"), 3);
 
   std::vector<TripleName> seen;
-  delta.ForEachByObject(NodeKind::kEntity, "hub",
+  delta.ForEachByObject(NodeKind::kEntity, "hub", std::nullopt,
                         [&](const TripleName& t, const MemDelta::Entry&) {
                           seen.push_back(t);
                         });
@@ -137,7 +141,7 @@ TEST(MemDeltaTest, TrimThroughDropsOnlyFoldedEntries) {
             MemDelta::State::kUntouched);
   // The object-major index trims in lockstep.
   bool found = false;
-  delta.ForEachByObject(NodeKind::kEntity, "f",
+  delta.ForEachByObject(NodeKind::kEntity, "f", std::nullopt,
                         [&](const TripleName&, const MemDelta::Entry&) {
                           found = true;
                         });
@@ -159,7 +163,7 @@ TEST(MemDeltaTest, CopyIsIndependentOfTheOriginal) {
   EXPECT_FALSE(snapshot.TouchesSubject(NodeKind::kEntity, "new"));
   // Both secondary-index views of the copy reflect the old state too.
   int hits = 0;
-  snapshot.ForEachByObject(NodeKind::kEntity, "b",
+  snapshot.ForEachByObject(NodeKind::kEntity, "b", std::nullopt,
                            [&](const TripleName&, const MemDelta::Entry& e) {
                              EXPECT_EQ(e.state, MemDelta::State::kUpserted);
                              ++hits;
@@ -177,6 +181,134 @@ TEST(MemDeltaTest, HostileNamesWithTabsAndEmptiesWork) {
                                     NodeKind::kEntity, "line\nbreak"}),
             MemDelta::State::kUpserted);
   EXPECT_EQ(delta.size(), 2u);
+}
+
+
+/// Names that stress the borrowed-key order: empty, embedded tab and NUL
+/// bytes, and prefixes of one another.
+const std::vector<std::string>& HostileNames() {
+  static const std::vector<std::string> kNames = {
+      "",  "a",        std::string("a\0", 2), std::string("a\0b", 3),
+      "a\t", "a\tb",   "ab",                   std::string("\0", 1),
+      "\t",
+  };
+  return kNames;
+}
+
+/// Every (subject, predicate, object) over the hostile names, with
+/// seeded kinds and states — one delta holding every order hazard.
+MemDelta HostileDelta() {
+  MemDelta delta;
+  const auto& names = HostileNames();
+  uint64_t seq = 0;
+  for (size_t s = 0; s < names.size(); ++s) {
+    for (size_t p = 0; p < names.size(); p += 2) {
+      for (size_t o = 0; o < names.size(); o += 3) {
+        const NodeKind sk = (s + o) % 3 == 0 ? NodeKind::kText
+                                             : NodeKind::kEntity;
+        const NodeKind ok = (s * p) % 2 == 0 ? NodeKind::kEntity
+                                             : NodeKind::kClass;
+        ++seq;
+        delta.Apply(seq % 3 == 0 ? Rt(names[s], names[p], names[o], sk, ok)
+                                 : Up(names[s], names[p], names[o], sk, ok),
+                    seq);
+      }
+    }
+  }
+  return delta;
+}
+
+TEST(MemDeltaTest, PredicateBoundedWalksVisitExactlyThatPredicateInOrder) {
+  const MemDelta delta = HostileDelta();
+  std::vector<TripleName> all;
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry&) {
+    all.push_back(t);
+  });
+  ASSERT_FALSE(all.empty());
+  const auto by_object = [](const TripleName& t) {
+    return std::tie(t.object_kind, t.object, t.predicate, t.subject_kind,
+                    t.subject);
+  };
+  for (const NodeKind kind :
+       {NodeKind::kEntity, NodeKind::kText, NodeKind::kClass}) {
+    for (const std::string& name : HostileNames()) {
+      for (const std::string& pred : HostileNames()) {
+        // Expected: the full ForEach, filtered, in each index's order.
+        std::vector<TripleName> subject_expected, object_expected;
+        for (const TripleName& t : all) {
+          if (t.predicate != pred) continue;
+          if (t.subject_kind == kind && t.subject == name) {
+            subject_expected.push_back(t);
+          }
+          if (t.object_kind == kind && t.object == name) {
+            object_expected.push_back(t);
+          }
+        }
+        std::sort(object_expected.begin(), object_expected.end(),
+                  [&](const TripleName& a, const TripleName& b) {
+                    return by_object(a) < by_object(b);
+                  });
+        // Bounds built over separate buffers: nothing may lean on the
+        // stored strings' identity.
+        const std::string name_copy = name;
+        const std::string pred_copy = pred;
+        std::vector<TripleName> subject_seen, object_seen;
+        delta.ForEachBySubject(
+            kind, name_copy, std::string_view(pred_copy),
+            [&](const TripleName& t, const MemDelta::Entry& e) {
+              EXPECT_EQ(delta.Lookup(t), e.state);
+              subject_seen.push_back(t);
+            });
+        delta.ForEachByObject(
+            kind, name_copy, std::string_view(pred_copy),
+            [&](const TripleName& t, const MemDelta::Entry&) {
+              object_seen.push_back(t);
+            });
+        EXPECT_EQ(subject_seen, subject_expected);
+        EXPECT_EQ(object_seen, object_expected);
+      }
+    }
+  }
+}
+
+TEST(MemDeltaTest, BorrowedKeyProbesAgreeWithOwnedKeys) {
+  const MemDelta delta = HostileDelta();
+  // Owned keys: the stored TripleNames and their states, as ForEach
+  // hands them out.
+  std::vector<std::pair<TripleName, MemDelta::State>> owned;
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
+    owned.emplace_back(t, e.state);
+  });
+  const auto owned_state = [&](const TripleName& t) {
+    for (const auto& [name, state] : owned) {
+      if (name == t) return state;
+    }
+    return MemDelta::State::kUntouched;
+  };
+  const auto& names = HostileNames();
+  for (const NodeKind sk : {NodeKind::kEntity, NodeKind::kText}) {
+    for (const std::string& s : names) {
+      bool subject_owned = false, object_owned = false;
+      for (const auto& [t, state] : owned) {
+        subject_owned |= t.subject_kind == sk && t.subject == s;
+        object_owned |= t.object_kind == sk && t.object == s;
+      }
+      const std::string s_copy = s;
+      EXPECT_EQ(delta.TouchesSubject(sk, s_copy), subject_owned);
+      EXPECT_EQ(delta.TouchesObject(sk, s_copy), object_owned);
+      for (const std::string& p : names) {
+        for (const std::string& o : names) {
+          for (const NodeKind ok : {NodeKind::kEntity, NodeKind::kClass}) {
+            const TripleName key{sk, s, p, ok, o};
+            const std::string p_copy = p, o_copy = o;
+            EXPECT_EQ(delta.Lookup(TripleView(sk, s_copy, p_copy, ok, o_copy)),
+                      owned_state(key));
+            EXPECT_EQ(delta.Lookup(key), owned_state(key));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

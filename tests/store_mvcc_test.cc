@@ -21,6 +21,7 @@
 #include "serve/snapshot.h"
 #include "store/versioned_store.h"
 #include "store/wal.h"
+#include "store_overlay_oracle.h"
 
 namespace kg::store {
 
@@ -72,23 +73,6 @@ void ApplyToKg(KnowledgeGraph* kg, const Mutation& m) {
   if (!s.ok() || !p.ok() || !o.ok()) return;
   const graph::TripleId id = kg->FindTriple(*s, *p, *o);
   if (id != graph::kInvalidTriple) kg->RemoveTriple(id);
-}
-
-/// An epoch's node index recomputed from its (base, delta): the sorted,
-/// unique base ids of every node the delta names.
-std::vector<serve::NodeId> RecomputedNodeIndex(const StoreEpoch& epoch) {
-  std::vector<serve::NodeId> ids;
-  epoch.delta->ForEach([&](const TripleName& t, const MemDelta::Entry&) {
-    for (const auto& [name, kind] : {std::pair{&t.subject, t.subject_kind},
-                                     std::pair{&t.object, t.object_kind}}) {
-      if (const auto id = epoch.base->FindNode(*name, kind); id.ok()) {
-        ids.push_back(*id);
-      }
-    }
-  });
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
 }
 
 std::vector<Query> ProbeQueries() {
@@ -413,7 +397,7 @@ TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
   ASSERT_TRUE(fold_running && store.delta_size() > 0)
       << "the late write did not land during the fold";
   const auto epoch = store.PinEpoch();
-  EXPECT_EQ(epoch->touched_nodes, RecomputedNodeIndex(*epoch));
+  EXPECT_TRUE(epoch->overlay == RecomputedOverlay(*epoch));
   const serve::KgSnapshot rebuilt = serve::KgSnapshot::Compile(oracle);
   const serve::QueryEngine engine(rebuilt);
   for (const Query& q : ProbeQueries()) {
@@ -426,7 +410,7 @@ TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
 // racing. With compactions in the version stream, per-version content
 // references are no longer enumerable up front, so readers check the
 // frozen-view invariant instead: a pinned epoch answers identically when
-// asked twice. They also check every pinned epoch's node index against
+// asked twice. They also check every pinned epoch's overlay runs against
 // its (base, delta) — a write that lands during a fold leaves a
 // non-empty trimmed delta the fold must re-resolve against the new base.
 // The final state must still equal the oracle.
@@ -449,7 +433,7 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
         const auto epoch = store.PinEpoch();
         const Query& q = probes[rng.UniformIndex(probes.size())];
         if (store.ExecuteAt(*epoch, q) != store.ExecuteAt(*epoch, q) ||
-            epoch->touched_nodes != RecomputedNodeIndex(*epoch)) {
+            !(epoch->overlay == RecomputedOverlay(*epoch))) {
           violations.fetch_add(1);
         }
       }

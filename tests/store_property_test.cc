@@ -13,8 +13,9 @@
 //   5. for half the worlds, a store reopened from its WAL alone folds
 //      the log into a base that equals a batch build of the oracle and
 //      answers the workload identically;
-//   6. after every commit, compaction and reopen, the epoch's node index
-//      equals a recomputation from its (base, delta), and the entity
+//   6. after every commit, compaction and reopen, the epoch's overlay
+//      runs and gate equal a recomputation from its (base, delta), and
+//      the entity
 //      adjacency read (routed top-k's second hop) equals the entities in
 //      a rebuild's neighborhoods.
 // Worlds come from kg::synth universes plus hostile names, duplicate
@@ -37,6 +38,7 @@
 #include "serve/snapshot.h"
 #include "store/versioned_store.h"
 #include "store/wal.h"
+#include "store_overlay_oracle.h"
 #include "synth/entity_universe.h"
 
 namespace kg::store {
@@ -229,26 +231,14 @@ void ExpectStoreMatchesRebuild(const VersionedKgStore& store,
   }
 }
 
-/// Checks the current epoch's node index against its definition: the
-/// sorted, unique base ids of every node its delta names. Answers alone
-/// cannot catch a stale index right after a fold (an empty delta serves
-/// straight off the base), so this is checked directly.
-void ExpectNodeIndexMatchesRecompute(const VersionedKgStore& store,
-                                     uint64_t seed, const char* where) {
+/// Checks the current epoch's id-space overlay against its definition,
+/// recomputed from its (base, delta). Answers alone cannot catch stale
+/// runs right after a fold (an empty delta serves straight off the
+/// base), so this is checked directly.
+void ExpectOverlayMatchesRecompute(const VersionedKgStore& store,
+                                   uint64_t seed, const char* where) {
   const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
-  std::vector<serve::NodeId> expected;
-  epoch->delta->ForEach([&](const TripleName& t, const MemDelta::Entry&) {
-    for (const auto& [name, kind] : {std::pair{&t.subject, t.subject_kind},
-                                     std::pair{&t.object, t.object_kind}}) {
-      if (const auto id = epoch->base->FindNode(*name, kind); id.ok()) {
-        expected.push_back(*id);
-      }
-    }
-  });
-  std::sort(expected.begin(), expected.end());
-  expected.erase(std::unique(expected.begin(), expected.end()),
-                 expected.end());
-  ASSERT_EQ(epoch->touched_nodes, expected)
+  ASSERT_TRUE(epoch->overlay == RecomputedOverlay(*epoch))
       << where << ", world seed " << seed << ", version " << epoch->version;
 }
 
@@ -333,7 +323,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ApplyToKg(&oracle, batch.back());
       }
       ASSERT_TRUE(store.ApplyBatch(batch).ok());
-      ExpectNodeIndexMatchesRecompute(store, seed, "after commit");
+      ExpectOverlayMatchesRecompute(store, seed, "after commit");
       ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
                                     "after commit");
       ASSERT_EQ(store.AuthoritativeFingerprint(),
@@ -346,7 +336,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ASSERT_EQ(stats.base_fingerprint,
                   serve::KgSnapshot::Compile(oracle).Fingerprint())
             << "mid-stream fold, world seed " << seed;
-        ExpectNodeIndexMatchesRecompute(store, seed, "mid-stream fold");
+        ExpectOverlayMatchesRecompute(store, seed, "mid-stream fold");
         ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
                                       "mid-stream fold");
       }
@@ -374,7 +364,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
               serve::KgSnapshot::Compile(oracle).Fingerprint())
         << "world seed " << seed;
     ASSERT_EQ(store.delta_size(), 0u);
-    ExpectNodeIndexMatchesRecompute(store, seed, "final fold");
+    ExpectOverlayMatchesRecompute(store, seed, "final fold");
     ExpectAdjacencyMatchesRebuild(store, oracle, world, seed, "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
                               "post-compaction");
@@ -388,7 +378,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       auto reopened = VersionedKgStore::Open(world.kg, options);
       ASSERT_TRUE(reopened.ok()) << reopened.status();
       ASSERT_EQ((*reopened)->delta_size(), 0u);
-      ExpectNodeIndexMatchesRecompute(**reopened, seed, "reopened from WAL");
+      ExpectOverlayMatchesRecompute(**reopened, seed, "reopened from WAL");
       ExpectAdjacencyMatchesRebuild(**reopened, oracle, world, seed,
                                     "reopened from WAL");
       ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),

@@ -22,6 +22,7 @@
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "store/wal.h"
+#include "store_overlay_oracle.h"
 
 namespace kg::store {
 namespace {
@@ -176,6 +177,88 @@ TEST(VersionedStoreTest, UpsertsAndRetractsMatchRebuildAtEveryStep) {
               graph::TripleSetFingerprint(oracle));
   }
   EXPECT_EQ(store->applied_mutations(), script.size());
+}
+
+// Every overlay shape the epoch's id-space runs and gate distinguish,
+// committed one mutation per batch, one case per batch and all in one
+// batch: after every commit, every answer equals a rebuild and the runs
+// equal their definition.
+TEST(VersionedStoreTest, OverlayRunCasesMatchRebuildWithinAndAcrossBatches) {
+  const auto up = [](const char* s, const char* p, const char* o,
+                     NodeKind ok = NodeKind::kEntity) {
+    return Mutation::Upsert(s, p, o, NodeKind::kEntity, ok, kProv);
+  };
+  const auto rt = [](const char* s, const char* p, const char* o,
+                     NodeKind ok = NodeKind::kEntity) {
+    return Mutation::Retract(s, p, o, NodeKind::kEntity, ok);
+  };
+  const std::vector<std::vector<Mutation>> cases = {
+      // A base triple retracted, then upserted back: its run entry goes.
+      {rt("alice", "knows", "bob"), up("alice", "knows", "bob")},
+      // An upsert the base already holds: no run entry.
+      {up("bob", "knows", "carol")},
+      // Retractions of triples the base lacks, with base-named and with
+      // overlay-only parts: no run entry.
+      {rt("carol", "knows", "alice"), rt("ghost", "haunts", "nobody")},
+      // An edge to an overlay-only node: its base endpoint joins the
+      // gate. No other entry gates alice or carol before these.
+      {up("alice", "knows", "dana"), up("dana", "knows", "carol")},
+      // A predicate the base lacks: both endpoints join the gate.
+      {up("bob", "likes", "carol")},
+      // A base class member gains attribute values: one the base names
+      // (a run entry), one only the overlay names (the gate).
+      {up("alice", "name", "Bob B.", NodeKind::kText),
+       up("alice", "name", "Alice Z.", NodeKind::kText)},
+      // A retraction that stays, beside the added attribute rows.
+      {rt("bob", "name", "Bob B.", NodeKind::kText)},
+  };
+  const std::vector<Query> probes = {
+      Query::PointLookup("alice", "knows"),
+      Query::PointLookup("alice", "name"),
+      Query::PointLookup("bob", "likes"),
+      Query::Neighborhood("alice"),
+      Query::Neighborhood("bob"),
+      Query::Neighborhood("carol"),
+      Query::Neighborhood("dana"),
+      Query::Neighborhood("Bob B.", NodeKind::kText),
+      Query::AttributeByType("Person", "name"),
+      Query::AttributeByType("Person", "knows"),
+      Query::AttributeByType("Person", "likes"),
+      Query::TopKRelated("alice", 5),
+      Query::TopKRelated("carol", 5),
+      Query::TopKRelated("dana", 5),
+  };
+  std::vector<std::vector<Mutation>> one_by_one, by_case, all_at_once(1);
+  for (const std::vector<Mutation>& c : cases) {
+    by_case.push_back(c);
+    for (const Mutation& m : c) {
+      one_by_one.push_back({m});
+      all_at_once[0].push_back(m);
+    }
+  }
+  for (const auto* batches : {&one_by_one, &by_case, &all_at_once}) {
+    auto store = MustOpen(BaseKg());
+    KnowledgeGraph oracle = BaseKg();
+    for (size_t b = 0; b < batches->size(); ++b) {
+      const std::string where = std::to_string(batches->size()) +
+                                " batches, after batch " + std::to_string(b);
+      ASSERT_TRUE(store->ApplyBatch((*batches)[b]).ok());
+      for (const Mutation& m : (*batches)[b]) ApplyToKg(&oracle, m);
+      const auto epoch = store->PinEpoch();
+      ASSERT_TRUE(epoch->overlay == RecomputedOverlay(*epoch)) << where;
+      const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
+      const serve::QueryEngine engine(snap);
+      for (const Query& q : probes) {
+        ASSERT_EQ(store->Execute(q), engine.ExecuteUncached(q))
+            << where << ", query " << q.CacheKey();
+      }
+    }
+    // The script leaves retracted base triples, run adds and gated nodes
+    // behind, so every part of the runs was exercised.
+    const auto epoch = store->PinEpoch();
+    EXPECT_FALSE(epoch->overlay.out.empty());
+    EXPECT_FALSE(epoch->overlay.gate.empty());
+  }
 }
 
 TEST(VersionedStoreTest, ApplyBatchIsOneVersionBump) {
