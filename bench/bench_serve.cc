@@ -154,11 +154,11 @@ struct PointRequest {
 // plus a binary search into the SPO slice. Returns the answer count.
 size_t SnapshotPointLookupCount(const serve::KgSnapshot& snap,
                                 const PointRequest& q) {
-  const auto s = snap.FindNode(q.node, q.kind);
-  if (!s.ok()) return 0;
-  const auto p = snap.FindPredicate(q.predicate);
-  if (!p.ok()) return 0;
-  return snap.CountObjects(*s, *p);
+  const serve::NodeId s = snap.FindNode(q.node, q.kind);
+  if (s == serve::kInvalidNode) return 0;
+  const serve::PredicateId p = snap.FindPredicate(q.predicate);
+  if (p == serve::kInvalidNode) return 0;
+  return snap.CountObjects(s, p);
 }
 
 struct Replay {
@@ -251,8 +251,8 @@ int main() {
                                              graph::Term::Const(q.predicate),
                                              graph::Term::Var("o")}});
     requests.push_back({q.node, q.node_kind, q.predicate});
-    resolved.emplace_back(*snap.FindNode(q.node, q.node_kind),
-                          *snap.FindPredicate(q.predicate));
+    resolved.emplace_back(snap.FindNode(q.node, q.node_kind),
+                          snap.FindPredicate(q.predicate));
   }
 
   constexpr int kRaceReps = 5;

@@ -120,6 +120,12 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
   cluster->supervisor_->SetScrapeTargets(std::move(targets));
   if (!cluster->replicas_.empty()) cluster->supervisor_->Start();
 
+  // Return with every replica connected: its primary has answered its
+  // handshake (or it gave up dialing, which the supervisor repairs), so
+  // no member is still connecting when the first read or commit arrives.
+  for (auto& replica : cluster->replicas_) {
+    replica->receiver().WaitUntilConnected();
+  }
   return cluster;
 }
 

@@ -33,11 +33,12 @@ std::vector<graph::KnowledgeGraph> PartitionBySubject(
 /// byte-identical to a single store through all of it.
 class Cluster {
  public:
-  /// Builds every member from `options`. Fails with kFailedPrecondition
-  /// when `options.wal_dir` holds a replica log that runs past its fresh
-  /// primary's (in-memory, so empty) log: that replica would answer from
-  /// commits this cluster never made, with epoch tags that pass the
-  /// router's gate.
+  /// Builds every member from `options` and returns once every replica
+  /// has connected to its primary (see WalReceiver::WaitUntilConnected).
+  /// Fails with kFailedPrecondition when `options.wal_dir` holds a
+  /// replica log that runs past its fresh primary's (in-memory, so empty)
+  /// log: that replica would answer from commits this cluster never
+  /// made, with epoch tags that pass the router's gate.
   static Result<std::unique_ptr<Cluster>> Create(
       const graph::KnowledgeGraph& base, ClusterOptions options = {});
   ~Cluster();

@@ -66,7 +66,7 @@ Result<serve::EpochTaggedResult> ShardMember::ExecuteTraced(
 }
 
 Result<store::EpochTaggedAdjacency> ShardMember::AdjacentEntitiesTraced(
-    std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const {
+    std::span<const serve::NodeKey> nodes, uint64_t parent_span_id) const {
   return TracedRead(
       *this, options_.tracer, parent_span_id, "store.adjacent_entities",
       [&] { return store_->TryAdjacentEntitiesTagged(nodes); });

@@ -42,7 +42,7 @@ class ShardMember {
   /// "store.adjacent_entities" span under the caller span, and refused
   /// the same way while killed.
   Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
-      std::span<const store::NodeKey> nodes, uint64_t parent_span_id) const;
+      std::span<const serve::NodeKey> nodes, uint64_t parent_span_id) const;
 
   bool alive() const { return !killed_.load(std::memory_order_acquire); }
   const std::string& label() const { return label_; }

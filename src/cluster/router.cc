@@ -1,12 +1,14 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
 #include "common/timer.h"
+#include "serve/read.h"
 
 namespace kg::cluster {
 namespace {
@@ -25,7 +27,7 @@ std::string_view NeighborRowNode(std::string_view row) {
 
 /// Inverts serve::RenderNodeName: "E:alice" -> (kEntity, "alice"), the
 /// name a view into `render`.
-bool ParseRender(std::string_view render, store::NodeKey* node) {
+bool ParseRender(std::string_view render, serve::NodeKey* node) {
   if (render.size() < 2 || render[1] != ':') return false;
   switch (render[0]) {
     case 'E':
@@ -228,10 +230,10 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
       const serve::QueryResult ring,
       FanOut(serve::Query::Neighborhood(query.node, query.node_kind),
              parent, fanout_us));
-  std::vector<store::NodeKey> neighbors;  // Views into `ring`.
+  std::vector<serve::NodeKey> neighbors;  // Views into `ring`.
   for (const std::string& row : ring) {
     const std::string_view node = NeighborRowNode(row);
-    store::NodeKey n;
+    serve::NodeKey n;
     if (node == center || !ParseRender(node, &n)) continue;
     neighbors.push_back(n);
   }
@@ -258,7 +260,7 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
   // The table is keyed by views into the shard answers; only the k
   // winners are rendered.
   struct Score {
-    size_t count = 0;
+    uint32_t count = 0;
     size_t last = 0;  ///< 1 + index of the last neighbor that counted m.
   };
   const bool center_is_entity = query.node_kind == graph::NodeKind::kEntity;
@@ -275,25 +277,20 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
     }
   }
 
-  // Rank: count desc, then raw entity name asc — the engine's order
-  // (names are unique among entities, so the order is total).
-  std::vector<std::pair<std::string_view, size_t>> ranked;
-  ranked.reserve(score.size());
-  for (const auto& [m, s] : score) ranked.emplace_back(m, s.count);
-  const size_t keep = std::min(query.k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                    });
-  serve::QueryResult rows;
-  rows.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    rows.push_back(
-        serve::RenderNodeName(ranked[i].first, graph::NodeKind::kEntity) +
-        '\t' + std::to_string(ranked[i].second));
+  // Rank through the engine's step with every tie comparing names
+  // (by_id 0): entity names are unique, so the order is total.
+  std::vector<std::string_view> names;
+  std::vector<uint32_t> counts;
+  names.reserve(score.size());
+  counts.reserve(score.size());
+  for (const auto& [m, s] : score) {
+    names.push_back(m);
+    counts.push_back(s.count);
   }
-  return rows;
+  std::vector<serve::NodeId> scored(names.size());
+  std::iota(scored.begin(), scored.end(), serve::NodeId{0});
+  return serve::RankTopK(std::move(scored), counts, query.k, 0,
+                         [&](serve::NodeId i) { return names[i]; });
 }
 
 Result<serve::QueryResult> QueryRouter::Execute(const serve::Query& query) {

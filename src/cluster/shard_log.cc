@@ -27,17 +27,6 @@ uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames,
   return chain;
 }
 
-uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames) {
-  uint64_t offset = 0;
-  for (;;) {
-    const RecordScan record = ScanRecord(frames.substr(offset));
-    if (record.step != RecordStep::kRecord) break;  // Caller validated.
-    chain = ChainStep(chain, frames.substr(offset, record.size()));
-    offset += record.size();
-  }
-  return chain;
-}
-
 void ShardLog::Append(std::span<const store::Mutation> mutations) {
   if (mutations.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);

@@ -58,10 +58,6 @@ class ShardLog : public rpc::WalSource {
   static uint32_t FoldChain(uint32_t chain, std::string_view frames,
                             std::span<const uint64_t> frame_offsets);
 
-  /// The same fold for a caller without a replay: finds the frames with
-  /// kg::ScanRecord, stopping at the first record that does not scan.
-  static uint32_t FoldChain(uint32_t chain, std::string_view frames);
-
  private:
   mutable std::mutex mu_;
   std::string log_;

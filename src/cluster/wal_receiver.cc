@@ -45,7 +45,11 @@ void WalReceiver::Start() {
   if (running_.load(std::memory_order_acquire)) return;
   if (thread_.joinable()) thread_.join();  // Reap an exited thread.
   stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> connected_lock(connected_mu_);
+    connected_ = false;
+    running_.store(true, std::memory_order_release);
+  }
   last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
   thread_ = std::thread([this] { Run(); });
 }
@@ -59,6 +63,14 @@ void WalReceiver::Stop() {
   }
   if (thread_.joinable()) thread_.join();
   running_.store(false, std::memory_order_release);
+}
+
+bool WalReceiver::WaitUntilConnected() {
+  std::unique_lock<std::mutex> lock(connected_mu_);
+  connected_cv_.wait(lock, [this] {
+    return connected_ || !running_.load(std::memory_order_acquire);
+  });
+  return connected_;
 }
 
 int64_t WalReceiver::ms_since_progress() const {
@@ -98,13 +110,22 @@ void WalReceiver::Run() {
           std::chrono::milliseconds(options_.dial_retry_ms));
     }
   }
-  running_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(connected_mu_);
+    running_.store(false, std::memory_order_release);
+  }
+  connected_cv_.notify_all();
 }
 
 void WalReceiver::RunSession(rpc::RpcClient* client) {
   // Handshake (request id 1): WAL subscribers speak the same front door
   // as query clients, so a schema-incompatible primary refuses us here.
   if (!client->Handshake().ok()) return;
+  {
+    std::lock_guard<std::mutex> lock(connected_mu_);
+    connected_ = true;
+  }
+  connected_cv_.notify_all();
 
   // Subscribe (request id 2) from the last verified offset. A configured
   // tracer roots one span per session whose id rides the subscribe as

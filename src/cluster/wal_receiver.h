@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,6 +56,11 @@ class WalReceiver {
   /// Stops the thread and closes any in-flight session.
   void Stop();
 
+  /// Blocks until the primary has answered a session's handshake since
+  /// the last Start(), or the thread has exited (Stop(), or dial attempts
+  /// exhausted). True when a handshake was answered.
+  bool WaitUntilConnected();
+
   /// True while the receiver thread is live (dialing or streaming).
   /// False after Stop() or after dial attempts were exhausted — the
   /// supervisor uses the latter to schedule a restart.
@@ -101,6 +107,12 @@ class WalReceiver {
   std::atomic<uint64_t> last_seen_log_end_{0};
   std::atomic<int64_t> last_progress_ms_{0};  ///< steady_clock ms.
   std::atomic<uint64_t> sessions_{0};
+
+  std::mutex connected_mu_;
+  std::condition_variable connected_cv_;
+  /// A handshake was answered since the last Start(). Changes under
+  /// connected_mu_, as does running_ when the thread exits.
+  bool connected_ = false;
 
   obs::Counter* resubscribes_ = nullptr;
   obs::Counter* heartbeats_missed_ = nullptr;

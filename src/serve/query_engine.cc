@@ -4,30 +4,11 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "serve/read.h"
 
 namespace kg::serve {
 
 namespace {
-
-// Sorted-unique nodes adjacent to `id` (either edge direction). Multiple
-// predicates between the same pair collapse to one adjacency.
-std::vector<NodeId> AdjacentNodes(const KgSnapshot& snap, NodeId id) {
-  std::vector<NodeId> out;
-  out.reserve(snap.OutDegree(id) + snap.InDegree(id));
-  for (const KgSnapshot::Edge& e : snap.OutEdges(id)) {
-    out.push_back(e.second);
-  }
-  for (const KgSnapshot::Edge& e : snap.InEdges(id)) {
-    out.push_back(e.second);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::string RenderNode(const KgSnapshot& snap, NodeId id) {
-  return RenderNodeName(snap.NodeName(id), snap.NodeKindOf(id));
-}
 
 /// Appends `name`'s kind-tagged rendering ("E:name", see RenderNodeName).
 void AppendNode(std::string* out, std::string_view name,
@@ -103,29 +84,6 @@ std::string RenderNeighborhoodRow(std::string_view direction,
   out.push_back('\t');
   AppendNode(&out, node, kind);
   return out;
-}
-
-QueryResult RankTopK(std::vector<NodeId> scored,
-                     const std::vector<uint32_t>& counts, size_t k,
-                     NodeId by_id,
-                     const std::function<std::string_view(NodeId)>& name_of) {
-  const auto better = [&](NodeId a, NodeId b) {
-    if (counts[a] != counts[b]) return counts[a] > counts[b];
-    if (a < by_id && b < by_id) return a < b;
-    return name_of(a) < name_of(b);
-  };
-  const auto cut = scored.begin() + std::min(k, scored.size());
-  std::partial_sort(scored.begin(), cut, scored.end(), better);
-  scored.erase(cut, scored.end());
-  QueryResult rows;
-  rows.reserve(scored.size());
-  for (const NodeId m : scored) {
-    std::string row = RenderNodeName(name_of(m), graph::NodeKind::kEntity);
-    row.push_back('\t');
-    row.append(std::to_string(counts[m]));
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 QueryResult MergeShardResults(std::vector<QueryResult> parts) {
@@ -249,17 +207,7 @@ QueryResult QueryEngine::ExecuteCacheAware(const Query& query) const {
 }
 
 QueryResult QueryEngine::ExecuteUncached(const Query& query) const {
-  switch (query.kind) {
-    case QueryKind::kPointLookup:
-      return PointLookup(query);
-    case QueryKind::kNeighborhood:
-      return Neighborhood(query);
-    case QueryKind::kAttributeByType:
-      return AttributeByType(query);
-    case QueryKind::kTopKRelated:
-      return TopKRelated(query);
-  }
-  return {};
+  return Read(SnapshotView{snapshot_}, query);
 }
 
 std::vector<QueryResult> QueryEngine::BatchExecute(
@@ -274,95 +222,6 @@ std::vector<QueryResult> QueryEngine::BatchExecute(
                        }
                      });
   return results;
-}
-
-QueryResult QueryEngine::PointLookup(const Query& query) const {
-  const auto node = snapshot_.FindNode(query.node, query.node_kind);
-  const auto pred = snapshot_.FindPredicate(query.predicate);
-  if (!node.ok() || !pred.ok()) return {};
-  QueryResult rows;
-  for (NodeId o : snapshot_.Objects(*node, *pred)) {
-    rows.push_back(RenderNode(snapshot_, o));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-QueryResult QueryEngine::Neighborhood(const Query& query) const {
-  const auto node = snapshot_.FindNode(query.node, query.node_kind);
-  if (!node.ok()) return {};
-  // In-rows first: "in" sorts before "out", and each row comes in
-  // (predicate id, node id) order, which is byte order unless kinds mix
-  // or a name byte sorts below '\t'; only then does it sort.
-  QueryResult rows;
-  rows.reserve(snapshot_.OutDegree(*node) + snapshot_.InDegree(*node));
-  for (const KgSnapshot::Edge& e : snapshot_.InEdges(*node)) {
-    rows.push_back(RenderNeighborhoodRow(
-        "in", snapshot_.PredicateName(e.first), snapshot_.NodeName(e.second),
-        snapshot_.NodeKindOf(e.second)));
-  }
-  for (const KgSnapshot::Edge& e : snapshot_.OutEdges(*node)) {
-    rows.push_back(RenderNeighborhoodRow(
-        "out", snapshot_.PredicateName(e.first), snapshot_.NodeName(e.second),
-        snapshot_.NodeKindOf(e.second)));
-  }
-  if (!std::is_sorted(rows.begin(), rows.end())) {
-    std::sort(rows.begin(), rows.end());
-  }
-  return rows;
-}
-
-QueryResult QueryEngine::AttributeByType(const Query& query) const {
-  const auto cls =
-      snapshot_.FindNode(query.type_name, graph::NodeKind::kClass);
-  const auto type_pred = snapshot_.FindPredicate(query.type_predicate);
-  const auto attr_pred = snapshot_.FindPredicate(query.predicate);
-  if (!cls.ok() || !type_pred.ok() || !attr_pred.ok()) return {};
-  // The members are one run of the class's in-edges, and each member's
-  // attributes one run of its out-edges, so rows come out in (subject
-  // id, object id) order. That is byte order unless kinds mix (ids order
-  // E < T < C, tags C < E < T) or one member's name is a prefix of
-  // another's followed by a byte below '\t'; only then does it sort.
-  QueryResult rows;
-  for (const KgSnapshot::Edge& member : snapshot_.InEdges(*cls)) {
-    if (member.first < *type_pred) continue;
-    if (member.first > *type_pred) break;
-    const NodeId s = member.second;
-    for (const KgSnapshot::Edge& e : snapshot_.OutEdges(s)) {
-      if (e.first < *attr_pred) continue;
-      if (e.first > *attr_pred) break;
-      rows.push_back(RenderAttributeRow(
-          snapshot_.NodeName(s), snapshot_.NodeKindOf(s),
-          snapshot_.NodeName(e.second), snapshot_.NodeKindOf(e.second)));
-    }
-  }
-  if (!std::is_sorted(rows.begin(), rows.end())) {
-    std::sort(rows.begin(), rows.end());
-  }
-  return rows;
-}
-
-QueryResult QueryEngine::TopKRelated(const Query& query) const {
-  const auto center = snapshot_.FindNode(query.node, query.node_kind);
-  if (!center.ok() || query.k == 0) return {};
-  // Score every entity m by the number of distinct length-2 paths
-  // center — n — m (shared neighbors), both edge directions, any
-  // predicate. The center itself never appears in its own shelf. An id
-  // past the count array can only come from corrupt postings, and is
-  // skipped.
-  std::vector<uint32_t> counts(snapshot_.num_nodes());
-  std::vector<NodeId> scored;
-  for (NodeId n : AdjacentNodes(snapshot_, *center)) {
-    if (n == *center) continue;
-    for (NodeId m : AdjacentNodes(snapshot_, n)) {
-      if (m == *center || m >= counts.size()) continue;
-      if (snapshot_.NodeKindOf(m) != graph::NodeKind::kEntity) continue;
-      if (counts[m]++ == 0) scored.push_back(m);
-    }
-  }
-  return RankTopK(std::move(scored), counts, query.k,
-                  static_cast<NodeId>(counts.size()),
-                  [this](NodeId m) { return snapshot_.NodeName(m); });
 }
 
 }  // namespace kg::serve

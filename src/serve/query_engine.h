@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,7 +67,7 @@ struct Query {
 /// knowledge always serves byte-equal results — the invariant the
 /// property harness checks against a brute-force scan.
 ///
-/// Row shapes ("<node>" is RenderNode's kind-tagged form):
+/// Row shapes ("<node>" is RenderNodeName's kind-tagged form):
 ///   point lookup:      "<object>"
 ///   neighborhood:      "out\t<predicate>\t<object>" /
 ///                      "in\t<predicate>\t<subject>"
@@ -94,18 +93,6 @@ std::string RenderNeighborhoodRow(std::string_view direction,
                                   std::string_view predicate,
                                   std::string_view node,
                                   graph::NodeKind kind);
-
-/// Top-k's rank-and-render step, shared by QueryEngine and the versioned
-/// store's merged read. `scored` lists each scored entity id once, and
-/// `counts[id]` is its shared-neighbour count. Keeps the `k` best by
-/// count, descending, then by name, ascending, and renders them as top-k
-/// rows. Two ids below `by_id` compare as integers, since snapshot ids
-/// number entities in name order; a pair with an id at or past it
-/// compares `name_of`, which also names the rendered rows.
-QueryResult RankTopK(std::vector<NodeId> scored,
-                     const std::vector<uint32_t>& counts, size_t k,
-                     NodeId by_id,
-                     const std::function<std::string_view(NodeId)>& name_of);
 
 /// A query answer tagged with the replication epoch the serving member
 /// had applied when the answer was computed. The tag is read *before*
@@ -144,8 +131,9 @@ struct ServeOptions {
   bool time_queries = false;
 };
 
-/// Read path over an immutable KgSnapshot. Thread-safe: Execute only
-/// reads the snapshot, and the result cache is internally sharded/locked.
+/// Read path over an immutable KgSnapshot: the query bodies of
+/// serve/read.h through a SnapshotView. Thread-safe: Execute only reads
+/// the snapshot, and the result cache is internally sharded/locked.
 /// BatchExecute shards a query vector over ExecPolicy with index-addressed
 /// result slots, so its output is bit-identical at any thread count (the
 /// cache can reorder *work*, never *answers*).
@@ -178,10 +166,6 @@ class QueryEngine {
 
  private:
   QueryResult ExecuteCacheAware(const Query& query) const;
-  QueryResult PointLookup(const Query& query) const;
-  QueryResult Neighborhood(const Query& query) const;
-  QueryResult AttributeByType(const Query& query) const;
-  QueryResult TopKRelated(const Query& query) const;
 
   const KgSnapshot& snapshot_;
   ServeOptions options_;

@@ -524,29 +524,18 @@ KgSnapshot KgSnapshot::Compile(const graph::KnowledgeGraph& kg) {
   return *std::move(built);
 }
 
-Result<NodeId> KgSnapshot::FindNode(std::string_view name,
-                                    NodeKind kind) const {
+NodeId KgSnapshot::FindNode(std::string_view name, NodeKind kind) const {
   const size_t k = static_cast<size_t>(kind) <= 2
                        ? static_cast<size_t>(kind)
                        : 0;
-  const uint32_t id = node_index_[k].Find(
-      name, static_cast<uint32_t>(num_nodes_),
-      [this](uint32_t i) { return NodeName(i); });
-  if (id == UINT32_MAX) {
-    return Status::NotFound("node not in snapshot: " + std::string(name));
-  }
-  return id;
+  return node_index_[k].Find(name, static_cast<uint32_t>(num_nodes_),
+                             [this](uint32_t i) { return NodeName(i); });
 }
 
-Result<PredicateId> KgSnapshot::FindPredicate(std::string_view name) const {
-  const uint32_t id = predicate_index_.Find(
+PredicateId KgSnapshot::FindPredicate(std::string_view name) const {
+  return predicate_index_.Find(
       name, static_cast<uint32_t>(num_predicates_),
       [this](uint32_t i) { return PredicateName(i); });
-  if (id == UINT32_MAX) {
-    return Status::NotFound("predicate not in snapshot: " +
-                            std::string(name));
-  }
-  return id;
 }
 
 KgSnapshot::EdgeRange KgSnapshot::Row(const CsrView& csr,
@@ -569,16 +558,6 @@ KgSnapshot::EdgeRange KgSnapshot::OutEdges(NodeId s) const {
 KgSnapshot::EdgeRange KgSnapshot::InEdges(NodeId o) const {
   if (o >= num_nodes_) return EdgeRange();
   return Row(osp_, o);
-}
-
-std::vector<NodeId> KgSnapshot::Objects(NodeId s, PredicateId p) const {
-  std::vector<NodeId> out;
-  for (const Edge& e : OutEdges(s)) {
-    if (e.first < p) continue;
-    if (e.first > p) break;
-    out.push_back(e.second);
-  }
-  return out;
 }
 
 size_t KgSnapshot::CountObjects(NodeId s, PredicateId p) const {

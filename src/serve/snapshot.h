@@ -177,11 +177,13 @@ class KgSnapshot {
   size_t num_predicates() const { return num_predicates_; }
   size_t num_triples() const { return num_triples_; }
 
-  /// Looks up a node by (name, kind); NotFound when the pair never occurs
-  /// in a live triple.
-  Result<NodeId> FindNode(std::string_view name,
-                          graph::NodeKind kind) const;
-  Result<PredicateId> FindPredicate(std::string_view name) const;
+  /// Looks up a node by (name, kind); kInvalidNode when the pair never
+  /// occurs in a live triple. A miss is an answer, not an error: reads
+  /// and commits miss on purpose (names only an overlay knows), so it
+  /// allocates nothing.
+  NodeId FindNode(std::string_view name, graph::NodeKind kind) const;
+  /// Looks up a predicate by name; kInvalidNode on a miss, like FindNode.
+  PredicateId FindPredicate(std::string_view name) const;
 
   /// The name bytes of `id`, viewing into the snapshot's arena. Valid as
   /// long as the snapshot (or any copy of it) is alive. Out-of-range ids
@@ -221,11 +223,8 @@ class KgSnapshot {
     return p < num_predicates_ ? pred_triple_counts_[p] : 0;
   }
 
-  /// Objects o with (s, p, o), ascending. One pass over row s with early
-  /// exit past predicate p: O(deg(s)) worst case, O(prefix) typical.
-  std::vector<NodeId> Objects(NodeId s, PredicateId p) const;
-
-  /// |Objects(s, p)| without materializing the vector.
+  /// The number of objects o with (s, p, o). One pass over row s with
+  /// early exit past predicate p: O(deg(s)) worst case, O(prefix) typical.
   size_t CountObjects(NodeId s, PredicateId p) const;
 
   bool HasTriple(NodeId s, PredicateId p, NodeId o) const;
@@ -291,8 +290,9 @@ class KgSnapshot {
   friend class SnapshotBuilder;
 
   /// A persisted flat open-addressing name index (power-of-two slots,
-  /// linear probing, <= 50% load when built). Probes are capped at the
-  /// slot count so corrupt tables terminate.
+  /// linear probing, <= 50% load when built). Find returns the id, or
+  /// kInvalidNode on a miss. Probes are capped at the slot count so
+  /// corrupt tables terminate.
   struct IndexView {
     const SnapshotIndexSlot* slots = nullptr;
     uint64_t mask = 0;  ///< slot count - 1; slots == nullptr when empty
@@ -300,18 +300,18 @@ class KgSnapshot {
     template <typename NameOf>
     uint32_t Find(std::string_view name, uint32_t id_limit,
                   NameOf&& name_of) const {
-      if (slots == nullptr) return UINT32_MAX;
+      if (slots == nullptr) return kInvalidNode;
       const uint64_t h = Fnv1a64(name);
       for (uint64_t probe = 0, slot = h & mask; probe <= mask;
            ++probe, slot = (slot + 1) & mask) {
         const SnapshotIndexSlot& s = slots[slot];
-        if (s.id_plus_1 == 0) return UINT32_MAX;
+        if (s.id_plus_1 == 0) return kInvalidNode;
         if (s.hash == h) {
           const uint32_t id = s.id_plus_1 - 1;
           if (id < id_limit && name_of(id) == name) return id;
         }
       }
-      return UINT32_MAX;  // corrupt over-full table: every slot probed
+      return kInvalidNode;  // corrupt over-full table: every slot probed
     }
   };
 

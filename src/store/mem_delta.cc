@@ -21,9 +21,7 @@ void MemDelta::Apply(const Mutation& m, uint64_t seq) {
     const TripleName name = TripleName::Of(m);
     by_subject_.emplace(name, entry);
     by_object_.emplace(name, entry);
-    ++predicate_counts_[name.predicate];
   }
-  if (seq > last_seq_) last_seq_ = seq;
 }
 
 MemDelta::State MemDelta::Lookup(const TripleView& t) const {
@@ -47,22 +45,9 @@ bool MemDelta::TouchesObject(graph::NodeKind kind,
          it->first.object == name;
 }
 
-bool MemDelta::TouchesPredicate(std::string_view name) const {
-  const auto it = predicate_counts_.find(name);
-  return it != predicate_counts_.end() && it->second > 0;
-}
-
 void MemDelta::TrimThrough(uint64_t seq) {
   for (auto it = by_subject_.begin(); it != by_subject_.end();) {
-    if (it->second.seq <= seq) {
-      const auto count = predicate_counts_.find(it->first.predicate);
-      if (count != predicate_counts_.end() && --count->second == 0) {
-        predicate_counts_.erase(count);
-      }
-      it = by_subject_.erase(it);
-    } else {
-      ++it;
-    }
+    it = it->second.seq <= seq ? by_subject_.erase(it) : std::next(it);
   }
   for (auto it = by_object_.begin(); it != by_object_.end();) {
     it = it->second.seq <= seq ? by_object_.erase(it) : std::next(it);

@@ -96,11 +96,6 @@ class MemDelta {
   bool TouchesSubject(graph::NodeKind kind, std::string_view name) const;
   bool TouchesObject(graph::NodeKind kind, std::string_view name) const;
 
-  /// True when the overlay touches any triple carrying this predicate —
-  /// the pre-check that lets predicate-scoped scans (attribute-by-type)
-  /// skip the merge entirely and read the base snapshot directly.
-  bool TouchesPredicate(std::string_view name) const;
-
   /// Calls `fn(const TripleName&, const Entry&)` for the entries with
   /// the given subject, in (predicate, object_kind, object) order — only
   /// those under `predicate` when it is set. The TripleName is the
@@ -153,9 +148,6 @@ class MemDelta {
   size_t size() const { return by_subject_.size(); }
   bool empty() const { return by_subject_.empty(); }
 
-  /// Highest sequence applied (0 when empty since construction).
-  uint64_t last_seq() const { return last_seq_; }
-
  private:
   /// (subject_kind, subject, predicate, object_kind, object) order.
   struct SubjectMajor {
@@ -182,9 +174,6 @@ class MemDelta {
   // copy — the store's copy-on-write publish — stays trivially correct.
   std::map<TripleName, Entry, SubjectMajor> by_subject_;
   std::map<TripleName, Entry, ObjectMajor> by_object_;
-  /// Live-entry count per predicate, kept in lockstep with by_subject_.
-  std::map<std::string, size_t, std::less<>> predicate_counts_;
-  uint64_t last_seq_ = 0;
 };
 
 }  // namespace kg::store

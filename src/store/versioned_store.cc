@@ -18,12 +18,12 @@ namespace kg::store {
 
 namespace {
 
-/// Name-space node address used by the merged read path: snapshot ids are
-/// epoch-local, so the overlay merge works in (kind, name) coordinates and
-/// renders at the end.
+/// An owned (kind, name) node address: what the commit path's adjacency
+/// walk (MergedView::AdjacentNodes) collects, since snapshot ids are
+/// epoch-local and the generation tags it feeds are keyed by name.
 using NodeRef = std::pair<graph::NodeKind, std::string>;
 
-std::string Render(const NodeKey& n) {
+std::string Render(const serve::NodeKey& n) {
   return serve::RenderNodeName(n.second, n.first);
 }
 
@@ -31,29 +31,17 @@ NodeRef RefOf(const serve::KgSnapshot& base, serve::NodeId id) {
   return NodeRef{base.NodeKindOf(id), std::string(base.NodeName(id))};
 }
 
-/// `name`'s base id, or kInvalidNode when only the overlay can name it.
-serve::NodeId BaseNode(const serve::KgSnapshot& base, std::string_view name,
-                       graph::NodeKind kind) {
-  const auto id = base.FindNode(name, kind);
-  return id.ok() ? *id : serve::kInvalidNode;
-}
-
-serve::PredicateId BasePredicate(const serve::KgSnapshot& base,
-                                 std::string_view name) {
-  const auto id = base.FindPredicate(name);
-  return id.ok() ? *id : serve::kInvalidNode;
-}
-
 /// (s, p, o) base ids of `t`, or nullopt when the base lacks the triple.
 std::optional<std::array<uint32_t, 3>> FindBaseTriple(
     const serve::KgSnapshot& base, const TripleView& t) {
-  const auto s = base.FindNode(t.subject, t.subject_kind);
-  const auto p = base.FindPredicate(t.predicate);
-  const auto o = base.FindNode(t.object, t.object_kind);
-  if (!s.ok() || !p.ok() || !o.ok() || !base.HasTriple(*s, *p, *o)) {
+  const serve::NodeId s = base.FindNode(t.subject, t.subject_kind);
+  const serve::PredicateId p = base.FindPredicate(t.predicate);
+  const serve::NodeId o = base.FindNode(t.object, t.object_kind);
+  if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
+      o == serve::kInvalidNode || !base.HasTriple(s, p, o)) {
     return std::nullopt;
   }
-  return std::array<uint32_t, 3>{*s, *p, *o};
+  return std::array<uint32_t, 3>{s, p, o};
 }
 
 /// `a` (sorted, unique) ∪ `b`, sorted and unique: a commit's extension of
@@ -88,9 +76,9 @@ struct RunChange {
 void Resolve(const serve::KgSnapshot& base, const TripleView& t,
              MemDelta::State state, std::vector<RunChange>* changes,
              std::vector<serve::NodeId>* gate) {
-  const serve::NodeId s = BaseNode(base, t.subject, t.subject_kind);
-  const serve::PredicateId p = BasePredicate(base, t.predicate);
-  const serve::NodeId o = BaseNode(base, t.object, t.object_kind);
+  const serve::NodeId s = base.FindNode(t.subject, t.subject_kind);
+  const serve::PredicateId p = base.FindPredicate(t.predicate);
+  const serve::NodeId o = base.FindNode(t.object, t.object_kind);
   if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
       o == serve::kInvalidNode) {
     if (s != serve::kInvalidNode) gate->push_back(s);
@@ -169,27 +157,18 @@ OverlayRuns ResolveOverlay(const serve::KgSnapshot& base,
   return ExtendOverlay({}, std::move(changes), std::move(gate));
 }
 
-/// A merged edge walk's direction, seen from the walked node.
-enum class Direction { kOut, kIn };
-
 /// The endpoint of `t` across from the node a `dir` walk visits.
-NodeKey FarEnd(const TripleName& t, Direction dir) {
-  return dir == Direction::kOut ? NodeKey{t.object_kind, t.object}
-                                : NodeKey{t.subject_kind, t.subject};
+serve::NodeKey FarEnd(const TripleName& t, serve::Direction dir) {
+  return dir == serve::Direction::kOut
+             ? serve::NodeKey{t.object_kind, t.object}
+             : serve::NodeKey{t.subject_kind, t.subject};
 }
 
-/// Restricts a merged walk to one predicate: `name` filters overlay
-/// entries, and `id` — its base id, kInvalidNode when the base lacks it —
-/// bounds the base row to that predicate's run.
-struct OnePredicate {
-  std::string_view name;
-  serve::PredicateId id;
-};
-
-/// One epoch's worth of read state: a base snapshot plus the overlay that
-/// shadows it. Every read mirrors a QueryEngine access pattern with the
-/// delta folded in, and is checked (store_property_test) to answer exactly
-/// like QueryEngine over a from-scratch rebuild at the same version.
+/// One epoch's worth of read state, as a serve/read.h view: a base
+/// snapshot plus the overlay that shadows it. The query bodies read
+/// through it (ExecuteAt), and store_property_test checks that they
+/// answer exactly like QueryEngine over a from-scratch rebuild at the
+/// same version.
 struct MergedView {
   const serve::KgSnapshot& base;
   const MemDelta& delta;
@@ -208,25 +187,25 @@ struct MergedView {
     return delta.Lookup(t) == MemDelta::State::kRetracted;
   }
 
-  serve::NodeId BaseId(const NodeKey& n) const {
-    return BaseNode(base, n.second, n.first);
+  serve::NodeId BaseId(const serve::NodeKey& n) const {
+    return base.FindNode(n.second, n.first);
   }
 
   /// `name` resolved against the base, once for every walk of one read.
-  OnePredicate Only(std::string_view name) const {
-    return OnePredicate{name, BasePredicate(base, name)};
+  serve::OnePredicate Only(std::string_view name) const {
+    return serve::OnePredicate{name, base.FindPredicate(name)};
   }
 
   /// Sorted-unique nodes adjacent to `n` over live merged edges, either
-  /// direction — the merged twin of the engine's AdjacentNodes (multiple
-  /// predicates between a pair collapse to one adjacency). The commit
-  /// path's walk (BumpsOf), kept apart from ForEachEdge on purpose: it
-  /// probes every edge of a touched node by name, and moving commits onto
-  /// the id-space walk halves their overlay merge, which shifts the
-  /// ingest/read balance `ingest_serve` measures (E29).
+  /// direction (multiple predicates between a pair collapse to one
+  /// adjacency). The commit path's walk (BumpsOf), kept apart from
+  /// ForEachEdge on purpose: it probes every edge of a touched node by
+  /// name, and moving commits onto the id-space walk halves their overlay
+  /// merge, which shifts the ingest/read balance `ingest_serve` measures
+  /// (E29).
   std::vector<NodeRef> AdjacentNodes(const NodeRef& n) const {
     std::vector<NodeRef> out;
-    const serve::NodeId n_id = BaseNode(base, n.second, n.first);
+    const serve::NodeId n_id = base.FindNode(n.second, n.first);
     const bool touches_s = delta.TouchesSubject(n.first, n.second);
     const bool touches_o = delta.TouchesObject(n.first, n.second);
     if (n_id != serve::kInvalidNode) {
@@ -278,7 +257,7 @@ struct MergedView {
   /// non-null.
   static std::span<const OverlayEdge> RunOf(
       const std::vector<OverlayEdge>& run, serve::NodeId id,
-      const OnePredicate* only) {
+      const serve::OnePredicate* only) {
     const auto first = std::partition_point(
         run.begin(), run.end(), [&](const OverlayEdge& e) {
           return e.node < id ||
@@ -291,21 +270,18 @@ struct MergedView {
     return {first, last};
   }
 
-  /// The read path's one merged edge walk: visits each live `dir` edge of
-  /// `n` (base id `id`, or kInvalidNode when only the overlay names it)
-  /// exactly once, under `only`'s predicate when non-null. Edges whose
-  /// three parts the base names go to `on_base(predicate id, neighbour
-  /// id)`, in (predicate, neighbour id) order: the base row merged with
-  /// the node's run, which drops retracted edges and adds upserts. The
-  /// rest — upserts with a part only the overlay names — go to
-  /// `on_overlay(triple)`, whose argument lives as long as the delta.
-  /// Only those need the name-keyed delta, so it is read for overlay-only
-  /// nodes and for the base nodes of the gate, never per edge.
+  /// The view's edge walk (serve/read.h): the base row merged with the
+  /// node's run, which drops retracted edges and adds upserts, goes to
+  /// `on_base`. The rest — upserts with a part only the overlay names —
+  /// go to `on_overlay(predicate, far end)`, viewing into the delta.
+  /// Only those need the name-keyed delta, so it is read for
+  /// overlay-only nodes and for the base nodes of the gate, never per
+  /// edge.
   template <typename OnBase, typename OnOverlay>
-  void ForEachEdge(serve::NodeId id, const NodeKey& n, Direction dir,
-                   const OnePredicate* only, const OnBase& on_base,
-                   const OnOverlay& on_overlay) const {
-    const bool out = dir == Direction::kOut;
+  void ForEachEdge(serve::NodeId id, const serve::NodeKey& n,
+                   serve::Direction dir, const serve::OnePredicate* only,
+                   const OnBase& on_base, const OnOverlay& on_overlay) const {
+    const bool out = dir == serve::Direction::kOut;
     if (id != serve::kInvalidNode) {
       if (only == nullptr || only->id != serve::kInvalidNode) {
         const std::span<const OverlayEdge> run =
@@ -346,14 +322,14 @@ struct MergedView {
       if (id != serve::kInvalidNode) {
         if (only == nullptr && pred_name != t.predicate) {
           pred_name = t.predicate;
-          pred_id = BasePredicate(base, t.predicate);
+          pred_id = base.FindPredicate(t.predicate);
         }
         if (pred_id != serve::kInvalidNode &&
             BaseId(FarEnd(t, dir)) != serve::kInvalidNode) {
           return;
         }
       }
-      on_overlay(t);
+      on_overlay(t.predicate, FarEnd(t, dir));
     };
     const std::optional<std::string_view> bound =
         only != nullptr ? std::optional<std::string_view>(only->name)
@@ -364,194 +340,22 @@ struct MergedView {
       delta.ForEachByObject(n.first, n.second, bound, surface);
     }
   }
-
-  /// ForEachEdge in both directions under every predicate — every live
-  /// neighbour of `n`, repeats included: base ones to `on_base(id)`,
-  /// overlay ones to `on_overlay(node)`.
-  template <typename OnBase, typename OnOverlay>
-  void ForEachAdjacent(serve::NodeId id, const NodeKey& n,
-                       const OnBase& on_base,
-                       const OnOverlay& on_overlay) const {
-    for (const Direction dir : {Direction::kOut, Direction::kIn}) {
-      ForEachEdge(
-          id, n, dir, nullptr,
-          [&](serve::PredicateId, serve::NodeId m) { on_base(m); },
-          [&](const TripleName& t) { on_overlay(FarEnd(t, dir)); });
-    }
-  }
 };
-
-std::string RenderBase(const serve::KgSnapshot& base, serve::NodeId id) {
-  return serve::RenderNodeName(base.NodeName(id), base.NodeKindOf(id));
-}
-
-serve::QueryResult MergedPointLookup(const MergedView& view,
-                                     const serve::Query& q) {
-  serve::QueryResult rows;
-  const NodeKey s{q.node_kind, q.node};
-  const OnePredicate only = view.Only(q.predicate);
-  view.ForEachEdge(
-      view.BaseId(s), s, Direction::kOut, &only,
-      [&](serve::PredicateId, serve::NodeId o) {
-        rows.push_back(RenderBase(view.base, o));
-      },
-      [&](const TripleName& t) {
-        rows.push_back(Render(FarEnd(t, Direction::kOut)));
-      });
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-serve::QueryResult MergedNeighborhood(const MergedView& view,
-                                      const serve::Query& q) {
-  serve::QueryResult rows;
-  const NodeKey c{q.node_kind, q.node};
-  const serve::NodeId id = view.BaseId(c);
-  // In-rows first: "in" sorts before "out", so base rows arrive in byte
-  // order unless kinds mix or a name byte sorts below '\t'.
-  for (const Direction dir : {Direction::kIn, Direction::kOut}) {
-    const std::string_view tag = dir == Direction::kOut ? "out" : "in";
-    view.ForEachEdge(
-        id, c, dir, nullptr,
-        [&](serve::PredicateId p, serve::NodeId m) {
-          rows.push_back(serve::RenderNeighborhoodRow(
-              tag, view.base.PredicateName(p), view.base.NodeName(m),
-              view.base.NodeKindOf(m)));
-        },
-        [&](const TripleName& t) {
-          const NodeKey far = FarEnd(t, dir);
-          rows.push_back(serve::RenderNeighborhoodRow(tag, t.predicate,
-                                                      far.second, far.first));
-        });
-  }
-  if (!std::is_sorted(rows.begin(), rows.end())) {
-    std::sort(rows.begin(), rows.end());
-  }
-  return rows;
-}
-
-serve::QueryResult MergedAttributeByType(const MergedView& view,
-                                         const serve::Query& q) {
-  serve::QueryResult rows;
-  const serve::KgSnapshot& base = view.base;
-  const OnePredicate type_only = view.Only(q.type_predicate);
-  const OnePredicate attr_only = view.Only(q.predicate);
-  const auto member_rows = [&](serve::NodeId id, const NodeKey& m) {
-    view.ForEachEdge(
-        id, m, Direction::kOut, &attr_only,
-        [&](serve::PredicateId, serve::NodeId o) {
-          rows.push_back(serve::RenderAttributeRow(
-              m.second, m.first, base.NodeName(o), base.NodeKindOf(o)));
-        },
-        [&](const TripleName& t) {
-          rows.push_back(serve::RenderAttributeRow(m.second, m.first,
-                                                   t.object, t.object_kind));
-        });
-  };
-  // The members are the class's in-edges under the type predicate. One
-  // the overlay adds may still be a base node, with base attribute edges.
-  const NodeKey cls{graph::NodeKind::kClass, q.type_name};
-  view.ForEachEdge(
-      view.BaseId(cls), cls, Direction::kIn, &type_only,
-      [&](serve::PredicateId, serve::NodeId s) {
-        member_rows(s, NodeKey{base.NodeKindOf(s), base.NodeName(s)});
-      },
-      [&](const TripleName& t) {
-        const NodeKey m = FarEnd(t, Direction::kIn);
-        member_rows(view.BaseId(m), m);
-      });
-  // Base rows arrive in (subject id, object id) order, as in the engine;
-  // overlay rows and mixed kinds are what can break byte order.
-  if (!std::is_sorted(rows.begin(), rows.end())) {
-    std::sort(rows.begin(), rows.end());
-  }
-  return rows;
-}
-
-/// Merged top-k in id space. Nodes present in the base use their snapshot
-/// ids; delta-only nodes get local ids appended past base.num_nodes(),
-/// and the count array grows with them. Adjacency is the view's one walk
-/// (a raw CSR scan for nodes the overlay doesn't touch), with overlay
-/// neighbors mapped back to ids. Strings are materialized only for
-/// tie-breaks that involve a delta-only entity and the final k rendered
-/// rows, so a miss costs about what the immutable engine pays.
-serve::QueryResult MergedTopKRelated(const MergedView& view,
-                                     const serve::Query& q) {
-  if (q.k == 0) return {};
-  const serve::KgSnapshot& base = view.base;
-  const uint32_t base_n = static_cast<uint32_t>(base.num_nodes());
-  std::map<NodeRef, uint32_t> extra_ids;
-  std::vector<const NodeRef*> extra_refs;
-  // One count per local id: counts.size() == base_n + extra_refs.size().
-  std::vector<uint32_t> counts(base_n);
-  const auto local_id = [&](const NodeKey& n) -> uint32_t {
-    const serve::NodeId id = view.BaseId(n);
-    if (id != serve::kInvalidNode) return id;
-    const auto [it, inserted] =
-        extra_ids.emplace(NodeRef{n.first, std::string(n.second)},
-                          base_n + static_cast<uint32_t>(extra_refs.size()));
-    if (inserted) {
-      extra_refs.push_back(&it->first);
-      counts.push_back(0);
-    }
-    return it->second;
-  };
-  const auto adjacency = [&](uint32_t id) {
-    std::vector<uint32_t> out;
-    const auto on_base = [&](serve::NodeId m) { out.push_back(m); };
-    const auto on_overlay = [&](const NodeKey& m) {
-      out.push_back(local_id(m));
-    };
-    if (id < base_n) {
-      out.reserve(base.OutDegree(id) + base.InDegree(id));
-      view.ForEachAdjacent(id, NodeKey{base.NodeKindOf(id), base.NodeName(id)},
-                           on_base, on_overlay);
-    } else {
-      const NodeRef& n = *extra_refs[id - base_n];
-      view.ForEachAdjacent(serve::kInvalidNode, NodeKey{n.first, n.second},
-                           on_base, on_overlay);
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
-  const auto kind_of = [&](uint32_t id) {
-    return id < base_n ? base.NodeKindOf(id) : extra_refs[id - base_n]->first;
-  };
-  const auto name_of = [&](uint32_t id) -> std::string_view {
-    if (id < base_n) return base.NodeName(id);
-    return extra_refs[id - base_n]->second;
-  };
-
-  // An id past the count array can only come from a corrupt base row,
-  // and is skipped.
-  const uint32_t center = local_id(NodeKey{q.node_kind, q.node});
-  std::vector<uint32_t> scored;
-  for (const uint32_t n : adjacency(center)) {
-    if (n == center || n >= counts.size()) continue;
-    for (const uint32_t m : adjacency(n)) {
-      if (m == center || m >= counts.size()) continue;
-      if (kind_of(m) != graph::NodeKind::kEntity) continue;
-      if (counts[m]++ == 0) scored.push_back(m);
-    }
-  }
-  return serve::RankTopK(std::move(scored), counts, q.k, base_n, name_of);
-}
 
 /// Sorted, distinct names of the entities adjacent to `n` in the view —
 /// this store's share of one neighbor's second hop in a routed top-k.
 std::vector<std::string> AdjacentEntities(const MergedView& view,
-                                          const NodeKey& n) {
+                                          const serve::NodeKey& n) {
   std::vector<serve::NodeId> ids;
   std::vector<std::string> names;
-  view.ForEachAdjacent(
-      view.BaseId(n), n,
+  serve::ForEachAdjacent(
+      view, view.BaseId(n), n,
       [&](serve::NodeId m) {
         if (view.base.NodeKindOf(m) == graph::NodeKind::kEntity) {
           ids.push_back(m);
         }
       },
-      [&](const NodeKey& m) {
+      [&](const serve::NodeKey& m) {
         if (m.first == graph::NodeKind::kEntity) names.emplace_back(m.second);
       });
   std::sort(ids.begin(), ids.end());
@@ -668,20 +472,22 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
       pred_remap[t[1]] = serve::kInvalidNode;
     }
   }
-  std::map<NodeKey, uint32_t> new_nodes;
+  std::map<serve::NodeKey, uint32_t> new_nodes;
   std::map<std::string_view, uint32_t> new_preds;
   const auto name_node = [&](graph::NodeKind kind, const std::string& name) {
-    if (const auto id = base.FindNode(name, kind); id.ok()) {
-      node_remap[*id] = 0;
+    if (const serve::NodeId id = base.FindNode(name, kind);
+        id != serve::kInvalidNode) {
+      node_remap[id] = 0;
     } else {
-      new_nodes.emplace(NodeKey{kind, name}, 0);
+      new_nodes.emplace(serve::NodeKey{kind, name}, 0);
     }
   };
   for (const TripleName* t : added) {
     name_node(t->subject_kind, t->subject);
     name_node(t->object_kind, t->object);
-    if (const auto p = base.FindPredicate(t->predicate); p.ok()) {
-      pred_remap[*p] = 0;
+    if (const serve::PredicateId p = base.FindPredicate(t->predicate);
+        p != serve::kInvalidNode) {
+      pred_remap[p] = 0;
     } else {
       new_preds.emplace(t->predicate, 0);
     }
@@ -691,8 +497,10 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
   serve::SnapshotBuilder builder;
   std::vector<uint32_t> row_source;  // new node id -> base id
   MergeVocabulary(
-      [&](uint32_t b) { return NodeKey{base.NodeKindOf(b), base.NodeName(b)}; },
-      &new_nodes, &node_remap, [&](const NodeKey& k, uint32_t b) {
+      [&](uint32_t b) {
+        return serve::NodeKey{base.NodeKindOf(b), base.NodeName(b)};
+      },
+      &new_nodes, &node_remap, [&](const serve::NodeKey& k, uint32_t b) {
         builder.AddNode(k.second, k.first);
         row_source.push_back(b);
       });
@@ -701,14 +509,17 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
       &pred_remap,
       [&](std::string_view name, uint32_t) { builder.AddPredicate(name); });
   const auto node_id = [&](graph::NodeKind kind, const std::string& name) {
-    const auto id = base.FindNode(name, kind);
-    return id.ok() ? node_remap[*id] : new_nodes.at(NodeKey{kind, name});
+    const serve::NodeId id = base.FindNode(name, kind);
+    return id != serve::kInvalidNode
+               ? node_remap[id]
+               : new_nodes.at(serve::NodeKey{kind, name});
   };
   std::vector<Ids> added_ids;
   for (const TripleName* t : added) {
-    const auto p = base.FindPredicate(t->predicate);
+    const serve::PredicateId p = base.FindPredicate(t->predicate);
     added_ids.push_back({node_id(t->subject_kind, t->subject),
-                         p.ok() ? pred_remap[*p] : new_preds.at(t->predicate),
+                         p != serve::kInvalidNode ? pred_remap[p]
+                                                  : new_preds.at(t->predicate),
                          node_id(t->object_kind, t->object)});
   }
 
@@ -905,31 +716,7 @@ std::shared_ptr<const StoreEpoch> VersionedKgStore::PinEpoch() const {
 
 serve::QueryResult VersionedKgStore::ExecuteAt(
     const StoreEpoch& epoch, const serve::Query& query) const {
-  // An empty overlay (fresh store, or right after a fold) makes the
-  // merged path the identity: serve straight off the base snapshot's
-  // id-space engine.
-  if (epoch.delta->empty()) {
-    return serve::QueryEngine(*epoch.base).ExecuteUncached(query);
-  }
-  const MergedView view(epoch);
-  switch (query.kind) {
-    case serve::QueryKind::kPointLookup:
-      return MergedPointLookup(view, query);
-    case serve::QueryKind::kNeighborhood:
-      return MergedNeighborhood(view, query);
-    case serve::QueryKind::kAttributeByType:
-      // The answer only depends on triples carrying the attribute or the
-      // type predicate; when the overlay has neither, the base snapshot
-      // is exact and the id-space scan is much cheaper than the merge.
-      if (!epoch.delta->TouchesPredicate(query.predicate) &&
-          !epoch.delta->TouchesPredicate(query.type_predicate)) {
-        return serve::QueryEngine(*epoch.base).ExecuteUncached(query);
-      }
-      return MergedAttributeByType(view, query);
-    case serve::QueryKind::kTopKRelated:
-      return MergedTopKRelated(view, query);
-  }
-  return {};
+  return serve::Read(MergedView(epoch), query);
 }
 
 Result<serve::QueryResult> VersionedKgStore::TryExecute(
@@ -948,7 +735,7 @@ Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
 }
 
 Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
-    std::span<const NodeKey> nodes) const {
+    std::span<const serve::NodeKey> nodes) const {
   EpochTaggedAdjacency tagged;
   // Watermark before the pin, as in TryExecuteTagged.
   tagged.epoch = applied_watermark();
@@ -956,7 +743,7 @@ Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
   KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
   const MergedView view(*epoch);
   tagged.entities.reserve(nodes.size());
-  for (const NodeKey& n : nodes) {
+  for (const serve::NodeKey& n : nodes) {
     tagged.entities.push_back(AdjacentEntities(view, n));
   }
   return tagged;

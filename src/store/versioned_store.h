@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "serve/lru_cache.h"
 #include "serve/query_engine.h"
+#include "serve/read.h"
 #include "serve/snapshot.h"
 #include "store/mem_delta.h"
 #include "store/wal.h"
@@ -102,9 +103,6 @@ struct StoreEpoch {
   OverlayRuns overlay;
 };
 
-/// A node addressed by (kind, name), as queries and mutations address it.
-using NodeKey = std::pair<graph::NodeKind, std::string_view>;
-
 /// VersionedKgStore::TryAdjacentEntitiesTagged's answer, tagged like
 /// serve::EpochTaggedResult.
 struct EpochTaggedAdjacency {
@@ -122,18 +120,19 @@ struct EpochTaggedAdjacency {
 ///         --> copy-on-write MemDelta --> new StoreEpoch published
 ///
 /// The epoch's (base, delta) pair is the store's only copy of the
-/// knowledge. Reads pin an epoch and merge base CSR range reads with the
-/// overlay (retractions shadow base triples, upserts surface new ones);
-/// the epoch's id-space overlay runs spare each read any O(|delta|)
-/// setup and any per-edge name probe. Every
-/// answer is byte-identical to `serve::QueryEngine` over a
-/// from-scratch rebuild at that version (store_property_test, 100
-/// worlds). Compaction streams base ⊕ delta through one fold into a
-/// fresh `KgSnapshot` (optionally on a `ThreadPool`) and swaps it in
-/// atomically; because the delta keeps any entry newer than the fold
-/// line, serving is never wrong during or after the fold, and the
-/// folded snapshot is bit-identical to compiling a batch build of the
-/// same knowledge. WAL recovery runs the same fold once at Open.
+/// knowledge. Reads pin an epoch and run serve/read.h's query bodies
+/// through a view that merges base CSR range reads with the overlay
+/// (retractions shadow base triples, upserts surface new ones); the
+/// epoch's id-space overlay runs spare each read any O(|delta|) setup and
+/// any per-edge name probe. Every answer is byte-identical to
+/// `serve::QueryEngine` over a from-scratch rebuild at that version
+/// (store_property_test, 100 worlds). Compaction streams base ⊕ delta
+/// through one fold into a fresh `KgSnapshot` (optionally on a
+/// `ThreadPool`) and swaps it in atomically; because the delta keeps any
+/// entry newer than the fold line, serving is never wrong during or after
+/// the fold, and the folded snapshot is bit-identical to compiling a
+/// batch build of the same knowledge. WAL recovery runs the same fold
+/// once at Open.
 ///
 /// Concurrency contract:
 ///   - Writers (Apply*/Compact) serialize on an internal writer lock.
@@ -228,7 +227,7 @@ class VersionedKgStore {
   /// top-k (kg::cluster::QueryRouter), which unions these lists across
   /// shards. Tagged and schema-gated like TryExecuteTagged.
   Result<EpochTaggedAdjacency> TryAdjacentEntitiesTagged(
-      std::span<const NodeKey> nodes) const;
+      std::span<const serve::NodeKey> nodes) const;
 
   /// Answers `query` against a pinned epoch, bypassing the cache (the
   /// cache tracks the *current* version; time-travel reads must not mix

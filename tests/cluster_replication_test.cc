@@ -1,12 +1,13 @@
 // WAL shipping, end to end: ShardLog chain algebra, the wire-level
 // subscribe/batch/heartbeat protocol against a real RpcServer, the
 // receiver's verify-before-apply discipline (a tampered chain is
-// rejected and the session torn down, never applied), persisted-offset
-// resume from a replica-local WAL, and failover serving from shipped
-// state.
+// rejected and the session torn down, never applied), the connection
+// barrier Cluster::Create waits on, persisted-offset resume from a
+// replica-local WAL, and failover serving from shipped state.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "graph/knowledge_graph.h"
+#include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/frame.h"
 #include "rpc/server.h"
@@ -122,7 +124,7 @@ TEST(ShardLogTest, BatchingInvariantAndChainAlgebra) {
   const store::WalReplay replay = store::ReplayWalBuffer(bytes);
   ASSERT_TRUE(replay.clean);
   EXPECT_EQ(replay.mutations, mutations);
-  EXPECT_EQ(ShardLog::FoldChain(0, bytes),
+  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.frame_offsets),
             batched.ChainAt(batched.EndOffset()));
 
   // Boundaries are exactly the frame starts plus the end; ChainAt at
@@ -145,7 +147,8 @@ TEST(ShardLogTest, BatchingInvariantAndChainAlgebra) {
 
 // ChainStep hashes from a running state; it must equal the checksum of
 // the concatenation it replaces, whatever the frame holds. And the fold
-// over a replay's offsets equals the fold that scans for itself.
+// over a replay's offsets equals stepping the chain over the frames one
+// by one, as the log ships them.
 TEST(ShardLogTest, ChainStepEqualsChecksumOfChainThenFrame) {
   std::string ramp(1 << 16, '\0');
   for (size_t i = 0; i < ramp.size(); ++i) {
@@ -170,8 +173,16 @@ TEST(ShardLogTest, ChainStepEqualsChecksumOfChainThenFrame) {
   const std::string bytes = LogBytes(log);
   const store::WalReplay replay = store::ReplayWalBuffer(bytes);
   ASSERT_TRUE(replay.clean);
-  EXPECT_EQ(ShardLog::FoldChain(7, bytes, replay.frame_offsets),
-            ShardLog::FoldChain(7, bytes));
+  uint32_t stepped = 7;
+  for (uint64_t offset = 0; offset < log.EndOffset();) {
+    uint64_t end = 0;
+    uint32_t chain_after = 0;
+    const std::string frame = log.ReadFrom(offset, 1, &end, &chain_after);
+    ASSERT_GT(end, offset);
+    stepped = ShardLog::ChainStep(stepped, frame);
+    offset = end;
+  }
+  EXPECT_EQ(ShardLog::FoldChain(7, bytes, replay.frame_offsets), stepped);
   EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.frame_offsets),
             log.ChainAt(log.EndOffset()));
   EXPECT_EQ(ShardLog::FoldChain(5, "", {}), 5u);
@@ -195,7 +206,10 @@ TEST(ShardLogTest, ReadFromShipsWholeFramesWithinBudget) {
     ASSERT_GT(slice.size(), 0u);
     ASSERT_GT(end, offset);
     EXPECT_TRUE(log.IsBoundary(end));
-    EXPECT_EQ(chain_after, ShardLog::FoldChain(chain, slice));
+    const store::WalReplay sliced = store::ReplayWalBuffer(slice);
+    ASSERT_TRUE(sliced.clean);
+    EXPECT_EQ(chain_after,
+              ShardLog::FoldChain(chain, slice, sliced.frame_offsets));
     walked += slice;
     offset = end;
     chain = chain_after;
@@ -276,7 +290,9 @@ TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
     ASSERT_EQ(batch->start_offset, shipped.size());
     ASSERT_EQ(batch->end_offset, shipped.size() + batch->frames.size());
     ASSERT_GE(batch->log_end, batch->end_offset);
-    chain = ShardLog::FoldChain(chain, batch->frames);
+    const store::WalReplay replay = store::ReplayWalBuffer(batch->frames);
+    ASSERT_TRUE(replay.clean);
+    chain = ShardLog::FoldChain(chain, batch->frames, replay.frame_offsets);
     ASSERT_EQ(chain, batch->chain_after);
     shipped += batch->frames;
     if (grew && shipped.size() >= log.EndOffset()) break;
@@ -441,6 +457,106 @@ TEST(WalReceiverTest, TamperedChainIsRejectedThenHonestBatchApplies) {
 
   receiver.Stop();
   listener.Shutdown();
+}
+
+// WaitUntilConnected, the barrier Cluster::Create waits on, holds through
+// the dial and the handshake request, and returns true only once the
+// primary has answered the handshake.
+TEST(WalReceiverTest, WaitUntilConnectedHoldsUntilTheHandshakeIsAnswered) {
+  auto store = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(store.ok());
+
+  rpc::InMemoryTransportServer listener;
+  WalReceiverOptions ropts;
+  ropts.heartbeat_timeout_ms = 2000;
+  ropts.dial_retry_ms = 1;
+  WalReceiver receiver([&]() { return listener.Connect(); }, store->get(),
+                       0, "fake.replica", ropts);
+  receiver.Start();
+  std::atomic<bool> returned{false};
+  bool connected = false;
+  std::thread waiter([&] {
+    connected = receiver.WaitUntilConnected();
+    returned.store(true);
+  });
+
+  // A fake primary that reads the handshake and answers it only after
+  // checking that the waiter still waits.
+  std::unique_ptr<rpc::ITransport> session;
+  const Status served = [&]() -> Status {
+    KG_ASSIGN_OR_RETURN(session, listener.Accept());
+    rpc::FrameDecoder decoder;
+    KG_ASSIGN_OR_RETURN(rpc::Frame hs, ReadOneFrame(session.get(), &decoder));
+    if (hs.type != rpc::MessageType::kHandshakeRequest) {
+      return Status::Internal("expected handshake");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (returned.load()) {
+      return Status::Internal("returned before the handshake answer");
+    }
+    rpc::HandshakeResponse resp;
+    resp.schema_version = serve::kSnapshotSchemaVersion;
+    std::string out;
+    rpc::AppendFrame(&out, rpc::MessageType::kHandshakeResponse,
+                     hs.request_id, rpc::EncodeHandshakeResponse(resp));
+    return session->Write(out);
+  }();
+  if (!served.ok()) receiver.Stop();  // Releases the waiter.
+  waiter.join();
+  ASSERT_TRUE(served.ok()) << served;
+  EXPECT_TRUE(connected);
+  receiver.Stop();
+  listener.Shutdown();
+}
+
+// A receiver that gives up dialing releases the barrier with false.
+TEST(WalReceiverTest, WaitUntilConnectedEndsWhenDialsAreExhausted) {
+  auto store = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(store.ok());
+  WalReceiverOptions ropts;
+  ropts.dial_retry_ms = 1;
+  ropts.max_dial_attempts = 3;
+  std::atomic<int> dials{0};
+  WalReceiver receiver(
+      [&]() -> Result<std::unique_ptr<rpc::ITransport>> {
+        dials.fetch_add(1);
+        return Status::Unavailable("primary down");
+      },
+      store->get(), 0, "lonely.replica", ropts);
+  receiver.Start();
+  EXPECT_FALSE(receiver.WaitUntilConnected());
+  EXPECT_FALSE(receiver.running());
+  EXPECT_EQ(dials.load(), 3);
+}
+
+// Create returns with every replica connected, so the caller's first read
+// or commit never runs beside a member that is still connecting.
+TEST(ClusterStartupTest, CreateReturnsWithEveryReplicaConnected) {
+  ClusterOptions opts;
+  opts.num_shards = 3;
+  opts.replicas_per_shard = 2;
+  opts.receiver.dial_retry_ms = 1;
+  obs::MetricsRegistry registry;
+  opts.registry = &registry;
+
+  KnowledgeGraph base;
+  base.AddTriple("seed", "links", "root", NodeKind::kEntity,
+                 NodeKind::kEntity, kProv);
+  auto cluster = Cluster::Create(base, opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+#ifndef KG_OBS_NOOP
+  // Read first, before anything below can wait: each primary had
+  // accepted its replicas' sessions by the time Create returned.
+  EXPECT_EQ(registry.GetCounter("rpc.connections.accepted").Value(),
+            opts.num_shards * opts.replicas_per_shard);
+#endif
+  for (size_t s = 0; s < opts.num_shards; ++s) {
+    for (size_t r = 0; r < opts.replicas_per_shard; ++r) {
+      WalReceiver& receiver = (*cluster)->replica(s, r).receiver();
+      EXPECT_EQ(receiver.sessions(), 1u) << "s" << s << "r" << r;
+      EXPECT_TRUE(receiver.WaitUntilConnected()) << "s" << s << "r" << r;
+    }
+  }
 }
 
 // Replica-local WAL as the durable resume point: a torn-down replica

@@ -1,10 +1,11 @@
 // Property harness for the kg::serve query path: for seeded random
 // (KG, workload) pairs, every QueryEngine answer must equal a brute-force
 // scan over the raw KnowledgeGraph, cache-on must equal cache-off, and
-// batch-parallel must equal serial at 1/2/8 threads. The KGs come from
-// kg::synth universes plus adversarial extra triples (hostile names,
-// duplicates, tombstones) so the snapshot compiler sees more than clean
-// generator output.
+// batch-parallel must equal serial at 1/2/8 threads. The query bodies
+// must also hold to brute force when every edge reaches them by name.
+// The KGs come from kg::synth universes plus adversarial extra triples
+// (hostile names, duplicates, tombstones) so the snapshot compiler sees
+// more than clean generator output.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "graph/knowledge_graph.h"
 #include "graph/serialization.h"
 #include "serve/query_engine.h"
+#include "serve/read.h"
 #include "serve/snapshot.h"
 #include "synth/entity_universe.h"
 
@@ -355,6 +357,54 @@ TEST(ServePropertyTest, EngineMatchesBruteForceCacheAndParallel) {
     }
   }
   // The suite only counts if it actually exercised the budgeted volume.
+  EXPECT_EQ(checked_queries, kNumWorlds * kQueriesPerWorld);
+}
+
+// A view (serve/read.h) that reports every snapshot edge through the name
+// branch, the one a store overlay takes: BaseId always misses, Only has
+// no id, and the walk finds each node and matches each predicate by name.
+// Every query body then answers from names alone.
+struct NamesOnlyView {
+  const KgSnapshot& base;
+
+  NodeId BaseId(const NodeKey&) const { return kInvalidNode; }
+
+  OnePredicate Only(std::string_view name) const {
+    return OnePredicate{name, kInvalidNode};
+  }
+
+  template <typename OnBase, typename OnOverlay>
+  void ForEachEdge(NodeId, const NodeKey& n, Direction dir,
+                   const OnePredicate* only, const OnBase&,
+                   const OnOverlay& on_overlay) const {
+    const NodeId id = base.FindNode(n.second, n.first);
+    if (id == kInvalidNode) return;
+    for (const KgSnapshot::Edge& e :
+         dir == Direction::kOut ? base.OutEdges(id) : base.InEdges(id)) {
+      const std::string_view predicate = base.PredicateName(e.first);
+      if (only != nullptr && predicate != only->name) continue;
+      on_overlay(predicate,
+                 NodeKey{base.NodeKindOf(e.second), base.NodeName(e.second)});
+    }
+  }
+};
+
+// Each query body's name branch is correct on its own: through
+// NamesOnlyView, every query in every world still equals brute force.
+TEST(ServePropertyTest, NameBranchOfEveryBodyMatchesBruteForce) {
+  int checked_queries = 0;
+  for (int world_idx = 0; world_idx < kNumWorlds; ++world_idx) {
+    const uint64_t seed = 1000 + static_cast<uint64_t>(world_idx);
+    const World world = MakeWorld(seed);
+    Rng rng(seed * 31 + 7);
+    const KgSnapshot snap = KgSnapshot::Compile(world.kg);
+    const NamesOnlyView view{snap};
+    for (const Query& q : MakeWorkload(world, rng)) {
+      ASSERT_EQ(Read(view, q), BruteForce(world.kg, q))
+          << "world seed " << seed << ", query " << q.CacheKey();
+      ++checked_queries;
+    }
+  }
   EXPECT_EQ(checked_queries, kNumWorlds * kQueriesPerWorld);
 }
 

@@ -118,7 +118,8 @@ size_t ExerciseSnapshot(const KgSnapshot& snap) {
     for (const KgSnapshot::Edge& e : snap.InEdges(id)) {
       render(e.first, e.second);  // Edge{predicate, subject}
     }
-    sink += snap.FindNode(snap.NodeName(id), snap.NodeKindOf(id)).ok();
+    sink += snap.FindNode(snap.NodeName(id), snap.NodeKindOf(id)) !=
+            kInvalidNode;
   }
   for (size_t p = 0; p < preds; ++p) {
     const PredicateId id = static_cast<PredicateId>(p);
@@ -138,7 +139,7 @@ size_t ExerciseSnapshot(const KgSnapshot& snap) {
     sink += snap.PredicateTripleCount(hostile);
   }
   if (nodes > 0 && preds > 0) {
-    sink += snap.Objects(0, 0).size();
+    sink += snap.CountObjects(0, 0);
     sink += snap.CountObjects(static_cast<NodeId>(nodes - 1), 0);
     sink += snap.HasTriple(0, 0, 0);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -46,21 +47,26 @@ TEST(SnapshotTest, CompileCompactsToLiveVocabulary) {
   // "Wrong Title" (only in a tombstone) and "isolated" are compiled out.
   EXPECT_EQ(snap.num_nodes(), 5u);  // m1, m2, ada, "The Harbor", Movie.
   EXPECT_EQ(snap.num_predicates(), 4u);
-  EXPECT_FALSE(snap.FindNode("isolated", NodeKind::kEntity).ok());
-  EXPECT_FALSE(snap.FindNode("Wrong Title", NodeKind::kText).ok());
-  EXPECT_TRUE(snap.FindNode("The Harbor", NodeKind::kText).ok());
+  EXPECT_EQ(snap.FindNode("isolated", NodeKind::kEntity), kInvalidNode);
+  EXPECT_EQ(snap.FindNode("Wrong Title", NodeKind::kText), kInvalidNode);
+  EXPECT_NE(snap.FindNode("The Harbor", NodeKind::kText), kInvalidNode);
 }
 
 TEST(SnapshotTest, LookupsMatchSourceGraph) {
   const auto kg = SampleKg();
   const KgSnapshot snap = KgSnapshot::Compile(kg);
 
-  const NodeId m1 = *snap.FindNode("m1", NodeKind::kEntity);
-  const NodeId ada = *snap.FindNode("ada", NodeKind::kEntity);
-  const PredicateId directed = *snap.FindPredicate("directed_by");
+  const NodeId m1 = snap.FindNode("m1", NodeKind::kEntity);
+  const NodeId ada = snap.FindNode("ada", NodeKind::kEntity);
+  const PredicateId directed = snap.FindPredicate("directed_by");
 
-  const auto objs = snap.Objects(m1, directed);
+  // Objects of (m1, directed_by, ?): one run of m1's out-edges.
+  std::vector<NodeId> objs;
+  for (const KgSnapshot::Edge& e : snap.OutEdges(m1)) {
+    if (e.first == directed) objs.push_back(e.second);
+  }
   ASSERT_EQ(objs.size(), 1u);
+  EXPECT_EQ(snap.CountObjects(m1, directed), 1u);
   EXPECT_EQ(snap.NodeName(objs[0]), "ada");
   EXPECT_EQ(snap.NodeKindOf(objs[0]), NodeKind::kEntity);
 
@@ -75,12 +81,40 @@ TEST(SnapshotTest, LookupsMatchSourceGraph) {
   EXPECT_FALSE(snap.HasTriple(ada, directed, m1));
 
   // Removed triples are not served.
-  const PredicateId title = *snap.FindPredicate("title");
-  EXPECT_EQ(snap.Objects(m1, title).size(), 1u);
+  const PredicateId title = snap.FindPredicate("title");
+  EXPECT_EQ(snap.CountObjects(m1, title), 1u);
 
   // Degrees cover both directions.
   EXPECT_EQ(snap.OutDegree(m1), 3u);
   EXPECT_EQ(snap.InDegree(ada), 2u);
+}
+
+// A miss is the kInvalidNode id, never an error: for an absent name, a
+// present name under the wrong kind, and names the vocabulary lacks that
+// sit next to real ones — empty, a NUL byte, a tab.
+TEST(SnapshotTest, LookupMissesReturnInvalidId) {
+  const KgSnapshot snap = KgSnapshot::Compile(SampleKg());
+  using namespace std::string_literals;
+  const std::vector<std::string> absent = {
+      "no such name", "", "\0"s, "m1\0"s, "\0m1"s, "\t", "m1\t", "\tm1"};
+  for (const std::string& name : absent) {
+    for (const NodeKind kind :
+         {NodeKind::kEntity, NodeKind::kText, NodeKind::kClass}) {
+      EXPECT_EQ(snap.FindNode(name, kind), kInvalidNode)
+          << "node of " << name.size() << " bytes, kind "
+          << static_cast<int>(kind);
+    }
+    EXPECT_EQ(snap.FindPredicate(name), kInvalidNode)
+        << "predicate of " << name.size() << " bytes";
+  }
+  EXPECT_EQ(snap.FindNode("m1", NodeKind::kText), kInvalidNode);
+  EXPECT_EQ(snap.FindNode("m1", NodeKind::kClass), kInvalidNode);
+  EXPECT_EQ(snap.FindNode("Movie", NodeKind::kEntity), kInvalidNode);
+  EXPECT_EQ(snap.FindNode("The Harbor", NodeKind::kEntity), kInvalidNode);
+  EXPECT_EQ(snap.FindPredicate("m1"), kInvalidNode);
+  EXPECT_NE(snap.FindNode("m1", NodeKind::kEntity), kInvalidNode);
+  EXPECT_NE(snap.FindNode("Movie", NodeKind::kClass), kInvalidNode);
+  EXPECT_NE(snap.FindPredicate("title"), kInvalidNode);
 }
 
 TEST(SnapshotTest, EdgeSpansAreSorted) {

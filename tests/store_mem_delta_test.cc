@@ -48,7 +48,9 @@ TEST(MemDeltaTest, LastOpWinsPerTriple) {
   EXPECT_EQ(delta.Lookup(TripleName::Of(Up("a", "p", "b"))),
             MemDelta::State::kUpserted);
   EXPECT_EQ(delta.size(), 1u);  // one triple, whatever its history
-  EXPECT_EQ(delta.last_seq(), 3u);
+  delta.ForEach([](const TripleName&, const MemDelta::Entry& e) {
+    EXPECT_EQ(e.seq, 3u);  // the last op's sequence
+  });
 }
 
 TEST(MemDeltaTest, LookupDistinguishesKinds) {

@@ -23,19 +23,20 @@ inline OverlayRuns RecomputedOverlay(const StoreEpoch& epoch) {
   const serve::KgSnapshot& base = *epoch.base;
   OverlayRuns runs;
   epoch.delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-    const auto s = base.FindNode(t.subject, t.subject_kind);
-    const auto p = base.FindPredicate(t.predicate);
-    const auto o = base.FindNode(t.object, t.object_kind);
-    if (!s.ok() || !p.ok() || !o.ok()) {
-      if (s.ok()) runs.gate.push_back(*s);
-      if (o.ok()) runs.gate.push_back(*o);
+    const serve::NodeId s = base.FindNode(t.subject, t.subject_kind);
+    const serve::PredicateId p = base.FindPredicate(t.predicate);
+    const serve::NodeId o = base.FindNode(t.object, t.object_kind);
+    if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
+        o == serve::kInvalidNode) {
+      if (s != serve::kInvalidNode) runs.gate.push_back(s);
+      if (o != serve::kInvalidNode) runs.gate.push_back(o);
       return;
     }
-    const bool in_base = base.HasTriple(*s, *p, *o);
+    const bool in_base = base.HasTriple(s, p, o);
     const bool upserted = e.state == MemDelta::State::kUpserted;
     if (upserted == in_base) return;  // the base already agrees
-    runs.out.push_back(OverlayEdge{*s, *p, *o, upserted});
-    runs.in.push_back(OverlayEdge{*o, *p, *s, upserted});
+    runs.out.push_back(OverlayEdge{s, p, o, upserted});
+    runs.in.push_back(OverlayEdge{o, p, s, upserted});
   });
   for (std::vector<OverlayEdge>* run : {&runs.out, &runs.in}) {
     std::sort(run->begin(), run->end(),

@@ -250,7 +250,7 @@ void ExpectAdjacencyMatchesRebuild(const VersionedKgStore& store,
                                    const KnowledgeGraph& oracle,
                                    const World& world, uint64_t seed,
                                    const char* where) {
-  std::vector<NodeKey> nodes;
+  std::vector<serve::NodeKey> nodes;
   for (graph::NodeId id = 0; id < oracle.num_nodes(); ++id) {
     nodes.emplace_back(oracle.GetNodeKind(id), oracle.NodeName(id));
   }

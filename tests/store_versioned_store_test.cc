@@ -406,12 +406,10 @@ TEST(VersionedStoreTest, CompactionCompilesOutFullyRetractedNodeAndPredicate) {
   const auto stats = store->Compact();
   ASSERT_TRUE(stats.ran);
   const auto base = store->PinEpoch()->base;
-  EXPECT_EQ(base->FindNode("carol", NodeKind::kEntity).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(base->FindPredicate("name").status().code(),
-            StatusCode::kNotFound);
-  EXPECT_TRUE(base->FindPredicate("knows").ok());
-  EXPECT_TRUE(base->FindNode("Bob B.", NodeKind::kText).ok());
+  EXPECT_EQ(base->FindNode("carol", NodeKind::kEntity), serve::kInvalidNode);
+  EXPECT_EQ(base->FindPredicate("name"), serve::kInvalidNode);
+  EXPECT_NE(base->FindPredicate("knows"), serve::kInvalidNode);
+  EXPECT_NE(base->FindNode("Bob B.", NodeKind::kText), serve::kInvalidNode);
   EXPECT_EQ(base->Fingerprint(),
             serve::KgSnapshot::Compile(oracle).Fingerprint());
   ExpectMatchesRebuild(*store, oracle, "after compiling out carol and name");
