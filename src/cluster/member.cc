@@ -1,7 +1,6 @@
 #include "cluster/member.h"
 
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 #include <string_view>
 #include <utility>
 
@@ -10,14 +9,6 @@
 
 namespace kg::cluster {
 namespace {
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 /// Runs `read` (one of `member`'s store reads) as a `name` span nested
 /// under the router's member span (`parent_span_id`, 0 = untraced),
@@ -116,8 +107,13 @@ Status PrimaryMember::ApplyBatch(std::span<const store::Mutation> mutations) {
   if (killed_.load(std::memory_order_acquire)) {
     return Status::Unavailable(label_ + " is down");
   }
+  if (mutations.empty()) return Status::OK();
+  // Encoded first: a commit too large to ship in one kWalBatch frame is
+  // refused before the store or the log moves.
+  KG_ASSIGN_OR_RETURN(const std::string commit,
+                      store::EncodeCommit(mutations));
   KG_RETURN_IF_ERROR(store_->ApplyBatch(mutations));
-  log_.Append(mutations);
+  log_.Append(commit);
   store_->set_applied_watermark(log_.EndOffset());
   return Status::OK();
 }
@@ -174,13 +170,16 @@ Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
   if (!options.wal_dir.empty()) {
     wal_path = options.wal_dir + "/s" + std::to_string(shard) + "r" +
                std::to_string(index) + ".wal";
-    const std::string bytes = ReadFileBytes(wal_path);
-    if (!bytes.empty()) {
-      const store::WalReplay replay = store::ReplayWalBuffer(bytes);
+    std::error_code ec;
+    if (std::filesystem::exists(wal_path, ec)) {
+      KG_ASSIGN_OR_RETURN(const std::string bytes,
+                          store::ReadWalFile(wal_path));
+      KG_ASSIGN_OR_RETURN(const store::WalReplay replay,
+                          store::ReplayWalBuffer(bytes));
       resume_offset = replay.valid_bytes;
       initial_chain = ShardLog::FoldChain(
           0, std::string_view(bytes).substr(0, replay.valid_bytes),
-          replay.frame_offsets);
+          replay.record_offsets);
     }
   }
 

@@ -64,7 +64,7 @@ class ShardMember {
 };
 
 /// The writable head of a shard group: a VersionedKgStore plus the
-/// ShardLog image of every mutation it has applied, fronted by an
+/// ShardLog image of every commit it has applied, fronted by an
 /// in-process RpcServer that streams that log to subscribed replicas.
 /// Kill() models process death for serving purposes — queries refuse,
 /// the shipping listener refuses dials — while state survives for
@@ -77,9 +77,11 @@ class PrimaryMember : public ShardMember {
       const ClusterOptions& options = {});
   ~PrimaryMember();
 
-  /// Applies one logical commit and appends it to the shipping log;
-  /// after return the store's watermark equals log_end(), so the
-  /// primary's own answers always pass the router's epoch gate.
+  /// Applies one logical commit and appends it to the shipping log as one
+  /// record; after return the store's watermark equals log_end(), so the
+  /// primary's own answers always pass the router's epoch gate. A commit
+  /// store::EncodeCommit refuses (too large for one kWalBatch frame)
+  /// fails with kInvalidArgument before the store or the log moves.
   Status ApplyBatch(std::span<const store::Mutation> mutations);
 
   uint64_t log_end() const { return log_.EndOffset(); }
@@ -116,12 +118,14 @@ class ReplicaMember : public ShardMember {
   /// `base` must be the same shard partition the primary was built
   /// from; `dial` reaches the primary's shipping endpoint (wrap with
   /// ChaosConnectFactory / ChaosTransport for fault drills). With
-  /// `options.wal_dir` set, applied mutations persist to
-  /// `<wal_dir>/s<shard>r<index>.wal` and — because shipped bytes are
-  /// byte-identical to the primary's log — the file size *is* the resume
-  /// offset: a recreated replica opens the file, replays it, and
-  /// resubscribes from exactly where it left off
-  /// (cluster_replication_test proves the bit-identical resume).
+  /// `options.wal_dir` set, applied commits persist to
+  /// `<wal_dir>/s<shard>r<index>.wal` and — because the replica applies
+  /// each shipped record as one commit, its WAL is byte-identical to the
+  /// primary's log — the file size *is* the resume offset: a recreated
+  /// replica opens the file, replays it, and resubscribes from exactly
+  /// where it left off (cluster_replication_test proves the bit-identical
+  /// resume). A local WAL holding a record that does not decode fails
+  /// Create and is left as it was.
   static Result<std::unique_ptr<ReplicaMember>> Create(
       size_t shard, size_t index, const graph::KnowledgeGraph& base,
       rpc::TransportFactory dial, const ClusterOptions& options = {});

@@ -6,25 +6,26 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "rpc/server.h"
-#include "store/wal.h"
 
 namespace kg::cluster {
 
 /// A shard primary's shipping log: the byte-exact WAL image of every
-/// mutation the primary has applied, kept in memory for streaming to
+/// commit the primary has applied, kept in memory for streaming to
 /// replicas (the primary's own durability is its store WAL; this log
-/// exists to be *shipped*). Records use the WAL's kg::AppendRecord
-/// envelope, so a replica that writes the shipped bytes to its local WAL
-/// gets a file byte-identical to the primary's log prefix — which is
-/// why a replica's persisted resume offset is simply its WAL size.
+/// exists to be *shipped*). One record per commit, in the WAL's
+/// kg::AppendRecord envelope, so a replica that applies each shipped
+/// record as one commit writes a local WAL byte-identical to the
+/// primary's log prefix — which is why a replica's persisted resume
+/// offset is simply its WAL size.
 ///
-/// Every frame boundary carries a running Checksum32 chain
-/// (chain' = Checksum32(le32(chain) ++ frame_bytes), chain 0 at offset
-/// 0), so a subscriber can prove its replayed prefix is byte-identical
-/// to the primary's before marking itself serveable.
+/// Every record boundary — every commit boundary — carries a running
+/// Checksum32 chain (chain' = Checksum32(le32(chain) ++ record_bytes),
+/// chain 0 at offset 0), so a subscriber can prove its replayed prefix is
+/// byte-identical to the primary's before marking itself serveable.
 ///
 /// Thread-safe: the shipping event loop reads while the router appends.
 class ShardLog : public rpc::WalSource {
@@ -33,8 +34,9 @@ class ShardLog : public rpc::WalSource {
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
 
-  /// Appends one frame per mutation, advancing the chain.
-  void Append(std::span<const store::Mutation> mutations);
+  /// Appends one encoded commit (store::EncodeCommit) as one record,
+  /// advancing the chain.
+  void Append(std::string_view commit);
 
   // --- rpc::WalSource -----------------------------------------------------
 
@@ -47,23 +49,31 @@ class ShardLog : public rpc::WalSource {
 
   // --- Chain arithmetic (shared with the receiving side) ------------------
 
-  /// One chain step over a complete frame (header + payload bytes).
-  static uint32_t ChainStep(uint32_t chain, std::string_view frame_bytes);
+  /// One chain step over a complete record (header + payload bytes).
+  static uint32_t ChainStep(uint32_t chain, std::string_view record_bytes);
 
-  /// Folds the chain over a run of complete frames (the shape a
+  /// Folds the chain over a run of complete records (the shape a
   /// kWalBatch ships and a replica's WAL file stores) that start at
-  /// `frame_offsets` and end at `frames.size()` — the frames and offsets a
-  /// store::ReplayWalBuffer of `frames` verified and reported, so the
-  /// fold hashes each byte once and scans nothing.
-  static uint32_t FoldChain(uint32_t chain, std::string_view frames,
-                            std::span<const uint64_t> frame_offsets);
+  /// `record_offsets` and end at `records.size()` — the records and
+  /// offsets a store::ReplayWalBuffer of `records` verified and reported,
+  /// so the fold hashes each byte once and scans nothing. The chain after
+  /// each record lands in `*each` when non-null.
+  static uint32_t FoldChain(uint32_t chain, std::string_view records,
+                            std::span<const uint64_t> record_offsets,
+                            std::vector<uint32_t>* each = nullptr);
 
  private:
+  using Boundary = std::pair<uint64_t, uint32_t>;
+
+  /// The boundary at `offset`, or null when `offset` ends no record.
+  /// Offset 0 is a boundary but has no entry. Caller holds `mu_`.
+  const Boundary* FindBoundaryLocked(uint64_t offset) const;
+
   mutable std::mutex mu_;
   std::string log_;
-  /// Per-frame (end offset, chain value there), ascending; offset 0 /
+  /// Per-record (end offset, chain value there), ascending; offset 0 /
   /// chain 0 is implicit.
-  std::vector<std::pair<uint64_t, uint32_t>> boundaries_;
+  std::vector<Boundary> boundaries_;
 };
 
 }  // namespace kg::cluster

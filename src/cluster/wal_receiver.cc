@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "cluster/shard_log.h"
 #include "obs/trace.h"
@@ -188,16 +189,23 @@ void WalReceiver::RunSession(rpc::RpcClient* client) {
     // agreement. A failure means a lost/garbled segment — drop the
     // session and resubscribe from the last verified offset.
     if (batch.start_offset != store_->applied_watermark()) return reject();
-    const store::WalReplay replay = store::ReplayWalBuffer(batch.frames);
-    if (!replay.clean || replay.valid_bytes != batch.frames.size()) {
-      return reject();
-    }
-    const uint32_t chain_after =
-        ShardLog::FoldChain(chain_, batch.frames, replay.frame_offsets);
+    const auto replay = store::ReplayWalBuffer(batch.frames);
+    if (!replay.ok() || !replay->clean) return reject();
+    std::vector<uint32_t> chains;
+    const uint32_t chain_after = ShardLog::FoldChain(
+        chain_, batch.frames, replay->record_offsets, &chains);
     if (chain_after != batch.chain_after) return reject();
-    if (!store_->ApplyBatch(replay.mutations).ok()) return reject();
-    store_->set_applied_watermark(batch.end_offset);
-    chain_ = chain_after;
+    // One ApplyBatch per record, as the primary applied them: the local
+    // WAL re-encodes each commit into the primary's record, and the
+    // watermark only ever names a commit boundary.
+    for (size_t i = 0; i < replay->commits.size(); ++i) {
+      if (!store_->ApplyBatch(replay->commits[i]).ok()) return reject();
+      const uint64_t end = i + 1 < replay->record_offsets.size()
+                               ? replay->record_offsets[i + 1]
+                               : batch.frames.size();
+      store_->set_applied_watermark(batch.start_offset + end);
+      chain_ = chains[i];
+    }
     last_seen_log_end_.store(std::max(batch.log_end, batch.end_offset),
                              std::memory_order_release);
     last_progress_ms_.store(NowMs(), std::memory_order_relaxed);

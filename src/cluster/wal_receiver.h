@@ -23,17 +23,19 @@ namespace kg::cluster {
 /// verified kWalBatch frames:
 ///
 ///   - the batch must start exactly at our applied offset,
-///   - its frames must replay cleanly (store::ReplayWalBuffer), and
+///   - its records must replay cleanly (store::ReplayWalBuffer), and
 ///   - folding our Checksum32 chain over the shipped bytes must land on
 ///     the primary's advertised chain_after.
 ///
-/// Only then is the batch applied and the store's applied watermark
-/// advanced — so every epoch a replica ever serves is a verified
-/// byte-identical prefix of the primary's log. Any mismatch tears the
-/// session down and resubscribes from the last *verified* offset;
-/// nothing unverified is ever applied. Heartbeats carry the primary's
-/// log end for lag accounting, and a silent link (missed heartbeats)
-/// triggers a re-dial.
+/// Only then is the batch applied, one ApplyBatch per record (a record
+/// is one primary commit), advancing the store's applied watermark after
+/// each — so every epoch a replica ever serves is a verified
+/// byte-identical prefix of the primary's log that ends on a commit the
+/// primary made, and a lagging replica catches up commit by commit. Any
+/// mismatch tears the session down and resubscribes from the last
+/// *verified* offset; nothing unverified is ever applied. Heartbeats
+/// carry the primary's log end for lag accounting, and a silent link
+/// (missed heartbeats) triggers a re-dial.
 class WalReceiver {
  public:
   /// `store` must outlive the receiver; `initial_chain` is the chain

@@ -16,6 +16,14 @@ std::string NodeKey(std::string_view name, NodeKind kind) {
 }
 }  // namespace
 
+Result<NodeKind> NodeKindFromByte(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(NodeKind::kClass)) {
+    return Status::InvalidArgument("unknown node kind byte: " +
+                                   std::to_string(byte));
+  }
+  return static_cast<NodeKind>(byte);
+}
+
 NodeId KnowledgeGraph::AddNode(std::string_view name, NodeKind kind) {
   std::string key = NodeKey(name, kind);
   auto it = node_index_.find(key);

@@ -35,6 +35,14 @@ enum class NodeKind : uint8_t {
   kClass = 2,   ///< Ontology class / taxonomy type.
 };
 
+/// A node kind's byte in the binary formats that name kinds (WAL records,
+/// RPC frames): the enum's value. The inverse refuses a byte that names
+/// no kind.
+inline uint8_t NodeKindByte(NodeKind kind) {
+  return static_cast<uint8_t>(kind);
+}
+Result<NodeKind> NodeKindFromByte(uint8_t byte);
+
 /// Where a triple came from and how much we believe it. A triple can carry
 /// several provenances (one per contributing source or extractor).
 struct Provenance {

@@ -49,9 +49,9 @@ Result<uint32_t> RpcClient::Send(MessageType type, const TraceContext* trace,
 }
 
 Result<Frame> RpcClient::ReadResponse(uint32_t request_id) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
+  const auto timeout =
       std::chrono::milliseconds(std::max(options_.read_timeout_ms, 0));
+  auto deadline = std::chrono::steady_clock::now() + timeout;
   std::string chunk;
   for (;;) {
     Frame frame;
@@ -100,6 +100,12 @@ Result<Frame> RpcClient::ReadResponse(uint32_t request_id) {
     }
     if (*read == 0 && options_.read_timeout_ms >= 0) continue;  // Re-check.
     decoder_.Feed(chunk);
+    // A pushed frame is timed by the silence before each byte, not by how
+    // long it takes to arrive: a commit ships whole, so a large batch on a
+    // slow link is still alive while it streams in.
+    if (request_id == kAnyRequest) {
+      deadline = std::chrono::steady_clock::now() + timeout;
+    }
   }
 }
 

@@ -75,9 +75,10 @@ class RpcClient {
   /// whenever its log grows, and a heartbeat while it stays idle.
   Status Subscribe(uint64_t from_offset, const TraceContext* trace = nullptr);
 
-  /// Reads the next pushed frame under options.read_timeout_ms. A timeout
-  /// with no partial frame buffered returns kUnavailable and leaves the
-  /// client healthy. A refused subscription returns the server's status
+  /// Reads the next pushed frame, timing out once options.read_timeout_ms
+  /// pass without a byte arriving (a large batch still streaming in is not
+  /// timed out). A timeout with no partial frame buffered returns
+  /// kUnavailable and leaves the client healthy. A refused subscription returns the server's status
   /// (kFailedPrecondition or kInvalidArgument, never kUnavailable) and
   /// breaks the client: the server closes the stream after refusing.
   Result<WalPush> ReadWalPush();

@@ -14,31 +14,6 @@ Result<StatusCode> TakeStatusCode(ByteReader* reader) {
   return *code;
 }
 
-Result<graph::NodeKind> NodeKindFromWire(uint8_t raw) {
-  switch (raw) {
-    case 0:
-      return graph::NodeKind::kEntity;
-    case 1:
-      return graph::NodeKind::kText;
-    case 2:
-      return graph::NodeKind::kClass;
-  }
-  return Status::InvalidArgument("unknown node kind on wire: " +
-                                 std::to_string(raw));
-}
-
-uint8_t NodeKindToWire(graph::NodeKind kind) {
-  switch (kind) {
-    case graph::NodeKind::kEntity:
-      return 0;
-    case graph::NodeKind::kText:
-      return 1;
-    case graph::NodeKind::kClass:
-      return 2;
-  }
-  return 0;
-}
-
 }  // namespace
 
 const char* MessageTypeName(MessageType type) {
@@ -227,7 +202,7 @@ Result<HandshakeResponse> DecodeHandshakeResponse(std::string_view body) {
 std::string EncodeQuery(const serve::Query& query) {
   std::string body;
   PutU8(&body, static_cast<uint8_t>(query.kind));
-  PutU8(&body, NodeKindToWire(query.node_kind));
+  PutU8(&body, graph::NodeKindByte(query.node_kind));
   PutU64(&body, query.k);
   PutString(&body, query.node);
   PutString(&body, query.predicate);
@@ -246,7 +221,8 @@ Result<serve::Query> DecodeQuery(std::string_view body) {
   }
   query.kind = static_cast<serve::QueryKind>(raw_kind);
   KG_ASSIGN_OR_RETURN(const uint8_t raw_node_kind, reader.TakeU8());
-  KG_ASSIGN_OR_RETURN(query.node_kind, NodeKindFromWire(raw_node_kind));
+  KG_ASSIGN_OR_RETURN(query.node_kind,
+                      graph::NodeKindFromByte(raw_node_kind));
   KG_ASSIGN_OR_RETURN(const uint64_t k, reader.TakeU64());
   query.k = static_cast<size_t>(k);
   KG_ASSIGN_OR_RETURN(query.node, reader.TakeString());

@@ -34,7 +34,7 @@ enum class MessageType : uint8_t {
   kQueryRequest = 2,
   kQueryResponse = 3,
   kWalSubscribe = 4,       ///< Client: stream the WAL from this offset.
-  kWalBatch = 5,           ///< Server: whole WAL frames + checksum chain.
+  kWalBatch = 5,           ///< Server: whole WAL records + checksum chain.
   kWalHeartbeat = 6,       ///< Server: liveness + log end while idle.
   kIntrospectRequest = 7,  ///< Client: scrape metrics/slow-ring/traces.
   kIntrospectResponse = 8,
@@ -172,7 +172,7 @@ Result<QueryResponse> DecodeQueryResponse(std::string_view body);
 // ---- WAL shipping (replication path) ------------------------------------
 
 /// Subscriber hello: stream the primary's WAL to me starting at
-/// `from_offset` (a frame boundary the subscriber has verified —
+/// `from_offset` (a record boundary the subscriber has verified —
 /// byte offset 0 for a fresh replica, its persisted applied offset for
 /// a catch-up resume).
 struct WalSubscribe {
@@ -195,6 +195,21 @@ struct WalBatch {
   uint64_t log_end = 0;
   std::string frames;
 };
+
+/// Payload bytes a kWalBatch frame spends besides the records it ships:
+/// the message header, a trace extension (a traced subscription gets one
+/// on every batch), and the WalBatch fields of an accepted batch (code,
+/// empty message, start and end offsets, chain, log end, frames length).
+inline constexpr size_t kWalBatchOverheadBytes =
+    kMessageHeaderBytes + 1 + kTraceContextBytes + sizeof(uint8_t) +
+    sizeof(uint32_t) + 2 * sizeof(uint64_t) + sizeof(uint32_t) +
+    sizeof(uint64_t) + sizeof(uint32_t);
+
+/// The largest WAL record, envelope included, that one kWalBatch frame can
+/// carry. A commit is one record and ships whole, so this caps a commit:
+/// store::EncodeCommit refuses a larger one.
+inline constexpr size_t kMaxShippedRecordBytes =
+    kMaxRecordBytes - kWalBatchOverheadBytes;
 
 /// Idle-stream liveness: the log end and the chain value there, so a
 /// fully-caught-up subscriber keeps verifying it has not diverged.

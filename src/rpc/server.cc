@@ -521,7 +521,7 @@ void RpcServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         refusal.code = StatusCode::kInvalidArgument;
         refusal.message = "subscribe offset " +
                           std::to_string(req->from_offset) +
-                          " is not a frame boundary of this log";
+                          " is not a record boundary of this log";
       } else {
         conn->subscribed = true;
         conn->sub_offset = req->from_offset;

@@ -39,13 +39,13 @@ QueryHandler EngineHandler(const serve::QueryEngine* engine);
 QueryHandler StoreHandler(const store::VersionedKgStore* store);
 
 /// What a replication-enabled server streams to kWalSubscribe
-/// subscribers: an append-only log of framed WAL records (the
-/// kg::AppendRecord envelope) with a running Checksum32 chain over
-/// whole frames, so a subscriber can prove its replayed prefix is
+/// subscribers: an append-only log of WAL records (the kg::AppendRecord
+/// envelope, one record per commit) with a running Checksum32 chain over
+/// whole records, so a subscriber can prove its replayed prefix is
 /// byte-identical to the primary's before serving from it.
 ///
 /// Offsets are byte offsets into the log; a "boundary" is an offset
-/// that starts a frame (or the log end). Implementations must be
+/// that starts a record (or the log end). Implementations must be
 /// thread-safe: the event loop reads while the owner appends.
 class WalSource {
  public:
@@ -54,16 +54,16 @@ class WalSource {
   /// Current log end (a boundary by construction).
   virtual uint64_t EndOffset() const = 0;
 
-  /// True when `offset` is a frame boundary (0 and EndOffset included).
+  /// True when `offset` is a record boundary (0 and EndOffset included).
   virtual bool IsBoundary(uint64_t offset) const = 0;
 
   /// Chain value at boundary `offset`: 0 at offset 0, then
-  /// chain' = Checksum32(le32(chain) ++ frame_bytes) per frame.
+  /// chain' = Checksum32(le32(chain) ++ record_bytes) per record.
   virtual uint32_t ChainAt(uint64_t offset) const = 0;
 
-  /// Copies whole frames from boundary `offset`, at most `max_bytes`
-  /// (always at least one frame when any exists). Writes the boundary
-  /// after the last copied frame to `*end_offset` and the chain value
+  /// Copies whole records from boundary `offset`, at most `max_bytes`
+  /// (always at least one record when any exists). Writes the boundary
+  /// after the last copied record to `*end_offset` and the chain value
   /// there to `*chain_after`.
   virtual std::string ReadFrom(uint64_t offset, size_t max_bytes,
                                uint64_t* end_offset,
@@ -97,7 +97,7 @@ struct RpcServerOptions {
   /// primary and reconnects).
   int wal_heartbeat_interval_ms = 25;
   /// Largest kWalBatch frame payload; bigger backlogs ship as several
-  /// batches across event-loop passes.
+  /// batches across event-loop passes, and a larger record ships alone.
   size_t wal_batch_max_bytes = 256 * 1024;
   /// Distributed tracing (not owned; must outlive the server). Each
   /// accepted query gets a "serve.<class>" span — rooted at the wire

@@ -593,12 +593,12 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
     // Recovered mutations consume sequence numbers exactly as the live
     // appends that wrote them did, so a reopened store is bit-identical
     // to one that never crashed.
-    for (const Mutation& m : replay.mutations) {
-      recovered.Apply(m, store->next_seq_++);
+    for (const std::vector<Mutation>& commit : replay.commits) {
+      for (const Mutation& m : commit) recovered.Apply(m, store->next_seq_++);
     }
     if (store->metrics_.wal_replayed != nullptr) {
       store->metrics_.wal_replayed->Set(
-          static_cast<int64_t>(replay.mutations.size()));
+          static_cast<int64_t>(replay.commits.size()));
     }
   }
   if (options.cache_capacity > 0) {
@@ -682,7 +682,7 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   }
   if (metrics_.applied_mutations != nullptr) {
     metrics_.applied_mutations->Inc(mutations.size());
-    if (wal_) metrics_.wal_appended->Inc(mutations.size());
+    if (wal_) metrics_.wal_appended->Inc();
     metrics_.epoch_version->Set(static_cast<int64_t>(published_version));
     metrics_.delta_size->Set(static_cast<int64_t>(published_delta));
   }

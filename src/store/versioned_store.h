@@ -191,8 +191,10 @@ class VersionedKgStore {
 
   Status Apply(const Mutation& mutation);
 
-  /// Applies `mutations` in order as one logical commit (one WAL flush,
-  /// one published epoch).
+  /// Applies `mutations` in order as one logical commit (one WAL record,
+  /// one published epoch). With a WAL, a commit `EncodeCommit` refuses
+  /// (too large to ship in one kWalBatch frame) fails with
+  /// kInvalidArgument before anything is logged or applied.
   Status ApplyBatch(std::span<const Mutation> mutations);
 
   // --- Read path --------------------------------------------------------

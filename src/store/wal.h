@@ -55,52 +55,73 @@ struct Mutation {
   }
 };
 
-/// Renders a mutation as one tab-separated payload (9 fields, every text
-/// field through `graph::EscapeTsvField`, confidence at full double
-/// precision). Deterministic: equal mutations encode byte-identically.
+/// A mutation's bytes inside a commit record, in the common/bytes.h codec:
+/// u8 op, the subject as a string, u8 subject kind
+/// (graph::NodeKindByte), the predicate and the object as strings, u8
+/// object kind, the provenance source as a string, the confidence as the
+/// u64 bit pattern of its IEEE-754 double, and the timestamp as a u64.
+/// Deterministic and exact: equal mutations encode byte-identically, and
+/// a decoded confidence is bit-identical to the encoded one.
 std::string EncodeMutation(const Mutation& m);
 
-/// Inverts `EncodeMutation`; rejects malformed payloads with a
-/// descriptive status (the WAL replay treats any such record as the
-/// start of a torn tail).
+/// Inverts `EncodeMutation`; refuses an op or kind byte out of range, a
+/// field cut short, or trailing bytes.
 Result<Mutation> DecodeMutation(std::string_view payload);
 
-/// The result of scanning a WAL image. `mutations` is the longest valid
-/// record prefix; `valid_bytes` is where that prefix ends (the recovery
-/// truncation point); `clean` is true when the scan consumed every byte.
-/// `frame_offsets[i]` is the byte offset where `mutations[i]`'s frame
-/// starts, so `frame_offsets.back()` is the offset of the last valid
-/// frame — the resume point a catch-up subscriber needs: replaying the
-/// suffix from any `frame_offsets[i]` yields exactly `mutations[i..]`
-/// (store_wal_test proves the bit-identical-resume property).
+/// One commit as one record payload: a u32 mutation count, then each
+/// mutation as `EncodeMutation` writes it. Refuses (kInvalidArgument) an
+/// empty commit, and one whose record would exceed
+/// rpc::kMaxShippedRecordBytes: a commit ships to replicas whole, inside
+/// one kWalBatch frame.
+Result<std::string> EncodeCommit(std::span<const Mutation> mutations);
+
+/// Inverts `EncodeCommit`: refuses a zero count, a count that runs past
+/// the payload, any mutation `DecodeMutation` would refuse, and trailing
+/// bytes.
+Result<std::vector<Mutation>> DecodeCommit(std::string_view payload);
+
+/// The result of scanning a WAL image: the longest prefix of whole
+/// records. `commits[i]` is the commit whose record starts at byte
+/// `record_offsets[i]`, so replaying the suffix from any record offset
+/// yields exactly `commits[i..]` (store_wal_test proves the
+/// bit-identical resume a catch-up subscriber needs). `valid_bytes` is
+/// where the prefix ends (the recovery truncation point); `clean` is true
+/// when the scan consumed every byte.
 struct WalReplay {
-  std::vector<Mutation> mutations;
-  std::vector<uint64_t> frame_offsets;
+  std::vector<std::vector<Mutation>> commits;
+  std::vector<uint64_t> record_offsets;
   uint64_t valid_bytes = 0;
   uint64_t dropped_bytes = 0;
   bool clean = true;
 };
 
-/// Truncation-tolerant scan of a WAL byte image: one kg::ScanRecord per
-/// frame (common/bytes.h). Replay stops — without failing — at the first
-/// frame that is incomplete, declares more than kg::kMaxRecordBytes,
-/// fails its checksum, or does not decode; everything before it is
-/// returned. A WAL torn at *any* byte boundary therefore recovers every
-/// fully-written record (store_wal_test cuts at every offset to prove
-/// it). Never crashes on arbitrary bytes (store_wal_fuzz_test).
-WalReplay ReplayWalBuffer(std::string_view data);
+/// Scans a WAL byte image, one kg::ScanRecord per record (common/bytes.h).
+/// The scan stops, without failing, at the first record that is
+/// incomplete, declares more than kg::kMaxRecordBytes or fails its
+/// checksum: a torn write leaves only such a tail, so a WAL cut at *any*
+/// byte recovers every whole commit before the cut (store_wal_test cuts
+/// at every offset to prove it). A record that passes its checksum but
+/// does not decode was written whole, so it is not a torn tail; the scan
+/// fails with kInvalidArgument naming its offset. Never crashes on
+/// arbitrary bytes (store_wal_fuzz_test).
+Result<WalReplay> ReplayWalBuffer(std::string_view data);
 
-/// Append-only write-ahead log for store mutations, one kg::AppendRecord
-/// record (common/bytes.h: [u32le length][u32le Checksum32][payload])
-/// per mutation. Not internally synchronized: the store serializes
-/// appends under its writer lock.
+/// The bytes of the file at `path`, for a WAL scan.
+Result<std::string> ReadWalFile(const std::string& path);
+
+/// Append-only write-ahead log for store commits: one kg::AppendRecord
+/// record (common/bytes.h: [u32le length][u32le Checksum32][payload]) per
+/// commit, so replay recovers whole commits or none of one. Not
+/// internally synchronized: the store serializes appends under its
+/// writer lock.
 class Wal {
  public:
   /// Opens (creating if absent) the log at `path` for appending. When
-  /// the existing file ends in a torn or corrupt tail, the tail is
-  /// truncated away — re-opening after a crash never leaves garbage for
-  /// later appends to land after. The replay of the surviving prefix is
-  /// written to `*replay` when non-null.
+  /// the existing file ends in a torn tail, the tail is truncated away —
+  /// re-opening after a crash never leaves garbage for later appends to
+  /// land after. A record that does not decode fails the open and leaves
+  /// the file byte-for-byte as it was. The replay of the surviving prefix
+  /// is written to `*replay` when non-null.
   static Result<Wal> Open(const std::string& path,
                           WalReplay* replay = nullptr);
 
@@ -110,11 +131,9 @@ class Wal {
   Wal(Wal&&) = default;
   Wal& operator=(Wal&&) = default;
 
-  /// Appends one record and flushes it to the OS.
-  Status Append(const Mutation& m);
-
-  /// Appends a batch, flushing once at the end (one batch == one
-  /// logical commit).
+  /// Appends one commit as one record and flushes it to the OS. An empty
+  /// commit writes nothing; one `EncodeCommit` refuses writes nothing and
+  /// returns its status.
   Status AppendBatch(std::span<const Mutation> mutations);
 
   const std::string& path() const { return path_; }

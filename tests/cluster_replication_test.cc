@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,8 +15,11 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "common/hash.h"
 #include "graph/knowledge_graph.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rpc/client.h"
 #include "rpc/frame.h"
 #include "rpc/server.h"
@@ -56,6 +61,25 @@ std::vector<Mutation> SomeMutations(int n, int salt = 0) {
         NodeKind::kEntity, kProv));
   }
   return mutations;
+}
+
+/// `mutations` as commits of `per_commit` mutations each (the last may
+/// hold fewer), appended to `log` one record per commit.
+void AppendCommits(ShardLog* log, const std::vector<Mutation>& mutations,
+                   size_t per_commit = 1) {
+  for (size_t i = 0; i < mutations.size(); i += per_commit) {
+    const size_t n = std::min(per_commit, mutations.size() - i);
+    auto commit = store::EncodeCommit(
+        std::span<const Mutation>(mutations).subspan(i, n));
+    ASSERT_TRUE(commit.ok()) << commit.status();
+    log->Append(*commit);
+  }
+}
+
+store::WalReplay Replay(std::string_view records) {
+  auto replay = store::ReplayWalBuffer(records);
+  EXPECT_TRUE(replay.ok()) << replay.status();
+  return replay.ok() ? *replay : store::WalReplay{};
 }
 
 std::string LogBytes(const ShardLog& log) {
@@ -104,45 +128,103 @@ Result<rpc::Frame> ReadOneFrame(rpc::ITransport* transport,
   }
 }
 
+/// The fake-primary side of a session's start on `listener`: answer the
+/// handshake and check the subscribe offset.
+Result<std::unique_ptr<rpc::ITransport>> AcceptSubscriber(
+    rpc::InMemoryTransportServer& listener, uint64_t expect_offset) {
+  KG_ASSIGN_OR_RETURN(std::unique_ptr<rpc::ITransport> conn,
+                      listener.Accept());
+  rpc::FrameDecoder decoder;
+  KG_ASSIGN_OR_RETURN(rpc::Frame hs, ReadOneFrame(conn.get(), &decoder));
+  if (hs.type != rpc::MessageType::kHandshakeRequest) {
+    return Status::Internal("expected handshake");
+  }
+  rpc::HandshakeResponse resp;
+  resp.schema_version = serve::kSnapshotSchemaVersion;
+  std::string out;
+  rpc::AppendFrame(&out, rpc::MessageType::kHandshakeResponse,
+                   hs.request_id, rpc::EncodeHandshakeResponse(resp));
+  KG_RETURN_IF_ERROR(conn->Write(out));
+  KG_ASSIGN_OR_RETURN(rpc::Frame sub_frame,
+                      ReadOneFrame(conn.get(), &decoder));
+  if (sub_frame.type != rpc::MessageType::kWalSubscribe) {
+    return Status::Internal("expected subscribe");
+  }
+  KG_ASSIGN_OR_RETURN(rpc::WalSubscribe sub,
+                      rpc::DecodeWalSubscribe(sub_frame.body));
+  if (sub.from_offset != expect_offset) {
+    return Status::Internal("subscribed from " +
+                            std::to_string(sub.from_offset));
+  }
+  return conn;
+}
+
+/// One fake-primary session: AcceptSubscriber, then one prepared batch.
+Result<std::unique_ptr<rpc::ITransport>> ServeOneSession(
+    rpc::InMemoryTransportServer& listener, uint64_t expect_offset,
+    const rpc::WalBatch& batch) {
+  KG_ASSIGN_OR_RETURN(std::unique_ptr<rpc::ITransport> conn,
+                      AcceptSubscriber(listener, expect_offset));
+  std::string out;
+  rpc::AppendFrame(&out, rpc::MessageType::kWalBatch, 0,
+                   rpc::EncodeWalBatch(batch));
+  KG_RETURN_IF_ERROR(conn->Write(out));
+  return conn;
+}
+
 TEST(ShardLogTest, BatchingInvariantAndChainAlgebra) {
   const std::vector<Mutation> mutations = SomeMutations(7);
-  ShardLog one_by_one;
-  for (const Mutation& m : mutations) {
-    one_by_one.Append(std::span<const Mutation>(&m, 1));
+  const std::vector<std::vector<Mutation>> commits = {
+      {mutations[0], mutations[1], mutations[2]},
+      {mutations[3]},
+      {mutations[4], mutations[5], mutations[6]}};
+  ShardLog log;
+  ShardLog again;
+  std::string expected;
+  for (const std::vector<Mutation>& commit : commits) {
+    auto payload = store::EncodeCommit(commit);
+    ASSERT_TRUE(payload.ok());
+    log.Append(*payload);
+    again.Append(*payload);
+    AppendRecord(&expected, *payload);
   }
-  ShardLog batched;
-  batched.Append(mutations);
 
-  // The log image is a pure function of the mutation sequence, not of
-  // how commits were grouped.
-  const std::string bytes = LogBytes(batched);
-  EXPECT_EQ(bytes, LogBytes(one_by_one));
-  EXPECT_EQ(batched.EndOffset(), bytes.size());
+  // The log image is a pure function of the commit sequence: one
+  // checksummed record per commit, whatever log holds it.
+  const std::string bytes = LogBytes(log);
+  EXPECT_EQ(bytes, expected);
+  EXPECT_EQ(bytes, LogBytes(again));
+  EXPECT_EQ(log.EndOffset(), bytes.size());
+  // Grouping is part of that sequence: the same mutations committed one
+  // by one make another image.
+  ShardLog one_by_one;
+  AppendCommits(&one_by_one, mutations);
+  EXPECT_NE(LogBytes(one_by_one), bytes);
 
-  // The byte image replays to exactly the appended mutations, and the
+  // The byte image replays to exactly the appended commits, and the
   // fold of the chain over it equals the incremental chain.
-  const store::WalReplay replay = store::ReplayWalBuffer(bytes);
+  const store::WalReplay replay = Replay(bytes);
   ASSERT_TRUE(replay.clean);
-  EXPECT_EQ(replay.mutations, mutations);
-  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.frame_offsets),
-            batched.ChainAt(batched.EndOffset()));
+  EXPECT_EQ(replay.commits, commits);
+  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.record_offsets),
+            log.ChainAt(log.EndOffset()));
 
-  // Boundaries are exactly the frame starts plus the end; ChainAt at
+  // Boundaries are exactly the record starts plus the end; ChainAt at
   // boundary i equals the fold over the prefix; ChainStep composes.
   uint32_t chain = 0;
-  for (size_t i = 0; i < replay.frame_offsets.size(); ++i) {
-    const uint64_t off = replay.frame_offsets[i];
-    EXPECT_TRUE(batched.IsBoundary(off));
-    EXPECT_FALSE(batched.IsBoundary(off + 1));
-    EXPECT_EQ(batched.ChainAt(off), chain);
-    const uint64_t next = i + 1 < replay.frame_offsets.size()
-                              ? replay.frame_offsets[i + 1]
+  for (size_t i = 0; i < replay.record_offsets.size(); ++i) {
+    const uint64_t off = replay.record_offsets[i];
+    EXPECT_TRUE(log.IsBoundary(off));
+    EXPECT_FALSE(log.IsBoundary(off + 1));
+    EXPECT_EQ(log.ChainAt(off), chain);
+    const uint64_t next = i + 1 < replay.record_offsets.size()
+                              ? replay.record_offsets[i + 1]
                               : bytes.size();
     chain = ShardLog::ChainStep(
         chain, std::string_view(bytes).substr(off, next - off));
   }
-  EXPECT_TRUE(batched.IsBoundary(bytes.size()));
-  EXPECT_EQ(batched.ChainAt(bytes.size()), chain);
+  EXPECT_TRUE(log.IsBoundary(bytes.size()));
+  EXPECT_EQ(log.ChainAt(bytes.size()), chain);
 }
 
 // ChainStep hashes from a running state; it must equal the checksum of
@@ -169,9 +251,9 @@ TEST(ShardLogTest, ChainStepEqualsChecksumOfChainThenFrame) {
     }
   }
   ShardLog log;
-  log.Append(SomeMutations(9));
+  AppendCommits(&log, SomeMutations(9), 2);
   const std::string bytes = LogBytes(log);
-  const store::WalReplay replay = store::ReplayWalBuffer(bytes);
+  const store::WalReplay replay = Replay(bytes);
   ASSERT_TRUE(replay.clean);
   uint32_t stepped = 7;
   for (uint64_t offset = 0; offset < log.EndOffset();) {
@@ -182,15 +264,20 @@ TEST(ShardLogTest, ChainStepEqualsChecksumOfChainThenFrame) {
     stepped = ShardLog::ChainStep(stepped, frame);
     offset = end;
   }
-  EXPECT_EQ(ShardLog::FoldChain(7, bytes, replay.frame_offsets), stepped);
-  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.frame_offsets),
+  EXPECT_EQ(ShardLog::FoldChain(7, bytes, replay.record_offsets), stepped);
+  std::vector<uint32_t> each;
+  EXPECT_EQ(ShardLog::FoldChain(0, bytes, replay.record_offsets, &each),
             log.ChainAt(log.EndOffset()));
+  ASSERT_EQ(each.size(), replay.record_offsets.size());
+  for (size_t i = 0; i + 1 < each.size(); ++i) {
+    EXPECT_EQ(each[i], log.ChainAt(replay.record_offsets[i + 1]));
+  }
   EXPECT_EQ(ShardLog::FoldChain(5, "", {}), 5u);
 }
 
 TEST(ShardLogTest, ReadFromShipsWholeFramesWithinBudget) {
   ShardLog log;
-  log.Append(SomeMutations(9));
+  AppendCommits(&log, SomeMutations(9), 2);
   const std::string all = LogBytes(log);
 
   // A 1-byte budget still ships one whole frame (progress guarantee);
@@ -206,10 +293,10 @@ TEST(ShardLogTest, ReadFromShipsWholeFramesWithinBudget) {
     ASSERT_GT(slice.size(), 0u);
     ASSERT_GT(end, offset);
     EXPECT_TRUE(log.IsBoundary(end));
-    const store::WalReplay sliced = store::ReplayWalBuffer(slice);
+    const store::WalReplay sliced = Replay(slice);
     ASSERT_TRUE(sliced.clean);
     EXPECT_EQ(chain_after,
-              ShardLog::FoldChain(chain, slice, sliced.frame_offsets));
+              ShardLog::FoldChain(chain, slice, sliced.record_offsets));
     walked += slice;
     offset = end;
     chain = chain_after;
@@ -223,7 +310,7 @@ TEST(ShardLogTest, ReadFromShipsWholeFramesWithinBudget) {
 // grows mid-subscription.
 TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
   ShardLog log;
-  log.Append(SomeMutations(6, 1));
+  AppendCommits(&log, SomeMutations(6, 1));
 
   auto listener = std::make_unique<rpc::InMemoryTransportServer>();
   rpc::InMemoryTransportServer* loopback = listener.get();
@@ -276,7 +363,7 @@ TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
       ASSERT_TRUE(hb.ok());
       EXPECT_EQ(hb->chain_at_end, log.ChainAt(hb->log_end));
       if (!grew && shipped.size() >= first_goal) {
-        log.Append(SomeMutations(4, 2));
+        AppendCommits(&log, SomeMutations(4, 2));
         grew = true;
       }
       continue;
@@ -290,15 +377,15 @@ TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
     ASSERT_EQ(batch->start_offset, shipped.size());
     ASSERT_EQ(batch->end_offset, shipped.size() + batch->frames.size());
     ASSERT_GE(batch->log_end, batch->end_offset);
-    const store::WalReplay replay = store::ReplayWalBuffer(batch->frames);
+    const store::WalReplay replay = Replay(batch->frames);
     ASSERT_TRUE(replay.clean);
-    chain = ShardLog::FoldChain(chain, batch->frames, replay.frame_offsets);
+    chain = ShardLog::FoldChain(chain, batch->frames, replay.record_offsets);
     ASSERT_EQ(chain, batch->chain_after);
     shipped += batch->frames;
     if (grew && shipped.size() >= log.EndOffset()) break;
   }
   EXPECT_EQ(shipped, LogBytes(log));
-  // wal_batch_max_bytes=1 means every batch carried exactly one frame.
+  // wal_batch_max_bytes=1 means every batch carried exactly one record.
   EXPECT_EQ(batches, 10u);
   transport->Close();
   server.Stop();
@@ -306,7 +393,7 @@ TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
 
 TEST(WireProtocolTest, NonBoundarySubscribeOffsetIsRefused) {
   ShardLog log;
-  log.Append(SomeMutations(3));
+  AppendCommits(&log, SomeMutations(3));
 
   auto listener = std::make_unique<rpc::InMemoryTransportServer>();
   rpc::InMemoryTransportServer* loopback = listener.get();
@@ -350,6 +437,87 @@ TEST(WireProtocolTest, NonBoundarySubscribeOffsetIsRefused) {
   server.Stop();
 }
 
+// A batch budget smaller than one commit still ships whole commits: a
+// record is a commit, so every kWalBatch ends on a commit boundary, and a
+// receiver following the stream publishes only watermarks that a primary
+// commit made — one ApplyBatch, one epoch, per commit.
+TEST(WireProtocolTest, SmallBatchBudgetShipsWholeCommits) {
+  ShardLog log;
+  std::set<uint64_t> boundaries = {0};
+  auto reference = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(reference.ok());
+  constexpr size_t kCommits = 6;
+  for (size_t c = 0; c < kCommits; ++c) {
+    const std::vector<Mutation> commit =
+        SomeMutations(4, static_cast<int>(c) + 1);
+    AppendCommits(&log, commit, commit.size());
+    ASSERT_TRUE((*reference)->ApplyBatch(commit).ok());
+    boundaries.insert(log.EndOffset());
+  }
+
+  auto listener = std::make_unique<rpc::InMemoryTransportServer>();
+  rpc::InMemoryTransportServer* loopback = listener.get();
+  rpc::RpcServerOptions sopts;
+  sopts.worker_threads = 1;
+  sopts.wal_source = &log;
+  sopts.wal_heartbeat_interval_ms = 5;
+  sopts.wal_batch_max_bytes = 16;  // Smaller than any one commit.
+  rpc::RpcServer server(
+      [](const Query&) -> Result<serve::QueryResult> {
+        return serve::QueryResult{};
+      },
+      std::move(listener), sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    auto transport = loopback->Connect();
+    ASSERT_TRUE(transport.ok());
+    rpc::RpcClientOptions copts;
+    copts.read_timeout_ms = 5000;
+    rpc::RpcClient client(std::move(*transport), copts);
+    ASSERT_TRUE(client.Handshake().ok());
+    ASSERT_TRUE(client.Subscribe(0).ok());
+    uint64_t shipped = 0;
+    while (shipped < log.EndOffset()) {
+      auto push = client.ReadWalPush();
+      ASSERT_TRUE(push.ok()) << push.status();
+      if (push->type == rpc::MessageType::kWalHeartbeat) continue;
+      ASSERT_EQ(push->batch.start_offset, shipped);
+      EXPECT_EQ(boundaries.count(push->batch.end_offset), 1u)
+          << "batch ends at " << push->batch.end_offset;
+      const store::WalReplay replay = Replay(push->batch.frames);
+      ASSERT_TRUE(replay.clean);
+      EXPECT_EQ(replay.commits.size(), 1u);
+      shipped = push->batch.end_offset;
+    }
+  }
+
+  auto follower = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(follower.ok());
+  WalReceiverOptions ropts;
+  ropts.dial_retry_ms = 1;
+  WalReceiver receiver([&]() { return loopback->Connect(); },
+                       follower->get(), 0, "follower", ropts);
+  receiver.Start();
+  std::set<uint64_t> seen;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t w = 0; w != log.EndOffset() &&
+                       std::chrono::steady_clock::now() < deadline;) {
+    w = (*follower)->applied_watermark();
+    seen.insert(w);
+  }
+  receiver.Stop();
+  server.Stop();
+  ASSERT_EQ((*follower)->applied_watermark(), log.EndOffset());
+  for (const uint64_t w : seen) {
+    EXPECT_EQ(boundaries.count(w), 1u) << "watermark " << w;
+  }
+  EXPECT_EQ((*follower)->version(), kCommits);
+  EXPECT_EQ((*follower)->AuthoritativeFingerprint(),
+            (*reference)->AuthoritativeFingerprint());
+}
+
 // Drives a WalReceiver from a hand-rolled fake primary: a batch whose
 // chain_after lies must be rejected WITHOUT applying, the session torn
 // down, and the resubscribe must come back at the unchanged verified
@@ -369,47 +537,10 @@ TEST(WalReceiverTest, TamperedChainIsRejectedThenHonestBatchApplies) {
   receiver.Start();
 
   ShardLog log;
-  log.Append(SomeMutations(4));
+  AppendCommits(&log, SomeMutations(4), 2);
   uint64_t end = 0;
   uint32_t chain = 0;
   const std::string frames = log.ReadFrom(0, size_t{1} << 30, &end, &chain);
-
-  // One fake-primary session: answer the handshake, check the
-  // subscribe offset, send one prepared batch.
-  const auto serve_session =
-      [&](uint64_t expect_offset,
-          const rpc::WalBatch& batch) -> Result<std::unique_ptr<rpc::ITransport>> {
-    KG_ASSIGN_OR_RETURN(std::unique_ptr<rpc::ITransport> conn,
-                        listener.Accept());
-    rpc::FrameDecoder decoder;
-    KG_ASSIGN_OR_RETURN(rpc::Frame hs,
-                        ReadOneFrame(conn.get(), &decoder));
-    if (hs.type != rpc::MessageType::kHandshakeRequest) {
-      return Status::Internal("expected handshake");
-    }
-    rpc::HandshakeResponse resp;
-    resp.schema_version = serve::kSnapshotSchemaVersion;
-    std::string out;
-    rpc::AppendFrame(&out, rpc::MessageType::kHandshakeResponse,
-                     hs.request_id, rpc::EncodeHandshakeResponse(resp));
-    KG_RETURN_IF_ERROR(conn->Write(out));
-    KG_ASSIGN_OR_RETURN(rpc::Frame sub_frame,
-                        ReadOneFrame(conn.get(), &decoder));
-    if (sub_frame.type != rpc::MessageType::kWalSubscribe) {
-      return Status::Internal("expected subscribe");
-    }
-    KG_ASSIGN_OR_RETURN(rpc::WalSubscribe sub,
-                        rpc::DecodeWalSubscribe(sub_frame.body));
-    if (sub.from_offset != expect_offset) {
-      return Status::Internal("subscribed from " +
-                              std::to_string(sub.from_offset));
-    }
-    out.clear();
-    rpc::AppendFrame(&out, rpc::MessageType::kWalBatch, 0,
-                     rpc::EncodeWalBatch(batch));
-    KG_RETURN_IF_ERROR(conn->Write(out));
-    return conn;
-  };
 
   // Session 1: correct bytes, lying chain. Must NOT apply.
   rpc::WalBatch tampered;
@@ -418,20 +549,21 @@ TEST(WalReceiverTest, TamperedChainIsRejectedThenHonestBatchApplies) {
   tampered.chain_after = chain ^ 0xdeadbeefu;
   tampered.log_end = end;
   tampered.frames = frames;
-  auto s1 = serve_session(0, tampered);
+  auto s1 = ServeOneSession(listener, 0, tampered);
   ASSERT_TRUE(s1.ok()) << s1.status();
   ASSERT_TRUE(WaitUntil(5000, [&] { return receiver.sessions() >= 2; }));
   EXPECT_EQ((*store)->applied_watermark(), 0u)
       << "tampered batch must never reach the store";
 
-  // Session 2: the honest batch. Applies, watermark advances, content
-  // is served.
+  // Session 2: the honest batch. Applies one epoch per shipped commit,
+  // watermark advances, content is served.
   rpc::WalBatch honest = tampered;
   honest.chain_after = chain;
-  auto s2 = serve_session(0, honest);
+  auto s2 = ServeOneSession(listener, 0, honest);
   ASSERT_TRUE(s2.ok()) << s2.status();
   ASSERT_TRUE(
       WaitUntil(5000, [&] { return (*store)->applied_watermark() == end; }));
+  EXPECT_EQ((*store)->version(), 2u);
   auto rows = (*store)->TryExecute(Query::PointLookup("node0", "links"));
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, (serve::QueryResult{"E:node1"}));
@@ -452,9 +584,85 @@ TEST(WalReceiverTest, TamperedChainIsRejectedThenHonestBatchApplies) {
   empty.end_offset = end;
   empty.chain_after = chain;
   empty.log_end = end;
-  auto s3 = serve_session(end, empty);
+  auto s3 = ServeOneSession(listener, end, empty);
   EXPECT_TRUE(s3.ok()) << s3.status();
 
+  receiver.Stop();
+  listener.Shutdown();
+}
+
+// A shipped record that passes its checksum but does not decode — here
+// one in the text format an older primary logged, under a true chain —
+// is rejected like a lying chain: nothing applies, and the receiver
+// resubscribes from the same offset.
+TEST(WalReceiverTest, UndecodableShippedRecordIsRejected) {
+  auto store = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(store.ok());
+  rpc::InMemoryTransportServer listener;
+  WalReceiverOptions ropts;
+  ropts.heartbeat_timeout_ms = 2000;
+  ropts.dial_retry_ms = 1;
+  ropts.max_dial_attempts = 1000;
+  WalReceiver receiver([&]() { return listener.Connect(); }, store->get(),
+                       0, "fake.replica", ropts);
+  receiver.Start();
+
+  rpc::WalBatch text;
+  AppendRecord(&text.frames,
+               "U\tnode0\tentity\tlinks\tnode1\tentity\tsrc\t1\t0");
+  text.end_offset = text.frames.size();
+  text.log_end = text.end_offset;
+  text.chain_after = ShardLog::ChainStep(0, text.frames);
+  auto s1 = ServeOneSession(listener, 0, text);
+  ASSERT_TRUE(s1.ok()) << s1.status();
+  ASSERT_TRUE(WaitUntil(5000, [&] { return receiver.sessions() >= 2; }));
+  EXPECT_EQ((*store)->applied_watermark(), 0u);
+  EXPECT_EQ((*store)->version(), 0u);
+
+  rpc::WalBatch empty;
+  auto s2 = ServeOneSession(listener, 0, empty);
+  EXPECT_TRUE(s2.ok()) << s2.status();
+  receiver.Stop();
+  listener.Shutdown();
+}
+
+// A batch that streams in over several heartbeat timeouts, each gap
+// shorter than one, is a live link: a commit ships whole, so a large one
+// on a slow link must not read as a dead primary. The receiver applies it
+// in its first session.
+TEST(WalReceiverTest, BatchStreamingInSlowlyIsNotADeadLink) {
+  auto store = store::VersionedKgStore::Open(KnowledgeGraph(), {});
+  ASSERT_TRUE(store.ok());
+  rpc::InMemoryTransportServer listener;
+  WalReceiverOptions ropts;
+  ropts.heartbeat_timeout_ms = 200;
+  ropts.dial_retry_ms = 1;
+  WalReceiver receiver([&]() { return listener.Connect(); }, store->get(),
+                       0, "slow.replica", ropts);
+  receiver.Start();
+
+  ShardLog log;
+  AppendCommits(&log, SomeMutations(40), 40);
+  rpc::WalBatch batch;
+  batch.frames = log.ReadFrom(0, size_t{1} << 30, &batch.end_offset,
+                              &batch.chain_after);
+  batch.log_end = batch.end_offset;
+  std::string frame;
+  rpc::AppendFrame(&frame, rpc::MessageType::kWalBatch, 0,
+                   rpc::EncodeWalBatch(batch));
+  auto conn = AcceptSubscriber(listener, 0);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  // 16 pieces 30 ms apart: the frame takes over twice the timeout.
+  const size_t piece = frame.size() / 16 + 1;
+  for (size_t at = 0; at < frame.size(); at += piece) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_TRUE((*conn)->Write(std::string_view(frame).substr(at, piece))
+                    .ok());
+  }
+  ASSERT_TRUE(WaitUntil(5000, [&] {
+    return (*store)->applied_watermark() == batch.end_offset;
+  }));
+  EXPECT_EQ(receiver.sessions(), 1u);
   receiver.Stop();
   listener.Shutdown();
 }
@@ -633,6 +841,92 @@ TEST(ReplicaResumeTest, PersistedOffsetSurvivesRecreationAndTornTail) {
   }));
   EXPECT_EQ(ReadFileBytes(wal_path), full);
   std::remove(wal_path.c_str());
+}
+
+// A replica's local WAL holding a record that does not decode — a log
+// written before records were binary commits — fails Create with the
+// record's offset, and the file is left byte-for-byte as it was.
+TEST(ReplicaResumeTest, UndecodableLocalWalFailsCreateAndIsLeftAlone) {
+  ClusterOptions ropts;
+  ropts.wal_dir = ::testing::TempDir() + "/cluster_replica_text_wal";
+  std::filesystem::remove_all(ropts.wal_dir);
+  std::filesystem::create_directories(ropts.wal_dir);
+  const std::string wal_path = ropts.wal_dir + "/s0r0.wal";
+  std::string bytes;
+  AppendRecord(&bytes, "U\tnode0\tentity\tlinks\tnode1\tentity\tsrc\t1\t0");
+  {
+    std::ofstream out(wal_path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  KnowledgeGraph base;
+  auto primary = PrimaryMember::Create(0, base);
+  ASSERT_TRUE(primary.ok());
+  ropts.receiver.dial_retry_ms = 1;
+  auto replica = ReplicaMember::Create(0, 0, base,
+                                       (*primary)->DialFactory(), ropts);
+  ASSERT_FALSE(replica.ok());
+  EXPECT_EQ(replica.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replica.status().message().find("offset 0"), std::string::npos)
+      << replica.status();
+  EXPECT_EQ(ReadFileBytes(wal_path), bytes);
+  std::filesystem::remove_all(ropts.wal_dir);
+}
+
+// The largest commit one kWalBatch frame can carry reaches a replica over
+// a traced subscription, whose batches carry the trace extension, so that
+// frame is exactly kMaxRecordBytes. One byte more is refused before the
+// primary's store or log moves, and later commits still ship.
+TEST(ClusterCommitCapTest, LargestShippableCommitReachesAReplica) {
+  obs::Tracer tracer(42);
+  ClusterOptions opts;
+  opts.receiver.tracer = &tracer;
+  opts.receiver.dial_retry_ms = 1;
+  // The primary's event loop sends nothing while it assembles a 16 MiB
+  // batch, which takes seconds in sanitizer builds; the receiver must not
+  // read that silence as a dead link.
+  opts.receiver.heartbeat_timeout_ms = 30000;
+  KnowledgeGraph base;
+  base.AddTriple("seed", "links", "root", NodeKind::kEntity,
+                 NodeKind::kEntity, kProv);
+  auto primary = PrimaryMember::Create(0, base, opts);
+  ASSERT_TRUE(primary.ok());
+  auto replica = ReplicaMember::Create(0, 0, base,
+                                       (*primary)->DialFactory(), opts);
+  ASSERT_TRUE(replica.ok());
+  ASSERT_TRUE((*replica)->receiver().WaitUntilConnected());
+
+  std::vector<Mutation> commit = {Mutation::Upsert(
+      "big", "links", "", NodeKind::kEntity, NodeKind::kText, kProv)};
+  auto unpadded = store::EncodeCommit(commit);
+  ASSERT_TRUE(unpadded.ok());
+  commit[0].object.assign(rpc::kMaxShippedRecordBytes - kRecordHeaderBytes -
+                              unpadded->size(),
+                          'x');
+  ASSERT_TRUE((*primary)->ApplyBatch(commit).ok());
+  EXPECT_EQ((*primary)->log_end(), rpc::kMaxShippedRecordBytes);
+  ASSERT_TRUE(WaitUntil(60000, [&] {
+    return (*replica)->applied_offset() == (*primary)->log_end();
+  }));
+  EXPECT_EQ((*replica)->store().AuthoritativeFingerprint(),
+            (*primary)->store().AuthoritativeFingerprint());
+
+  const uint64_t log_end = (*primary)->log_end();
+  const uint64_t version = (*primary)->store().version();
+  const uint64_t fingerprint = (*primary)->store().AuthoritativeFingerprint();
+  commit[0].object.push_back('x');
+  const Status refused = (*primary)->ApplyBatch(commit);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  EXPECT_EQ((*primary)->log_end(), log_end);
+  EXPECT_EQ((*primary)->store().version(), version);
+  EXPECT_EQ((*primary)->store().AuthoritativeFingerprint(), fingerprint);
+
+  ASSERT_TRUE((*primary)->ApplyBatch(SomeMutations(2)).ok());
+  ASSERT_TRUE(WaitUntil(5000, [&] {
+    return (*replica)->applied_offset() == (*primary)->log_end();
+  }));
+  EXPECT_EQ((*replica)->store().AuthoritativeFingerprint(),
+            (*primary)->store().AuthoritativeFingerprint());
 }
 
 // A cluster over a wal_dir persists every replica's applied log, byte

@@ -365,6 +365,42 @@ TEST(RpcFrameTest, RejectsOversizeDeclaredLength) {
             std::string::npos);
 }
 
+// kMaxShippedRecordBytes is derived from the kWalBatch layout: a record
+// of exactly that size, shipped over a traced subscription (whose batches
+// carry the trace extension), fills one frame to kMaxRecordBytes and
+// decodes; one byte more makes a frame the decoder refuses.
+TEST(RpcFrameTest, LargestShippedRecordFillsOneTracedWalBatchFrame) {
+  TraceContext trace;
+  trace.trace_id = 1;
+  trace.parent_span_id = 2;
+  trace.sampled = true;
+  WalBatch batch;
+  batch.frames.assign(kMaxShippedRecordBytes, 'r');
+  batch.end_offset = batch.frames.size();
+  batch.log_end = batch.end_offset;
+  std::string frame;
+  AppendFrame(&frame, MessageType::kWalBatch, 9, &trace,
+              EncodeWalBatch(batch));
+  EXPECT_EQ(frame.size(), kRecordHeaderBytes + kMaxRecordBytes);
+  FrameDecoder decoder;
+  decoder.Feed(frame);
+  Frame out;
+  ASSERT_EQ(decoder.Next(&out), FrameDecoder::Step::kFrame)
+      << decoder.error();
+  auto decoded = DecodeWalBatch(out.body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->frames.size(), kMaxShippedRecordBytes);
+
+  batch.frames.push_back('r');
+  batch.end_offset = batch.log_end = batch.frames.size();
+  frame.clear();
+  AppendFrame(&frame, MessageType::kWalBatch, 9, &trace,
+              EncodeWalBatch(batch));
+  FrameDecoder refusing;
+  refusing.Feed(frame);
+  EXPECT_EQ(refusing.Next(&out), FrameDecoder::Step::kError);
+}
+
 // ---- Incremental decoding ----------------------------------------------
 
 TEST(RpcFrameTest, DecodesByteAtATimeAndBatched) {

@@ -532,15 +532,15 @@ TEST(RpcClientTest, SubscribeReadsAckThenShippedBatchThenIdleHeartbeat) {
   EXPECT_EQ(ack->heartbeat.log_end, 0u);
   EXPECT_EQ(ack->heartbeat.chain_at_end, 0u);
 
-  // An append is pushed as one batch of whole frames (idle heartbeats at
-  // the old log end may precede it).
+  // A commit is pushed as one batch holding its one record (idle
+  // heartbeats at the old log end may precede it).
   const std::vector<store::Mutation> mutations = {
       store::Mutation::Upsert("m3", "title", "Low Tide", NodeKind::kEntity,
                               NodeKind::kText, kProv),
       store::Mutation::Retract("m1", "directed_by", "ada", NodeKind::kEntity,
                                NodeKind::kEntity),
   };
-  log.Append(mutations);
+  log.Append(*store::EncodeCommit(mutations));
   const uint64_t end = log.EndOffset();
   Result<WalPush> push = client.ReadWalPush();
   for (int i = 0; i < 100 && push.ok() &&
@@ -555,9 +555,11 @@ TEST(RpcClientTest, SubscribeReadsAckThenShippedBatchThenIdleHeartbeat) {
   EXPECT_EQ(push->batch.end_offset, end);
   EXPECT_EQ(push->batch.log_end, end);
   EXPECT_EQ(push->batch.chain_after, log.ChainAt(end));
-  const store::WalReplay replay = store::ReplayWalBuffer(push->batch.frames);
-  EXPECT_TRUE(replay.clean);
-  EXPECT_EQ(replay.mutations, mutations);
+  auto replay = store::ReplayWalBuffer(push->batch.frames);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  EXPECT_TRUE(replay->clean);
+  EXPECT_EQ(replay->commits,
+            std::vector<std::vector<store::Mutation>>{mutations});
   EXPECT_FALSE(push->has_trace);
 
   // Caught up and idle: heartbeats carry the new end and its chain.
@@ -575,9 +577,9 @@ TEST(RpcClientTest, RefusedSubscriptionSurfacesItsStatus) {
   const serve::KgSnapshot snap = serve::KgSnapshot::Compile(kg);
   const serve::QueryEngine engine(snap);
   cluster::ShardLog log;
-  log.Append(std::vector<store::Mutation>{store::Mutation::Upsert(
-      "m3", "title", "Low Tide", NodeKind::kEntity, NodeKind::kText,
-      kProv)});
+  log.Append(*store::EncodeCommit(std::vector<store::Mutation>{
+      store::Mutation::Upsert("m3", "title", "Low Tide", NodeKind::kEntity,
+                              NodeKind::kText, kProv)}));
   auto listener = std::make_unique<InMemoryTransportServer>();
   InMemoryTransportServer* loopback = listener.get();
   RpcServerOptions options;
@@ -585,7 +587,7 @@ TEST(RpcClientTest, RefusedSubscriptionSurfacesItsStatus) {
   RpcServer server(EngineHandler(&engine), std::move(listener), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Offset 1 is inside the first frame, not a boundary.
+  // Offset 1 is inside the first record, not a boundary.
   auto transport = loopback->Connect();
   ASSERT_TRUE(transport.ok());
   RpcClient client(std::move(*transport));
