@@ -56,11 +56,22 @@ Result<serve::EpochTaggedResult> ShardMember::ExecuteTraced(
                     [&] { return store_->TryExecuteTagged(query); });
 }
 
-Result<store::EpochTaggedAdjacency> ShardMember::AdjacentEntitiesTraced(
+Result<store::EpochTaggedAdjacency> ShardMember::OutEntitiesTraced(
     std::span<const serve::NodeKey> nodes, uint64_t parent_span_id) const {
-  return TracedRead(
-      *this, options_.tracer, parent_span_id, "store.adjacent_entities",
-      [&] { return store_->TryAdjacentEntitiesTagged(nodes); });
+  return TracedRead(*this, options_.tracer, parent_span_id,
+                    "store.out_entities",
+                    [&] { return store_->TryOutEntitiesTagged(nodes); });
+}
+
+Result<store::EpochTaggedScores> ShardMember::RingScoresTraced(
+    const serve::NodeKey& center, std::span<const serve::NodeKey> ring,
+    std::span<const serve::RingHop> hops, size_t k,
+    uint64_t parent_span_id) const {
+  return TracedRead(*this, options_.tracer, parent_span_id,
+                    "store.ring_scores", [&] {
+                      return store_->TryRingScoresTagged(center, ring, hops,
+                                                         k);
+                    });
 }
 
 // ---- PrimaryMember -------------------------------------------------------

@@ -37,12 +37,20 @@ class ShardMember {
   /// completing the router -> shard -> member -> store trace tree.
   Result<serve::EpochTaggedResult> ExecuteTraced(
       const serve::Query& query, uint64_t parent_span_id) const;
-  /// Routed top-k's second hop: the store's entity adjacency of every
-  /// node in `nodes` (VersionedKgStore::TryAdjacentEntitiesTagged), as a
-  /// "store.adjacent_entities" span under the caller span, and refused
-  /// the same way while killed.
-  Result<store::EpochTaggedAdjacency> AdjacentEntitiesTraced(
+  /// Routed top-k's second round: the entities at the far end of every
+  /// node's out-edges (VersionedKgStore::TryOutEntitiesTagged), as a
+  /// "store.out_entities" span under the caller span, and refused the
+  /// same way while killed.
+  Result<store::EpochTaggedAdjacency> OutEntitiesTraced(
       std::span<const serve::NodeKey> nodes, uint64_t parent_span_id) const;
+  /// Routed top-k's third round: this shard's k best entities for the
+  /// center's ring and this shard's out-hop pairs
+  /// (VersionedKgStore::TryRingScoresTagged), as a "store.ring_scores"
+  /// span, and refused the same way while killed.
+  Result<store::EpochTaggedScores> RingScoresTraced(
+      const serve::NodeKey& center, std::span<const serve::NodeKey> ring,
+      std::span<const serve::RingHop> hops, size_t k,
+      uint64_t parent_span_id) const;
 
   bool alive() const { return !killed_.load(std::memory_order_acquire); }
   const std::string& label() const { return label_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -46,9 +45,9 @@ bool ParseRender(std::string_view render, serve::NodeKey* node) {
   return true;
 }
 
-/// The member call that answers `query`.
+/// The member call that answers `query`, the same on every shard.
 auto ExecuteOn(const serve::Query& query) {
-  return [&query](const ShardMember& member, uint64_t span_id) {
+  return [&query](size_t, const ShardMember& member, uint64_t span_id) {
     return member.ExecuteTraced(query, span_id);
   };
 }
@@ -142,7 +141,12 @@ void QueryRouter::RecordOutcome(MemberHealth& health, bool ok,
 template <typename Tagged, typename Ask>
 Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
                                      const Ask& ask) {
-  obs::Span shard_span = parent->Child("shard@" + std::to_string(shard));
+  // Spans are named only when traced: an untraced read should not build
+  // "shard@<i>" per ask, nor "member.<label>" (past the small-string
+  // buffer) per attempt.
+  obs::Span shard_span = parent->active()
+                             ? parent->Child("shard@" + std::to_string(shard))
+                             : obs::Span();
   const uint64_t committed =
       committed_[shard]->load(std::memory_order_acquire);
   const auto& group = members_[shard];
@@ -150,12 +154,10 @@ Result<Tagged> QueryRouter::AskShard(size_t shard, obs::Span* parent,
     MemberHealth& health = *health_[shard][i];
     bool is_probe = false;
     if (!AllowMember(health, &is_probe)) continue;
-    // Named only when traced: "member.<label>" outgrows the small-string
-    // buffer, and untraced reads should not allocate it per attempt.
     obs::Span member_span =
         shard_span.active() ? shard_span.Child("member." + group[i]->label())
                             : obs::Span();
-    Result<Tagged> tagged = ask(*group[i], member_span.id());
+    Result<Tagged> tagged = ask(shard, *group[i], member_span.id());
     if (!tagged.ok()) {
       member_span.SetAttr("error", tagged.status().message());
       RecordOutcome(health, false, is_probe);
@@ -221,71 +223,79 @@ Result<serve::QueryResult> QueryRouter::FanOut(const serve::Query& query,
 Result<serve::QueryResult> QueryRouter::TopKRelated(
     const serve::Query& query, obs::Span* parent, double* fanout_us) {
   if (query.k == 0) return serve::QueryResult{};
-  const std::string center =
-      serve::RenderNodeName(query.node, query.node_kind);
+  const size_t shards = members_.size();
+  const serve::NodeKey center{query.node_kind, query.node};
 
-  // Round 1: the center's distinct neighbors, cluster-wide (out-edges
-  // live on the center's shard, in-edges on each subject's shard).
+  // Round 1: the ring, the center's distinct neighbors cluster-wide
+  // (out-edges live on the center's shard, in-edges on each subject's
+  // shard).
   KG_ASSIGN_OR_RETURN(
-      const serve::QueryResult ring,
+      const serve::QueryResult rows,
       FanOut(serve::Query::Neighborhood(query.node, query.node_kind),
              parent, fanout_us));
-  std::vector<serve::NodeKey> neighbors;  // Views into `ring`.
-  for (const std::string& row : ring) {
+  std::vector<serve::NodeKey> ring;  // Views into `rows`.
+  for (const std::string& row : rows) {
     const std::string_view node = NeighborRowNode(row);
     serve::NodeKey n;
-    if (node == center || !ParseRender(node, &n)) continue;
-    neighbors.push_back(n);
+    if (!ParseRender(node, &n) || n == center) continue;
+    ring.push_back(n);
   }
-  std::sort(neighbors.begin(), neighbors.end());
-  neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                  neighbors.end());
-  if (neighbors.empty()) return serve::QueryResult{};
+  std::sort(ring.begin(), ring.end());
+  ring.erase(std::unique(ring.begin(), ring.end()), ring.end());
+  if (ring.empty()) return serve::QueryResult{};
 
-  // Round 2: one request per shard carrying every neighbor n; each shard
-  // answers with its share of n's entity adjacency (n's out-edges live on
-  // n's shard, its in-edges on each subject's shard).
+  // Round 2: each shard gets the ring nodes it owns — a node's out-edges
+  // live on its own shard only — and answers with the entities at their
+  // far ends: the few n→m pairs.
+  std::vector<size_t> owner(ring.size());
+  std::vector<std::vector<serve::NodeKey>> owned(shards);
+  for (size_t j = 0; j < ring.size(); ++j) {
+    owner[j] = ShardOf(ring[j].second, ring[j].first, shards);
+    owned[owner[j]].push_back(ring[j]);
+  }
   KG_ASSIGN_OR_RETURN(
-      const std::vector<store::EpochTaggedAdjacency> parts,
+      const std::vector<store::EpochTaggedAdjacency> out_hops,
       Scatter<store::EpochTaggedAdjacency>(
           parent, fanout_us,
-          [&](const ShardMember& member, uint64_t span_id) {
-            return member.AdjacentEntitiesTraced(neighbors, span_id);
+          [&](size_t shard, const ShardMember& member, uint64_t span_id) {
+            return member.OutEntitiesTraced(owned[shard], span_id);
           }));
 
-  // Each distinct (n, m) pair scores one shared-neighbor path
-  // center—n—m, which reproduces the single-store engine exactly. The
-  // pair sits on two shards when both n→m and m→n exist, which is why
-  // shards return lists, not counts: `last` dedupes m across n's lists.
-  // The table is keyed by views into the shard answers; only the k
-  // winners are rendered.
-  struct Score {
-    uint32_t count = 0;
-    size_t last = 0;  ///< 1 + index of the last neighbor that counted m.
-  };
-  const bool center_is_entity = query.node_kind == graph::NodeKind::kEntity;
-  std::unordered_map<std::string_view, Score> score;
-  for (size_t j = 0; j < neighbors.size(); ++j) {
-    for (const store::EpochTaggedAdjacency& part : parts) {
-      for (const std::string& m : part.entities[j]) {
-        if (center_is_entity && m == query.node) continue;
-        Score& s = score[m];
-        if (s.last == j + 1) continue;
-        s.last = j + 1;
-        ++s.count;
-      }
+  // Each pair (n, m) goes to the shard that owns m, in ring order. That
+  // shard also holds every m→n, since triples live on their subject's
+  // shard, so a pair with both directions meets itself there and counts
+  // once.
+  std::vector<std::vector<serve::RingHop>> hops(shards);
+  std::vector<size_t> next(shards, 0);
+  for (size_t j = 0; j < ring.size(); ++j) {
+    const size_t s = owner[j];
+    for (const std::string& m : out_hops[s].entities[next[s]++]) {
+      hops[ShardOf(m, graph::NodeKind::kEntity, shards)].push_back(
+          serve::RingHop{static_cast<uint32_t>(j), m});
     }
   }
 
+  // Round 3: every shard scores the entities it owns in full and returns
+  // its k best. The order is total, so the global k best lie in the
+  // union of the shards' k best.
+  KG_ASSIGN_OR_RETURN(
+      const std::vector<store::EpochTaggedScores> parts,
+      Scatter<store::EpochTaggedScores>(
+          parent, fanout_us,
+          [&](size_t shard, const ShardMember& member, uint64_t span_id) {
+            return member.RingScoresTraced(center, ring, hops[shard],
+                                           query.k, span_id);
+          }));
+
   // Rank through the engine's step with every tie comparing names
   // (by_id 0): entity names are unique, so the order is total.
-  std::vector<std::string_view> names;
+  std::vector<std::string_view> names;  // Views into `parts`.
   std::vector<uint32_t> counts;
-  names.reserve(score.size());
-  counts.reserve(score.size());
-  for (const auto& [m, s] : score) {
-    names.push_back(m);
-    counts.push_back(s.count);
+  for (const store::EpochTaggedScores& part : parts) {
+    for (const serve::ScoredEntity& e : part.best) {
+      names.push_back(e.name);
+      counts.push_back(e.count);
+    }
   }
   std::vector<serve::NodeId> scored(names.size());
   std::iota(scored.begin(), scored.end(), serve::NodeId{0});
@@ -295,8 +305,12 @@ Result<serve::QueryResult> QueryRouter::TopKRelated(
 
 Result<serve::QueryResult> QueryRouter::Execute(const serve::Query& query) {
   const char* kind_name = serve::QueryKindName(query.kind);
-  obs::Span root =
-      obs::Tracer::Start(options_.tracer, std::string("route.") + kind_name);
+  // Named only when traced: "route.<class>" is past the small-string
+  // buffer, so building it would allocate on every routed read.
+  obs::Span root = options_.tracer != nullptr
+                       ? obs::Tracer::Start(options_.tracer,
+                                            std::string("route.") + kind_name)
+                       : obs::Span();
   WallTimer timer;
   double fanout_us = 0.0;
   Result<serve::QueryResult> result =

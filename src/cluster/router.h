@@ -48,12 +48,14 @@ size_t ShardOf(std::string_view subject, graph::NodeKind kind,
 ///   - point lookup        -> the subject's shard only
 ///   - neighborhood / scan -> every shard, rows merged deterministically
 ///                            (id-ordered; ties broken by shard index)
-///   - top-k related       -> two shard rounds whatever the center's
-///                            degree: its neighborhood, then one request
-///                            per shard carrying every neighbor, which
-///                            answers with entity adjacency lists that
-///                            the router unions and counts (the aggregate
-///                            is not per-shard decomposable; DESIGN §14)
+///   - top-k related       -> three shard rounds whatever the center's
+///                            degree: its neighborhood (the ring); each
+///                            shard's out-hop pairs n→m for the ring
+///                            nodes it owns; then each shard scores the
+///                            entities it owns — every m→n lives on m's
+///                            shard, and the router sends it the pairs
+///                            whose m it owns — and returns its k best,
+///                            which the router merges (DESIGN §14)
 ///
 /// Thread-safe for concurrent Execute; Apply is single-writer.
 class QueryRouter {
@@ -105,17 +107,19 @@ class QueryRouter {
   void RecordOutcome(MemberHealth& health, bool ok, bool was_probe);
 
   /// One shard's answer under the epoch gate and failover order —
-  /// the one path every member call takes. `ask(member, span_id)` makes
-  /// the call (ExecuteTraced or AdjacentEntitiesTraced) and returns a
-  /// `Tagged` answer carrying its applied-epoch tag. `parent` (never
-  /// null; inert without a tracer) gets one "shard@<i>" child with a
-  /// "member.<label>" grandchild per attempt.
+  /// the one path every member call takes. `ask(shard, member, span_id)`
+  /// makes the call (ExecuteTraced, OutEntitiesTraced or
+  /// RingScoresTraced, with that shard's share of the request) and
+  /// returns a `Tagged` answer carrying its applied-epoch tag. `parent`
+  /// (never null; inert without a tracer) gets one "shard@<i>" child with
+  /// a "member.<label>" grandchild per attempt, named only when traced.
   template <typename Tagged, typename Ask>
   Result<Tagged> AskShard(size_t shard, obs::Span* parent, const Ask& ask);
   /// One shard round: every shard's AskShard answer, in shard order, or
   /// the first shard's refusal. Adds the round's wall time to
   /// `*fanout_us` when non-null (Execute observes the total once per
-  /// routed query, so top-k's two rounds attribute to the routed class).
+  /// routed query, so top-k's three rounds attribute to the routed
+  /// class).
   template <typename Tagged, typename Ask>
   Result<std::vector<Tagged>> Scatter(obs::Span* parent, double* fanout_us,
                                       const Ask& ask);
@@ -123,8 +127,9 @@ class QueryRouter {
   /// deterministically.
   Result<serve::QueryResult> FanOut(const serve::Query& query,
                                     obs::Span* parent, double* fanout_us);
-  /// Two shard rounds: the center's neighborhood, then one adjacency
-  /// request per shard carrying every neighbor (DESIGN §14).
+  /// Three shard rounds: the center's neighborhood, each shard's out-hop
+  /// pairs for the ring nodes it owns, then each shard's k best over the
+  /// entities it owns (DESIGN §14).
   Result<serve::QueryResult> TopKRelated(const serve::Query& query,
                                          obs::Span* parent,
                                          double* fanout_us);

@@ -84,11 +84,6 @@ size_t SlowQueryRing::size() const {
   return worst_.size();
 }
 
-void SlowQueryRing::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  worst_.clear();
-}
-
 std::vector<SlowQuery> SlowQueryRing::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return worst_;

@@ -73,7 +73,6 @@ class SlowQueryRing {
   void Offer(SlowQuery query);
 
   size_t size() const;
-  void Clear();
   std::vector<SlowQuery> Snapshot() const;
 
   /// {"schema_version":1,"capacity":...,"threshold_us":...,

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -77,40 +78,32 @@ struct SnapshotView {
   }
 };
 
-/// The walk in both directions under every predicate: every live
-/// neighbour of `n` (base id `id`, or kInvalidNode), repeats included —
-/// base ones to `on_base(id)`, overlay ones to `on_overlay(NodeKey)`.
-template <typename View, typename OnBase, typename OnOverlay>
-void ForEachAdjacent(const View& view, NodeId id, const NodeKey& n,
-                     const OnBase& on_base, const OnOverlay& on_overlay) {
-  for (const Direction dir : {Direction::kOut, Direction::kIn}) {
-    view.ForEachEdge(
-        id, n, dir, nullptr, [&](PredicateId, NodeId m) { on_base(m); },
-        [&](std::string_view, const NodeKey& m) { on_overlay(m); });
-  }
-}
-
-/// Top-k's rank-and-render step. `scored` lists each scored entity id
-/// once, and `counts[id]` is its shared-neighbour count. Keeps the `k`
-/// best by count, descending, then by name, ascending, and renders them
-/// as top-k rows. Two ids below `by_id` compare as integers, since
-/// snapshot ids number entities in name order; a pair with an id at or
-/// past it compares `name_of(id)`, which also names the rendered rows.
+/// Top-k's rank step. `scored` lists each scored entity id once, and
+/// `counts[id]` is its shared-neighbour count. Keeps the `k` best by
+/// count, descending, then by name, ascending, best first. Two ids below
+/// `by_id` compare as integers, since snapshot ids number entities in
+/// name order; a pair with an id at or past it compares `name_of(id)`.
 template <typename NameOf>
-QueryResult RankTopK(std::vector<NodeId> scored,
-                     const std::vector<uint32_t>& counts, size_t k,
-                     NodeId by_id, const NameOf& name_of) {
+void KeepTopK(std::vector<NodeId>* scored, const std::vector<uint32_t>& counts,
+              size_t k, NodeId by_id, const NameOf& name_of) {
   const auto better = [&](NodeId a, NodeId b) {
     if (counts[a] != counts[b]) return counts[a] > counts[b];
     if (a < by_id && b < by_id) return a < b;
     return name_of(a) < name_of(b);
   };
-  const auto cut = scored.begin() + std::min(k, scored.size());
-  std::partial_sort(scored.begin(), cut, scored.end(), better);
-  scored.erase(cut, scored.end());
+  const auto cut = scored->begin() + std::min(k, scored->size());
+  std::partial_sort(scored->begin(), cut, scored->end(), better);
+  scored->erase(cut, scored->end());
+}
+
+/// The top-k rows of `best`, ranked entity ids that `name_of` names.
+template <typename NameOf>
+QueryResult RenderTopK(const std::vector<NodeId>& best,
+                       const std::vector<uint32_t>& counts,
+                       const NameOf& name_of) {
   QueryResult rows;
-  rows.reserve(scored.size());
-  for (const NodeId m : scored) {
+  rows.reserve(best.size());
+  for (const NodeId m : best) {
     std::string row = RenderNodeName(name_of(m), graph::NodeKind::kEntity);
     row.push_back('\t');
     row.append(std::to_string(counts[m]));
@@ -118,6 +111,132 @@ QueryResult RankTopK(std::vector<NodeId> scored,
   }
   return rows;
 }
+
+/// KeepTopK, rendered.
+template <typename NameOf>
+QueryResult RankTopK(std::vector<NodeId> scored,
+                     const std::vector<uint32_t>& counts, size_t k,
+                     NodeId by_id, const NameOf& name_of) {
+  KeepTopK(&scored, counts, k, by_id, name_of);
+  return RenderTopK(scored, counts, name_of);
+}
+
+/// One entity of a shard's share of a routed top-k: its name and its
+/// shared-neighbour count.
+struct ScoredEntity {
+  std::string name;
+  uint32_t count = 0;
+
+  friend bool operator==(const ScoredEntity&, const ScoredEntity&) = default;
+};
+
+/// An out-hop pair of a routed top-k: the ring node at index `n` has an
+/// out-edge to the entity named `m`.
+struct RingHop {
+  uint32_t n = 0;
+  std::string_view m;
+};
+
+/// Top-k's counting step, written once for the single-store top-k and a
+/// cluster member's share of a routed one. Counting runs in id space:
+/// base nodes keep their snapshot ids, and nodes only an overlay or the
+/// request names get local ids past the base's, so names are read only
+/// for tie-breaks that involve such a node and for the k answers.
+template <typename View>
+class RingCounter {
+ public:
+  explicit RingCounter(const View& view)
+      : view_(view),
+        base_n_(static_cast<uint32_t>(view.base.num_nodes())),
+        counts_(base_n_) {}
+
+  uint32_t LocalId(const NodeKey& n) {
+    const NodeId id = view_.BaseId(n);
+    if (id != kInvalidNode) return id;
+    const auto [it, inserted] = extra_ids_.emplace(
+        n, base_n_ + static_cast<uint32_t>(extra_.size()));
+    if (inserted) {
+      extra_.push_back(n);
+      counts_.push_back(0);
+    }
+    return it->second;
+  }
+
+  /// Sorted-unique local ids adjacent to `id` over its `dirs` walks, plus
+  /// the entity of every hop in `hops`: several predicates between one
+  /// pair are one adjacency. A base id past the node count can only come
+  /// from a corrupt row, and is dropped.
+  std::vector<uint32_t> Adjacent(uint32_t id, std::span<const Direction> dirs,
+                                 std::span<const RingHop> hops = {}) {
+    const NodeId base_id = id < base_n_ ? id : kInvalidNode;
+    const NodeKey n{KindOf(id), NameOf(id)};
+    std::vector<uint32_t> out;
+    out.reserve(view_.base.OutDegree(base_id) + view_.base.InDegree(base_id) +
+                hops.size());
+    for (const Direction dir : dirs) {
+      view_.ForEachEdge(
+          base_id, n, dir, nullptr,
+          [&](PredicateId, NodeId m) {
+            if (m < base_n_) out.push_back(m);
+          },
+          [&](std::string_view, const NodeKey& m) {
+            out.push_back(LocalId(m));
+          });
+    }
+    for (const RingHop& hop : hops) {
+      out.push_back(LocalId(NodeKey{graph::NodeKind::kEntity, hop.m}));
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  /// Counts, for every entity m other than `center`, the ring nodes that
+  /// m is adjacent to over their `dirs` walks or through a hop; `ring`
+  /// holds distinct local ids, and `hops` come in ring order. Returns the
+  /// k best, best first (KeepTopK).
+  std::vector<NodeId> Count(std::span<const uint32_t> ring,
+                            std::span<const Direction> dirs,
+                            std::span<const RingHop> hops, uint32_t center,
+                            size_t k) {
+    std::vector<NodeId> scored;
+    auto hop = hops.begin();
+    for (size_t j = 0; j < ring.size(); ++j) {
+      const auto first = hop;
+      while (hop != hops.end() && hop->n == j) ++hop;
+      for (const uint32_t m : Adjacent(ring[j], dirs, {first, hop})) {
+        if (m == center || KindOf(m) != graph::NodeKind::kEntity) continue;
+        if (counts_[m]++ == 0) scored.push_back(m);
+      }
+    }
+    KeepTopK(&scored, counts_, k, base_n_,
+             [&](uint32_t id) { return NameOf(id); });
+    return scored;
+  }
+
+  graph::NodeKind KindOf(uint32_t id) const {
+    return id < base_n_ ? view_.base.NodeKindOf(id)
+                        : extra_[id - base_n_].first;
+  }
+  std::string_view NameOf(uint32_t id) const {
+    return id < base_n_ ? view_.base.NodeName(id)
+                        : extra_[id - base_n_].second;
+  }
+  /// One count per local id: size() == base node count + extra ids.
+  const std::vector<uint32_t>& counts() const { return counts_; }
+
+ private:
+  const View& view_;
+  const uint32_t base_n_;
+  std::map<NodeKey, uint32_t> extra_ids_;
+  std::vector<NodeKey> extra_;  // extra_[id - base_n_]
+  std::vector<uint32_t> counts_;
+};
+
+/// Both edge directions: the single-store top-k walks each ring node's
+/// whole adjacency.
+inline constexpr Direction kBothDirections[] = {Direction::kOut,
+                                                Direction::kIn};
 
 // ---- The four query bodies ----------------------------------------------
 
@@ -211,64 +330,43 @@ QueryResult ReadAttributeByType(const View& view, const Query& q) {
 
 /// Scores every entity m by the number of distinct length-2 paths
 /// center — n — m (shared neighbours), both edge directions, any
-/// predicate; the center never appears in its own shelf. Counting runs in
-/// id space: base nodes keep their snapshot ids, and nodes only an
-/// overlay names get local ids past the base's, so names are read only
-/// for tie-breaks that involve such a node and for the k rendered rows.
+/// predicate; the center never appears in its own shelf. The ring is the
+/// center's adjacency, counted by RingCounter over both directions.
 template <typename View>
 QueryResult ReadTopKRelated(const View& view, const Query& q) {
   if (q.k == 0) return {};
-  const KgSnapshot& base = view.base;
-  const auto base_n = static_cast<uint32_t>(base.num_nodes());
-  std::map<NodeKey, uint32_t> extra_ids;
-  std::vector<NodeKey> extra;  // extra[id - base_n]
-  // One count per local id: counts.size() == base_n + extra.size().
-  std::vector<uint32_t> counts(base_n);
-  const auto local_id = [&](const NodeKey& n) -> uint32_t {
-    const NodeId id = view.BaseId(n);
-    if (id != kInvalidNode) return id;
-    const auto [it, inserted] = extra_ids.emplace(
-        n, base_n + static_cast<uint32_t>(extra.size()));
-    if (inserted) {
-      extra.push_back(n);
-      counts.push_back(0);
-    }
-    return it->second;
-  };
-  const auto kind_of = [&](uint32_t id) {
-    return id < base_n ? base.NodeKindOf(id) : extra[id - base_n].first;
-  };
-  const auto name_of = [&](uint32_t id) -> std::string_view {
-    return id < base_n ? base.NodeName(id) : extra[id - base_n].second;
-  };
-  // Sorted-unique local ids adjacent to `id`: several predicates between
-  // one pair are one adjacency.
-  const auto adjacency = [&](uint32_t id) {
-    const NodeId base_id = id < base_n ? id : kInvalidNode;
-    std::vector<uint32_t> out;
-    out.reserve(base.OutDegree(base_id) + base.InDegree(base_id));
-    ForEachAdjacent(
-        view, base_id, NodeKey{kind_of(id), name_of(id)},
-        [&](NodeId m) { out.push_back(m); },
-        [&](const NodeKey& m) { out.push_back(local_id(m)); });
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
+  RingCounter<View> counter(view);
+  const uint32_t center = counter.LocalId(NodeKey{q.node_kind, q.node});
+  std::vector<uint32_t> ring = counter.Adjacent(center, kBothDirections);
+  std::erase(ring, center);
+  return RenderTopK(counter.Count(ring, kBothDirections, {}, center, q.k),
+                    counter.counts(),
+                    [&](uint32_t id) { return counter.NameOf(id); });
+}
 
-  // An id past the count array can only come from a corrupt base row,
-  // and is skipped.
-  const uint32_t center = local_id(NodeKey{q.node_kind, q.node});
-  std::vector<uint32_t> scored;
-  for (const uint32_t n : adjacency(center)) {
-    if (n == center || n >= counts.size()) continue;
-    for (const uint32_t m : adjacency(n)) {
-      if (m == center || m >= counts.size()) continue;
-      if (kind_of(m) != graph::NodeKind::kEntity) continue;
-      if (counts[m]++ == 0) scored.push_back(m);
-    }
+/// A cluster member's share of a routed top-k (DESIGN §14): the center's
+/// `ring` (distinct nodes, never the center), counted by RingCounter over
+/// the in-edges this view holds plus `hops`, the out-hop pairs the router
+/// sent it, in ring order. Returns the k best as (name, count), best
+/// first.
+template <typename View>
+std::vector<ScoredEntity> ReadRingScores(const View& view,
+                                         const NodeKey& center,
+                                         std::span<const NodeKey> ring,
+                                         std::span<const RingHop> hops,
+                                         size_t k) {
+  static constexpr Direction kIn[] = {Direction::kIn};
+  RingCounter<View> counter(view);
+  const uint32_t center_id = counter.LocalId(center);
+  std::vector<uint32_t> ring_ids;
+  ring_ids.reserve(ring.size());
+  for (const NodeKey& n : ring) ring_ids.push_back(counter.LocalId(n));
+  std::vector<ScoredEntity> best;
+  for (const NodeId m : counter.Count(ring_ids, kIn, hops, center_id, k)) {
+    best.push_back(
+        ScoredEntity{std::string(counter.NameOf(m)), counter.counts()[m]});
   }
-  return RankTopK(std::move(scored), counts, q.k, base_n, name_of);
+  return best;
 }
 
 /// Answers `query` through `view`.

@@ -19,26 +19,15 @@ double Percentile(std::vector<double> samples, double q) {
   return samples[rank == 0 ? 0 : rank - 1];
 }
 
-ServeStats::ServeStats()
-    : owned_registry_(std::make_unique<obs::MetricsRegistry>()),
-      registry_(owned_registry_.get()) {
-  RegisterHistograms();
-}
-
-ServeStats::ServeStats(obs::MetricsRegistry* registry)
-    : registry_(registry) {
-  RegisterHistograms();
-}
-
-void ServeStats::RegisterHistograms() {
+ServeStats::ServeStats() {
   const std::vector<double>& buckets = obs::LatencyBucketsUs();
   for (size_t i = 0; i < kNumQueryKinds; ++i) {
-    per_kind_us_[i] = &registry_->GetHistogram(
+    per_kind_us_[i] = &registry_.GetHistogram(
         std::string("serve.latency_us.") +
             QueryKindName(static_cast<QueryKind>(i)),
         buckets);
   }
-  all_us_ = &registry_->GetHistogram("serve.latency_us.all", buckets);
+  all_us_ = &registry_.GetHistogram("serve.latency_us.all", buckets);
 }
 
 void ServeStats::Record(QueryKind kind, double seconds) {
@@ -53,11 +42,11 @@ void ServeStats::SetCacheCounters(
     std::lock_guard<std::mutex> lock(mu_);
     cache_ = counters;
   }
-  registry_->GetGauge("serve.cache.hits")
+  registry_.GetGauge("serve.cache.hits")
       .Set(static_cast<int64_t>(counters.hits));
-  registry_->GetGauge("serve.cache.misses")
+  registry_.GetGauge("serve.cache.misses")
       .Set(static_cast<int64_t>(counters.misses));
-  registry_->GetGauge("serve.cache.evictions")
+  registry_.GetGauge("serve.cache.evictions")
       .Set(static_cast<int64_t>(counters.evictions));
 }
 
@@ -143,18 +132,6 @@ std::string ServeStats::ToJson() const {
   }
   w.EndObject();
   return w.Take();
-}
-
-void ServeStats::Clear() {
-  for (obs::Histogram* hist : per_kind_us_) hist->Reset();
-  all_us_->Reset();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.reset();
-  }
-  registry_->GetGauge("serve.cache.hits").Reset();
-  registry_->GetGauge("serve.cache.misses").Reset();
-  registry_->GetGauge("serve.cache.evictions").Reset();
 }
 
 }  // namespace kg::serve

@@ -2,7 +2,6 @@
 #define KGRAPH_SERVE_SERVE_STATS_H_
 
 #include <array>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -42,10 +41,8 @@ class ServeStats {
     double p99_us = 0.0;
   };
 
-  /// Owns a private registry.
+  /// Records into a registry of its own.
   ServeStats();
-  /// Records into `registry` (not owned; must outlive the stats).
-  explicit ServeStats(obs::MetricsRegistry* registry);
 
   /// Adds one query's wall time to its class.
   void Record(QueryKind kind, double seconds);
@@ -67,17 +64,12 @@ class ServeStats {
   /// BENCH_serve.json payload (rendered through obs::JsonWriter).
   std::string ToJson() const;
 
-  void Clear();
-
-  /// The backing registry (owned or external).
-  obs::MetricsRegistry& registry() { return *registry_; }
-  const obs::MetricsRegistry& registry() const { return *registry_; }
+  /// The backing registry.
+  obs::MetricsRegistry& registry() { return registry_; }
+  const obs::MetricsRegistry& registry() const { return registry_; }
 
  private:
-  void RegisterHistograms();
-
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
+  obs::MetricsRegistry registry_;
   std::array<obs::Histogram*, kNumQueryKinds> per_kind_us_{};
   obs::Histogram* all_us_ = nullptr;
   mutable std::mutex mu_;  // guards cache_ only

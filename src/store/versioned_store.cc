@@ -342,20 +342,21 @@ struct MergedView {
   }
 };
 
-/// Sorted, distinct names of the entities adjacent to `n` in the view —
-/// this store's share of one neighbor's second hop in a routed top-k.
-std::vector<std::string> AdjacentEntities(const MergedView& view,
-                                          const serve::NodeKey& n) {
+/// Sorted, distinct names of the entities at the far end of `n`'s
+/// out-edges in the view: routed top-k's out-hop pairs from n, which only
+/// n's own shard holds.
+std::vector<std::string> OutEntities(const MergedView& view,
+                                     const serve::NodeKey& n) {
   std::vector<serve::NodeId> ids;
   std::vector<std::string> names;
-  serve::ForEachAdjacent(
-      view, view.BaseId(n), n,
-      [&](serve::NodeId m) {
+  view.ForEachEdge(
+      view.BaseId(n), n, serve::Direction::kOut, nullptr,
+      [&](serve::PredicateId, serve::NodeId m) {
         if (view.base.NodeKindOf(m) == graph::NodeKind::kEntity) {
           ids.push_back(m);
         }
       },
-      [&](const serve::NodeKey& m) {
+      [&](std::string_view, const serve::NodeKey& m) {
         if (m.first == graph::NodeKind::kEntity) names.emplace_back(m.second);
       });
   std::sort(ids.begin(), ids.end());
@@ -365,6 +366,19 @@ std::vector<std::string> AdjacentEntities(const MergedView& view,
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
+}
+
+/// `read(view, &tagged)` over the store's current epoch, schema-gated and
+/// tagged with the watermark read before the pin, as in TryExecuteTagged.
+template <typename Tagged, typename ReadInto>
+Result<Tagged> ReadTagged(const VersionedKgStore& store,
+                          const ReadInto& read) {
+  Tagged tagged;
+  tagged.epoch = store.applied_watermark();
+  const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
+  KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
+  read(MergedView(*epoch), &tagged);
+  return tagged;
 }
 
 /// The generation counters a commit bumps (VersionedKgStore's cache
@@ -734,19 +748,24 @@ Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
   return tagged;
 }
 
-Result<EpochTaggedAdjacency> VersionedKgStore::TryAdjacentEntitiesTagged(
+Result<EpochTaggedAdjacency> VersionedKgStore::TryOutEntitiesTagged(
     std::span<const serve::NodeKey> nodes) const {
-  EpochTaggedAdjacency tagged;
-  // Watermark before the pin, as in TryExecuteTagged.
-  tagged.epoch = applied_watermark();
-  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
-  KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
-  const MergedView view(*epoch);
-  tagged.entities.reserve(nodes.size());
-  for (const serve::NodeKey& n : nodes) {
-    tagged.entities.push_back(AdjacentEntities(view, n));
-  }
-  return tagged;
+  return ReadTagged<EpochTaggedAdjacency>(
+      *this, [&](const MergedView& view, EpochTaggedAdjacency* tagged) {
+        tagged->entities.reserve(nodes.size());
+        for (const serve::NodeKey& n : nodes) {
+          tagged->entities.push_back(OutEntities(view, n));
+        }
+      });
+}
+
+Result<EpochTaggedScores> VersionedKgStore::TryRingScoresTagged(
+    const serve::NodeKey& center, std::span<const serve::NodeKey> ring,
+    std::span<const serve::RingHop> hops, size_t k) const {
+  return ReadTagged<EpochTaggedScores>(
+      *this, [&](const MergedView& view, EpochTaggedScores* tagged) {
+        tagged->best = serve::ReadRingScores(view, center, ring, hops, k);
+      });
 }
 
 serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {

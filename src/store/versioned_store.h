@@ -103,13 +103,20 @@ struct StoreEpoch {
   OverlayRuns overlay;
 };
 
-/// VersionedKgStore::TryAdjacentEntitiesTagged's answer, tagged like
+/// VersionedKgStore::TryOutEntitiesTagged's answer, tagged like
 /// serve::EpochTaggedResult.
 struct EpochTaggedAdjacency {
   uint64_t epoch = 0;
-  /// entities[i]: sorted, distinct names of the entities adjacent to the
-  /// i-th requested node.
+  /// entities[i]: sorted, distinct names of the entities at the far end
+  /// of the i-th requested node's out-edges.
   std::vector<std::vector<std::string>> entities;
+};
+
+/// VersionedKgStore::TryRingScoresTagged's answer, tagged like
+/// serve::EpochTaggedResult: at most k entities, best first.
+struct EpochTaggedScores {
+  uint64_t epoch = 0;
+  std::vector<serve::ScoredEntity> best;
 };
 
 /// A versioned, mutable KG store layered on the immutable serving
@@ -223,13 +230,21 @@ class VersionedKgStore {
   Result<serve::EpochTaggedResult> TryExecuteTagged(
       const serve::Query& query) const;
 
-  /// For each node in `nodes`, the sorted, distinct names of the entities
-  /// adjacent to it over live merged edges in either direction, all over
-  /// one pinned epoch and bypassing the cache. The second hop of routed
-  /// top-k (kg::cluster::QueryRouter), which unions these lists across
-  /// shards. Tagged and schema-gated like TryExecuteTagged.
-  Result<EpochTaggedAdjacency> TryAdjacentEntitiesTagged(
+  /// Routed top-k's out-hop round (kg::cluster::QueryRouter): for each
+  /// node in `nodes`, the sorted, distinct names of the entities at the
+  /// far end of its live merged out-edges, all over one pinned epoch and
+  /// bypassing the cache. Tagged and schema-gated like TryExecuteTagged.
+  Result<EpochTaggedAdjacency> TryOutEntitiesTagged(
       std::span<const serve::NodeKey> nodes) const;
+
+  /// Routed top-k's owner-scored round: serve::ReadRingScores over one
+  /// pinned epoch, bypassing the cache — the k best entities m by how
+  /// many of the center's `ring` nodes n they reach through an edge m→n
+  /// this store holds or a pair (n, m) in `hops`. Tagged and
+  /// schema-gated like TryExecuteTagged.
+  Result<EpochTaggedScores> TryRingScoresTagged(
+      const serve::NodeKey& center, std::span<const serve::NodeKey> ring,
+      std::span<const serve::RingHop> hops, size_t k) const;
 
   /// Answers `query` against a pinned epoch, bypassing the cache (the
   /// cache tracks the *current* version; time-travel reads must not mix

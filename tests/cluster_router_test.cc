@@ -1,10 +1,11 @@
 // kg::cluster routing semantics on crafted graphs: subject-hash
-// partitioning, deterministic scatter-gather merges, the two-round
-// top-k decomposition (not per-shard decomposable; at most two shard
-// rounds whatever the center's degree), the bounded
-// staleness gate (stale replicas are skipped, not served), failover
-// order, breaker probing after a revive, and the fan-out stage
-// histograms.
+// partitioning, deterministic scatter-gather merges, the three-round
+// top-k decomposition (at most three shard rounds whatever the center's
+// degree; each entity scored in full on the shard that owns it, so a
+// pair linked both ways counts once and a class hub's members stay on
+// their shards), the bounded staleness gate (stale replicas are
+// skipped, not served), failover order, breaker probing after a
+// revive, and the fan-out stage histograms.
 
 #include <gtest/gtest.h>
 
@@ -199,7 +200,7 @@ TEST(RouterTest, MutationsRouteBySubjectAndStayIdentical) {
   }
 }
 
-TEST(RouterTest, TopKCostsAtMostTwoShardRounds) {
+TEST(RouterTest, TopKCostsAtMostThreeShardRounds) {
   constexpr size_t kShards = 4;
   const KnowledgeGraph kg = CraftedKg();
   auto reference = store::VersionedKgStore::Open(kg, {});
@@ -222,7 +223,8 @@ TEST(RouterTest, TopKCostsAtMostTwoShardRounds) {
   cluster->reset();  // Joins every member before exporting spans.
 #ifndef KG_OBS_NOOP
   // Round one asks each shard for the center's neighborhood, round two
-  // asks each shard once for every neighbor's adjacency.
+  // each shard once for its ring nodes' out-hops, round three each shard
+  // once for its k best: constant in the center's degree.
   const auto doc = obs::ParseJson(tracer.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
   size_t topk_roots = 0;
@@ -237,10 +239,104 @@ TEST(RouterTest, TopKCostsAtMostTwoShardRounds) {
         }
       }
     }
-    EXPECT_LE(shard_calls, 2 * kShards) << "top-k root " << topk_roots;
+    EXPECT_LE(shard_calls, 3 * kShards) << "top-k root " << topk_roots;
   }
   EXPECT_EQ(topk_roots, 22u);  // 7 centers x 3 budgets + the class center.
 #endif
+}
+
+/// The first name "<prefix><i>" whose entity lands on a shard other than
+/// `not_shard` (of `shards`).
+std::string EntityOffShard(const std::string& prefix, size_t not_shard,
+                           size_t shards) {
+  for (int i = 0;; ++i) {
+    std::string name = prefix + std::to_string(i);
+    if (ShardOf(name, NodeKind::kEntity, shards) != not_shard) return name;
+  }
+}
+
+TEST(RouterTest, PairLinkedBothWaysAcrossShardsCountsOnce) {
+  // Ring node n and entity m hold both n→m and m→n on different shards:
+  // n→m lives on n's shard and m→n on m's. The owner rule scores m only
+  // on m's shard, where both meet, so m counts once for n. Scoring the
+  // out-hop pair on n's shard and summing per-shard counts would say 2.
+  constexpr size_t kShards = 4;
+  const std::string n = "ring0";
+  const size_t n_shard = ShardOf(n, NodeKind::kEntity, kShards);
+  const std::string m = EntityOffShard("twoway", n_shard, kShards);
+  ASSERT_NE(ShardOf(m, NodeKind::kEntity, kShards), n_shard);
+  KnowledgeGraph kg;
+  kg.AddTriple("center", "knows", n, NodeKind::kEntity, NodeKind::kEntity,
+               kProv);
+  kg.AddTriple(n, "knows", m, NodeKind::kEntity, NodeKind::kEntity, kProv);
+  kg.AddTriple(m, "knows", n, NodeKind::kEntity, NodeKind::kEntity, kProv);
+  // One-way partners of n on either side, tied with m at one path each.
+  kg.AddTriple(n, "knows", "out_only", NodeKind::kEntity, NodeKind::kEntity,
+               kProv);
+  kg.AddTriple("in_only", "knows", n, NodeKind::kEntity, NodeKind::kEntity,
+               kProv);
+  auto reference = store::VersionedKgStore::Open(kg, {});
+  ASSERT_TRUE(reference.ok());
+  ClusterOptions opts;
+  opts.num_shards = kShards;
+  auto cluster = Cluster::Create(kg, opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  for (const size_t k : {1, 2, 10}) {
+    const Query q = Query::TopKRelated("center", k);
+    auto expected = (*reference)->TryExecute(q);
+    auto actual = (*cluster)->Execute(q);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    EXPECT_EQ(*actual, *expected) << "k=" << k;
+  }
+  auto all = (*cluster)->Execute(Query::TopKRelated("center", 10));
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, (QueryResult{"E:in_only\t1", "E:out_only\t1",
+                               "E:" + m + "\t1"}));
+}
+
+TEST(RouterTest, MemberScoresAClassRingWithOnlyItsKBest) {
+  // A class hub as the only ring node: its 320 members point at it, so
+  // every member counts one path, and each shard must ship its k best,
+  // not its share of the membership.
+  constexpr size_t kShards = 4;
+  constexpr size_t kMembers = 320;
+  constexpr size_t kK = 5;
+  KnowledgeGraph kg;
+  kg.AddTriple("hub", "type", "Big", NodeKind::kEntity, NodeKind::kClass,
+               kProv);
+  std::vector<std::vector<std::string>> owned(kShards);
+  for (size_t i = 0; i < kMembers; ++i) {
+    const std::string name = "member" + std::to_string(1000 + i);
+    kg.AddTriple(name, "type", "Big", NodeKind::kEntity, NodeKind::kClass,
+                 kProv);
+    owned[ShardOf(name, NodeKind::kEntity, kShards)].push_back(name);
+  }
+  ClusterOptions opts;
+  opts.num_shards = kShards;
+  auto cluster = Cluster::Create(kg, opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const serve::NodeKey center{NodeKind::kEntity, "hub"};
+  const std::vector<serve::NodeKey> ring = {{NodeKind::kClass, "Big"}};
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_GT(owned[s].size(), kK) << "shard " << s;
+    auto scores = (*cluster)->primary(s).RingScoresTraced(center, ring, {},
+                                                          kK, 0);
+    ASSERT_TRUE(scores.ok()) << scores.status();
+    // Names were added in order, so each shard's k best are its first k.
+    std::vector<serve::ScoredEntity> expected;
+    for (size_t i = 0; i < kK; ++i) {
+      expected.push_back(serve::ScoredEntity{owned[s][i], 1});
+    }
+    EXPECT_EQ(scores->best, expected) << "shard " << s;
+  }
+  auto routed = (*cluster)->Execute(Query::TopKRelated("hub", kK));
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  auto reference = store::VersionedKgStore::Open(kg, {});
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(*routed,
+            *(*reference)->TryExecute(Query::TopKRelated("hub", kK)));
+  EXPECT_EQ(routed->size(), kK);
 }
 
 TEST(RouterTest, StaleReplicaIsSkippedThenShedWhenNoOneCanServe) {
@@ -300,7 +396,7 @@ TEST(RouterTest, BreakerOpensOnDeadPrimaryAndProbesItBack) {
     auto r = (*cluster)->Execute(q);
     ASSERT_TRUE(r.ok()) << r.status();
   }
-  // A top-k is two shard rounds whatever the center's degree (ann has
+  // A top-k is three shard rounds whatever the center's degree (ann has
   // four neighbors): each round fails over once, and the answer still
   // equals the single store's.
   auto reference = store::VersionedKgStore::Open(CraftedKg(), {});
@@ -311,7 +407,7 @@ TEST(RouterTest, BreakerOpensOnDeadPrimaryAndProbesItBack) {
   auto related = (*cluster)->Execute(topk);
   ASSERT_TRUE(related.ok()) << related.status();
   EXPECT_EQ(*related, *(*reference)->TryExecute(topk));
-  EXPECT_EQ((*cluster)->router().stats().failovers, before_topk + 2);
+  EXPECT_EQ((*cluster)->router().stats().failovers, before_topk + 3);
   const auto mid = (*cluster)->router().stats();
   EXPECT_GE(mid.failovers, 8u);
 

@@ -14,10 +14,11 @@
 //      the log into a base that equals a batch build of the oracle and
 //      answers the workload identically;
 //   6. after every commit, compaction and reopen, the epoch's overlay
-//      runs and gate equal a recomputation from its (base, delta), and
-//      the entity
-//      adjacency read (routed top-k's second hop) equals the entities in
-//      a rebuild's neighborhoods.
+//      runs and gate equal a recomputation from its (base, delta); the
+//      out-hop read (routed top-k's second round) equals the entities in
+//      a rebuild's out-neighborhoods; and the scoring read (its third
+//      round), fed the store's own out-hop pairs, equals a rebuild's
+//      top-k.
 // Worlds come from kg::synth universes plus hostile names, duplicate
 // upserts, retractions of base and overlay triples, resurrections, and
 // overlay changes to the membership of the queried classes.
@@ -242,14 +243,28 @@ void ExpectOverlayMatchesRecompute(const VersionedKgStore& store,
       << where << ", world seed " << seed << ", version " << epoch->version;
 }
 
-/// Checks TryAdjacentEntitiesTagged against a rebuild: for every node of
-/// the oracle, every pool name under every kind, and one absent name, the
-/// store's list must be the distinct "E:" nodes of the rebuild engine's
-/// Neighborhood rows.
-void ExpectAdjacencyMatchesRebuild(const VersionedKgStore& store,
-                                   const KnowledgeGraph& oracle,
-                                   const World& world, uint64_t seed,
-                                   const char* where) {
+/// The node of a rendered neighborhood row, "dir\tpredicate\tE:name": a
+/// view into `row`. Predicates hold no tabs; names may.
+serve::NodeKey RowNode(std::string_view row) {
+  const std::string_view node =
+      row.substr(row.find('\t', row.find('\t') + 1) + 1);
+  const NodeKind kind = node[0] == 'E'   ? NodeKind::kEntity
+                        : node[0] == 'T' ? NodeKind::kText
+                                         : NodeKind::kClass;
+  return serve::NodeKey{kind, node.substr(2)};
+}
+
+/// Checks routed top-k's two store reads against a rebuild, for every node
+/// of the oracle, every pool name under every kind, and one absent name:
+/// TryOutEntitiesTagged must list the distinct entities of the rebuild
+/// engine's "out" Neighborhood rows, and TryRingScoresTagged, fed the
+/// node's ring (its distinct rebuild neighbors) and every out-hop pair the
+/// store reports for that ring — on one store, every pair is this shard's
+/// — must render the rebuild engine's TopKRelated.
+void ExpectRoutedTopKReadsMatchRebuild(const VersionedKgStore& store,
+                                       const KnowledgeGraph& oracle,
+                                       const World& world, uint64_t seed,
+                                       const char* where) {
   std::vector<serve::NodeKey> nodes;
   for (graph::NodeId id = 0; id < oracle.num_nodes(); ++id) {
     nodes.emplace_back(oracle.GetNodeKind(id), oracle.NodeName(id));
@@ -261,28 +276,57 @@ void ExpectAdjacencyMatchesRebuild(const VersionedKgStore& store,
     }
   }
   nodes.emplace_back(NodeKind::kEntity, "no such node");
-  const auto got = store.TryAdjacentEntitiesTagged(nodes);
+  const auto got = store.TryOutEntitiesTagged(nodes);
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_EQ(got->epoch, store.applied_watermark());
   ASSERT_EQ(got->entities.size(), nodes.size());
   const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
   const serve::QueryEngine engine(snap);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const auto& [kind, name] = nodes[i];
-    std::vector<std::string> expected;
-    for (const std::string& row : engine.ExecuteUncached(
-             Query::Neighborhood(std::string(name), kind))) {
-      // "dir\tpredicate\tnode": predicates hold no tabs, names may.
-      const std::string node =
-          row.substr(row.find('\t', row.find('\t') + 1) + 1);
-      if (node.rfind("E:", 0) == 0) expected.push_back(node.substr(2));
+    const serve::NodeKey& center = nodes[i];
+    const auto& [kind, name] = center;
+    const QueryResult rows = engine.ExecuteUncached(
+        Query::Neighborhood(std::string(name), kind));
+    std::vector<std::string> out_entities;
+    std::vector<serve::NodeKey> ring;  // Views into `rows`.
+    for (const std::string& row : rows) {
+      const serve::NodeKey n = RowNode(row);
+      if (row.rfind("out\t", 0) == 0 && n.first == NodeKind::kEntity) {
+        out_entities.emplace_back(n.second);
+      }
+      if (n != center) ring.push_back(n);
     }
-    std::sort(expected.begin(), expected.end());
-    expected.erase(std::unique(expected.begin(), expected.end()),
-                   expected.end());
-    ASSERT_EQ(got->entities[i], expected)
+    std::sort(out_entities.begin(), out_entities.end());
+    out_entities.erase(
+        std::unique(out_entities.begin(), out_entities.end()),
+        out_entities.end());
+    ASSERT_EQ(got->entities[i], out_entities)
         << where << ", world seed " << seed << ", node kind "
         << static_cast<int>(kind) << " name '" << name << "'";
+
+    std::sort(ring.begin(), ring.end());
+    ring.erase(std::unique(ring.begin(), ring.end()), ring.end());
+    const auto out_hops = store.TryOutEntitiesTagged(ring);
+    ASSERT_TRUE(out_hops.ok()) << out_hops.status();
+    std::vector<serve::RingHop> hops;
+    for (size_t j = 0; j < ring.size(); ++j) {
+      for (const std::string& m : out_hops->entities[j]) {
+        hops.push_back(serve::RingHop{static_cast<uint32_t>(j), m});
+      }
+    }
+    const size_t k = 1 + i % 8;
+    const auto scores = store.TryRingScoresTagged(center, ring, hops, k);
+    ASSERT_TRUE(scores.ok()) << scores.status();
+    ASSERT_EQ(scores->epoch, store.applied_watermark());
+    QueryResult rendered;
+    for (const serve::ScoredEntity& e : scores->best) {
+      rendered.push_back(serve::RenderNodeName(e.name, NodeKind::kEntity) +
+                         '\t' + std::to_string(e.count));
+    }
+    ASSERT_EQ(rendered, engine.ExecuteUncached(
+                            Query::TopKRelated(std::string(name), k, kind)))
+        << where << ", world seed " << seed << ", center kind "
+        << static_cast<int>(kind) << " name '" << name << "', k " << k;
   }
 }
 
@@ -324,8 +368,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       }
       ASSERT_TRUE(store.ApplyBatch(batch).ok());
       ExpectOverlayMatchesRecompute(store, seed, "after commit");
-      ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
-                                    "after commit");
+      ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
+                                        "after commit");
       ASSERT_EQ(store.AuthoritativeFingerprint(),
                 graph::TripleSetFingerprint(oracle))
           << "world seed " << seed << " after " << applied << " mutations";
@@ -337,8 +381,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
                   serve::KgSnapshot::Compile(oracle).Fingerprint())
             << "mid-stream fold, world seed " << seed;
         ExpectOverlayMatchesRecompute(store, seed, "mid-stream fold");
-        ExpectAdjacencyMatchesRebuild(store, oracle, world, seed,
-                                      "mid-stream fold");
+        ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
+                                          "mid-stream fold");
       }
       if (applied == kMutationsPerWorld / 2 ||
           applied >= kMutationsPerWorld) {
@@ -365,7 +409,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         << "world seed " << seed;
     ASSERT_EQ(store.delta_size(), 0u);
     ExpectOverlayMatchesRecompute(store, seed, "final fold");
-    ExpectAdjacencyMatchesRebuild(store, oracle, world, seed, "final fold");
+    ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
+                                      "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
                               "post-compaction");
     ASSERT_EQ(store.BatchExecute(workload, ExecPolicy::Serial()), serial)
@@ -379,8 +424,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       ASSERT_TRUE(reopened.ok()) << reopened.status();
       ASSERT_EQ((*reopened)->delta_size(), 0u);
       ExpectOverlayMatchesRecompute(**reopened, seed, "reopened from WAL");
-      ExpectAdjacencyMatchesRebuild(**reopened, oracle, world, seed,
-                                    "reopened from WAL");
+      ExpectRoutedTopKReadsMatchRebuild(**reopened, oracle, world, seed,
+                                        "reopened from WAL");
       ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),
                 serve::KgSnapshot::Compile(oracle).Fingerprint())
           << "reopened base, world seed " << seed;
