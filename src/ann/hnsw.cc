@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <queue>
 #include <tuple>
 #include <unordered_set>
 
-#include "common/bytes.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -215,9 +210,8 @@ HnswIndex HnswIndex::Build(std::vector<float> vectors,
     }
   }
 
-  // Canonical form: adjacency sorted ascending. Search is heap-ordered,
-  // so this changes nothing observable except making Serialize a pure
-  // function of the graph.
+  // Canonical form: each adjacency list sorted ascending, so the order
+  // a search visits neighbors in depends on the graph alone.
   for (auto& per_node : index.links_) {
     for (auto& layer : per_node) {
       std::sort(layer.begin(), layer.end());
@@ -282,184 +276,6 @@ std::vector<Neighbor> HnswIndex::BruteForce(std::span<const float> query,
   std::partial_sort(all.begin(), all.begin() + take, all.end(), Closer);
   all.resize(take);
   return all;
-}
-
-std::string HnswIndex::Serialize() const {
-  // Payload first so the header can carry its size + checksum.
-  std::string payload;
-  payload.reserve(count_ * (1 + options_.dim * sizeof(float)));
-  payload.append(reinterpret_cast<const char*>(levels_.data()),
-                 levels_.size());
-  for (uint32_t id = 0; id < count_; ++id) {
-    for (size_t layer = 0; layer < links_[id].size(); ++layer) {
-      const auto& nbrs = links_[id][layer];
-      PutU32(&payload, static_cast<uint32_t>(nbrs.size()));
-      payload.append(reinterpret_cast<const char*>(nbrs.data()),
-                     nbrs.size() * sizeof(uint32_t));
-    }
-  }
-  payload.append(reinterpret_cast<const char*>(vectors_.data()),
-                 vectors_.size() * sizeof(float));
-
-  std::string out;
-  out.append(kAnnMagic, sizeof kAnnMagic);
-  PutU32(&out, kAnnContainerVersion);
-  PutU32(&out, static_cast<uint32_t>(options_.dim));
-  PutU32(&out, static_cast<uint32_t>(count_));
-  PutU32(&out, static_cast<uint32_t>(options_.M));
-  PutU32(&out, static_cast<uint32_t>(options_.ef_construction));
-  PutU32(&out, static_cast<uint32_t>(options_.ef_search));
-  PutU64(&out, options_.seed);
-  PutU32(&out, entry_point_);
-  PutU32(&out, max_level_);
-  PutU64(&out, payload.size());
-  PutU32(&out, Checksum32(payload));
-  // The header checksum covers every byte before it.
-  PutU32(&out, Checksum32(out));
-  out += payload;
-  return out;
-}
-
-Result<HnswIndex> HnswIndex::Deserialize(std::string_view data) {
-  ByteReader r(data);
-  const Result<std::string_view> magic = r.TakeBytes(sizeof kAnnMagic);
-  if (!magic.ok()) {
-    return Status::InvalidArgument("ann index: truncated magic");
-  }
-  if (std::memcmp(magic->data(), kAnnMagic, sizeof kAnnMagic) != 0) {
-    return Status::InvalidArgument("ann index: bad magic");
-  }
-  uint32_t version = 0, dim = 0, count = 0, m = 0, ef_c = 0, ef_s = 0,
-           entry = 0, max_level = 0, payload_checksum = 0;
-  uint64_t seed = 0, payload_size = 0;
-  const Status header = [&]() -> Status {
-    KG_ASSIGN_OR_RETURN(version, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(dim, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(count, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(m, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(ef_c, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(ef_s, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(seed, r.TakeU64());
-    KG_ASSIGN_OR_RETURN(entry, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(max_level, r.TakeU32());
-    KG_ASSIGN_OR_RETURN(payload_size, r.TakeU64());
-    KG_ASSIGN_OR_RETURN(payload_checksum, r.TakeU32());
-    return Status::OK();
-  }();
-  if (!header.ok()) {
-    return Status::InvalidArgument("ann index: truncated header");
-  }
-  const size_t header_end = r.pos();
-  const Result<uint32_t> header_checksum = r.TakeU32();
-  if (!header_checksum.ok()) {
-    return Status::InvalidArgument("ann index: truncated header checksum");
-  }
-  if (Checksum32(data.substr(0, header_end)) != *header_checksum) {
-    return Status::InvalidArgument("ann index: header checksum mismatch");
-  }
-  if (version > kAnnContainerVersion) {
-    // Retriable by contract: a newer writer produced this file; an
-    // upgraded reader may succeed.
-    return Status::Unavailable("ann index: container version " +
-                               std::to_string(version) +
-                               " is newer than supported");
-  }
-  if (dim == 0 || m < 2 || max_level > kMaxLevelCap) {
-    return Status::InvalidArgument("ann index: invalid header fields");
-  }
-  if (r.remaining() != payload_size) {
-    return Status::InvalidArgument("ann index: payload size mismatch");
-  }
-  const std::string_view payload = data.substr(r.pos());
-  if (Checksum32(payload) != payload_checksum) {
-    return Status::InvalidArgument("ann index: payload checksum mismatch");
-  }
-  if (count > 0 && entry >= count) {
-    return Status::InvalidArgument("ann index: entry point out of range");
-  }
-
-  HnswIndex index;
-  index.options_.dim = dim;
-  index.options_.M = m;
-  index.options_.ef_construction = ef_c;
-  index.options_.ef_search = ef_s;
-  index.options_.seed = seed;
-  index.count_ = count;
-  index.entry_point_ = entry;
-  index.max_level_ = static_cast<uint8_t>(max_level);
-
-  ByteReader p(payload);
-  const Result<std::string_view> levels = p.TakeBytes(count);
-  if (!levels.ok()) {
-    return Status::InvalidArgument("ann index: truncated levels");
-  }
-  index.levels_.assign(levels->begin(), levels->end());
-  index.links_.resize(count);
-  for (uint32_t id = 0; id < count; ++id) {
-    if (index.levels_[id] > max_level) {
-      return Status::InvalidArgument("ann index: node level above max");
-    }
-    index.links_[id].resize(index.levels_[id] + 1);
-    for (size_t layer = 0; layer <= index.levels_[id]; ++layer) {
-      const Result<uint32_t> n = p.TakeU32();
-      if (!n.ok()) {
-        return Status::InvalidArgument("ann index: truncated adjacency");
-      }
-      const size_t cap = layer == 0 ? static_cast<size_t>(m) * 2
-                                    : static_cast<size_t>(m);
-      if (*n > cap || *n > p.remaining() / sizeof(uint32_t)) {
-        return Status::InvalidArgument("ann index: degree out of range");
-      }
-      // The degree check above leaves room for the whole array.
-      const std::string_view raw = *p.TakeBytes(*n * sizeof(uint32_t));
-      auto& nbrs = index.links_[id][layer];
-      nbrs.resize(*n);
-      if (*n > 0) std::memcpy(nbrs.data(), raw.data(), raw.size());
-      for (uint32_t nbr : nbrs) {
-        if (nbr >= count) {
-          return Status::InvalidArgument("ann index: neighbor id out of range");
-        }
-      }
-    }
-  }
-  const uint64_t vec_bytes =
-      static_cast<uint64_t>(count) * dim * sizeof(float);
-  if (p.remaining() != vec_bytes) {
-    return Status::InvalidArgument("ann index: vector blob size mismatch");
-  }
-  index.vectors_.resize(static_cast<size_t>(count) * dim);
-  if (vec_bytes > 0) {
-    std::memcpy(index.vectors_.data(), payload.data() + p.pos(),
-                static_cast<size_t>(vec_bytes));
-  }
-  return index;
-}
-
-Status HnswIndex::Save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("ann index: cannot open " + tmp);
-    const std::string bytes = Serialize();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) return Status::IoError("ann index: write failed for " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("ann index: rename to " + path + " failed");
-  }
-  return Status::OK();
-}
-
-Result<HnswIndex> HnswIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("ann index: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("ann index: read failed for " + path);
-  }
-  return Deserialize(bytes);
 }
 
 }  // namespace kg::ann

@@ -3,23 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/status.h"
-
 namespace kg::ann {
-
-/// Container generation of the serialized index (header layout + framing),
-/// mirroring the snapshot-binary idiom: a newer container is refused with
-/// a retriable kUnavailable, any structural violation with
-/// kInvalidArgument.
-inline constexpr uint32_t kAnnContainerVersion = 1;
-
-/// The 8-byte magic that opens every serialized index.
-inline constexpr char kAnnMagic[8] = {'K', 'G', 'A', 'N', 'N', 'I', 'X',
-                                      '\0'};
 
 /// HNSW construction/search knobs (Malkov & Yashunin 2018). Defaults are
 /// sized for the TransE embedding sets the dual-QA path searches
@@ -52,8 +38,8 @@ struct Neighbor {
 /// A from-scratch HNSW index over float vectors with deterministic
 /// seeded construction: vectors are inserted in id order, level draws
 /// are pure functions of (seed, id), and every tie in every priority
-/// queue breaks on id. Two Build calls with equal inputs produce
-/// byte-identical serialized indexes (ann_index_test pins this).
+/// queue breaks on id. Two Build calls with equal inputs produce the same
+/// graph, so they answer every query alike (ann_index_test pins this).
 ///
 /// Thread-safety: Build is single-threaded by design (HNSW insertion
 /// mutates shared adjacency; a deterministic parallel build would need
@@ -86,27 +72,12 @@ class HnswIndex {
   const HnswOptions& options() const { return options_; }
 
   /// The stored vector for `id`; empty span when out of range (clamped,
-  /// never UB — the serialized-container contract).
+  /// never UB).
   std::span<const float> vector(uint32_t id) const {
     if (id >= count_) return {};
     return {vectors_.data() + static_cast<size_t>(id) * options_.dim,
             options_.dim};
   }
-
-  /// Serialized container: fixed checksummed header + payload (levels,
-  /// adjacency, vectors). Deterministic: equal indexes serialize
-  /// byte-identically.
-  std::string Serialize() const;
-
-  /// Inverts Serialize. Rejects truncated/oversized/corrupt bytes with
-  /// kInvalidArgument (every byte of the payload is covered by a
-  /// Checksum32, every neighbor id bounds-checked against the count),
-  /// and a newer container version with kUnavailable.
-  static Result<HnswIndex> Deserialize(std::string_view data);
-
-  /// Atomic save (temp file + rename) / whole-file load.
-  Status Save(const std::string& path) const;
-  static Result<HnswIndex> Load(const std::string& path);
 
  private:
   /// Neighbor list of `node` on `layer` (empty when out of range).
@@ -124,8 +95,7 @@ class HnswIndex {
   size_t count_ = 0;
   std::vector<float> vectors_;        ///< count_ * dim, row-major.
   std::vector<uint8_t> levels_;       ///< Top layer of each node.
-  /// links_[node][layer] = neighbor ids, kept sorted ascending (the
-  /// canonical form Serialize emits).
+  /// links_[node][layer] = neighbor ids, kept sorted ascending.
   std::vector<std::vector<std::vector<uint32_t>>> links_;
   uint32_t entry_point_ = 0;
   uint8_t max_level_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/events.h"
 #include "common/thread_pool.h"
 
 namespace kg {
@@ -30,11 +29,6 @@ Status TryParallelForChunked(
   const size_t chunk = policy.chunk_size != 0 ? policy.chunk_size
                                               : ThreadPool::ChunkSizeFor(n);
   if (!policy.parallel()) {
-    // Mirror the pool's scheduled-chunk accounting so serial and
-    // parallel runs of the same loop report identical event counts.
-    events::Process().pool_loops.fetch_add(1, std::memory_order_relaxed);
-    events::Process().pool_chunks.fetch_add((n + chunk - 1) / chunk,
-                                            std::memory_order_relaxed);
     for (size_t begin = 0; begin < n; begin += chunk) {
       KG_RETURN_IF_ERROR(fn(begin, std::min(n, begin + chunk)));
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/events.h"
 #include "common/hash.h"
 
 namespace kg {
@@ -28,20 +27,6 @@ constexpr uint64_t Mix64(uint64_t z) {
 }
 
 }  // namespace
-
-const char* FaultKindToString(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kTransient:
-      return "transient";
-    case FaultKind::kSlow:
-      return "slow";
-    case FaultKind::kTerminal:
-      return "terminal";
-  }
-  return "unknown";
-}
 
 FaultPlan FaultPlan::Uniform(uint64_t seed, double rate) {
   FaultPlan plan;
@@ -71,8 +56,6 @@ double FaultInjector::KeepFraction(std::string_view source_id) const {
   if (UnitDraw(kChannelTruncate, source_id, 0) >= plan_.truncate_rate) {
     return 1.0;
   }
-  events::Process().fault_truncated_payloads.fetch_add(
-      1, std::memory_order_relaxed);
   const double span = 1.0 - plan_.min_truncate_keep;
   return plan_.min_truncate_keep +
          span * UnitDraw(kChannelTruncateKeep, source_id, 0);
@@ -80,11 +63,8 @@ double FaultInjector::KeepFraction(std::string_view source_id) const {
 
 FaultInjector::Attempt FaultInjector::Probe(std::string_view source_id,
                                             size_t attempt) const {
-  // The injected-fault tallies below count Probe *decisions* — pure
-  // hashes of (seed, source, attempt) — so their deltas replay exactly.
   Attempt result;
   if (IsTerminal(source_id)) {
-    events::Process().fault_terminal.fetch_add(1, std::memory_order_relaxed);
     result.kind = FaultKind::kTerminal;
     result.latency_ms = plan_.slow_latency_ms;
     result.status = Status::Unavailable(std::string(source_id) +
@@ -93,8 +73,6 @@ FaultInjector::Attempt FaultInjector::Probe(std::string_view source_id,
   }
   if (UnitDraw(kChannelTransient, source_id, attempt) <
       plan_.transient_rate) {
-    events::Process().fault_transient.fetch_add(1,
-                                                std::memory_order_relaxed);
     result.kind = FaultKind::kTransient;
     result.latency_ms = plan_.slow_latency_ms;
     result.status = Status::Unavailable(
@@ -103,7 +81,6 @@ FaultInjector::Attempt FaultInjector::Probe(std::string_view source_id,
     return result;
   }
   if (UnitDraw(kChannelSlow, source_id, attempt) < plan_.slow_rate) {
-    events::Process().fault_slow.fetch_add(1, std::memory_order_relaxed);
     result.kind = FaultKind::kSlow;
     result.latency_ms = plan_.slow_latency_ms;
     return result;
@@ -121,8 +98,6 @@ std::string FaultInjector::MaybeCorrupt(std::string_view source_id,
       plan_.corrupt_rate) {
     return value;
   }
-  events::Process().fault_corrupted_claims.fetch_add(
-      1, std::memory_order_relaxed);
   // Deterministic, visibly-wrong mutation: never equals any clean value
   // (clean values contain no '\x7f'), and distinct claims corrupt
   // differently.
@@ -154,15 +129,6 @@ size_t DegradationReport::claims_corrupted() const {
   size_t n = 0;
   for (const SourceDegradation& s : sources) n += s.claims_corrupted;
   return n;
-}
-
-std::string DegradationReport::Summary() const {
-  std::string out = std::to_string(sources.size()) + " sources, " +
-                    std::to_string(quarantined()) + " quarantined, " +
-                    std::to_string(total_retries()) + " retries, " +
-                    std::to_string(claims_dropped()) + " claims dropped, " +
-                    std::to_string(claims_corrupted()) + " corrupted";
-  return out;
 }
 
 }  // namespace kg

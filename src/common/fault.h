@@ -19,8 +19,6 @@ enum class FaultKind {
   kTerminal,   ///< Source is down on every attempt (dead upstream).
 };
 
-const char* FaultKindToString(FaultKind kind);
-
 /// Declarative chaos profile for a pipeline run. All rates are
 /// probabilities in [0, 1]; a default-constructed plan injects nothing.
 /// The plan is part of the experiment seed: the same `(seed, rates)`
@@ -127,9 +125,6 @@ struct DegradationReport {
   size_t total_retries() const;
   size_t claims_dropped() const;
   size_t claims_corrupted() const;
-
-  /// One-line human summary ("8 sources, 1 quarantined, 5 retries, ...").
-  std::string Summary() const;
 };
 
 }  // namespace kg

@@ -1,48 +1,6 @@
 #include "common/logging.h"
 
-#include <atomic>
-
-namespace kg {
-
-namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level));
-}
-
-namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
-  const char* base = file;
-  for (const char* p = file; *p != '\0'; ++p) {
-    if (*p == '/') base = p + 1;
-  }
-  stream_ << "[" << LevelName(level_) << " " << base << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  stream_ << "\n";
-  std::cerr << stream_.str();
-}
+namespace kg::internal {
 
 FatalLogMessage::FatalLogMessage(const char* file, int line,
                                  const char* condition) {
@@ -60,5 +18,4 @@ FatalLogMessage::~FatalLogMessage() {
   std::abort();
 }
 
-}  // namespace internal
-}  // namespace kg
+}  // namespace kg::internal

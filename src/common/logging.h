@@ -8,34 +8,10 @@
 
 namespace kg {
 
-/// Log severities, in increasing order.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Returns the process-wide minimum severity that is emitted.
-LogLevel GetLogLevel();
-
-/// Sets the process-wide minimum severity that is emitted.
-void SetLogLevel(LogLevel level);
-
 namespace internal {
 
-/// Accumulates one log line and flushes it to stderr on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-/// LogMessage that aborts the process after flushing. Used by KG_CHECK.
+/// Accumulates a check-failure message, flushes it to stderr and aborts
+/// the process on destruction. Used by KG_CHECK.
 class FatalLogMessage {
  public:
   FatalLogMessage(const char* file, int line, const char* condition);
@@ -51,15 +27,6 @@ class FatalLogMessage {
 };
 
 }  // namespace internal
-
-/// Emits a log line at `level` ("KG_LOG(kInfo) << ...;" style).
-#define KG_LOG(level)                                                \
-  if (static_cast<int>(::kg::LogLevel::level) <                      \
-      static_cast<int>(::kg::GetLogLevel())) {                       \
-  } else                                                             \
-    ::kg::internal::LogMessage(::kg::LogLevel::level, __FILE__,      \
-                               __LINE__)                             \
-        .stream()
 
 /// Aborts with a message when `condition` is false. For programmer errors
 /// (violated invariants), not recoverable failures — those use Status.

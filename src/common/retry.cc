@@ -19,15 +19,8 @@ double BackoffMs(const RetryPolicy& policy, size_t attempt, Rng& rng) {
 RetryOutcome RetryWithBackoff(
     const RetryPolicy& policy, Rng jitter_rng, CircuitBreaker* breaker,
     const std::function<AttemptResult(size_t attempt)>& attempt_fn) {
-  // Every terminal outcome bumps exactly one of successes/giveups, and
-  // breaker rejections additionally count as giveups — the fetch did
-  // fail. All increments are driven by the same pure decisions the
-  // retry loop makes, so deltas are reproducible for a seeded run.
-  events::ProcessEvents& ev = events::Process();
   RetryOutcome out;
   if (breaker != nullptr && !breaker->Allow()) {
-    ev.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
-    ev.retry_giveups.fetch_add(1, std::memory_order_relaxed);
     out.status = Status::Unavailable("circuit breaker open");
     return out;
   }
@@ -37,41 +30,34 @@ RetryOutcome RetryWithBackoff(
     ++out.attempts;
     out.retries = out.attempts - 1;
     out.virtual_ms += result.latency_ms;
-    ev.retry_attempts.fetch_add(1, std::memory_order_relaxed);
     if (result.status.ok()) {
       if (breaker != nullptr) breaker->RecordSuccess();
-      ev.retry_successes.fetch_add(1, std::memory_order_relaxed);
       out.status = Status::OK();
       return out;
     }
     if (breaker != nullptr) breaker->RecordFailure();
     if (!IsRetriable(result.status.code())) {
-      ev.retry_giveups.fetch_add(1, std::memory_order_relaxed);
       out.status = result.status;
       return out;
     }
     if (breaker != nullptr && !breaker->Allow()) {
-      ev.retry_giveups.fetch_add(1, std::memory_order_relaxed);
       out.status = Status::Unavailable(
           "circuit breaker opened: " + result.status.ToString());
       return out;
     }
     if (attempt + 1 == max_attempts) {
-      ev.retry_giveups.fetch_add(1, std::memory_order_relaxed);
       out.status = result.status;
       return out;
     }
     const double backoff = BackoffMs(policy, attempt, jitter_rng);
     if (policy.deadline_budget_ms > 0.0 &&
         out.virtual_ms + backoff > policy.deadline_budget_ms) {
-      ev.retry_giveups.fetch_add(1, std::memory_order_relaxed);
       out.status = Status::DeadlineExceeded(
           "retry budget exhausted after " +
           std::to_string(out.attempts) +
           " attempts: " + result.status.ToString());
       return out;
     }
-    ev.retry_backoffs.fetch_add(1, std::memory_order_relaxed);
     out.virtual_ms += backoff;
   }
   return out;  // Unreachable: the loop always returns.

@@ -1,11 +1,9 @@
 #ifndef KGRAPH_COMMON_RETRY_H_
 #define KGRAPH_COMMON_RETRY_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 
-#include "common/events.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -52,11 +50,7 @@ class CircuitBreaker {
 
   void RecordSuccess() { consecutive_failures_ = 0; }
   void RecordFailure() {
-    if (++consecutive_failures_ >= threshold_ && !open_) {
-      open_ = true;
-      events::Process().breaker_trips.fetch_add(1,
-                                                std::memory_order_relaxed);
-    }
+    if (++consecutive_failures_ >= threshold_) open_ = true;
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "common/strings.h"
 
 #include <cctype>
-#include <cstdarg>
 #include <cstdio>
 
 namespace kg {
@@ -74,45 +73,6 @@ std::string ToLower(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string ReplaceAll(std::string_view text, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(text);
-  std::string out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(from, start);
-    if (pos == std::string_view::npos) {
-      out.append(text.substr(start));
-      break;
-    }
-    out.append(text.substr(start, pos - start));
-    out.append(to);
-    start = pos + from.size();
-  }
-  return out;
-}
-
-std::string StrFormat(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
-  }
-  va_end(args_copy);
-  return out;
 }
 
 std::string FormatDouble(double value, int digits) {

@@ -24,15 +24,6 @@ std::string_view Trim(std::string_view text);
 std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-
-/// Replaces every occurrence of `from` (non-empty) with `to`.
-std::string ReplaceAll(std::string_view text, std::string_view from,
-                       std::string_view to);
-
-/// printf-style formatting into a std::string.
-std::string StrFormat(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
 
 /// Formats `value` with `digits` decimal places.
 std::string FormatDouble(double value, int digits);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/events.h"
 
 namespace kg {
 
@@ -40,8 +39,6 @@ void ThreadPool::WaitIdle() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  events::Process().pool_loops.fetch_add(1, std::memory_order_relaxed);
-  events::Process().pool_chunks.fetch_add(n, std::memory_order_relaxed);
   // Static chunking: one contiguous range per worker keeps scheduling
   // overhead negligible for the uniform workloads we run.
   const size_t workers = std::min(n, threads_.size());
@@ -62,32 +59,12 @@ size_t ThreadPool::ChunkSizeFor(size_t n) {
   return std::max<size_t>(1, (n + kAutoChunks - 1) / kAutoChunks);
 }
 
-void ThreadPool::ParallelForChunked(
-    size_t n, size_t chunk_size,
-    const std::function<void(size_t, size_t)>& fn) {
-  // Delegate to the Status path with an always-OK body; the lambda is
-  // trivial so the wrapper cost is one virtual-ish call per chunk.
-  (void)TryParallelForChunked(n, chunk_size,
-                              [&fn](size_t begin, size_t end) {
-                                fn(begin, end);
-                                return Status::OK();
-                              });
-}
-
 Status ThreadPool::TryParallelForChunked(
     size_t n, size_t chunk_size,
     const std::function<Status(size_t, size_t)>& fn) {
   if (n == 0) return Status::OK();
   if (chunk_size == 0) chunk_size = ChunkSizeFor(n);
   const size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-  // Scheduled-chunk accounting (not executed chunks: a cancelled Try
-  // loop would make that schedule-dependent). ceil(n/chunk) is a pure
-  // function of the input geometry, so the count is identical at any
-  // thread count — the serial path in exec_policy.cc mirrors it.
-  events::Process().pool_loops.fetch_add(1, std::memory_order_relaxed);
-  events::Process().pool_chunks.fetch_add(num_chunks,
-                                          std::memory_order_relaxed);
-
   std::atomic<size_t> next{0};
   std::atomic<bool> cancelled{false};
   // Of the chunks that failed before cancellation took effect, keep the

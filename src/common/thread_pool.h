@@ -37,21 +37,17 @@ class ThreadPool {
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Block-scheduled parallel loop: splits [0, n) into contiguous chunks
-  /// of `chunk_size` (0 = auto, see `ChunkSizeFor`) and runs
-  /// `fn(begin, end)` once per chunk. Contiguous blocks amortize
-  /// scheduling overhead and keep per-shard output trivially mergeable in
-  /// chunk order, which is how the pipelines stay bit-identical to their
-  /// serial runs.
-  void ParallelForChunked(size_t n, size_t chunk_size,
-                          const std::function<void(size_t, size_t)>& fn);
-
-  /// `ParallelForChunked` with first-error propagation: the first chunk
-  /// (lowest begin index among executed chunks) returning a non-OK
-  /// `Status` wins, chunks not yet started are cancelled, and that status
-  /// is returned. Chunks may also cooperatively abort the loop by
-  /// returning `Status::Cancelled`. Always waits for in-flight chunks
-  /// before returning, so `fn` may safely capture stack state.
+  /// Block-scheduled parallel loop with first-error propagation: splits
+  /// [0, n) into contiguous chunks of `chunk_size` (0 = auto, see
+  /// `ChunkSizeFor`) and runs `fn(begin, end)` once per chunk. Contiguous
+  /// blocks amortize scheduling overhead and keep per-shard output
+  /// trivially mergeable in chunk order, which is how the pipelines stay
+  /// bit-identical to their serial runs. The first chunk (lowest begin
+  /// index among executed chunks) returning a non-OK `Status` wins,
+  /// chunks not yet started are cancelled, and that status is returned.
+  /// Chunks may also cooperatively abort the loop by returning
+  /// `Status::Cancelled`. Always waits for in-flight chunks before
+  /// returning, so `fn` may safely capture stack state.
   Status TryParallelForChunked(
       size_t n, size_t chunk_size,
       const std::function<Status(size_t, size_t)>& fn);

@@ -1,49 +1,11 @@
 #include "fuse/pra.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 #include "ml/dataset.h"
 
 namespace kg::fuse {
-
-namespace {
-
-// Enumerates relation paths (as PathStep sequences) from `from` to `to`
-// up to `max_len`, accumulating grounding counts per serialized path.
-void Enumerate(const graph::KnowledgeGraph& kg, graph::NodeId cur,
-               graph::NodeId to, size_t remaining,
-               graph::RelationPath* prefix,
-               std::map<std::string, std::pair<graph::RelationPath, int>>*
-                   counts,
-               size_t* budget) {
-  if (*budget == 0) return;
-  if (!prefix->empty() && cur == to) {
-    auto& entry = (*counts)[graph::RelationPathToString(kg, *prefix)];
-    entry.first = *prefix;
-    ++entry.second;
-  }
-  if (remaining == 0) return;
-  for (graph::TripleId tid : kg.TriplesWithSubject(cur)) {
-    if (*budget == 0) return;
-    --*budget;
-    prefix->push_back({kg.triple(tid).predicate, false});
-    Enumerate(kg, kg.triple(tid).object, to, remaining - 1, prefix, counts,
-              budget);
-    prefix->pop_back();
-  }
-  for (graph::TripleId tid : kg.TriplesWithObject(cur)) {
-    if (*budget == 0) return;
-    --*budget;
-    prefix->push_back({kg.triple(tid).predicate, true});
-    Enumerate(kg, kg.triple(tid).subject, to, remaining - 1, prefix,
-              counts, budget);
-    prefix->pop_back();
-  }
-}
-
-}  // namespace
 
 void PraModel::Fit(const graph::KnowledgeGraph& kg,
                    graph::PredicateId predicate, const Options& options,
@@ -53,15 +15,13 @@ void PraModel::Fit(const graph::KnowledgeGraph& kg,
   KG_CHECK(!positives.empty()) << "no positive triples for PRA";
 
   // Mine candidate paths from a sample of positive pairs.
-  std::map<std::string, std::pair<graph::RelationPath, int>> counts;
+  graph::RelationPathCounts counts;
   const size_t sample = std::min<size_t>(positives.size(), 50);
   for (size_t i = 0; i < sample; ++i) {
     const graph::Triple& t = kg.triple(positives[rng.UniformIndex(
         positives.size())]);
-    graph::RelationPath prefix;
-    size_t budget = 4000;
-    Enumerate(kg, t.subject, t.object, options.max_path_length, &prefix,
-              &counts, &budget);
+    graph::EnumerateRelationPaths(kg, t.subject, t.object,
+                                  options.max_path_length, 4000, &counts);
   }
   // Drop the target predicate's own direct edge (label leakage).
   std::vector<std::pair<int, std::string>> ranked;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -85,11 +86,12 @@ namespace {
 
 void EnumerateRec(const KnowledgeGraph& kg, NodeId cur, NodeId to,
                   size_t remaining, RelationPath* prefix,
-                  std::unordered_map<std::string, int>* counts,
-                  size_t* budget) {
+                  RelationPathCounts* counts, size_t* budget) {
   if (*budget == 0) return;
   if (!prefix->empty() && cur == to) {
-    ++(*counts)[RelationPathToString(kg, *prefix)];
+    auto& entry = (*counts)[RelationPathToString(kg, *prefix)];
+    entry.first = *prefix;
+    ++entry.second;
     // A grounding may continue through `to`, so do not return.
   }
   if (remaining == 0) return;
@@ -113,14 +115,12 @@ void EnumerateRec(const KnowledgeGraph& kg, NodeId cur, NodeId to,
 
 }  // namespace
 
-std::unordered_map<std::string, int> EnumerateRelationPaths(
-    const KnowledgeGraph& kg, NodeId from, NodeId to, size_t max_len,
-    size_t max_groundings) {
-  std::unordered_map<std::string, int> counts;
+void EnumerateRelationPaths(const KnowledgeGraph& kg, NodeId from, NodeId to,
+                            size_t max_len, size_t max_groundings,
+                            RelationPathCounts* counts) {
   RelationPath prefix;
   size_t budget = max_groundings;
-  EnumerateRec(kg, from, to, max_len, &prefix, &counts, &budget);
-  return counts;
+  EnumerateRec(kg, from, to, max_len, &prefix, counts, &budget);
 }
 
 double PathReachProbability(const KnowledgeGraph& kg, NodeId from, NodeId to,

@@ -2,8 +2,9 @@
 #define KGRAPH_GRAPH_PATHS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,12 +38,17 @@ std::vector<TripleId> ShortestPath(const KnowledgeGraph& kg, NodeId from,
 std::vector<NodeId> Neighborhood(const KnowledgeGraph& kg, NodeId center,
                                  size_t radius);
 
-/// Enumerates the distinct relation paths of length <= `max_len` from
-/// `from` to `to`, with the number of groundings of each (how many concrete
-/// node sequences realize it). Bounded by `max_paths` explored groundings.
-std::unordered_map<std::string, int> EnumerateRelationPaths(
-    const KnowledgeGraph& kg, NodeId from, NodeId to, size_t max_len,
-    size_t max_groundings = 10000);
+/// Relation paths keyed by RelationPathToString, each with the number of
+/// its groundings (how many concrete node sequences realize it).
+using RelationPathCounts =
+    std::map<std::string, std::pair<RelationPath, int>>;
+
+/// Adds to `counts` the relation paths of length <= `max_len` from `from`
+/// to `to` and their groundings, walking at most `max_groundings` edges.
+/// PRA mines its feature paths with it.
+void EnumerateRelationPaths(const KnowledgeGraph& kg, NodeId from, NodeId to,
+                            size_t max_len, size_t max_groundings,
+                            RelationPathCounts* counts);
 
 /// Random-walk probability that a walk from `from` following `path`
 /// terminates at `to` (PRA's path feature value), estimated exactly by

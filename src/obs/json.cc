@@ -149,12 +149,6 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_ += json;

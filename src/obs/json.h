@@ -42,7 +42,6 @@ class JsonWriter {
   /// equal doubles, matching the repo's FormatDouble convention.
   JsonWriter& Double(double value, int digits = 6);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
   /// Splices pre-rendered JSON (e.g. a nested document from another
   /// writer) as one value. The caller vouches for its validity.
   JsonWriter& Raw(std::string_view json);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/events.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "obs/json.h"
@@ -270,36 +269,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-// ---------------------------------------------------------------------------
-// Process-event bridge
-
-void CaptureProcessEvents(MetricsRegistry& registry) {
-  const events::ProcessEvents& ev = events::Process();
-  const auto set = [&registry](std::string_view name,
-                               const std::atomic<uint64_t>& value) {
-    registry.GetGauge(name).Set(
-        static_cast<int64_t>(value.load(std::memory_order_relaxed)));
-  };
-  set("events.pool.loops", ev.pool_loops);
-  set("events.pool.chunks", ev.pool_chunks);
-  set("events.retry.attempts", ev.retry_attempts);
-  set("events.retry.backoffs", ev.retry_backoffs);
-  set("events.retry.successes", ev.retry_successes);
-  set("events.retry.giveups", ev.retry_giveups);
-  set("events.breaker.trips", ev.breaker_trips);
-  set("events.breaker.rejections", ev.breaker_rejections);
-  set("events.fault.transient", ev.fault_transient);
-  set("events.fault.slow", ev.fault_slow);
-  set("events.fault.terminal", ev.fault_terminal);
-  set("events.fault.truncated_payloads", ev.fault_truncated_payloads);
-  set("events.fault.corrupted_claims", ev.fault_corrupted_claims);
 }
 
 }  // namespace kg::obs

@@ -190,21 +190,12 @@ class MetricsRegistry {
   /// Zeroes every metric value; registrations and handles survive.
   void Reset();
 
-  /// Process-wide default registry.
-  static MetricsRegistry& Default();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-/// Mirrors the process-wide event counters from common/events.h
-/// (thread pool chunking, retry/backoff, breaker, fault injector) into
-/// `registry` as gauges under "events.*". Call before exposition; the
-/// common layer cannot depend on obs, so the bridge lives here.
-void CaptureProcessEvents(MetricsRegistry& registry);
 
 }  // namespace kg::obs
 

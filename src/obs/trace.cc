@@ -57,15 +57,15 @@ void Span::SetAttr(std::string_view key, std::string_view value) {
   rec_.attrs.emplace_back(std::string(key), std::string(value));
 }
 
-void Span::SetAttr(std::string_view key, int64_t value) {
-  SetAttr(key, std::string_view(std::to_string(value)));
-}
-
+// The numeric overloads return before formatting, so an inert span
+// allocates nothing.
 void Span::SetAttr(std::string_view key, uint64_t value) {
+  if (tracer_ == nullptr) return;
   SetAttr(key, std::string_view(std::to_string(value)));
 }
 
 void Span::SetAttr(std::string_view key, double value, int digits) {
+  if (tracer_ == nullptr) return;
   SetAttr(key, std::string_view(FormatDouble(value, digits)));
 }
 

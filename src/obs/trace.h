@@ -99,7 +99,6 @@ class Span {
   Span Child(std::string_view name);
 
   void SetAttr(std::string_view key, std::string_view value);
-  void SetAttr(std::string_view key, int64_t value);
   void SetAttr(std::string_view key, uint64_t value);
   void SetAttr(std::string_view key, double value, int digits = 6);
 

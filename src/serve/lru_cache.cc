@@ -69,14 +69,6 @@ size_t ShardedLruCache::size() const {
   return total;
 }
 
-void ShardedLruCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 void ShardedLruCache::ResetCounters() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);

@@ -71,9 +71,6 @@ class ShardedLruCache {
   /// Live entries across all shards.
   size_t size() const;
 
-  /// Drops all entries; counters are preserved (use `ResetCounters`).
-  void Clear();
-
   void ResetCounters();
 
   /// Exact totals summed across shards.

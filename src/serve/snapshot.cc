@@ -149,49 +149,6 @@ void AppendEdgeRow(std::string* out,
   EncodeRowPacked(packed.data(), packed.data() + packed.size(), out);
 }
 
-bool DecodeEdgeRow(std::string_view bytes,
-                   std::vector<KgSnapshot::Edge>* out) {
-  out->clear();
-  if (bytes.empty()) return true;  // empty row
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* end = p + bytes.size();
-  uint64_t count = 0;
-  size_t n = DecodeVarint(p, end, &count);
-  if (n == 0) return false;
-  p += n;
-  if (count == 0 || count > static_cast<uint64_t>(end - p) / 2) {
-    out->clear();
-    return false;
-  }
-  out->reserve(count);
-  uint32_t prev_first = 0, prev_second = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t d1 = 0, v2 = 0;
-    n = DecodeVarint(p, end, &d1);
-    if (n == 0) break;
-    p += n;
-    n = DecodeVarint(p, end, &v2);
-    if (n == 0) break;
-    p += n;
-    const uint64_t first = static_cast<uint64_t>(prev_first) + d1;
-    const uint64_t second =
-        d1 == 0 ? static_cast<uint64_t>(prev_second) + v2 : v2;
-    if (first > UINT32_MAX || second > UINT32_MAX) break;
-    // Sortedness inside an equal-first run is free (unsigned delta); an
-    // explicit check guards the cross-run boundary.
-    if (i > 0 && d1 == 0 && second < prev_second) break;
-    out->push_back(KgSnapshot::Edge{static_cast<uint32_t>(first),
-                                    static_cast<uint32_t>(second)});
-    prev_first = static_cast<uint32_t>(first);
-    prev_second = static_cast<uint32_t>(second);
-  }
-  if (out->size() != count || p != end) {
-    out->clear();
-    return false;
-  }
-  return true;
-}
-
 // --- SnapshotBuilder ----------------------------------------------------
 
 struct SnapshotBuilder::Storage {

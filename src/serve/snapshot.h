@@ -365,15 +365,9 @@ class KgSnapshot {
 /// per edge varint(first - prev.first) followed by varint(second -
 /// prev.second) when the first delta is zero, else varint(second).
 /// Precondition: `edges` sorted by (first, second). An empty row encodes
-/// to zero bytes.
+/// to zero bytes. KgSnapshot::EdgeRange decodes it.
 void AppendEdgeRow(std::string* out,
                    const std::vector<KgSnapshot::Edge>& edges);
-
-/// Decodes a full row back to a vector (test/verify helper — the serving
-/// path iterates EdgeRange instead). Strict: returns false on malformed
-/// bytes, a count mismatch, unsorted edges, or trailing garbage.
-bool DecodeEdgeRow(std::string_view bytes,
-                   std::vector<KgSnapshot::Edge>* out);
 
 /// Streams a snapshot together without materializing a KnowledgeGraph:
 /// feed the vocabulary in dense-id order, then Build() with a triple

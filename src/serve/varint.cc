@@ -32,50 +32,4 @@ size_t DecodeVarint(const uint8_t* p, const uint8_t* end, uint64_t* out) {
   return 0;  // truncated, or continuation bit set past the 10-byte cap
 }
 
-void EncodeDeltaList(const std::vector<uint64_t>& ids, std::string* out) {
-  AppendVarint(out, ids.size());
-  uint64_t prev = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    AppendVarint(out, i == 0 ? ids[0] : ids[i] - prev);
-    prev = ids[i];
-  }
-}
-
-namespace {
-
-bool DecodeDeltaListImpl(std::string_view bytes,
-                         std::vector<uint64_t>* out) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* end = p + bytes.size();
-  uint64_t count = 0;
-  size_t n = DecodeVarint(p, end, &count);
-  if (n == 0) return false;
-  p += n;
-  // Each element costs at least one byte; a count the payload cannot hold
-  // is rejected up front so a hostile header can't drive a huge reserve.
-  if (count > static_cast<uint64_t>(end - p)) return false;
-  out->reserve(count);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t delta = 0;
-    n = DecodeVarint(p, end, &delta);
-    if (n == 0) return false;
-    p += n;
-    const uint64_t value = (i == 0) ? delta : prev + delta;
-    if (i > 0 && value < prev) return false;  // delta overflowed
-    out->push_back(value);
-    prev = value;
-  }
-  return p == end;  // strict: no trailing garbage
-}
-
-}  // namespace
-
-bool DecodeDeltaList(std::string_view bytes, std::vector<uint64_t>* out) {
-  out->clear();
-  if (DecodeDeltaListImpl(bytes, out)) return true;
-  out->clear();
-  return false;
-}
-
 }  // namespace kg::serve

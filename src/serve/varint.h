@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace kg::serve {
 
@@ -25,17 +23,6 @@ void AppendVarint(std::string* out, uint64_t v);
 /// truncated input, a non-canonical (overlong) encoding, or a value that
 /// would overflow 64 bits. Never reads at or past `end`.
 size_t DecodeVarint(const uint8_t* p, const uint8_t* end, uint64_t* out);
-
-/// Appends the delta encoding of an ascending id list: varint(count),
-/// varint(ids[0]), then varint(ids[i] - ids[i-1]) for the rest. Runs of
-/// equal ids encode as zero deltas (one byte each). Precondition: `ids`
-/// is non-descending.
-void EncodeDeltaList(const std::vector<uint64_t>& ids, std::string* out);
-
-/// Inverse of EncodeDeltaList. Strict: the whole of `bytes` must be
-/// consumed, the count must be consistent, and deltas must not overflow.
-/// Returns false (leaving `*out` cleared) on any violation.
-bool DecodeDeltaList(std::string_view bytes, std::vector<uint64_t>* out);
 
 }  // namespace kg::serve
 

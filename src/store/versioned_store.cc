@@ -815,20 +815,6 @@ Result<serve::QueryResult> VersionedKgStore::Read(const serve::Query& query,
   return result;
 }
 
-std::vector<serve::QueryResult> VersionedKgStore::BatchExecute(
-    const std::vector<serve::Query>& queries, const ExecPolicy& exec) const {
-  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
-  std::vector<serve::QueryResult> results(queries.size());
-  // One pinned epoch + index-addressed slots: the output is a pure
-  // function of (epoch, queries), identical at any thread count.
-  ParallelForChunked(exec, queries.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      results[i] = ExecuteAt(*epoch, queries[i]);
-    }
-  });
-  return results;
-}
-
 VersionedKgStore::CompactionStats VersionedKgStore::Compact() {
   std::optional<PendingFold> fold = PinAndFold();
   if (!fold) return CompactionStats{};  // another fold is running

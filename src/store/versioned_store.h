@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/exec_policy.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "graph/knowledge_graph.h"
@@ -251,13 +250,6 @@ class VersionedKgStore {
   /// with it). This is the reference path Execute is checked against.
   serve::QueryResult ExecuteAt(const StoreEpoch& epoch,
                                const serve::Query& query) const;
-
-  /// Answers `queries[i]` into slot i over one pinned epoch, sharded by
-  /// `exec` with index-addressed slots — bit-identical at any thread
-  /// count (store_property_test pins 1/2/8).
-  std::vector<serve::QueryResult> BatchExecute(
-      const std::vector<serve::Query>& queries,
-      const ExecPolicy& exec = {}) const;
 
   // --- Compaction -------------------------------------------------------
 

@@ -86,13 +86,6 @@ std::string EncodeMutation(const Mutation& m) {
   return out;
 }
 
-Result<Mutation> DecodeMutation(std::string_view payload) {
-  ByteReader reader(payload);
-  KG_ASSIGN_OR_RETURN(Mutation m, TakeMutation(&reader));
-  KG_RETURN_IF_ERROR(reader.ExpectEnd());
-  return m;
-}
-
 Result<std::string> EncodeCommit(std::span<const Mutation> mutations) {
   if (mutations.empty()) {
     return Status::InvalidArgument("a commit holds at least one mutation");

@@ -64,10 +64,6 @@ struct Mutation {
 /// a decoded confidence is bit-identical to the encoded one.
 std::string EncodeMutation(const Mutation& m);
 
-/// Inverts `EncodeMutation`; refuses an op or kind byte out of range, a
-/// field cut short, or trailing bytes.
-Result<Mutation> DecodeMutation(std::string_view payload);
-
 /// One commit as one record payload: a u32 mutation count, then each
 /// mutation as `EncodeMutation` writes it. Refuses (kInvalidArgument) an
 /// empty commit, and one whose record would exceed
@@ -76,8 +72,8 @@ Result<Mutation> DecodeMutation(std::string_view payload);
 Result<std::string> EncodeCommit(std::span<const Mutation> mutations);
 
 /// Inverts `EncodeCommit`: refuses a zero count, a count that runs past
-/// the payload, any mutation `DecodeMutation` would refuse, and trailing
-/// bytes.
+/// the payload, a mutation with an op or kind byte out of range or a
+/// field cut short, and trailing bytes.
 Result<std::vector<Mutation>> DecodeCommit(std::string_view payload);
 
 /// The result of scanning a WAL image: the longest prefix of whole

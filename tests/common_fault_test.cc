@@ -161,16 +161,6 @@ TEST(DegradationReportTest, AggregatesRows) {
   EXPECT_EQ(report.total_retries(), 5u);
   EXPECT_EQ(report.claims_dropped(), 17u);
   EXPECT_EQ(report.claims_corrupted(), 4u);
-  EXPECT_EQ(report.Summary(),
-            "3 sources, 1 quarantined, 5 retries, 17 claims dropped, "
-            "4 corrupted");
-}
-
-TEST(FaultKindTest, AllKindsHaveNames) {
-  EXPECT_STREQ(FaultKindToString(FaultKind::kNone), "none");
-  EXPECT_STREQ(FaultKindToString(FaultKind::kTransient), "transient");
-  EXPECT_STREQ(FaultKindToString(FaultKind::kSlow), "slow");
-  EXPECT_STREQ(FaultKindToString(FaultKind::kTerminal), "terminal");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "common/events.h"
 #include "common/fault.h"
 #include "common/hash.h"
 
@@ -182,87 +181,68 @@ TEST(RetryTest, DrivenByFaultInjectorIsDeterministic) {
   }
 }
 
-// The retry layer's event counters are process-global and monotonic, so
-// the contract is on deltas: each scenario below bumps exactly the
-// counters its decisions imply, no more and no fewer.
-struct RetryEventSnapshot {
-  uint64_t attempts, backoffs, successes, giveups, trips, rejections;
-  static RetryEventSnapshot Take() {
-    const events::ProcessEvents& ev = events::Process();
-    return {ev.retry_attempts.load(),   ev.retry_backoffs.load(),
-            ev.retry_successes.load(),  ev.retry_giveups.load(),
-            ev.breaker_trips.load(),    ev.breaker_rejections.load()};
-  }
-};
-
+// Each scenario's outcome records exactly the decisions it made: the
+// attempts, the backoff time added to virtual_ms (attempts cost 1 ms
+// each here, and NoJitterPolicy backs off 10, 20, 40, 50 ms), and
+// whether the fetch succeeded or gave up.
 TEST(RetryEventsTest, TransientsThenSuccessCountsExactly) {
-  const RetryEventSnapshot before = RetryEventSnapshot::Take();
-  RetryWithBackoff(NoJitterPolicy(), Rng(1), nullptr, [](size_t attempt) {
-    if (attempt < 2) {
-      return AttemptResult{Status::Unavailable("flaky"), 1.0};
-    }
-    return AttemptResult{Status::OK(), 1.0};
-  });
-  const RetryEventSnapshot after = RetryEventSnapshot::Take();
-  EXPECT_EQ(after.attempts - before.attempts, 3u);
-  EXPECT_EQ(after.backoffs - before.backoffs, 2u);
-  EXPECT_EQ(after.successes - before.successes, 1u);
-  EXPECT_EQ(after.giveups - before.giveups, 0u);
-  EXPECT_EQ(after.trips - before.trips, 0u);
-  EXPECT_EQ(after.rejections - before.rejections, 0u);
+  const RetryOutcome out =
+      RetryWithBackoff(NoJitterPolicy(), Rng(1), nullptr, [](size_t attempt) {
+        if (attempt < 2) {
+          return AttemptResult{Status::Unavailable("flaky"), 1.0};
+        }
+        return AttemptResult{Status::OK(), 1.0};
+      });
+  EXPECT_EQ(out.attempts, 3u);
+  EXPECT_EQ(out.retries, 2u);
+  EXPECT_DOUBLE_EQ(out.virtual_ms, 3 * 1.0 + 10.0 + 20.0);  // two backoffs
+  EXPECT_TRUE(out.status.ok());
 }
 
 TEST(RetryEventsTest, ExhaustionIsExactlyOneGiveup) {
   RetryPolicy policy = NoJitterPolicy();
   policy.max_attempts = 3;
-  const RetryEventSnapshot before = RetryEventSnapshot::Take();
-  RetryWithBackoff(policy, Rng(1), nullptr, [](size_t) {
-    return AttemptResult{Status::Unavailable("flaky"), 1.0};
-  });
-  const RetryEventSnapshot after = RetryEventSnapshot::Take();
-  EXPECT_EQ(after.attempts - before.attempts, 3u);
+  const RetryOutcome out =
+      RetryWithBackoff(policy, Rng(1), nullptr, [](size_t) {
+        return AttemptResult{Status::Unavailable("flaky"), 1.0};
+      });
+  EXPECT_EQ(out.attempts, 3u);
   // The last attempt returns without a backoff draw.
-  EXPECT_EQ(after.backoffs - before.backoffs, 2u);
-  EXPECT_EQ(after.successes - before.successes, 0u);
-  EXPECT_EQ(after.giveups - before.giveups, 1u);
+  EXPECT_DOUBLE_EQ(out.virtual_ms, 3 * 1.0 + 10.0 + 20.0);
+  EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
 }
 
 TEST(RetryEventsTest, NonRetriableGivesUpWithoutBackoff) {
-  const RetryEventSnapshot before = RetryEventSnapshot::Take();
-  RetryWithBackoff(NoJitterPolicy(), Rng(1), nullptr, [](size_t) {
-    return AttemptResult{Status::Internal("broken"), 1.0};
-  });
-  const RetryEventSnapshot after = RetryEventSnapshot::Take();
-  EXPECT_EQ(after.attempts - before.attempts, 1u);
-  EXPECT_EQ(after.backoffs - before.backoffs, 0u);
-  EXPECT_EQ(after.giveups - before.giveups, 1u);
+  const RetryOutcome out =
+      RetryWithBackoff(NoJitterPolicy(), Rng(1), nullptr, [](size_t) {
+        return AttemptResult{Status::Internal("broken"), 1.0};
+      });
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_DOUBLE_EQ(out.virtual_ms, 1.0);
+  EXPECT_EQ(out.status.code(), StatusCode::kInternal);
 }
 
 TEST(RetryEventsTest, BreakerTripAndRejectionCountExactly) {
   RetryPolicy policy = NoJitterPolicy();
   policy.max_attempts = 10;
   CircuitBreaker breaker(2);
-  const RetryEventSnapshot before = RetryEventSnapshot::Take();
   // Two failures: the second trips the breaker and the loop gives up.
-  RetryWithBackoff(policy, Rng(1), &breaker, [](size_t) {
+  RetryOutcome out = RetryWithBackoff(policy, Rng(1), &breaker, [](size_t) {
     return AttemptResult{Status::Unavailable("flaky"), 1.0};
   });
-  RetryEventSnapshot after = RetryEventSnapshot::Take();
-  EXPECT_EQ(after.attempts - before.attempts, 2u);
-  EXPECT_EQ(after.backoffs - before.backoffs, 1u);
-  EXPECT_EQ(after.trips - before.trips, 1u);
-  EXPECT_EQ(after.giveups - before.giveups, 1u);
-  EXPECT_EQ(after.rejections - before.rejections, 0u);
-  // An open breaker rejects the next fetch outright: no attempt, one
-  // rejection that also counts as a giveup.
-  RetryWithBackoff(policy, Rng(1), &breaker, [](size_t) {
+  EXPECT_EQ(out.attempts, 2u);
+  EXPECT_DOUBLE_EQ(out.virtual_ms, 2 * 1.0 + 10.0);  // one backoff
+  EXPECT_TRUE(breaker.open());
+  EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
+  // An open breaker rejects the next fetch outright: no attempt, and the
+  // fetch fails.
+  out = RetryWithBackoff(policy, Rng(1), &breaker, [](size_t) {
     return AttemptResult{Status::OK(), 1.0};
   });
-  after = RetryEventSnapshot::Take();
-  EXPECT_EQ(after.attempts - before.attempts, 2u);
-  EXPECT_EQ(after.rejections - before.rejections, 1u);
-  EXPECT_EQ(after.giveups - before.giveups, 2u);
-  EXPECT_EQ(after.trips - before.trips, 1u);
+  EXPECT_EQ(out.attempts, 0u);
+  EXPECT_DOUBLE_EQ(out.virtual_ms, 0.0);
+  EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(breaker.open());
 }
 
 }  // namespace

@@ -46,20 +46,6 @@ TEST(ToLowerTest, AsciiOnly) {
 TEST(StartsEndsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("kgraph", "kg"));
   EXPECT_FALSE(StartsWith("kg", "kgraph"));
-  EXPECT_TRUE(EndsWith("kgraph", "graph"));
-  EXPECT_FALSE(EndsWith("graph", "kgraph"));
-}
-
-TEST(ReplaceAllTest, ReplacesEveryOccurrence) {
-  EXPECT_EQ(ReplaceAll("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(ReplaceAll("aaa", "aa", "b"), "ba");
-  EXPECT_EQ(ReplaceAll("abc", "", "x"), "abc");
-}
-
-TEST(StrFormatTest, FormatsLikePrintf) {
-  EXPECT_EQ(StrFormat("%d/%s/%.2f", 3, "x", 1.5), "3/x/1.50");
-  EXPECT_EQ(StrFormat("%s", std::string(300, 'a').c_str()),
-            std::string(300, 'a'));
 }
 
 TEST(FormatDoubleTest, RespectsDigits) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/exec_policy.h"
 #include "common/fault.h"
 
 namespace kg {
@@ -83,11 +84,12 @@ TEST(ThreadPoolStressTest, ParallelForEdgeSizes) {
 }
 
 TEST(ThreadPoolStressTest, ParallelForChunkedCoversDisjointChunks) {
-  ThreadPool pool(4);
+  ExecPolicy policy = ExecPolicy::WithThreads(4);
+  policy.chunk_size = 64;
   constexpr size_t kN = 10007;  // Prime: exercises the ragged last chunk.
   std::vector<std::atomic<int>> hits(kN);
   std::atomic<size_t> chunks{0};
-  pool.ParallelForChunked(kN, 64, [&](size_t begin, size_t end) {
+  ParallelForChunked(policy, kN, [&](size_t begin, size_t end) {
     ASSERT_LT(begin, end);
     ASSERT_LE(end, kN);
     ASSERT_TRUE(end - begin == 64 || end == kN);
@@ -99,10 +101,10 @@ TEST(ThreadPoolStressTest, ParallelForChunkedCoversDisjointChunks) {
 }
 
 TEST(ThreadPoolStressTest, ParallelForChunkedAutoChunkingAndEdgeSizes) {
-  ThreadPool pool(3);
-  pool.ParallelForChunked(0, 0, [](size_t, size_t) { FAIL(); });
+  const ExecPolicy policy = ExecPolicy::WithThreads(3);
+  ParallelForChunked(policy, 0, [](size_t, size_t) { FAIL(); });
   std::atomic<int> calls{0};
-  pool.ParallelForChunked(1, 0, [&calls](size_t begin, size_t end) {
+  ParallelForChunked(policy, 1, [&calls](size_t begin, size_t end) {
     EXPECT_EQ(begin, 0u);
     EXPECT_EQ(end, 1u);
     calls.fetch_add(1);
@@ -272,9 +274,11 @@ TEST(ThreadPoolStressTest, RepeatedParallelLoopsReuseThePoolSafely) {
   ThreadPool pool(4);
   std::atomic<long> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.ParallelForChunked(257, 0, [&](size_t begin, size_t end) {
-      total.fetch_add(static_cast<long>(end - begin));
-    });
+    ASSERT_TRUE(pool.TryParallelForChunked(257, 0, [&](size_t begin,
+                                                       size_t end) {
+                      total.fetch_add(static_cast<long>(end - begin));
+                      return Status::OK();
+                    }).ok());
   }
   EXPECT_EQ(total.load(), 50L * 257);
 }

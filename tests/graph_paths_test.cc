@@ -64,8 +64,11 @@ TEST_F(PathsTest, NeighborhoodRadii) {
 
 TEST_F(PathsTest, EnumerateFindsCoStarPath) {
   // a2 -> m1 (acted_in) -> a1 (^acted_in): the "co-star" path.
-  const auto counts = EnumerateRelationPaths(kg_, a2_, a1_, 2);
-  EXPECT_TRUE(counts.count("acted_in/^acted_in"));
+  RelationPathCounts counts;
+  EnumerateRelationPaths(kg_, a2_, a1_, 2, 10000, &counts);
+  ASSERT_TRUE(counts.count("acted_in/^acted_in"));
+  EXPECT_EQ(counts.at("acted_in/^acted_in").first,
+            (RelationPath{{acted_, false}, {acted_, true}}));
 }
 
 TEST_F(PathsTest, PathReachProbability) {

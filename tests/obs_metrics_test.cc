@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/events.h"
 #include "obs/json.h"
 
 namespace kg::obs {
@@ -193,38 +192,6 @@ TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsHandles) {
   c.Inc();
   EXPECT_EQ(registry.GetCounter("c").Value(), 1u);
   EXPECT_NE(registry.ToJson().find("\"c\":1"), std::string::npos);
-}
-
-TEST(CaptureProcessEventsTest, MirrorsGlobalCountersAsGaugeDeltas) {
-#ifdef KG_OBS_NOOP
-  GTEST_SKIP() << "instrumentation compiled out under KG_OBS_NOOP";
-#endif
-  // The process counters are global and monotonic; the bridge copies
-  // their instantaneous values, so two captures around a known bump
-  // must differ by exactly that bump.
-  MetricsRegistry registry;
-  CaptureProcessEvents(registry);
-  const int64_t before = registry.GetGauge("events.retry.attempts").Value();
-  EXPECT_GE(before, 0);
-  events::Process().retry_attempts.fetch_add(5, std::memory_order_relaxed);
-  CaptureProcessEvents(registry);
-  EXPECT_EQ(registry.GetGauge("events.retry.attempts").Value(), before + 5);
-  // The full family is present.
-  for (const char* name :
-       {"events.pool.loops", "events.pool.chunks", "events.retry.backoffs",
-        "events.retry.successes", "events.retry.giveups",
-        "events.breaker.trips", "events.breaker.rejections",
-        "events.fault.transient", "events.fault.slow",
-        "events.fault.terminal", "events.fault.truncated_payloads",
-        "events.fault.corrupted_claims"}) {
-    EXPECT_GE(registry.GetGauge(name).Value(), 0) << name;
-  }
-}
-
-TEST(MetricsRegistryTest, DefaultRegistryIsAProcessSingleton) {
-  MetricsRegistry& a = MetricsRegistry::Default();
-  MetricsRegistry& b = MetricsRegistry::Default();
-  EXPECT_EQ(&a, &b);
 }
 
 }  // namespace

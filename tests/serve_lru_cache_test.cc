@@ -166,18 +166,5 @@ TEST(LruCacheTest, CountersExactUnderConcurrentReaders) {
   EXPECT_EQ(c.evictions, 0u);
 }
 
-TEST(LruCacheTest, ClearDropsEntriesKeepsCounters) {
-  ShardedLruCache cache(/*capacity=*/8, /*num_shards=*/2);
-  cache.Put("a", "", Val("A"));
-  EXPECT_TRUE(cache.Get("a", "", nullptr));
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get("a", "", nullptr));
-  EXPECT_EQ(cache.counters().hits, 1u);
-  EXPECT_EQ(cache.counters().misses, 1u);
-  cache.ResetCounters();
-  EXPECT_EQ(cache.counters().hits, 0u);
-}
-
 }  // namespace
 }  // namespace kg::serve

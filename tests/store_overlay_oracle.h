@@ -2,6 +2,7 @@
 // computed from scratch off its (base, delta) and written apart from the
 // store's own resolution, so the store suites can check the runs and the
 // gate a commit extends, a fold rebuilds and a WAL reopen publishes.
+// Also the suites' batch read: a workload answered over one pinned epoch.
 
 #ifndef KGRAPH_TESTS_STORE_OVERLAY_ORACLE_H_
 #define KGRAPH_TESTS_STORE_OVERLAY_ORACLE_H_
@@ -10,6 +11,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/exec_policy.h"
+#include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "store/mem_delta.h"
 #include "store/versioned_store.h"
@@ -49,6 +52,22 @@ inline OverlayRuns RecomputedOverlay(const StoreEpoch& epoch) {
   runs.gate.erase(std::unique(runs.gate.begin(), runs.gate.end()),
                   runs.gate.end());
   return runs;
+}
+
+/// Answers `queries[i]` into slot i over one pinned epoch, sharded by
+/// `exec` with index-addressed slots, so the answers are a pure function
+/// of (epoch, queries) at any thread count.
+inline std::vector<serve::QueryResult> ExecuteBatch(
+    const VersionedKgStore& store, const std::vector<serve::Query>& queries,
+    const ExecPolicy& exec) {
+  const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
+  std::vector<serve::QueryResult> results(queries.size());
+  ParallelForChunked(exec, queries.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      results[i] = store.ExecuteAt(*epoch, queries[i]);
+    }
+  });
+  return results;
 }
 
 }  // namespace kg::store

@@ -7,7 +7,7 @@
 //   2. compaction's output snapshot fingerprint == the fingerprint of a
 //      batch build of the same knowledge, and answers are unchanged by
 //      the fold (including folds in the middle of the stream);
-//   3. BatchExecute is bit-identical at 1/2/8 threads;
+//   3. a batch over one pinned epoch is bit-identical at 1/2/8 threads;
 //   4. the store's knowledge fingerprints identically to the oracle
 //      after every batch;
 //   5. for half the worlds, a store reopened from its WAL alone folds
@@ -393,10 +393,10 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
     }
 
     // Thread-count invariance over the final overlay state.
-    const auto serial = store.BatchExecute(workload, ExecPolicy::Serial());
+    const auto serial = ExecuteBatch(store, workload, ExecPolicy::Serial());
     for (size_t threads : {2u, 8u}) {
-      ASSERT_EQ(store.BatchExecute(workload,
-                                   ExecPolicy::WithThreads(threads)),
+      ASSERT_EQ(ExecuteBatch(store, workload,
+                             ExecPolicy::WithThreads(threads)),
                 serial)
           << "world seed " << seed << ", threads " << threads;
     }
@@ -413,7 +413,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
                                       "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
                               "post-compaction");
-    ASSERT_EQ(store.BatchExecute(workload, ExecPolicy::Serial()), serial)
+    ASSERT_EQ(ExecuteBatch(store, workload, ExecPolicy::Serial()), serial)
         << "compaction changed an answer, world seed " << seed;
 
     if (!options.wal_path.empty()) {

@@ -2,7 +2,8 @@
 // upsert/retract/resurrect semantics, WAL crash recovery (bit-identical
 // state), compaction folding + fingerprint equality with a batch build,
 // the scan-answer cache's generation-tag rule, thread-count-invariant
-// BatchExecute, and the write- and read-path stage histograms.
+// batch reads over one pinned epoch, and the write- and read-path stage
+// histograms.
 
 #include "store/versioned_store.h"
 
@@ -533,9 +534,9 @@ TEST(VersionedStoreTest, BatchExecuteIsThreadCountInvariant) {
                                            NodeKind::kEntity, kProv))
                   .ok());
   const std::vector<Query> workload = ProbeQueries();
-  const auto serial = store->BatchExecute(workload, ExecPolicy::Serial());
+  const auto serial = ExecuteBatch(*store, workload, ExecPolicy::Serial());
   for (size_t threads : {2u, 8u}) {
-    EXPECT_EQ(store->BatchExecute(workload, ExecPolicy::WithThreads(threads)),
+    EXPECT_EQ(ExecuteBatch(*store, workload, ExecPolicy::WithThreads(threads)),
               serial)
         << threads << " threads";
   }

@@ -96,11 +96,12 @@ TEST(WalFuzzTest, MutationEncodeDecodeRoundTripsHostileFields) {
   Rng rng(7001);
   for (int i = 0; i < 2000; ++i) {
     const Mutation m = RandomMutation(rng);
-    const std::string payload = EncodeMutation(m);
-    auto decoded = DecodeMutation(payload);
+    const std::string payload = CommitPayload({m});
+    auto decoded = DecodeCommit(payload);
     ASSERT_TRUE(decoded.ok()) << "iter " << i << ": " << decoded.status();
-    ASSERT_EQ(*decoded, m) << "iter " << i;
-    ASSERT_EQ(EncodeMutation(*decoded), payload) << "iter " << i;
+    ASSERT_EQ(decoded->size(), 1u) << "iter " << i;
+    ASSERT_EQ((*decoded)[0], m) << "iter " << i;
+    ExpectReencodesToItself(payload);
   }
 }
 
@@ -129,9 +130,10 @@ TEST(WalFuzzTest, ConfidenceTravelsAsItsBitPattern) {
                                   NodeKind::kText,
                                   Provenance{"src", 0.0, -1});
     m.prov.confidence = std::bit_cast<double>(bits);
-    auto decoded = DecodeMutation(EncodeMutation(m));
+    auto decoded = DecodeCommit(CommitPayload({m}));
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(std::bit_cast<uint64_t>(decoded->prov.confidence), bits);
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_EQ(std::bit_cast<uint64_t>((*decoded)[0].prov.confidence), bits);
   }
 }
 

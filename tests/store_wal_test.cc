@@ -14,11 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "graph/knowledge_graph.h"
 #include "rpc/frame.h"
 #include "store/versioned_store.h"
@@ -94,14 +96,27 @@ struct TempWal {
   ~TempWal() { std::filesystem::remove(path); }
 };
 
+/// A one-mutation commit payload around `mutation_bytes`: the u32 count
+/// 1, then the bytes as given.
+std::string OneMutationCommit(std::string_view mutation_bytes) {
+  std::string payload;
+  PutU32(&payload, 1);
+  payload += mutation_bytes;
+  return payload;
+}
+
 TEST(WalTest, EncodeDecodeRoundTripsHostileMutations) {
   for (const Mutation& m : SampleMutations()) {
-    const std::string payload = EncodeMutation(m);
-    auto decoded = DecodeMutation(payload);
+    const std::string payload = OneMutationCommit(EncodeMutation(m));
+    auto one = EncodeCommit(std::span<const Mutation>(&m, 1));
+    ASSERT_TRUE(one.ok()) << one.status();
+    EXPECT_EQ(*one, payload);
+    auto decoded = DecodeCommit(payload);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(*decoded, m);
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_EQ((*decoded)[0], m);
     // Determinism: equal mutations encode byte-identically.
-    EXPECT_EQ(EncodeMutation(*decoded), payload);
+    EXPECT_EQ(EncodeMutation((*decoded)[0]), EncodeMutation(m));
   }
   const std::vector<Mutation> all = SampleMutations();
   auto commit = EncodeCommit(all);
@@ -114,19 +129,22 @@ TEST(WalTest, EncodeDecodeRoundTripsHostileMutations) {
 TEST(WalTest, DecodeRejectsMalformedPayloads) {
   const Mutation m = SampleMutations()[0];
   const std::string good = EncodeMutation(m);
-  EXPECT_FALSE(DecodeMutation("").ok());
-  EXPECT_FALSE(DecodeMutation(good.substr(0, good.size() - 1)).ok());
-  EXPECT_FALSE(DecodeMutation(good + "x").ok());
+  ASSERT_TRUE(DecodeCommit(OneMutationCommit(good)).ok());
+  EXPECT_FALSE(DecodeCommit(OneMutationCommit("")).ok());
+  EXPECT_FALSE(
+      DecodeCommit(OneMutationCommit(good.substr(0, good.size() - 1))).ok());
+  EXPECT_FALSE(DecodeCommit(OneMutationCommit(good + "x")).ok());
   std::string bad_op = good;
   bad_op[0] = 2;
-  EXPECT_FALSE(DecodeMutation(bad_op).ok());
+  EXPECT_FALSE(DecodeCommit(OneMutationCommit(bad_op)).ok());
   // The subject kind byte follows the op byte and the subject string.
   std::string bad_kind = good;
   bad_kind[1 + 4 + m.subject.size()] = 3;
-  EXPECT_FALSE(DecodeMutation(bad_kind).ok());
+  EXPECT_FALSE(DecodeCommit(OneMutationCommit(bad_kind)).ok());
   // The text format this codec replaced is refused, not misread.
-  EXPECT_FALSE(
-      DecodeMutation("U\ts\tentity\tp\to\tentity\tsrc\t1\t0").ok());
+  EXPECT_FALSE(DecodeCommit(OneMutationCommit(
+                                "U\ts\tentity\tp\to\tentity\tsrc\t1\t0"))
+                   .ok());
   EXPECT_FALSE(DecodeCommit("").ok());
   EXPECT_FALSE(DecodeCommit(std::string(4, '\0')).ok());  // Zero count.
   EXPECT_FALSE(EncodeCommit({}).ok());
