@@ -12,7 +12,9 @@
 // overlay answers are compared against a from-scratch snapshot rebuild of
 // an oracle KG that applied the same mutations, and the final
 // authoritative fingerprint must equal the oracle's. Any divergence exits
-// non-zero. Emits BENCH_store.json alongside the table report.
+// non-zero. A last table (E28's loop) reports the cost of one commit at a
+// fixed overlay size, with no cache and no WAL; it is a report, not a
+// gate. Emits BENCH_store.json alongside the table report.
 
 #include <algorithm>
 #include <array>
@@ -185,6 +187,81 @@ void ApplyToKg(graph::KnowledgeGraph* kg, const store::Mutation& m) {
   if (!s.ok() || !p.ok() || !o.ok()) return;
   const graph::TripleId id = kg->FindTriple(*s, *p, *o);
   if (id != graph::kInvalidTriple) kg->RemoveTriple(id);
+}
+
+// ---- Fixed-overlay commit table (E28) ---------------------------------
+
+constexpr std::array<size_t, 4> kOverlaySizes = {100, 400, 1000, 2000};
+constexpr size_t kTimedCommits = 1000;
+constexpr size_t kCommitSize = 8;
+
+struct CommitRow {
+  size_t target = 0;        // pool size the overlay is held at
+  size_t delta_size = 0;    // the store's delta_size() after the loop
+  size_t run_entries = 0;   // out-run entries of the last epoch
+  double commit_p50_us = 0.0;
+};
+
+// Single-threaded 8-mutation commits on the fig5 people, with no cache and
+// no WAL. The overlay is held at ~`target` entries by rewriting a fixed
+// pool of the loop's own triples, each rewrite a random state: half are
+// base triples (a retraction shadows one), half `knows` edges, a
+// predicate the base lacks. The pool is committed once untimed, then
+// kTimedCommits commits of random pool entries are timed.
+CommitRow FixedOverlayCommits(const graph::KnowledgeGraph& base_kg,
+                              const synth::EntityUniverse& u, size_t target,
+                              uint64_t seed) {
+  using graph::NodeKind;
+  Rng rng(seed);
+  const std::vector<graph::TripleId> live = base_kg.AllTriples();
+  std::vector<store::Mutation> pool;
+  for (size_t i = 0; i < target; ++i) {
+    if (i % 2 == 0) {
+      const graph::Triple& t = base_kg.triple(live[rng.UniformIndex(live.size())]);
+      pool.push_back(store::Mutation::Retract(
+          base_kg.NodeName(t.subject), base_kg.PredicateName(t.predicate),
+          base_kg.NodeName(t.object), base_kg.GetNodeKind(t.subject),
+          base_kg.GetNodeKind(t.object)));
+    } else {
+      const auto person = [&] {
+        return synth::EntityUniverse::PersonNodeName(
+            u.people()[rng.UniformIndex(u.people().size())].id);
+      };
+      pool.push_back(store::Mutation::Upsert(person(), "knows", person(),
+                                             NodeKind::kEntity,
+                                             NodeKind::kEntity,
+                                             graph::Provenance{"probe", 1.0, 0}));
+    }
+  }
+  const auto with_state = [&](store::Mutation m) {
+    m.op = rng.Bernoulli(0.5) ? store::MutationOp::kUpsert
+                              : store::MutationOp::kRetract;
+    return m;
+  };
+  auto opened = store::VersionedKgStore::Open(base_kg);
+  KG_CHECK_OK(opened.status());
+  store::VersionedKgStore& store = **opened;
+  for (size_t i = 0; i < pool.size(); i += kCommitSize) {
+    const size_t end = std::min(pool.size(), i + kCommitSize);
+    KG_CHECK_OK(store.ApplyBatch(
+        std::vector<store::Mutation>(pool.begin() + i, pool.begin() + end)));
+  }
+  std::vector<double> commit_us;
+  commit_us.reserve(kTimedCommits);
+  for (size_t c = 0; c < kTimedCommits; ++c) {
+    std::vector<store::Mutation> batch;
+    for (size_t i = 0; i < kCommitSize; ++i) {
+      batch.push_back(with_state(pool[rng.UniformIndex(pool.size())]));
+    }
+    WallTimer timer;
+    KG_CHECK_OK(store.ApplyBatch(batch));
+    commit_us.push_back(timer.ElapsedSeconds() * 1e6);
+  }
+  std::nth_element(commit_us.begin(), commit_us.begin() + commit_us.size() / 2,
+                   commit_us.end());
+  return CommitRow{target, store.delta_size(),
+                   store.PinEpoch()->overlay.out.size(),
+                   commit_us[commit_us.size() / 2]};
 }
 
 struct StageRow {
@@ -471,6 +548,30 @@ int main() {
               << "x immutable baseline at 1% writes)\n";
   }
 
+  // ---- Fixed-overlay commit table ---------------------------------------
+  PrintBanner(std::cout,
+              "Commit cost at a fixed overlay size (8-mutation commits, no "
+              "cache, no WAL; a report, not a gate)");
+  std::vector<CommitRow> commit_rows;
+  TablePrinter commit_table(
+      {"target entries", "delta_size", "run entries", "commit p50 us"});
+  for (const size_t target : kOverlaySizes) {
+    commit_rows.push_back(FixedOverlayCommits(base_kg, universe, target,
+                                              2800 + target));
+    const CommitRow& row = commit_rows.back();
+    commit_table.AddRow({std::to_string(row.target),
+                         std::to_string(row.delta_size),
+                         std::to_string(row.run_entries),
+                         FormatDouble(row.commit_p50_us, 1)});
+  }
+  commit_table.Print(std::cout);
+  const double commit_ratio =
+      commit_rows.front().commit_p50_us > 0.0
+          ? commit_rows.back().commit_p50_us / commit_rows.front().commit_p50_us
+          : 0.0;
+  std::cout << "commit p50 at ~2000 entries / at ~100 entries: "
+            << FormatDouble(commit_ratio, 2) << "x\n";
+
   // ---- JSON report -----------------------------------------------------
   {
     std::ostringstream json;
@@ -497,7 +598,18 @@ int main() {
          << ",\"p99_budget\":" << JsonNumber(kP99Budget)
          << ",\"p99_gate\":\"" << (p99_gate_ok ? "ok" : "warn") << "\""
          << ",\"tail_stage_at_1pct\":\"" << tail_stage << "\""
-         << ",\"divergences\":" << total_divergences << "}";
+         << ",\"divergences\":" << total_divergences
+         << ",\"fixed_overlay_commits\":[";
+    for (size_t i = 0; i < commit_rows.size(); ++i) {
+      const CommitRow& row = commit_rows[i];
+      if (i) json << ",";
+      json << "{\"target_entries\":" << row.target
+           << ",\"delta_size\":" << row.delta_size
+           << ",\"run_entries\":" << row.run_entries
+           << ",\"commit_p50_us\":" << JsonNumber(row.commit_p50_us) << "}";
+    }
+    json << "],\"commit_p50_ratio_2000_100\":" << JsonNumber(commit_ratio)
+         << "}";
     const obs::JsonSink sink("store", 42, ExecPolicy::Hardware().num_threads);
     KG_CHECK_OK(sink.WriteFile("BENCH_store.json", json.str()));
   }

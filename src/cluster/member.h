@@ -76,8 +76,9 @@ class ShardMember {
 /// in-process RpcServer that streams that log to subscribed replicas.
 /// Kill() models process death for serving purposes — queries refuse,
 /// the shipping listener refuses dials — while state survives for
-/// Revive(). The log lives in memory only; durability across a real
-/// crash is the replica-WAL story (see ReplicaMember).
+/// Revive(). The store (opened with no WAL) and the log live in memory
+/// only: a primary keeps its history nowhere else, and only a replica's
+/// WAL outlives the process (see ReplicaMember).
 class PrimaryMember : public ShardMember {
  public:
   static Result<std::unique_ptr<PrimaryMember>> Create(

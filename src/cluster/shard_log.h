@@ -15,8 +15,10 @@ namespace kg::cluster {
 
 /// A shard primary's shipping log: the byte-exact WAL image of every
 /// commit the primary has applied, kept in memory for streaming to
-/// replicas (the primary's own durability is its store WAL; this log
-/// exists to be *shipped*). One record per commit, in the WAL's
+/// replicas. A primary's store runs without a WAL, so this log is the
+/// only record of its history and dies with the process; only a
+/// replica's WAL outlives it (ROADMAP items 6 and 7). One record per
+/// commit, in the WAL's
 /// kg::AppendRecord envelope, so a replica that applies each shipped
 /// record as one commit writes a local WAL byte-identical to the
 /// primary's log prefix — which is why a replica's persisted resume

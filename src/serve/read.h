@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -22,58 +23,66 @@ using NodeKey = std::pair<graph::NodeKind, std::string_view>;
 /// An edge walk's direction, seen from the walked node.
 enum class Direction { kOut, kIn };
 
-/// Restricts a walk to one predicate: `name` filters the edges a view
-/// reports by name, and `id` — its base id, kInvalidNode when the base
-/// lacks it — bounds the base row to that predicate's run.
-struct OnePredicate {
-  std::string_view name;
-  PredicateId id;
-};
+/// Restricts a walk to one predicate id; nullopt walks every predicate.
+using OnlyPredicate = std::optional<PredicateId>;
 
 // ---- Views ----------------------------------------------------------------
 //
-// Each query class is written once, below, over a *view*: a base snapshot
-// plus an edge walk. A view `v` provides
+// Each query class is written once, below, over a *view*: an id space of
+// nodes and predicates plus an edge walk over it. A view `v` provides
 //
-//   v.base           the KgSnapshot that base ids index;
-//   v.BaseId(n)      NodeKey n's base id, kInvalidNode when the base lacks
-//                    it;
-//   v.Only(name)     the OnePredicate for `name`;
-//   v.ForEachEdge(id, n, dir, only, on_base, on_overlay)
-//                    visits each live `dir` edge of node n (base id `id`,
-//                    or kInvalidNode) exactly once, under `only`'s
-//                    predicate when non-null. An edge whose three parts
-//                    the base names goes to on_base(predicate id, far id),
-//                    in (predicate, far id) order; an edge with a part only
-//                    an overlay names goes to on_overlay(predicate name,
-//                    far NodeKey), whose views outlive the read.
+//   v.FindNode(n)       NodeKey n's id, kInvalidNode when the view lacks it;
+//   v.FindPredicate(p)  predicate p's id, kInvalidNode when it lacks it;
+//   v.NodeName(id), v.NodeKindOf(id), v.PredicateName(id)
+//                       the names of its ids, viewing into storage that
+//                       outlives the read;
+//   v.num_nodes()       one past its largest node id;
+//   v.num_base_nodes()  ids below it number nodes in (kind, name) order,
+//                       so two of them compare as integers; ids at or past
+//                       it come in no name order;
+//   v.DegreeHint(id)    a reserve hint for node id's edges, both
+//                       directions;
+//   v.ForEachEdge(id, dir, only, fn)
+//                       calls fn(predicate id, far id) once for each live
+//                       `dir` edge of node `id`, only under predicate
+//                       `*only` when set, in no promised order. A node or
+//                       predicate of kInvalidNode has no edges.
 //
+// The bodies read ids only, and sort whatever rows come out of byte order.
 // The view is a template parameter, not a virtual interface: a call per
 // edge would cost the scan classes. SnapshotView is the immutable engine's;
-// the versioned store's MergedView merges an epoch's overlay into the rows.
+// a versioned store's StoreEpoch merges its overlay into the rows.
 
-/// The snapshot's CSR rows and nothing else: every edge is a base edge.
+/// The snapshot's CSR rows and nothing else.
 struct SnapshotView {
   const KgSnapshot& base;
 
-  NodeId BaseId(const NodeKey& n) const {
+  NodeId FindNode(const NodeKey& n) const {
     return base.FindNode(n.second, n.first);
   }
-
-  OnePredicate Only(std::string_view name) const {
-    return OnePredicate{name, base.FindPredicate(name)};
+  PredicateId FindPredicate(std::string_view name) const {
+    return base.FindPredicate(name);
+  }
+  std::string_view NodeName(NodeId id) const { return base.NodeName(id); }
+  graph::NodeKind NodeKindOf(NodeId id) const { return base.NodeKindOf(id); }
+  std::string_view PredicateName(PredicateId id) const {
+    return base.PredicateName(id);
+  }
+  size_t num_nodes() const { return base.num_nodes(); }
+  size_t num_base_nodes() const { return base.num_nodes(); }
+  size_t DegreeHint(NodeId id) const {
+    return base.OutDegree(id) + base.InDegree(id);
   }
 
-  template <typename OnBase, typename OnOverlay>
-  void ForEachEdge(NodeId id, const NodeKey& /*n*/, Direction dir,
-                   const OnePredicate* only, const OnBase& on_base,
-                   const OnOverlay& /*on_overlay*/) const {
-    if (only != nullptr && only->id == kInvalidNode) return;
+  template <typename Fn>
+  void ForEachEdge(NodeId id, Direction dir, OnlyPredicate only,
+                   const Fn& fn) const {
+    if (only == kInvalidNode) return;
     for (const KgSnapshot::Edge& e :
          dir == Direction::kOut ? base.OutEdges(id) : base.InEdges(id)) {
-      if (only != nullptr && e.first < only->id) continue;
-      if (only != nullptr && e.first > only->id) break;
-      on_base(e.first, e.second);
+      if (only && e.first < *only) continue;
+      if (only && e.first > *only) break;
+      fn(e.first, e.second);
     }
   }
 };
@@ -82,7 +91,8 @@ struct SnapshotView {
 /// `counts[id]` is its shared-neighbour count. Keeps the `k` best by
 /// count, descending, then by name, ascending, best first. Two ids below
 /// `by_id` compare as integers, since snapshot ids number entities in
-/// name order; a pair with an id at or past it compares `name_of(id)`.
+/// name order; a pair with an id at or past it (an overlay's, or one only
+/// the request names) compares `name_of(id)`.
 template <typename NameOf>
 void KeepTopK(std::vector<NodeId>* scored, const std::vector<uint32_t>& counts,
               size_t k, NodeId by_id, const NameOf& name_of) {
@@ -138,23 +148,24 @@ struct RingHop {
 };
 
 /// Top-k's counting step, written once for the single-store top-k and a
-/// cluster member's share of a routed one. Counting runs in id space:
-/// base nodes keep their snapshot ids, and nodes only an overlay or the
-/// request names get local ids past the base's, so names are read only
-/// for tie-breaks that involve such a node and for the k answers.
+/// cluster member's share of a routed one. Counting runs in the view's id
+/// space; only names the request brings that the view lacks (a routed
+/// top-k's ring and hop names from other shards) get local ids past it,
+/// so names are read only for tie-breaks past num_base_nodes() and for
+/// the k answers.
 template <typename View>
 class RingCounter {
  public:
   explicit RingCounter(const View& view)
       : view_(view),
-        base_n_(static_cast<uint32_t>(view.base.num_nodes())),
-        counts_(base_n_) {}
+        view_n_(static_cast<uint32_t>(view.num_nodes())),
+        counts_(view_n_) {}
 
   uint32_t LocalId(const NodeKey& n) {
-    const NodeId id = view_.BaseId(n);
+    const NodeId id = view_.FindNode(n);
     if (id != kInvalidNode) return id;
     const auto [it, inserted] = extra_ids_.emplace(
-        n, base_n_ + static_cast<uint32_t>(extra_.size()));
+        n, view_n_ + static_cast<uint32_t>(extra_.size()));
     if (inserted) {
       extra_.push_back(n);
       counts_.push_back(0);
@@ -164,24 +175,18 @@ class RingCounter {
 
   /// Sorted-unique local ids adjacent to `id` over its `dirs` walks, plus
   /// the entity of every hop in `hops`: several predicates between one
-  /// pair are one adjacency. A base id past the node count can only come
-  /// from a corrupt row, and is dropped.
+  /// pair are one adjacency. An id past the view's can only come from a
+  /// corrupt row, and is dropped.
   std::vector<uint32_t> Adjacent(uint32_t id, std::span<const Direction> dirs,
                                  std::span<const RingHop> hops = {}) {
-    const NodeId base_id = id < base_n_ ? id : kInvalidNode;
-    const NodeKey n{KindOf(id), NameOf(id)};
     std::vector<uint32_t> out;
-    out.reserve(view_.base.OutDegree(base_id) + view_.base.InDegree(base_id) +
-                hops.size());
-    for (const Direction dir : dirs) {
-      view_.ForEachEdge(
-          base_id, n, dir, nullptr,
-          [&](PredicateId, NodeId m) {
-            if (m < base_n_) out.push_back(m);
-          },
-          [&](std::string_view, const NodeKey& m) {
-            out.push_back(LocalId(m));
-          });
+    if (id < view_n_) {
+      out.reserve(view_.DegreeHint(id) + hops.size());
+      for (const Direction dir : dirs) {
+        view_.ForEachEdge(id, dir, std::nullopt, [&](PredicateId, NodeId m) {
+          if (m < view_n_) out.push_back(m);
+        });
+      }
     }
     for (const RingHop& hop : hops) {
       out.push_back(LocalId(NodeKey{graph::NodeKind::kEntity, hop.m}));
@@ -209,27 +214,26 @@ class RingCounter {
         if (counts_[m]++ == 0) scored.push_back(m);
       }
     }
-    KeepTopK(&scored, counts_, k, base_n_,
+    KeepTopK(&scored, counts_, k,
+             static_cast<NodeId>(view_.num_base_nodes()),
              [&](uint32_t id) { return NameOf(id); });
     return scored;
   }
 
   graph::NodeKind KindOf(uint32_t id) const {
-    return id < base_n_ ? view_.base.NodeKindOf(id)
-                        : extra_[id - base_n_].first;
+    return id < view_n_ ? view_.NodeKindOf(id) : extra_[id - view_n_].first;
   }
   std::string_view NameOf(uint32_t id) const {
-    return id < base_n_ ? view_.base.NodeName(id)
-                        : extra_[id - base_n_].second;
+    return id < view_n_ ? view_.NodeName(id) : extra_[id - view_n_].second;
   }
-  /// One count per local id: size() == base node count + extra ids.
+  /// One count per local id: size() == the view's node count + extra ids.
   const std::vector<uint32_t>& counts() const { return counts_; }
 
  private:
   const View& view_;
-  const uint32_t base_n_;
+  const uint32_t view_n_;
   std::map<NodeKey, uint32_t> extra_ids_;
-  std::vector<NodeKey> extra_;  // extra_[id - base_n_]
+  std::vector<NodeKey> extra_;  // extra_[id - view_n_]
   std::vector<uint32_t> counts_;
 };
 
@@ -243,44 +247,32 @@ inline constexpr Direction kBothDirections[] = {Direction::kOut,
 template <typename View>
 QueryResult ReadPointLookup(const View& view, const Query& q) {
   QueryResult rows;
-  const NodeKey s{q.node_kind, q.node};
-  const OnePredicate only = view.Only(q.predicate);
-  view.ForEachEdge(
-      view.BaseId(s), s, Direction::kOut, &only,
-      [&](PredicateId, NodeId o) {
-        rows.push_back(
-            RenderNodeName(view.base.NodeName(o), view.base.NodeKindOf(o)));
-      },
-      [&](std::string_view, const NodeKey& o) {
-        rows.push_back(RenderNodeName(o.second, o.first));
-      });
+  view.ForEachEdge(view.FindNode(NodeKey{q.node_kind, q.node}),
+                   Direction::kOut, view.FindPredicate(q.predicate),
+                   [&](PredicateId, NodeId o) {
+                     rows.push_back(RenderNodeName(view.NodeName(o),
+                                                   view.NodeKindOf(o)));
+                   });
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
 template <typename View>
 QueryResult ReadNeighborhood(const View& view, const Query& q) {
-  const KgSnapshot& base = view.base;
-  const NodeKey c{q.node_kind, q.node};
-  const NodeId id = view.BaseId(c);
+  const NodeId id = view.FindNode(NodeKey{q.node_kind, q.node});
   QueryResult rows;
-  rows.reserve(base.OutDegree(id) + base.InDegree(id));
-  // In-rows first: "in" sorts before "out", and base rows come in
-  // (predicate id, node id) order, which is byte order unless kinds mix,
-  // a name byte sorts below '\t' or an overlay adds rows; only then does
-  // it sort.
+  rows.reserve(view.DegreeHint(id));
+  // In-rows first: "in" sorts before "out", and snapshot rows come in
+  // (predicate id, node id) order, which is byte order unless kinds mix, a
+  // name byte sorts below '\t' or an overlay adds rows; only then does it
+  // sort.
   for (const Direction dir : {Direction::kIn, Direction::kOut}) {
     const std::string_view tag = dir == Direction::kOut ? "out" : "in";
-    view.ForEachEdge(
-        id, c, dir, nullptr,
-        [&](PredicateId p, NodeId m) {
-          rows.push_back(RenderNeighborhoodRow(tag, base.PredicateName(p),
-                                               base.NodeName(m),
-                                               base.NodeKindOf(m)));
-        },
-        [&](std::string_view p, const NodeKey& m) {
-          rows.push_back(RenderNeighborhoodRow(tag, p, m.second, m.first));
-        });
+    view.ForEachEdge(id, dir, std::nullopt, [&](PredicateId p, NodeId m) {
+      rows.push_back(RenderNeighborhoodRow(tag, view.PredicateName(p),
+                                           view.NodeName(m),
+                                           view.NodeKindOf(m)));
+    });
   }
   if (!std::is_sorted(rows.begin(), rows.end())) {
     std::sort(rows.begin(), rows.end());
@@ -290,38 +282,24 @@ QueryResult ReadNeighborhood(const View& view, const Query& q) {
 
 template <typename View>
 QueryResult ReadAttributeByType(const View& view, const Query& q) {
-  const KgSnapshot& base = view.base;
-  const OnePredicate type_only = view.Only(q.type_predicate);
-  const OnePredicate attr_only = view.Only(q.predicate);
+  const PredicateId attr = view.FindPredicate(q.predicate);
   QueryResult rows;
-  const auto member_rows = [&](NodeId id, const NodeKey& m) {
-    view.ForEachEdge(
-        id, m, Direction::kOut, &attr_only,
-        [&](PredicateId, NodeId o) {
-          rows.push_back(RenderAttributeRow(m.second, m.first,
-                                            base.NodeName(o),
-                                            base.NodeKindOf(o)));
-        },
-        [&](std::string_view, const NodeKey& o) {
-          rows.push_back(RenderAttributeRow(m.second, m.first, o.second,
-                                            o.first));
-        });
-  };
-  // The members are the class's in-edges under the type predicate. One an
-  // overlay adds may still be a base node, with base attribute edges.
-  const NodeKey cls{graph::NodeKind::kClass, q.type_name};
+  // The members are the class's in-edges under the type predicate.
   view.ForEachEdge(
-      view.BaseId(cls), cls, Direction::kIn, &type_only,
+      view.FindNode(NodeKey{graph::NodeKind::kClass, q.type_name}),
+      Direction::kIn, view.FindPredicate(q.type_predicate),
       [&](PredicateId, NodeId s) {
-        member_rows(s, NodeKey{base.NodeKindOf(s), base.NodeName(s)});
-      },
-      [&](std::string_view, const NodeKey& m) {
-        member_rows(view.BaseId(m), m);
+        const std::string_view name = view.NodeName(s);
+        const graph::NodeKind kind = view.NodeKindOf(s);
+        view.ForEachEdge(s, Direction::kOut, attr, [&](PredicateId, NodeId o) {
+          rows.push_back(RenderAttributeRow(name, kind, view.NodeName(o),
+                                            view.NodeKindOf(o)));
+        });
       });
-  // Base rows come in (subject id, object id) order. That is byte order
-  // unless kinds mix (ids order E < T < C, tags C < E < T), one member's
-  // name is a prefix of another's followed by a byte below '\t', or an
-  // overlay adds rows; only then does it sort.
+  // Snapshot rows come in (subject id, object id) order. That is byte
+  // order unless kinds mix (ids order E < T < C, tags C < E < T), one
+  // member's name is a prefix of another's followed by a byte below '\t',
+  // or an overlay adds rows; only then does it sort.
   if (!std::is_sorted(rows.begin(), rows.end())) {
     std::sort(rows.begin(), rows.end());
   }

@@ -13,14 +13,11 @@ MemDelta::State StateOf(const Mutation& m) {
 
 void MemDelta::Apply(const Mutation& m, uint64_t seq) {
   const Entry entry{StateOf(m), seq};
-  const auto it = by_subject_.find(TripleView::Of(m));
-  if (it != by_subject_.end()) {
+  if (const auto it = by_subject_.find(TripleView::Of(m));
+      it != by_subject_.end()) {
     it->second = entry;
-    by_object_.find(TripleView::Of(m))->second = entry;
   } else {
-    const TripleName name = TripleName::Of(m);
-    by_subject_.emplace(name, entry);
-    by_object_.emplace(name, entry);
+    by_object_.insert(&*by_subject_.emplace(TripleName::Of(m), entry).first);
   }
 }
 
@@ -41,16 +38,17 @@ bool MemDelta::TouchesObject(graph::NodeKind kind,
                              std::string_view name) const {
   const auto it = by_object_.lower_bound(
       TripleView(graph::NodeKind::kEntity, {}, {}, kind, name));
-  return it != by_object_.end() && it->first.object_kind == kind &&
-         it->first.object == name;
+  return it != by_object_.end() && (*it)->first.object_kind == kind &&
+         (*it)->first.object == name;
 }
 
 void MemDelta::TrimThrough(uint64_t seq) {
+  // The object index first: its pointers name by_subject_'s nodes.
+  for (auto it = by_object_.begin(); it != by_object_.end();) {
+    it = (*it)->second.seq <= seq ? by_object_.erase(it) : std::next(it);
+  }
   for (auto it = by_subject_.begin(); it != by_subject_.end();) {
     it = it->second.seq <= seq ? by_subject_.erase(it) : std::next(it);
-  }
-  for (auto it = by_object_.begin(); it != by_object_.end();) {
-    it = it->second.seq <= seq ? by_object_.erase(it) : std::next(it);
   }
 }
 

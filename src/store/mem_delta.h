@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -55,24 +55,31 @@ struct TripleView {
   }
 };
 
-/// The in-memory overlay of mutations not yet folded into the base
-/// snapshot. Each touched triple carries its *final* state (last op in
-/// log order wins) plus the sequence number of that op, so:
-///   - query-time merges shadow the base with one ordered-map probe
-///     (kRetracted hides a base triple, kUpserted surfaces a new one);
+/// The store writer's index of mutations not yet folded into the base
+/// snapshot, keyed by name. Each touched triple carries its *final* state
+/// (last op in log order wins) plus the sequence number of that op, so:
+///   - a commit reads each batch triple's final state with one probe
+///     (kRetracted hides a base triple, kUpserted surfaces a new one) and
+///     resolves it into the epoch's id-space runs;
 ///   - compaction can fold everything through sequence S into a new base
 ///     and keep only entries whose last op is newer — an entry's state
 ///     shadows any base correctly regardless of where the fold line
 ///     falls.
 ///
 /// Ordered (subject-major, plus an object-major index for in-edge walks)
-/// so iteration order — and everything derived from it, e.g. merged
-/// query answers — is a pure function of content. Probes and walks take
-/// borrowed names and a callable, and allocate nothing. Not internally
-/// synchronized: the store publishes deltas as immutable copy-on-write
-/// snapshots behind an epoch swap.
+/// so iteration order is a pure function of content. Probes and walks
+/// take borrowed names and a callable, and allocate nothing. Not
+/// internally synchronized, and not copyable (the object index points
+/// into the subject index): the store updates its one index in place
+/// under the writer lock, and readers never see it.
 class MemDelta {
  public:
+  MemDelta() = default;
+  MemDelta(const MemDelta&) = delete;
+  MemDelta& operator=(const MemDelta&) = delete;
+  MemDelta(MemDelta&&) = default;
+  MemDelta& operator=(MemDelta&&) = default;
+
   enum class State : uint8_t {
     kUntouched = 0,  ///< The overlay says nothing; the base decides.
     kUpserted = 1,   ///< Present regardless of the base.
@@ -97,21 +104,18 @@ class MemDelta {
   bool TouchesObject(graph::NodeKind kind, std::string_view name) const;
 
   /// Calls `fn(const TripleName&, const Entry&)` for the entries with
-  /// the given subject, in (predicate, object_kind, object) order — only
-  /// those under `predicate` when it is set. The TripleName is the
-  /// stored key: a caller may view into it while the delta lives.
+  /// the given subject, in (predicate, object_kind, object) order. The
+  /// TripleName is the stored key: a caller may view into it while the
+  /// entry lives.
   template <typename Fn>
   void ForEachBySubject(graph::NodeKind kind, std::string_view name,
-                        std::optional<std::string_view> predicate,
                         const Fn& fn) const {
-    // kEntity and "" are the smallest kind and name, so the probe sorts
+    // kEntity and "" are the smallest kind and names, so the probe sorts
     // first among the entries it bounds.
     for (auto it = by_subject_.lower_bound(
-             TripleView(kind, name, predicate.value_or(std::string_view()),
-                        graph::NodeKind::kEntity, {}));
+             TripleView(kind, name, {}, graph::NodeKind::kEntity, {}));
          it != by_subject_.end() && it->first.subject_kind == kind &&
-         it->first.subject == name &&
-         (!predicate || it->first.predicate == *predicate);
+         it->first.subject == name;
          ++it) {
       fn(it->first, it->second);
     }
@@ -121,16 +125,13 @@ class MemDelta {
   /// (predicate, subject_kind, subject) order.
   template <typename Fn>
   void ForEachByObject(graph::NodeKind kind, std::string_view name,
-                       std::optional<std::string_view> predicate,
                        const Fn& fn) const {
     for (auto it = by_object_.lower_bound(
-             TripleView(graph::NodeKind::kEntity, {},
-                        predicate.value_or(std::string_view()), kind, name));
-         it != by_object_.end() && it->first.object_kind == kind &&
-         it->first.object == name &&
-         (!predicate || it->first.predicate == *predicate);
+             TripleView(graph::NodeKind::kEntity, {}, {}, kind, name));
+         it != by_object_.end() && (*it)->first.object_kind == kind &&
+         (*it)->first.object == name;
          ++it) {
-      fn(it->first, it->second);
+      fn((*it)->first, (*it)->second);
     }
   }
 
@@ -159,21 +160,30 @@ class MemDelta {
                                            b.object);
     }
   };
-  /// (object_kind, object, predicate, subject_kind, subject) order.
+  using Entries = std::map<TripleName, Entry, SubjectMajor>;
+  /// An entry of by_subject_: its node never moves while the entry lives.
+  using EntryRef = const Entries::value_type*;
+  /// (object_kind, object, predicate, subject_kind, subject) order, over
+  /// entries and probes alike.
   struct ObjectMajor {
     using is_transparent = void;
-    bool operator()(const TripleView& a, const TripleView& b) const {
-      return std::tie(a.object_kind, a.object, a.predicate, a.subject_kind,
-                      a.subject) < std::tie(b.object_kind, b.object,
-                                            b.predicate, b.subject_kind,
-                                            b.subject);
+    static TripleView Key(EntryRef e) { return e->first; }
+    static TripleView Key(const TripleView& t) { return t; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const TripleView x = Key(a);
+      const TripleView y = Key(b);
+      return std::tie(x.object_kind, x.object, x.predicate, x.subject_kind,
+                      x.subject) < std::tie(y.object_kind, y.object,
+                                            y.predicate, y.subject_kind,
+                                            y.subject);
     }
   };
 
-  // Entries are duplicated (by value) across both maps so the default
-  // copy — the store's copy-on-write publish — stays trivially correct.
-  std::map<TripleName, Entry, SubjectMajor> by_subject_;
-  std::map<TripleName, Entry, ObjectMajor> by_object_;
+  Entries by_subject_;
+  /// The same entries by object, as pointers: each name and state is
+  /// stored once.
+  std::set<EntryRef, ObjectMajor> by_object_;
 };
 
 }  // namespace kg::store

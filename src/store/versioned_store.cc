@@ -19,8 +19,8 @@ namespace kg::store {
 namespace {
 
 /// An owned (kind, name) node address: what the commit path's adjacency
-/// walk (MergedView::AdjacentNodes) collects, since snapshot ids are
-/// epoch-local and the generation tags it feeds are keyed by name.
+/// walk (AdjacentNodes) collects, since the generation tags it feeds are
+/// keyed by name.
 using NodeRef = std::pair<graph::NodeKind, std::string>;
 
 std::string Render(const serve::NodeKey& n) {
@@ -44,57 +44,22 @@ std::optional<std::array<uint32_t, 3>> FindBaseTriple(
   return std::array<uint32_t, 3>{s, p, o};
 }
 
-/// `a` (sorted, unique) ∪ `b`, sorted and unique: a commit's extension of
-/// the epoch's gate, O(|a| + |b| log |b|).
-std::vector<serve::NodeId> UnionSorted(const std::vector<serve::NodeId>& a,
-                                       std::vector<serve::NodeId> b) {
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  std::vector<serve::NodeId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 /// A run entry's sort key: (walked node, predicate, far node).
 std::tuple<uint32_t, uint32_t, uint32_t> RunKey(const OverlayEdge& e) {
   return {e.node, e.predicate, e.far};
 }
 
-/// One overlay triple whose three parts the base names, resolved: its
-/// out-run entry, and whether the runs keep it at all (an upsert the base
-/// already holds, or a retraction of a triple it lacks, changes nothing).
+/// One overlay triple in id space: its out-run entry, and whether the runs
+/// keep it at all (an upsert the base already holds, or a retraction of a
+/// triple it lacks, changes nothing).
 struct RunChange {
   OverlayEdge edge;
   bool kept = false;
 };
 
-/// Resolves the overlay's verdict `state` on `t` against `base`: a run
-/// change when the base names all three parts, else the base endpoints
-/// join the gate.
-void Resolve(const serve::KgSnapshot& base, const TripleView& t,
-             MemDelta::State state, std::vector<RunChange>* changes,
-             std::vector<serve::NodeId>* gate) {
-  const serve::NodeId s = base.FindNode(t.subject, t.subject_kind);
-  const serve::PredicateId p = base.FindPredicate(t.predicate);
-  const serve::NodeId o = base.FindNode(t.object, t.object_kind);
-  if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
-      o == serve::kInvalidNode) {
-    if (s != serve::kInvalidNode) gate->push_back(s);
-    if (o != serve::kInvalidNode) gate->push_back(o);
-    return;
-  }
-  const bool in_base = base.HasTriple(s, p, o);
-  const bool added = state == MemDelta::State::kUpserted && !in_base;
-  const bool retracted = state == MemDelta::State::kRetracted && in_base;
-  changes->push_back(
-      RunChange{OverlayEdge{s, p, o, added}, added || retracted});
-}
-
 /// `run` with `changes` applied: a changed triple's old entry goes, and
 /// its new one comes in when kept. Duplicates in `changes` name one
-/// triple with one verdict (the delta's final state), so any one stands.
+/// triple with one verdict (the index's final state), so any one stands.
 std::vector<OverlayEdge> ApplyToRun(const std::vector<OverlayEdge>& run,
                                     std::vector<RunChange> changes) {
   std::sort(changes.begin(), changes.end(),
@@ -126,11 +91,10 @@ std::vector<OverlayEdge> ApplyToRun(const std::vector<OverlayEdge>& run,
   return out;
 }
 
-/// `prev` — runs over the same base — with `changes` (out-run order) and
-/// the `gate` additions applied to both directions.
+/// `prev`, runs in the same id space, with `changes` (out-run order)
+/// applied to both directions.
 OverlayRuns ExtendOverlay(const OverlayRuns& prev,
-                          std::vector<RunChange> changes,
-                          std::vector<serve::NodeId> gate) {
+                          std::vector<RunChange> changes) {
   std::vector<RunChange> in_changes;
   in_changes.reserve(changes.size());
   for (const RunChange& c : changes) {
@@ -138,233 +102,258 @@ OverlayRuns ExtendOverlay(const OverlayRuns& prev,
         OverlayEdge{c.edge.far, c.edge.predicate, c.edge.node, c.edge.added},
         c.kept});
   }
-  OverlayRuns next;
-  next.out = ApplyToRun(prev.out, std::move(changes));
-  next.in = ApplyToRun(prev.in, std::move(in_changes));
-  next.gate = UnionSorted(prev.gate, std::move(gate));
-  return next;
+  return OverlayRuns{ApplyToRun(prev.out, std::move(changes)),
+                     ApplyToRun(prev.in, std::move(in_changes))};
 }
 
-/// The runs of (base, delta) from scratch — what compaction publishes,
-/// since a fold renumbers the base.
-OverlayRuns ResolveOverlay(const serve::KgSnapshot& base,
-                           const MemDelta& delta) {
-  std::vector<RunChange> changes;
-  std::vector<serve::NodeId> gate;
-  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-    Resolve(base, t, e.state, &changes, &gate);
-  });
-  return ExtendOverlay({}, std::move(changes), std::move(gate));
+/// `n`'s id over `base` and the overlay `names` past it, kInvalidNode when
+/// neither names it.
+serve::NodeId FindNodeIn(const serve::KgSnapshot& base,
+                         const OverlayNames& names, const serve::NodeKey& n) {
+  if (const serve::NodeId id = base.FindNode(n.second, n.first);
+      id != serve::kInvalidNode) {
+    return id;
+  }
+  const uint32_t i = names.FindNode(n);
+  return i == serve::kInvalidNode
+             ? serve::kInvalidNode
+             : static_cast<serve::NodeId>(base.num_nodes() + i);
 }
 
-/// The endpoint of `t` across from the node a `dir` walk visits.
-serve::NodeKey FarEnd(const TripleName& t, serve::Direction dir) {
-  return dir == serve::Direction::kOut
-             ? serve::NodeKey{t.object_kind, t.object}
-             : serve::NodeKey{t.subject_kind, t.subject};
+serve::PredicateId FindPredicateIn(const serve::KgSnapshot& base,
+                                   const OverlayNames& names,
+                                   std::string_view name) {
+  if (const serve::PredicateId id = base.FindPredicate(name);
+      id != serve::kInvalidNode) {
+    return id;
+  }
+  const uint32_t i = names.FindPredicate(name);
+  return i == serve::kInvalidNode
+             ? serve::kInvalidNode
+             : static_cast<serve::PredicateId>(base.num_predicates() + i);
 }
 
-/// One epoch's worth of read state, as a serve/read.h view: a base
-/// snapshot plus the overlay that shadows it. The query bodies read
-/// through it (ExecuteAt), and store_property_test checks that they
-/// answer exactly like QueryEngine over a from-scratch rebuild at the
-/// same version.
-struct MergedView {
-  const serve::KgSnapshot& base;
-  const MemDelta& delta;
-  /// The epoch's overlay in base ids (StoreEpoch::overlay); borrowed, so
-  /// a view costs nothing to set up.
-  const OverlayRuns& overlay;
+/// The next epoch's overlay while a commit, a fold's install or WAL
+/// recovery resolves triples into it: each triple's parts are looked up in
+/// the base, then in the names so far, and an upsert gives the names
+/// neither holds the next ids, appended to the lineage's `storage`. The
+/// names are copied from `prev` on the first name added, so a commit that
+/// adds none shares its predecessor's.
+class OverlayDraft {
+ public:
+  OverlayDraft(const serve::KgSnapshot& base,
+               std::shared_ptr<const OverlayNames> prev,
+               std::deque<std::string>* storage)
+      : base_(base),
+        base_n_(static_cast<uint32_t>(base.num_nodes())),
+        base_p_(static_cast<uint32_t>(base.num_predicates())),
+        prev_(std::move(prev)),
+        storage_(storage) {}
 
-  explicit MergedView(const StoreEpoch& epoch)
-      : base(*epoch.base), delta(*epoch.delta), overlay(epoch.overlay) {}
-
-  bool Gated(serve::NodeId id) const {
-    return std::binary_search(overlay.gate.begin(), overlay.gate.end(), id);
-  }
-
-  bool Retracted(const TripleView& t) const {
-    return delta.Lookup(t) == MemDelta::State::kRetracted;
-  }
-
-  serve::NodeId BaseId(const serve::NodeKey& n) const {
-    return base.FindNode(n.second, n.first);
-  }
-
-  /// `name` resolved against the base, once for every walk of one read.
-  serve::OnePredicate Only(std::string_view name) const {
-    return serve::OnePredicate{name, base.FindPredicate(name)};
-  }
-
-  /// Sorted-unique nodes adjacent to `n` over live merged edges, either
-  /// direction (multiple predicates between a pair collapse to one
-  /// adjacency). The commit path's walk (BumpsOf), kept apart from
-  /// ForEachEdge on purpose: it probes every edge of a touched node by
-  /// name, and moving commits onto the id-space walk halves their overlay
-  /// merge, which shifts the ingest/read balance `ingest_serve` measures
-  /// (E29).
-  std::vector<NodeRef> AdjacentNodes(const NodeRef& n) const {
-    std::vector<NodeRef> out;
-    const serve::NodeId n_id = base.FindNode(n.second, n.first);
-    const bool touches_s = delta.TouchesSubject(n.first, n.second);
-    const bool touches_o = delta.TouchesObject(n.first, n.second);
-    if (n_id != serve::kInvalidNode) {
-      for (const serve::KgSnapshot::Edge& e : base.OutEdges(n_id)) {
-        if (touches_s &&
-            Retracted(TripleView(n.first, n.second,
-                                 base.PredicateName(e.first),
-                                 base.NodeKindOf(e.second),
-                                 base.NodeName(e.second)))) {
-          continue;
-        }
-        out.push_back(RefOf(base, e.second));
-      }
-      for (const serve::KgSnapshot::Edge& e : base.InEdges(n_id)) {
-        if (touches_o &&
-            Retracted(TripleView(base.NodeKindOf(e.second),
-                                 base.NodeName(e.second),
-                                 base.PredicateName(e.first), n.first,
-                                 n.second))) {
-          continue;
-        }
-        out.push_back(RefOf(base, e.second));
-      }
-    }
-    if (touches_s) {
-      delta.ForEachBySubject(
-          n.first, n.second, std::nullopt,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (FindBaseTriple(base, t)) return;
-            out.emplace_back(t.object_kind, t.object);
-          });
-    }
-    if (touches_o) {
-      delta.ForEachByObject(
-          n.first, n.second, std::nullopt,
-          [&](const TripleName& t, const MemDelta::Entry& e) {
-            if (e.state != MemDelta::State::kUpserted) return;
-            if (FindBaseTriple(base, t)) return;
-            out.emplace_back(t.subject_kind, t.subject);
-          });
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
-
-  /// Base node `id`'s entries in `run`, only `only`'s predicate when
-  /// non-null.
-  static std::span<const OverlayEdge> RunOf(
-      const std::vector<OverlayEdge>& run, serve::NodeId id,
-      const serve::OnePredicate* only) {
-    const auto first = std::partition_point(
-        run.begin(), run.end(), [&](const OverlayEdge& e) {
-          return e.node < id ||
-                 (only != nullptr && e.node == id && e.predicate < only->id);
-        });
-    const auto last =
-        std::partition_point(first, run.end(), [&](const OverlayEdge& e) {
-          return e.node == id && (only == nullptr || e.predicate == only->id);
-        });
-    return {first, last};
-  }
-
-  /// The view's edge walk (serve/read.h): the base row merged with the
-  /// node's run, which drops retracted edges and adds upserts, goes to
-  /// `on_base`. The rest — upserts with a part only the overlay names —
-  /// go to `on_overlay(predicate, far end)`, viewing into the delta.
-  /// Only those need the name-keyed delta, so it is read for
-  /// overlay-only nodes and for the base nodes of the gate, never per
-  /// edge.
-  template <typename OnBase, typename OnOverlay>
-  void ForEachEdge(serve::NodeId id, const serve::NodeKey& n,
-                   serve::Direction dir, const serve::OnePredicate* only,
-                   const OnBase& on_base, const OnOverlay& on_overlay) const {
-    const bool out = dir == serve::Direction::kOut;
-    if (id != serve::kInvalidNode) {
-      if (only == nullptr || only->id != serve::kInvalidNode) {
-        const std::span<const OverlayEdge> run =
-            RunOf(out ? overlay.out : overlay.in, id, only);
-        auto r = run.begin();
-        for (const serve::KgSnapshot::Edge& e :
-             out ? base.OutEdges(id) : base.InEdges(id)) {
-          if (only != nullptr && e.first < only->id) continue;
-          if (only != nullptr && e.first > only->id) break;
-          for (; r != run.end() && std::tie(r->predicate, r->far) <
-                                       std::tie(e.first, e.second);
-               ++r) {
-            if (r->added) on_base(r->predicate, r->far);
-          }
-          if (r != run.end() && r->predicate == e.first &&
-              r->far == e.second) {
-            const bool retracted = !r->added;
-            ++r;
-            if (retracted) continue;
-          }
-          on_base(e.first, e.second);
-        }
-        for (; r != run.end(); ++r) {
-          if (r->added) on_base(r->predicate, r->far);
-        }
-      }
-      if (!Gated(id)) return;
-    }
-    // An upsert of a base node whose predicate and far end the base both
-    // name was emitted above (from the run, or from the row it repeats).
-    // Entries come predicate-major, so an unrestricted walk resolves the
-    // predicate once per run of equal names.
-    std::optional<std::string_view> pred_name;
-    serve::PredicateId pred_id =
-        only != nullptr ? only->id : serve::kInvalidNode;
-    const auto surface = [&](const TripleName& t, const MemDelta::Entry& e) {
-      if (e.state != MemDelta::State::kUpserted) return;
-      if (id != serve::kInvalidNode) {
-        if (only == nullptr && pred_name != t.predicate) {
-          pred_name = t.predicate;
-          pred_id = base.FindPredicate(t.predicate);
-        }
-        if (pred_id != serve::kInvalidNode &&
-            BaseId(FarEnd(t, dir)) != serve::kInvalidNode) {
-          return;
-        }
-      }
-      on_overlay(t.predicate, FarEnd(t, dir));
+  /// Records the index's verdict `state` on `t` as a run change.
+  void Resolve(const TripleView& t, MemDelta::State state) {
+    const bool upserted = state == MemDelta::State::kUpserted;
+    // Only an upsert names what nothing holds yet. A part still unnamed
+    // after these lookups means a retraction no run entry can hold,
+    // which changes nothing.
+    const auto node = [&](const serve::NodeKey& n) {
+      const serve::NodeId id = FindNode(n);
+      return id != serve::kInvalidNode || !upserted ? id : AddNode(n);
     };
-    const std::optional<std::string_view> bound =
-        only != nullptr ? std::optional<std::string_view>(only->name)
-                        : std::nullopt;
-    if (out) {
-      delta.ForEachBySubject(n.first, n.second, bound, surface);
-    } else {
-      delta.ForEachByObject(n.first, n.second, bound, surface);
+    const serve::NodeId s = node({t.subject_kind, t.subject});
+    serve::PredicateId p = FindPredicate(t.predicate);
+    if (p == serve::kInvalidNode && upserted) p = AddPredicate(t.predicate);
+    const serve::NodeId o = node({t.object_kind, t.object});
+    if (s == serve::kInvalidNode || p == serve::kInvalidNode ||
+        o == serve::kInvalidNode) {
+      return;
+    }
+    const bool in_base = s < base_n_ && p < base_p_ && o < base_n_ &&
+                         base_.HasTriple(s, p, o);
+    changes_.push_back(
+        RunChange{OverlayEdge{s, p, o, upserted}, upserted != in_base});
+  }
+
+  std::vector<RunChange> TakeChanges() { return std::move(changes_); }
+
+  /// The names after every Resolve, with the added ones merged into the
+  /// lookup index.
+  std::shared_ptr<const OverlayNames> TakeNames() {
+    if (next_ == nullptr) return std::move(prev_);
+    MergeOrder(new_nodes_, next_->nodes, &next_->node_order);
+    MergeOrder(new_predicates_, next_->predicates, &next_->predicate_order);
+    return std::move(next_);
+  }
+
+ private:
+  serve::NodeId FindNode(const serve::NodeKey& n) const {
+    if (const serve::NodeId id = FindNodeIn(base_, *prev_, n);
+        id != serve::kInvalidNode) {
+      return id;
+    }
+    const auto it = new_nodes_.find(n);
+    return it == new_nodes_.end() ? serve::kInvalidNode : base_n_ + it->second;
+  }
+
+  serve::PredicateId FindPredicate(std::string_view name) const {
+    if (const serve::PredicateId id = FindPredicateIn(base_, *prev_, name);
+        id != serve::kInvalidNode) {
+      return id;
+    }
+    const auto it = new_predicates_.find(name);
+    return it == new_predicates_.end() ? serve::kInvalidNode
+                                       : base_p_ + it->second;
+  }
+
+  OverlayNames& Next() {
+    if (next_ == nullptr) next_ = std::make_shared<OverlayNames>(*prev_);
+    return *next_;
+  }
+
+  serve::NodeId AddNode(const serve::NodeKey& n) {
+    const std::string_view name = storage_->emplace_back(n.second);
+    OverlayNames& next = Next();
+    const auto i = static_cast<uint32_t>(next.nodes.size());
+    next.nodes.emplace_back(n.first, name);
+    new_nodes_.emplace(next.nodes.back(), i);
+    return base_n_ + i;
+  }
+
+  serve::PredicateId AddPredicate(std::string_view p) {
+    const std::string_view name = storage_->emplace_back(p);
+    OverlayNames& next = Next();
+    const auto i = static_cast<uint32_t>(next.predicates.size());
+    next.predicates.push_back(name);
+    new_predicates_.emplace(name, i);
+    return base_p_ + i;
+  }
+
+  /// Merges `added` (key -> index, in key order) into `order`, the
+  /// indices of `keys` sorted by key.
+  template <typename Key>
+  static void MergeOrder(const std::map<Key, uint32_t>& added,
+                         const std::vector<Key>& keys,
+                         std::vector<uint32_t>* order) {
+    if (added.empty()) return;
+    std::vector<uint32_t> fresh;
+    fresh.reserve(added.size());
+    for (const auto& [key, i] : added) fresh.push_back(i);
+    std::vector<uint32_t> merged;
+    merged.reserve(order->size() + fresh.size());
+    std::merge(order->begin(), order->end(), fresh.begin(), fresh.end(),
+               std::back_inserter(merged),
+               [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    *order = std::move(merged);
+  }
+
+  const serve::KgSnapshot& base_;
+  const uint32_t base_n_;
+  const uint32_t base_p_;
+  std::shared_ptr<const OverlayNames> prev_;
+  std::deque<std::string>* storage_;
+  std::shared_ptr<OverlayNames> next_;  // null until a name is added
+  std::map<serve::NodeKey, uint32_t> new_nodes_;
+  std::map<std::string_view, uint32_t> new_predicates_;
+  std::vector<RunChange> changes_;
+};
+
+/// An empty name table over a new lineage store.
+std::shared_ptr<const OverlayNames> NewLineage(
+    const std::shared_ptr<std::deque<std::string>>& storage) {
+  auto names = std::make_shared<OverlayNames>();
+  names->storage = storage;
+  return names;
+}
+
+/// The runs and names of `delta` resolved from scratch against `base`, in
+/// a new lineage over `storage`: what a fold's install publishes, since a
+/// fold renumbers the base, and what WAL recovery folds.
+std::pair<OverlayRuns, std::shared_ptr<const OverlayNames>> ResolveOverlay(
+    const serve::KgSnapshot& base, const MemDelta& delta,
+    const std::shared_ptr<std::deque<std::string>>& storage) {
+  OverlayDraft draft(base, NewLineage(storage), storage.get());
+  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
+    draft.Resolve(t, e.state);
+  });
+  return {ExtendOverlay({}, draft.TakeChanges()), draft.TakeNames()};
+}
+
+/// Sorted-unique nodes adjacent to `n` over live edges of `base` ⊕
+/// `delta`, either direction (multiple predicates between a pair collapse
+/// to one adjacency). The commit path's walk (BumpsOf), by name over the
+/// writer's index and kept apart from the reads' id walk on purpose:
+/// moving commits onto the id walk halves their overlay merge, which
+/// shifts the ingest/read balance `ingest_serve` measures (E29).
+std::vector<NodeRef> AdjacentNodes(const serve::KgSnapshot& base,
+                                   const MemDelta& delta, const NodeRef& n) {
+  const auto retracted = [&](const TripleView& t) {
+    return delta.Lookup(t) == MemDelta::State::kRetracted;
+  };
+  std::vector<NodeRef> out;
+  const serve::NodeId n_id = base.FindNode(n.second, n.first);
+  const bool touches_s = delta.TouchesSubject(n.first, n.second);
+  const bool touches_o = delta.TouchesObject(n.first, n.second);
+  if (n_id != serve::kInvalidNode) {
+    for (const serve::KgSnapshot::Edge& e : base.OutEdges(n_id)) {
+      if (touches_s &&
+          retracted(TripleView(n.first, n.second, base.PredicateName(e.first),
+                               base.NodeKindOf(e.second),
+                               base.NodeName(e.second)))) {
+        continue;
+      }
+      out.push_back(RefOf(base, e.second));
+    }
+    for (const serve::KgSnapshot::Edge& e : base.InEdges(n_id)) {
+      if (touches_o &&
+          retracted(TripleView(base.NodeKindOf(e.second),
+                               base.NodeName(e.second),
+                               base.PredicateName(e.first), n.first,
+                               n.second))) {
+        continue;
+      }
+      out.push_back(RefOf(base, e.second));
     }
   }
-};
+  if (touches_s) {
+    delta.ForEachBySubject(
+        n.first, n.second, [&](const TripleName& t, const MemDelta::Entry& e) {
+          if (e.state != MemDelta::State::kUpserted) return;
+          if (FindBaseTriple(base, t)) return;
+          out.emplace_back(t.object_kind, t.object);
+        });
+  }
+  if (touches_o) {
+    delta.ForEachByObject(
+        n.first, n.second, [&](const TripleName& t, const MemDelta::Entry& e) {
+          if (e.state != MemDelta::State::kUpserted) return;
+          if (FindBaseTriple(base, t)) return;
+          out.emplace_back(t.subject_kind, t.subject);
+        });
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
 
 /// Sorted, distinct names of the entities at the far end of `n`'s
 /// out-edges in the view: routed top-k's out-hop pairs from n, which only
 /// n's own shard holds.
-std::vector<std::string> OutEntities(const MergedView& view,
+std::vector<std::string> OutEntities(const StoreEpoch& view,
                                      const serve::NodeKey& n) {
   std::vector<serve::NodeId> ids;
-  std::vector<std::string> names;
-  view.ForEachEdge(
-      view.BaseId(n), n, serve::Direction::kOut, nullptr,
-      [&](serve::PredicateId, serve::NodeId m) {
-        if (view.base.NodeKindOf(m) == graph::NodeKind::kEntity) {
-          ids.push_back(m);
-        }
-      },
-      [&](std::string_view, const serve::NodeKey& m) {
-        if (m.first == graph::NodeKind::kEntity) names.emplace_back(m.second);
-      });
+  view.ForEachEdge(view.FindNode(n), serve::Direction::kOut, std::nullopt,
+                   [&](serve::PredicateId, serve::NodeId m) {
+                     if (view.NodeKindOf(m) == graph::NodeKind::kEntity) {
+                       ids.push_back(m);
+                     }
+                   });
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  names.reserve(names.size() + ids.size());
-  for (const serve::NodeId m : ids) names.emplace_back(view.base.NodeName(m));
+  std::vector<std::string> names;
+  names.reserve(ids.size());
+  for (const serve::NodeId m : ids) names.emplace_back(view.NodeName(m));
+  // Overlay ids come in no name order.
   std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
 }
 
@@ -377,7 +366,7 @@ Result<Tagged> ReadTagged(const VersionedKgStore& store,
   tagged.epoch = store.applied_watermark();
   const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
   KG_RETURN_IF_ERROR(serve::CheckSchema(*epoch->base));
-  read(MergedView(*epoch), &tagged);
+  read(*epoch, &tagged);
   return tagged;
 }
 
@@ -388,20 +377,19 @@ struct GenerationBumps {
   std::set<std::string> nodes;
 };
 
-/// The bumps of committing `mutations`, read off `next`, the epoch the
-/// commit publishes.
-GenerationBumps BumpsOf(const StoreEpoch& next,
+/// The bumps of committing `mutations`, read off `base` ⊕ `delta`, the
+/// state the commit publishes.
+GenerationBumps BumpsOf(const serve::KgSnapshot& base, const MemDelta& delta,
                         std::span<const Mutation> mutations) {
   // Top-k(x) depends on edges incident to x (first hop) and to x's
   // neighbors (second hop). A mutation of edge (s, o) therefore affects
   // {s, o}, plus N(s) — but only when o is an entity (for x in N(s) the
   // edge contributes the candidate o via the path x–s–o, and candidates
   // are entity-filtered) — and symmetrically N(o) only when s is an
-  // entity. Adjacency is read from the post-commit epoch; within a batch
+  // entity. Adjacency is read from the post-commit state; within a batch
   // that post-state union still covers every intermediate state, because
   // a neighbor another batch entry disconnected appears in that entry's
   // own {s, o} set.
-  const MergedView view(next);
   GenerationBumps bumps;
   for (const Mutation& m : mutations) {
     bumps.predicates.insert(m.predicate);
@@ -410,12 +398,12 @@ GenerationBumps BumpsOf(const StoreEpoch& next,
     bumps.nodes.insert(Render(s));
     bumps.nodes.insert(Render(o));
     if (o.first == graph::NodeKind::kEntity) {
-      for (const NodeRef& n : view.AdjacentNodes(s)) {
+      for (const NodeRef& n : AdjacentNodes(base, delta, s)) {
         bumps.nodes.insert(Render(n));
       }
     }
     if (s.first == graph::NodeKind::kEntity) {
-      for (const NodeRef& n : view.AdjacentNodes(o)) {
+      for (const NodeRef& n : AdjacentNodes(base, delta, o)) {
         bumps.nodes.insert(Render(n));
       }
     }
@@ -423,55 +411,62 @@ GenerationBumps BumpsOf(const StoreEpoch& next,
   return bumps;
 }
 
-/// Assigns the merged vocabulary of a fold its dense ids: base entries
-/// 0..base_count-1 (sorted by `key_of`; kInvalidNode in `remap` marks
-/// one compiled out) interleaved in key order with the overlay-only keys
-/// of `fresh`. Fills `remap` and `fresh` with the new ids and calls
-/// `add(key, base id or kInvalidNode)` in id order.
-template <typename Key, typename KeyOf, typename Add>
-void MergeVocabulary(const KeyOf& key_of, std::map<Key, uint32_t>* fresh,
-                     std::vector<uint32_t>* remap, const Add& add) {
-  const auto base_count = static_cast<uint32_t>(remap->size());
+/// Numbers a fold's vocabulary in key order. Ids below `base_count` are
+/// base ids, already in key order; `order` lists the overlay's,
+/// base_count + order[i], in key order. An id `remap` marks kInvalidNode
+/// is compiled out; the rest get dense new ids, written into `remap`, and
+/// `add(id)` is called for each in new-id order.
+template <typename KeyOf, typename Add>
+void Renumber(uint32_t base_count, std::span<const uint32_t> order,
+              const KeyOf& key_of, std::vector<uint32_t>* remap,
+              const Add& add) {
   uint32_t next = 0;
-  auto it = fresh->begin();
+  const auto number = [&](uint32_t id) {
+    if ((*remap)[id] == serve::kInvalidNode) return;
+    add(id);
+    (*remap)[id] = next++;
+  };
+  auto it = order.begin();
   for (uint32_t b = 0; b <= base_count; ++b) {
-    for (; it != fresh->end() && (b == base_count || it->first < key_of(b));
+    for (; it != order.end() &&
+           (b == base_count || key_of(base_count + *it) < key_of(b));
          ++it) {
-      add(it->first, serve::kInvalidNode);
-      it->second = next++;
+      number(base_count + *it);
     }
-    if (b == base_count || (*remap)[b] == serve::kInvalidNode) continue;
-    add(key_of(b), b);
-    (*remap)[b] = next++;
+    if (b < base_count) number(b);
   }
 }
 
 /// The store's one fold, used by compaction and WAL recovery: streams
-/// base ⊕ delta (base triples minus retractions, plus upserts), both in
-/// canonical (kind, name) order, through SnapshotBuilder. Bit-identical
-/// to KgSnapshot::Compile of the merged graph.
-serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
-                            const MemDelta& delta) {
-  if (delta.empty()) return base;
+/// base ⊕ runs (base triples minus retractions, plus upserts) through
+/// SnapshotBuilder in the merged vocabulary's ids, reading the runs and
+/// the name table only. Bit-identical to KgSnapshot::Compile of the
+/// merged graph.
+serve::KgSnapshot FoldOverlay(const serve::KgSnapshot& base,
+                              const OverlayNames& names,
+                              const OverlayRuns& runs) {
+  if (runs.out.empty()) return base;
   using Ids = std::array<uint32_t, 3>;
+  const auto base_n = static_cast<uint32_t>(base.num_nodes());
+  const auto base_p = static_cast<uint32_t>(base.num_predicates());
 
-  // 1. Retracted base triples (base ids) and upserts the base lacks;
-  //    every other entry changes nothing. The delta iterates in the same
-  //    canonical order the ids follow, so both lists come out sorted.
+  // 1. The out-run's retractions (base ids, already sorted) and upserts.
   std::vector<Ids> removed;
-  std::vector<const TripleName*> added;
-  delta.ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-    const auto ids = FindBaseTriple(base, t);
-    if (e.state == MemDelta::State::kRetracted && ids) removed.push_back(*ids);
-    if (e.state == MemDelta::State::kUpserted && !ids) added.push_back(&t);
-  });
+  std::vector<Ids> added;
+  for (const OverlayEdge& e : runs.out) {
+    (e.added ? added : removed).push_back({e.node, e.predicate, e.far});
+  }
 
   // 2. Degree arithmetic: a base node or predicate is compiled out
-  //    (kInvalidNode) once the overlay retracts as many of its triples as
-  //    the base holds, unless an upsert names it. Names the base lacks
-  //    join the vocabulary.
-  std::vector<uint32_t> node_remap(base.num_nodes(), 0);
-  std::vector<uint32_t> pred_remap(base.num_predicates(), 0);
+  //    (kInvalidNode) once the runs retract as many of its triples as the
+  //    base holds, unless an upsert names it. An overlay name joins the
+  //    vocabulary only when an upsert names it.
+  std::vector<uint32_t> node_remap(base_n + names.nodes.size(), 0);
+  std::vector<uint32_t> pred_remap(base_p + names.predicates.size(), 0);
+  std::fill(node_remap.begin() + base_n, node_remap.end(),
+            serve::kInvalidNode);
+  std::fill(pred_remap.begin() + base_p, pred_remap.end(),
+            serve::kInvalidNode);
   std::map<uint32_t, uint64_t> node_cut;
   std::map<uint32_t, uint64_t> pred_cut;
   const auto cut_node = [&](uint32_t b) {
@@ -486,56 +481,34 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
       pred_remap[t[1]] = serve::kInvalidNode;
     }
   }
-  std::map<serve::NodeKey, uint32_t> new_nodes;
-  std::map<std::string_view, uint32_t> new_preds;
-  const auto name_node = [&](graph::NodeKind kind, const std::string& name) {
-    if (const serve::NodeId id = base.FindNode(name, kind);
-        id != serve::kInvalidNode) {
-      node_remap[id] = 0;
-    } else {
-      new_nodes.emplace(serve::NodeKey{kind, name}, 0);
-    }
-  };
-  for (const TripleName* t : added) {
-    name_node(t->subject_kind, t->subject);
-    name_node(t->object_kind, t->object);
-    if (const serve::PredicateId p = base.FindPredicate(t->predicate);
-        p != serve::kInvalidNode) {
-      pred_remap[p] = 0;
-    } else {
-      new_preds.emplace(t->predicate, 0);
-    }
+  for (const Ids& t : added) {
+    node_remap[t[0]] = 0;
+    pred_remap[t[1]] = 0;
+    node_remap[t[2]] = 0;
   }
 
-  // 3. The merged vocabulary, and the upserts in its ids.
+  // 3. The merged vocabulary, and the upserts in its ids (overlay ids
+  //    follow no name order, so they sort again).
   serve::SnapshotBuilder builder;
   std::vector<uint32_t> row_source;  // new node id -> base id
-  MergeVocabulary(
-      [&](uint32_t b) {
-        return serve::NodeKey{base.NodeKindOf(b), base.NodeName(b)};
-      },
-      &new_nodes, &node_remap, [&](const serve::NodeKey& k, uint32_t b) {
-        builder.AddNode(k.second, k.first);
-        row_source.push_back(b);
-      });
-  MergeVocabulary(
-      [&](uint32_t p) { return base.PredicateName(p); }, &new_preds,
-      &pred_remap,
-      [&](std::string_view name, uint32_t) { builder.AddPredicate(name); });
-  const auto node_id = [&](graph::NodeKind kind, const std::string& name) {
-    const serve::NodeId id = base.FindNode(name, kind);
-    return id != serve::kInvalidNode
-               ? node_remap[id]
-               : new_nodes.at(serve::NodeKey{kind, name});
+  const auto node_key = [&](uint32_t id) {
+    return id < base_n ? serve::NodeKey{base.NodeKindOf(id), base.NodeName(id)}
+                       : names.nodes[id - base_n];
   };
-  std::vector<Ids> added_ids;
-  for (const TripleName* t : added) {
-    const serve::PredicateId p = base.FindPredicate(t->predicate);
-    added_ids.push_back({node_id(t->subject_kind, t->subject),
-                         p != serve::kInvalidNode ? pred_remap[p]
-                                                  : new_preds.at(t->predicate),
-                         node_id(t->object_kind, t->object)});
+  const auto pred_key = [&](uint32_t id) {
+    return id < base_p ? base.PredicateName(id) : names.predicates[id - base_p];
+  };
+  Renumber(base_n, names.node_order, node_key, &node_remap, [&](uint32_t id) {
+    const serve::NodeKey k = node_key(id);
+    builder.AddNode(k.second, k.first);
+    row_source.push_back(id < base_n ? id : serve::kInvalidNode);
+  });
+  Renumber(base_p, names.predicate_order, pred_key, &pred_remap,
+           [&](uint32_t id) { builder.AddPredicate(pred_key(id)); });
+  for (Ids& t : added) {
+    t = {node_remap[t[0]], pred_remap[t[1]], node_remap[t[2]]};
   }
+  std::sort(added.begin(), added.end());
 
   // 4. Per subject in new-id order: its base row, remapped (monotone, so
   //    still sorted) and minus retractions, merged with its upserts.
@@ -546,7 +519,7 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
   auto built = builder.Build([&](const serve::SnapshotBuilder::TripleSink&
                                      sink) {
     auto cut = removed.begin();
-    auto add = added_ids.begin();
+    auto add = added.begin();
     for (uint32_t s = 0; s < row_source.size(); ++s) {
       for (const serve::KgSnapshot::Edge& e : base.OutEdges(row_source[s])) {
         const Ids key{row_source[s], e.first, e.second};
@@ -554,12 +527,12 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
         if (cut != removed.end() && *cut == key) continue;
         const Ids out{s, remap(pred_remap, e.first),
                       remap(node_remap, e.second)};
-        for (; add != added_ids.end() && *add < out; ++add) {
+        for (; add != added.end() && *add < out; ++add) {
           sink((*add)[0], (*add)[1], (*add)[2]);
         }
         sink(out[0], out[1], out[2]);
       }
-      for (; add != added_ids.end() && (*add)[0] == s; ++add) {
+      for (; add != added.end() && (*add)[0] == s; ++add) {
         sink((*add)[0], (*add)[1], (*add)[2]);
       }
     }
@@ -569,6 +542,30 @@ serve::KgSnapshot FoldDelta(const serve::KgSnapshot& base,
 }
 
 }  // namespace
+
+uint32_t OverlayNames::FindNode(const serve::NodeKey& n) const {
+  const auto it = std::lower_bound(
+      node_order.begin(), node_order.end(), n,
+      [&](uint32_t i, const serve::NodeKey& key) { return nodes[i] < key; });
+  return it != node_order.end() && nodes[*it] == n ? *it : serve::kInvalidNode;
+}
+
+uint32_t OverlayNames::FindPredicate(std::string_view name) const {
+  const auto it = std::lower_bound(
+      predicate_order.begin(), predicate_order.end(), name,
+      [&](uint32_t i, std::string_view key) { return predicates[i] < key; });
+  return it != predicate_order.end() && predicates[*it] == name
+             ? *it
+             : serve::kInvalidNode;
+}
+
+serve::NodeId StoreEpoch::FindNode(const serve::NodeKey& n) const {
+  return FindNodeIn(*base, *names, n);
+}
+
+serve::PredicateId StoreEpoch::FindPredicate(std::string_view name) const {
+  return FindPredicateIn(*base, *names, name);
+}
 
 Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
     const graph::KnowledgeGraph& base, StoreOptions options) {
@@ -619,26 +616,34 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
     store->cache_ =
         std::make_unique<serve::ShardedLruCache>(options.cache_capacity);
   }
+  // The replayed log is resolved and folded into the first base through
+  // the path compaction takes, so a reopened store starts a lineage with
+  // an empty overlay.
+  serve::KgSnapshot compiled = serve::KgSnapshot::Compile(base);
+  if (!recovered.empty()) {
+    const auto [runs, names] = ResolveOverlay(
+        compiled, recovered, std::make_shared<std::deque<std::string>>());
+    compiled = FoldOverlay(compiled, *names, runs);
+  }
+  store->names_ = std::make_shared<std::deque<std::string>>();
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = 0;
-  // The replayed log is folded into the first base, so a reopened store
-  // starts with an empty overlay (and empty runs).
-  epoch->base = std::make_shared<const serve::KgSnapshot>(
-      FoldDelta(serve::KgSnapshot::Compile(base), recovered));
-  epoch->delta = std::make_shared<const MemDelta>();
+  epoch->base_seq = epoch->seq = store->next_seq_ - 1;
+  epoch->base = std::make_shared<const serve::KgSnapshot>(std::move(compiled));
+  epoch->names = NewLineage(store->names_);
   store->current_ = std::move(epoch);
   return store;
 }
 
 void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
                                     std::span<const Mutation> mutations) {
-  // The walk reads only `epoch`, which no reader can see yet, so it runs
-  // before the lock.
+  // The walk reads the new base and the writer's index, which no reader
+  // can see, so it runs before the lock.
   const GenerationBumps bumps =
-      cache_ ? BumpsOf(*epoch, mutations) : GenerationBumps{};
+      cache_ ? BumpsOf(*epoch->base, delta_, mutations) : GenerationBumps{};
   // Declared before the lock, so it is destroyed after the unlock: when
-  // no reader pins the retired epoch, freeing it (its copied MemDelta,
-  // and after a fold the old base) must not hold every reader's pin.
+  // no reader pins the retired epoch, freeing it (its runs, and after a
+  // fold the old base and lineage) must not hold every reader's pin.
   std::shared_ptr<const StoreEpoch> retired;
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   retired = std::exchange(current_, std::move(epoch));
@@ -669,24 +674,26 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   }
   // Holding writer_mu_ makes the unlocked read of current_ safe: only
   // writers store to it, and they all serialize here.
-  auto next_delta = std::make_shared<MemDelta>(*current_->delta);
-  for (const Mutation& m : mutations) next_delta->Apply(m, next_seq_++);
-  // The base is unchanged, so the previous runs stay valid; the batch's
-  // triples are resolved at their final state and replace their entries.
-  std::vector<RunChange> changes;
-  std::vector<serve::NodeId> gate;
+  const StoreEpoch& prev = *current_;
+  for (const Mutation& m : mutations) delta_.Apply(m, next_seq_++);
+  // The base is unchanged, so the previous runs and names stay valid; the
+  // batch's triples are resolved at their final state and replace their
+  // entries.
+  OverlayDraft draft(*prev.base, prev.names, names_.get());
   for (const Mutation& m : mutations) {
     const TripleView t = TripleView::Of(m);
-    Resolve(*current_->base, t, next_delta->Lookup(t), &changes, &gate);
+    draft.Resolve(t, delta_.Lookup(t));
   }
   auto epoch = std::make_shared<StoreEpoch>();
-  epoch->version = current_->version + 1;
-  epoch->base = current_->base;
-  epoch->delta = std::move(next_delta);
-  epoch->overlay =
-      ExtendOverlay(current_->overlay, std::move(changes), std::move(gate));
+  epoch->version = prev.version + 1;
+  epoch->base_seq = prev.base_seq;
+  epoch->seq = next_seq_ - 1;
+  epoch->base = prev.base;
+  epoch->names = draft.TakeNames();
+  epoch->overlay = ExtendOverlay(prev.overlay, draft.TakeChanges());
+  epoch->delta_size = delta_.size();
   const uint64_t published_version = epoch->version;
-  const size_t published_delta = epoch->delta->size();
+  const size_t published_delta = epoch->delta_size;
   PublishEpoch(std::move(epoch), mutations);
   if (metrics_.stage_overlay_merge != nullptr) {
     metrics_.stage_overlay_merge->Observe(
@@ -730,7 +737,7 @@ std::shared_ptr<const StoreEpoch> VersionedKgStore::PinEpoch() const {
 
 serve::QueryResult VersionedKgStore::ExecuteAt(
     const StoreEpoch& epoch, const serve::Query& query) const {
-  return serve::Read(MergedView(epoch), query);
+  return serve::Read(epoch, query);
 }
 
 Result<serve::QueryResult> VersionedKgStore::TryExecute(
@@ -751,7 +758,7 @@ Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
 Result<EpochTaggedAdjacency> VersionedKgStore::TryOutEntitiesTagged(
     std::span<const serve::NodeKey> nodes) const {
   return ReadTagged<EpochTaggedAdjacency>(
-      *this, [&](const MergedView& view, EpochTaggedAdjacency* tagged) {
+      *this, [&](const StoreEpoch& view, EpochTaggedAdjacency* tagged) {
         tagged->entities.reserve(nodes.size());
         for (const serve::NodeKey& n : nodes) {
           tagged->entities.push_back(OutEntities(view, n));
@@ -763,7 +770,7 @@ Result<EpochTaggedScores> VersionedKgStore::TryRingScoresTagged(
     const serve::NodeKey& center, std::span<const serve::NodeKey> ring,
     std::span<const serve::RingHop> hops, size_t k) const {
   return ReadTagged<EpochTaggedScores>(
-      *this, [&](const MergedView& view, EpochTaggedScores* tagged) {
+      *this, [&](const StoreEpoch& view, EpochTaggedScores* tagged) {
         tagged->best = serve::ReadRingScores(view, center, ring, hops, k);
       });
 }
@@ -827,17 +834,13 @@ std::optional<VersionedKgStore::PendingFold> VersionedKgStore::PinAndFold() {
   }
   PendingFold fold;
   fold.started = std::chrono::steady_clock::now();
-  std::shared_ptr<const StoreEpoch> pinned;
-  {
-    std::lock_guard<std::mutex> writer(writer_mu_);
-    pinned = current_;  // O(1) pin; Apply resumes as soon as we unlock
-    fold.seq = next_seq_ - 1;
-  }
+  const std::shared_ptr<const StoreEpoch> pinned = PinEpoch();
+  fold.seq = pinned->seq;
   // The slow part — folding the pinned overlay into a fresh CSR
   // snapshot — runs without any lock, so writers and readers proceed at
   // full speed underneath it.
   fold.base = std::make_shared<const serve::KgSnapshot>(
-      FoldDelta(*pinned->base, *pinned->delta));
+      FoldOverlay(*pinned->base, *pinned->names, pinned->overlay));
   return fold;
 }
 
@@ -846,21 +849,25 @@ VersionedKgStore::CompactionStats VersionedKgStore::InstallFold(
   CompactionStats stats;
   {
     std::lock_guard<std::mutex> writer(writer_mu_);
-    const std::shared_ptr<const MemDelta> old_delta = current_->delta;
-    auto next_delta = std::make_shared<MemDelta>(*old_delta);
     // Entries at or before the fold line are the new base's; newer ones
     // keep shadowing it (their state already accounts for any base).
-    next_delta->TrimThrough(fold.seq);
-    stats.folded = old_delta->size() - next_delta->size();
+    const size_t before = delta_.size();
+    delta_.TrimThrough(fold.seq);
+    stats.folded = before - delta_.size();
     auto epoch = std::make_shared<StoreEpoch>();
     epoch->version = current_->version + 1;
+    epoch->base_seq = fold.seq;
+    epoch->seq = current_->seq;
     epoch->base = std::move(fold.base);
-    epoch->delta = std::move(next_delta);
-    // The fold renumbered the base: resolve the surviving entries anew.
-    epoch->overlay = ResolveOverlay(*epoch->base, *epoch->delta);
+    // The fold renumbered the base: resolve the surviving entries anew,
+    // in a new lineage.
+    names_ = std::make_shared<std::deque<std::string>>();
+    std::tie(epoch->overlay, epoch->names) =
+        ResolveOverlay(*epoch->base, delta_, names_);
+    epoch->delta_size = delta_.size();
     stats.version = epoch->version;
     stats.base_fingerprint = epoch->base->Fingerprint();
-    const size_t remaining_delta = epoch->delta->size();
+    const size_t remaining_delta = epoch->delta_size;
     // A fold changes no answer, so it bumps no tag.
     PublishEpoch(std::move(epoch));
     if (metrics_.delta_size != nullptr) {
@@ -898,13 +905,13 @@ uint64_t VersionedKgStore::applied_mutations() const {
   return next_seq_ - 1;
 }
 
-size_t VersionedKgStore::delta_size() const { return PinEpoch()->delta->size(); }
+size_t VersionedKgStore::delta_size() const { return PinEpoch()->delta_size; }
 
 uint64_t VersionedKgStore::AuthoritativeFingerprint() const {
   const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
   const serve::KgSnapshot& base = *epoch->base;
-  // The sum commutes, so the overlay adjusts the base's total: it adds
-  // the upserts the base lacks and subtracts the base triples it retracts.
+  // The sum commutes, so the runs adjust the base's total: they add the
+  // upserts the base lacks and subtract the base triples they retract.
   uint64_t fingerprint = 0;
   for (serve::NodeId s = 0; s < base.num_nodes(); ++s) {
     for (const serve::KgSnapshot::Edge& e : base.OutEdges(s)) {
@@ -913,13 +920,13 @@ uint64_t VersionedKgStore::AuthoritativeFingerprint() const {
           base.NodeName(e.second), base.NodeKindOf(e.second));
     }
   }
-  epoch->delta->ForEach([&](const TripleName& t, const MemDelta::Entry& e) {
-    const bool in_base = FindBaseTriple(base, t).has_value();
+  for (const OverlayEdge& e : epoch->overlay.out) {
     const uint64_t h = graph::TripleFingerprint(
-        t.subject, t.subject_kind, t.predicate, t.object, t.object_kind);
-    if (e.state == MemDelta::State::kUpserted && !in_base) fingerprint += h;
-    if (e.state == MemDelta::State::kRetracted && in_base) fingerprint -= h;
-  });
+        epoch->NodeName(e.node), epoch->NodeKindOf(e.node),
+        epoch->PredicateName(e.predicate), epoch->NodeName(e.far),
+        epoch->NodeKindOf(e.far));
+    fingerprint += e.added ? h : -h;
+  }
   return fingerprint;
 }
 

@@ -1,10 +1,12 @@
 #ifndef KGRAPH_STORE_VERSIONED_STORE_H_
 #define KGRAPH_STORE_VERSIONED_STORE_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -12,6 +14,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,8 +33,10 @@
 namespace kg::store {
 
 struct StoreOptions {
-  /// WAL file for durability; empty runs the store in-memory (tests,
-  /// ephemeral replicas). When the file exists, Open replays it —
+  /// WAL file; empty runs the store in-memory (tests, ephemeral
+  /// replicas). Each commit is flushed to the OS before it is applied,
+  /// never fsynced: an acknowledged commit survives a process kill, not a
+  /// power loss (ROADMAP item 7). When the file exists, Open replays it —
   /// truncating any torn tail — before serving.
   std::string wal_path;
   /// Result-cache entries; 0 disables caching. Only the scan classes
@@ -45,7 +50,8 @@ struct StoreOptions {
   /// "store.wal.replayed_records" / "store.compaction.last_us" gauges.
   /// All updates happen on the (serialized) write path, never per read.
   /// Also feeds the write path's stage attribution: "stage_us.wal_append"
-  /// (durable log flush) and "stage_us.overlay_merge" (delta apply and
+  /// (the log write and its flush to the OS; no fsync) and
+  /// "stage_us.overlay_merge" (index and run upkeep, cache bumps and the
   /// epoch publish) per applied batch.
   obs::MetricsRegistry* registry = nullptr;
   /// With `registry` and a cache, also time the read path's result-cache
@@ -57,50 +63,142 @@ struct StoreOptions {
   bool time_stages = false;
 };
 
-/// One overlay triple resolved against its epoch's base, as a walk in one
-/// direction meets it: `node` is the walked endpoint (the subject in the
-/// out-run, the object in the in-run) and `far` the other one.
+/// One overlay triple in its epoch's id space, as a walk in one direction
+/// meets it: `node` is the walked endpoint (the subject in the out-run,
+/// the object in the in-run) and `far` the other one.
 struct OverlayEdge {
   serve::NodeId node = 0;
   serve::PredicateId predicate = 0;
   serve::NodeId far = 0;
   bool added = false;  ///< An upsert the base lacks; else a retraction.
-
-  friend bool operator==(const OverlayEdge&, const OverlayEdge&) = default;
 };
 
-/// An epoch's overlay resolved against its own base, in id space: what
-/// merged reads merge with the base CSR rows instead of probing the
-/// name-keyed delta edge by edge.
+/// Every overlay entry that changes its epoch's base: what merged reads
+/// merge with the base CSR rows, and what a fold folds.
 struct OverlayRuns {
-  /// Sorted (subject, predicate, object): every retracted base triple,
-  /// and every upsert the base lacks whose three parts the base names.
+  /// Sorted (subject, predicate, object): every retracted base triple and
+  /// every upsert the base lacks.
   std::vector<OverlayEdge> out;
   /// The same triples, sorted (object, predicate, subject).
   std::vector<OverlayEdge> in;
-  /// Sorted, unique base ids of the nodes that some delta entry with a
-  /// part the base lacks names: the only base nodes whose walks read the
-  /// delta itself.
-  std::vector<serve::NodeId> gate;
+};
 
-  friend bool operator==(const OverlayRuns&, const OverlayRuns&) = default;
+/// The names an epoch's overlay adds to its base's id space, all names
+/// the base lacks: node id base.num_nodes() + i is nodes[i], predicate id
+/// base.num_predicates() + i is predicates[i]. The views point into
+/// `storage`, the name store of the epoch's lineage (the epochs between
+/// two folds): it only grows, a commit appends to it under the writer
+/// lock, and a fold starts a new one, so a pinned epoch's names never
+/// move. A commit copies these vectors only when it adds a name.
+struct OverlayNames {
+  std::shared_ptr<const std::deque<std::string>> storage;
+  std::vector<serve::NodeKey> nodes;
+  std::vector<std::string_view> predicates;
+  /// Indices into `nodes` in (kind, name) order, and into `predicates` in
+  /// name order: the lookup index.
+  std::vector<uint32_t> node_order;
+  std::vector<uint32_t> predicate_order;
+
+  /// The index of `n` in `nodes`, or kInvalidNode.
+  uint32_t FindNode(const serve::NodeKey& n) const;
+  /// The index of `name` in `predicates`, or kInvalidNode.
+  uint32_t FindPredicate(std::string_view name) const;
 };
 
 /// One immutable MVCC version of the store: a base snapshot plus the
-/// overlay of mutations applied after the base was compiled. Readers pin
-/// an epoch with a `shared_ptr` and keep a frozen, consistent view for
-/// as long as they hold it, while writers publish successors; an epoch
-/// is reclaimed when its last pin drops.
+/// overlay of mutations applied after the base was compiled, all in one
+/// id space: the base's ids, then the overlay's names past them. Readers
+/// pin an epoch with a `shared_ptr` and keep a frozen, consistent view for
+/// as long as they hold it, while writers publish successors; an epoch is
+/// reclaimed when its last pin drops. An epoch is a serve/read.h view: the
+/// query bodies read it directly (VersionedKgStore::ExecuteAt), and
+/// store_property_test checks that they answer exactly like QueryEngine
+/// over a from-scratch rebuild at the same version.
 struct StoreEpoch {
   uint64_t version = 0;  ///< Bumps on every applied batch and compaction.
+  /// The epoch holds the log's first `seq` mutations; its base holds the
+  /// first `base_seq` of them, and its overlay the rest.
+  uint64_t base_seq = 0;
+  uint64_t seq = 0;
   std::shared_ptr<const serve::KgSnapshot> base;
-  std::shared_ptr<const MemDelta> delta;
-  /// `delta` resolved against `base`. Resolved once per epoch: a commit
-  /// extends its predecessor's runs with its batch, and compaction — the
-  /// only point where base ids change — rebuilds them for the trimmed
-  /// delta. Empty at Open, whose overlay is empty.
+  std::shared_ptr<const OverlayNames> names;  ///< Never null.
+  /// A commit extends its predecessor's runs with its batch; compaction,
+  /// the only point where base ids change, resolves the surviving entries
+  /// anew. Empty at Open, whose overlay is empty.
   OverlayRuns overlay;
+  /// The writer's index size when this epoch was published:
+  /// VersionedKgStore::delta_size().
+  size_t delta_size = 0;
+
+  /// `n`'s id in this epoch, kInvalidNode when neither the base nor the
+  /// overlay names it.
+  serve::NodeId FindNode(const serve::NodeKey& n) const;
+  serve::PredicateId FindPredicate(std::string_view name) const;
+
+  /// The names of this epoch's ids (valid ids only).
+  std::string_view NodeName(serve::NodeId id) const {
+    const size_t b = base->num_nodes();
+    return id < b ? base->NodeName(id) : names->nodes[id - b].second;
+  }
+  graph::NodeKind NodeKindOf(serve::NodeId id) const {
+    const size_t b = base->num_nodes();
+    return id < b ? base->NodeKindOf(id) : names->nodes[id - b].first;
+  }
+  std::string_view PredicateName(serve::PredicateId id) const {
+    const size_t b = base->num_predicates();
+    return id < b ? base->PredicateName(id) : names->predicates[id - b];
+  }
+  size_t num_nodes() const {
+    return base->num_nodes() + names->nodes.size();
+  }
+  size_t num_base_nodes() const { return base->num_nodes(); }
+  size_t DegreeHint(serve::NodeId id) const {
+    return base->OutDegree(id) + base->InDegree(id);
+  }
+
+  /// The base row merged with the node's run: the run drops retracted
+  /// edges and adds upserts, in (predicate, far) id order. A node or
+  /// predicate past the base's has no base row to merge.
+  template <typename Fn>
+  void ForEachEdge(serve::NodeId id, serve::Direction dir,
+                   serve::OnlyPredicate only, const Fn& fn) const;
 };
+
+template <typename Fn>
+void StoreEpoch::ForEachEdge(serve::NodeId id, serve::Direction dir,
+                             serve::OnlyPredicate only, const Fn& fn) const {
+  if (id == serve::kInvalidNode || only == serve::kInvalidNode) return;
+  const bool out = dir == serve::Direction::kOut;
+  // The node's slice of the run, only `only`'s predicate when set.
+  const std::vector<OverlayEdge>& run = out ? overlay.out : overlay.in;
+  auto r = std::partition_point(run.begin(), run.end(), [&](const auto& e) {
+    return e.node < id || (only && e.node == id && e.predicate < *only);
+  });
+  const auto run_end = std::partition_point(r, run.end(), [&](const auto& e) {
+    return e.node == id && (!only || e.predicate == *only);
+  });
+  if (!only || *only < base->num_predicates()) {
+    for (const serve::KgSnapshot::Edge& e :
+         out ? base->OutEdges(id) : base->InEdges(id)) {
+      if (only && e.first < *only) continue;
+      if (only && e.first > *only) break;
+      for (; r != run_end &&
+             std::tie(r->predicate, r->far) < std::tie(e.first, e.second);
+           ++r) {
+        if (r->added) fn(r->predicate, r->far);
+      }
+      if (r != run_end && r->predicate == e.first && r->far == e.second) {
+        const bool retracted = !r->added;
+        ++r;
+        if (retracted) continue;
+      }
+      fn(e.first, e.second);
+    }
+  }
+  for (; r != run_end; ++r) {
+    if (r->added) fn(r->predicate, r->far);
+  }
+}
 
 /// VersionedKgStore::TryOutEntitiesTagged's answer, tagged like
 /// serve::EpochTaggedResult.
@@ -122,22 +220,27 @@ struct EpochTaggedScores {
 /// snapshot — the LSM-style write path production KGs use so a stream of
 /// corrections never forces a rebuild-the-world redeploy:
 ///
-///   Apply --> WAL (durable, framed+checksummed)
-///         --> copy-on-write MemDelta --> new StoreEpoch published
+///   Apply --> WAL (framed+checksummed, flushed to the OS, not fsynced)
+///         --> the writer's MemDelta, updated in place
+///         --> new StoreEpoch published (runs and names in id space)
 ///
-/// The epoch's (base, delta) pair is the store's only copy of the
-/// knowledge. Reads pin an epoch and run serve/read.h's query bodies
-/// through a view that merges base CSR range reads with the overlay
-/// (retractions shadow base triples, upserts surface new ones); the
-/// epoch's id-space overlay runs spare each read any O(|delta|) setup and
-/// any per-edge name probe. Every answer is byte-identical to
-/// `serve::QueryEngine` over a from-scratch rebuild at that version
-/// (store_property_test, 100 worlds). Compaction streams base ⊕ delta
-/// through one fold into a fresh `KgSnapshot` (optionally on a
-/// `ThreadPool`) and swaps it in atomically; because the delta keeps any
-/// entry newer than the fold line, serving is never wrong during or after
-/// the fold, and the folded snapshot is bit-identical to compiling a
-/// batch build of the same knowledge. WAL recovery runs the same fold
+/// The epoch's (base, overlay) pair is the store's only copy of the
+/// knowledge the reads see: the overlay is every entry that changes the
+/// base, as id triples in sorted runs, with the names the base lacks
+/// given ids past its own. Reads pin an epoch and run serve/read.h's
+/// query bodies through a view that merges base CSR range reads with the
+/// runs (retractions shadow base triples, upserts surface new ones), in
+/// ids only: no read touches a name-keyed structure. The writer's
+/// MemDelta, every triple touched since the fold line keyed by name, is
+/// its private index: it decides each commit's final states, feeds the
+/// cache's generation bumps and survives a fold's trim. Every answer is
+/// byte-identical to `serve::QueryEngine` over a from-scratch rebuild at
+/// that version (store_property_test, 100 worlds). Compaction streams
+/// base ⊕ runs through one fold into a fresh `KgSnapshot` (optionally on
+/// a `ThreadPool`) and swaps it in atomically; because the index keeps
+/// any entry newer than the fold line, serving is never wrong during or
+/// after the fold, and the folded snapshot is bit-identical to compiling
+/// a batch build of the same knowledge. WAL recovery runs the same fold
 /// once at Open.
 ///
 /// Concurrency contract:
@@ -255,9 +358,8 @@ class VersionedKgStore {
 
   /// Folds the overlay into a fresh base snapshot and publishes it.
   /// Runs on the calling thread; concurrent Apply keeps working (the
-  /// writer lock is held only to pin the current epoch and to install
-  /// the result, not while folding). Returns `ran == false` when another
-  /// compaction is in flight.
+  /// writer lock is held only to install the result, not while folding).
+  /// Returns `ran == false` when another compaction is in flight.
   CompactionStats Compact();
 
   /// Schedules Compact() on `pool`; returns false (and does nothing)
@@ -277,11 +379,13 @@ class VersionedKgStore {
   /// Mutations applied since Open (includes WAL-replayed ones).
   uint64_t applied_mutations() const;
 
-  /// Overlay entries awaiting compaction.
+  /// Triples touched since the fold line, entries that change nothing
+  /// included: the writer's index size, as the current epoch recorded it
+  /// (lock-free).
   size_t delta_size() const;
 
   /// `graph::TripleSetFingerprint` of the knowledge in the current epoch
-  /// (base ⊕ delta) — equals the fingerprint of a from-scratch batch
+  /// (base ⊕ runs) — equals the fingerprint of a from-scratch batch
   /// build that applied the same mutation log. O(base triples).
   uint64_t AuthoritativeFingerprint() const;
 
@@ -318,8 +422,9 @@ class VersionedKgStore {
   /// Compact()'s first step: claims the compaction slot (empty when it is
   /// taken), pins the current epoch and folds it with no lock held.
   std::optional<PendingFold> PinAndFold();
-  /// Compact()'s second step: trims the folded entries, publishes the new
-  /// base and releases the compaction slot.
+  /// Compact()'s second step: trims the folded entries from the writer's
+  /// index, resolves the rest against the new base in a new lineage,
+  /// publishes it and releases the compaction slot.
   CompactionStats InstallFold(PendingFold fold);
 
   /// Execute and TryExecute's one body: pins the current epoch — with
@@ -360,9 +465,15 @@ class VersionedKgStore {
   StoreMetrics metrics_{};
   std::optional<Wal> wal_;
 
-  /// Serializes writers; guards next_seq_.
+  /// Serializes writers; guards next_seq_, delta_ and names_.
   mutable std::mutex writer_mu_;
   uint64_t next_seq_ = 1;
+  /// The writer's index: every triple touched since the fold line, by
+  /// name, at its last state. Never read by a reader, never copied.
+  MemDelta delta_;
+  /// The current lineage's name store, which epochs view as
+  /// OverlayNames::storage. Appended to only here, under writer_mu_.
+  std::shared_ptr<std::deque<std::string>> names_;
 
   /// Guards the current-epoch pointer and the generation counters, so a
   /// tag and an epoch are always read and published together. Shared:

@@ -127,9 +127,10 @@ class Wal {
   Wal(Wal&&) = default;
   Wal& operator=(Wal&&) = default;
 
-  /// Appends one commit as one record and flushes it to the OS. An empty
-  /// commit writes nothing; one `EncodeCommit` refuses writes nothing and
-  /// returns its status.
+  /// Appends one commit as one record and flushes it to the OS, with no
+  /// fsync: the record survives a process kill, not a power loss. An
+  /// empty commit writes nothing; one `EncodeCommit` refuses writes
+  /// nothing and returns its status.
   Status AppendBatch(std::span<const Mutation> mutations);
 
   const std::string& path() const { return path_; }

@@ -1,17 +1,14 @@
 // MemDelta: last-op-wins state per triple, subject/object-major
-// iteration order, predicate-bounded walks, prefix-probe exactness
-// (TouchesSubject must not match name prefixes), borrowed-key probes
-// that agree with owned keys, fold-line trimming, and the copy-on-write
-// property the store's epoch publishing relies on.
+// iteration order, prefix-probe exactness (TouchesSubject must not match
+// name prefixes), borrowed-key probes that agree with owned keys, and
+// fold-line trimming.
 
 #include "store/mem_delta.h"
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "graph/knowledge_graph.h"
@@ -89,7 +86,7 @@ TEST(MemDeltaTest, ForEachBySubjectIsOrderedAndScoped) {
 
   std::vector<std::string> seen;
   delta.ForEachBySubject(
-      NodeKind::kEntity, "s", std::nullopt,
+      NodeKind::kEntity, "s",
       [&](const TripleName& t, const MemDelta::Entry& e) {
         seen.push_back(t.predicate + "/" + t.object + "/" +
                        (e.state == MemDelta::State::kUpserted ? "U" : "R"));
@@ -111,7 +108,7 @@ TEST(MemDeltaTest, ForEachByObjectReconstructsFullTripleNames) {
   delta.Apply(Up("s3", "p", "elsewhere"), 3);
 
   std::vector<TripleName> seen;
-  delta.ForEachByObject(NodeKind::kEntity, "hub", std::nullopt,
+  delta.ForEachByObject(NodeKind::kEntity, "hub",
                         [&](const TripleName& t, const MemDelta::Entry&) {
                           seen.push_back(t);
                         });
@@ -143,34 +140,13 @@ TEST(MemDeltaTest, TrimThroughDropsOnlyFoldedEntries) {
             MemDelta::State::kUntouched);
   // The object-major index trims in lockstep.
   bool found = false;
-  delta.ForEachByObject(NodeKind::kEntity, "f", std::nullopt,
+  delta.ForEachByObject(NodeKind::kEntity, "f",
                         [&](const TripleName&, const MemDelta::Entry&) {
                           found = true;
                         });
   EXPECT_FALSE(found);
   delta.TrimThrough(4);
   EXPECT_TRUE(delta.empty());
-}
-
-TEST(MemDeltaTest, CopyIsIndependentOfTheOriginal) {
-  MemDelta original;
-  original.Apply(Up("a", "p", "b"), 1);
-  const MemDelta snapshot = original;  // the store's copy-on-write publish
-  original.Apply(Rt("a", "p", "b"), 2);
-  original.Apply(Up("new", "p", "triple"), 3);
-
-  EXPECT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot.Lookup(TripleName::Of(Up("a", "p", "b"))),
-            MemDelta::State::kUpserted);
-  EXPECT_FALSE(snapshot.TouchesSubject(NodeKind::kEntity, "new"));
-  // Both secondary-index views of the copy reflect the old state too.
-  int hits = 0;
-  snapshot.ForEachByObject(NodeKind::kEntity, "b", std::nullopt,
-                           [&](const TripleName&, const MemDelta::Entry& e) {
-                             EXPECT_EQ(e.state, MemDelta::State::kUpserted);
-                             ++hits;
-                           });
-  EXPECT_EQ(hits, 1);
 }
 
 TEST(MemDeltaTest, HostileNamesWithTabsAndEmptiesWork) {
@@ -218,59 +194,6 @@ MemDelta HostileDelta() {
     }
   }
   return delta;
-}
-
-TEST(MemDeltaTest, PredicateBoundedWalksVisitExactlyThatPredicateInOrder) {
-  const MemDelta delta = HostileDelta();
-  std::vector<TripleName> all;
-  delta.ForEach([&](const TripleName& t, const MemDelta::Entry&) {
-    all.push_back(t);
-  });
-  ASSERT_FALSE(all.empty());
-  const auto by_object = [](const TripleName& t) {
-    return std::tie(t.object_kind, t.object, t.predicate, t.subject_kind,
-                    t.subject);
-  };
-  for (const NodeKind kind :
-       {NodeKind::kEntity, NodeKind::kText, NodeKind::kClass}) {
-    for (const std::string& name : HostileNames()) {
-      for (const std::string& pred : HostileNames()) {
-        // Expected: the full ForEach, filtered, in each index's order.
-        std::vector<TripleName> subject_expected, object_expected;
-        for (const TripleName& t : all) {
-          if (t.predicate != pred) continue;
-          if (t.subject_kind == kind && t.subject == name) {
-            subject_expected.push_back(t);
-          }
-          if (t.object_kind == kind && t.object == name) {
-            object_expected.push_back(t);
-          }
-        }
-        std::sort(object_expected.begin(), object_expected.end(),
-                  [&](const TripleName& a, const TripleName& b) {
-                    return by_object(a) < by_object(b);
-                  });
-        // Bounds built over separate buffers: nothing may lean on the
-        // stored strings' identity.
-        const std::string name_copy = name;
-        const std::string pred_copy = pred;
-        std::vector<TripleName> subject_seen, object_seen;
-        delta.ForEachBySubject(
-            kind, name_copy, std::string_view(pred_copy),
-            [&](const TripleName& t, const MemDelta::Entry& e) {
-              EXPECT_EQ(delta.Lookup(t), e.state);
-              subject_seen.push_back(t);
-            });
-        delta.ForEachByObject(
-            kind, name_copy, std::string_view(pred_copy),
-            [&](const TripleName& t, const MemDelta::Entry&) {
-              object_seen.push_back(t);
-            });
-        EXPECT_EQ(subject_seen, subject_expected);
-        EXPECT_EQ(object_seen, object_expected);
-      }
-    }
-  }
 }
 
 TEST(MemDeltaTest, BorrowedKeyProbesAgreeWithOwnedKeys) {

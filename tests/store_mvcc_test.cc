@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -386,9 +387,9 @@ TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
   ASSERT_TRUE(store.Apply(shift).ok());
   ApplyToKg(&oracle, shift);
   bool fold_running = false;
+  const Mutation late = ScriptedMutation(0);
   const auto stats = CompactionSteps::CompactAround(store, [&] {
     fold_running = store.compaction_in_flight();
-    const Mutation late = ScriptedMutation(0);
     ASSERT_TRUE(store.Apply(late).ok());
     ApplyToKg(&oracle, late);
   });
@@ -397,7 +398,8 @@ TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
   ASSERT_TRUE(fold_running && store.delta_size() > 0)
       << "the late write did not land during the fold";
   const auto epoch = store.PinEpoch();
-  EXPECT_TRUE(epoch->overlay == RecomputedOverlay(*epoch));
+  const std::vector<Mutation> log = {shift, late};
+  EXPECT_TRUE(OverlayMatchesLog(*epoch, log));
   const serve::KgSnapshot rebuilt = serve::KgSnapshot::Compile(oracle);
   const serve::QueryEngine engine(rebuilt);
   for (const Query& q : ProbeQueries()) {
@@ -410,9 +412,9 @@ TEST(MvccTest, WriteDuringFoldIsResolvedAgainstTheNewBase) {
 // racing. With compactions in the version stream, per-version content
 // references are no longer enumerable up front, so readers check the
 // frozen-view invariant instead: a pinned epoch answers identically when
-// asked twice. They also check every pinned epoch's overlay runs against
-// its (base, delta) — a write that lands during a fold leaves a
-// non-empty trimmed delta the fold must re-resolve against the new base.
+// asked twice. They also check every pinned epoch's overlay against its
+// base and the log — a write that lands during a fold leaves entries
+// past the fold line that the install must resolve against the new base.
 // The final state must still equal the oracle.
 TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
   constexpr size_t kMutations = 30;
@@ -420,6 +422,8 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto& store = **opened;
   const auto probes = ProbeQueries();
+  std::vector<Mutation> log;
+  for (size_t i = 0; i < kMutations; ++i) log.push_back(ScriptedMutation(i));
 
   std::atomic<bool> done{false};
   std::atomic<size_t> violations{0};
@@ -433,7 +437,7 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
         const auto epoch = store.PinEpoch();
         const Query& q = probes[rng.UniformIndex(probes.size())];
         if (store.ExecuteAt(*epoch, q) != store.ExecuteAt(*epoch, q) ||
-            !(epoch->overlay == RecomputedOverlay(*epoch))) {
+            !OverlayMatchesLog(*epoch, log)) {
           violations.fetch_add(1);
         }
       }
@@ -447,9 +451,9 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
   });
 
   KnowledgeGraph oracle = BaseKg();
-  for (size_t i = 0; i < kMutations; ++i) {
-    ASSERT_TRUE(store.Apply(ScriptedMutation(i)).ok());
-    ApplyToKg(&oracle, ScriptedMutation(i));
+  for (const Mutation& m : log) {
+    ASSERT_TRUE(store.Apply(m).ok());
+    ApplyToKg(&oracle, m);
   }
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
@@ -469,6 +473,148 @@ TEST(MvccTest, WriterReadersAndCompactorRaceSafely) {
   const serve::QueryEngine engine_ref(*final_epoch->base);
   for (const Query& q : probes) {
     EXPECT_EQ(store.Execute(q), engine_ref.ExecuteUncached(q));
+  }
+}
+
+// Readers pin epochs and read nodes, predicates and a class only the
+// overlay names while a writer commits thousands of fresh names and a
+// compaction starts a new lineage mid-run: every pinned answer must equal
+// a from-scratch rebuild at the pinned epoch's mutation count. Run under
+// KG_SANITIZE=thread, a read of the lineage's name storage that races the
+// writer's appends fails; under address, one that outlives it does.
+TEST(MvccTest, PinnedReadersSeeOverlayNamesAsTheTableGrows) {
+  constexpr size_t kCommits = 1500;
+  constexpr size_t kPerCommit = 5;
+  constexpr size_t kWindow = 40;  // members of the overlay-only class
+  constexpr size_t kStride = 15;  // commits between a reader's samples
+  const auto fresh = [](size_t c) { return "fresh:" + std::to_string(c); };
+  const auto label = [](size_t c) { return "label:" + std::to_string(c / 64); };
+  // Commit c names two nodes and, every 64 commits, a predicate the base
+  // lacks; it keeps the class "Fresh" at kWindow members by retracting an
+  // old one (before that, a retraction no entry holds).
+  std::vector<Mutation> log;
+  for (size_t c = 0; c < kCommits; ++c) {
+    log.push_back(Mutation::Upsert(fresh(c), "is_a", "Fresh",
+                                   NodeKind::kEntity, NodeKind::kClass, kProv));
+    log.push_back(Mutation::Upsert(fresh(c), label(c),
+                                   "text " + std::to_string(c),
+                                   NodeKind::kEntity, NodeKind::kText, kProv));
+    log.push_back(Mutation::Upsert(fresh(c), "link", fresh(c / 2),
+                                   NodeKind::kEntity, NodeKind::kEntity,
+                                   kProv));
+    log.push_back(Mutation::Upsert(fresh(c), "knows",
+                                   "person" + std::to_string(c % 8),
+                                   NodeKind::kEntity, NodeKind::kEntity,
+                                   kProv));
+    log.push_back(c >= kWindow ? Mutation::Retract(fresh(c - kWindow), "is_a",
+                                                   "Fresh", NodeKind::kEntity,
+                                                   NodeKind::kClass)
+                               : Mutation::Retract(fresh(c), "is_a", "Gone",
+                                                   NodeKind::kEntity,
+                                                   NodeKind::kClass));
+  }
+  // The reads around commit count `c`: nodes a few commits old, and one
+  // not yet named.
+  const auto queries = [&](size_t c, Rng& rng) {
+    const size_t j = c > 0 && rng.Bernoulli(0.9)
+                         ? c - 1 - rng.UniformIndex(std::min<size_t>(c, 40))
+                         : c;
+    return std::vector<Query>{
+        Query::Neighborhood(fresh(j)),
+        Query::AttributeByType("Fresh", label(j), "is_a"),
+        Query::TopKRelated(fresh(j), 5),
+        Query::PointLookup(fresh(j), "link"),
+    };
+  };
+
+  auto opened = VersionedKgStore::Open(BaseKg());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto& store = **opened;
+
+  struct Sample {
+    uint64_t seq = 0;
+    Query query;
+    QueryResult rows;
+  };
+  std::atomic<bool> writer_done{false};
+  std::atomic<size_t> reads{0};
+  std::vector<std::vector<Sample>> samples(3);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < samples.size(); ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(4200 + r);
+      std::shared_ptr<const StoreEpoch> early;  // read again after the fold
+      size_t next_sample = 0;  // commit count of this reader's next sample
+      while (!writer_done.load(std::memory_order_acquire)) {
+        const auto epoch = store.PinEpoch();
+        const size_t c = epoch->seq / kPerCommit;
+        if (early == nullptr && c > 0) early = epoch;
+        const bool sample = c >= next_sample;
+        if (sample) next_sample = c + kStride;
+        for (const Query& q : queries(c, rng)) {
+          QueryResult rows = store.ExecuteAt(*epoch, q);
+          if (sample) samples[r].push_back(Sample{epoch->seq, q, std::move(rows)});
+        }
+        reads.fetch_add(1, std::memory_order_release);
+      }
+      if (early != nullptr) {
+        for (const Query& q : queries(early->seq / kPerCommit, rng)) {
+          samples[r].push_back(Sample{early->seq, q, store.ExecuteAt(*early, q)});
+        }
+      }
+    });
+  }
+
+  ThreadPool compactor(1);
+  for (size_t c = 0; c < kCommits; ++c) {
+    // Paced by the readers, so they sample the whole run.
+    if (c % kStride == 0) {
+      const size_t due = reads.load(std::memory_order_acquire) + 2;
+      while (reads.load(std::memory_order_acquire) < due) {
+        std::this_thread::yield();
+      }
+    }
+    ASSERT_TRUE(store.ApplyBatch(std::span<const Mutation>(
+                                     log.data() + c * kPerCommit, kPerCommit))
+                    .ok());
+    if (c == kCommits / 2) {
+      ASSERT_TRUE(store.CompactInBackground(compactor));
+    }
+  }
+  compactor.WaitIdle();
+  writer_done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  // The fold ran mid-stream, and the names after it live in a new lineage.
+  const auto last = store.PinEpoch();
+  EXPECT_GT(last->base_seq, 0u);
+  EXPECT_LT(last->base_seq, last->seq);
+  EXPECT_GT(last->names->nodes.size(), 0u);
+  EXPECT_TRUE(OverlayMatchesLog(*last, log));
+
+  // Every sample against a rebuild at its mutation count; some were
+  // pinned before the fold's line and some after it.
+  std::vector<Sample> all;
+  for (auto& per_reader : samples) {
+    for (Sample& s : per_reader) all.push_back(std::move(s));
+  }
+  std::sort(all.begin(), all.end(), [](const Sample& a, const Sample& b) {
+    return a.seq < b.seq;
+  });
+  ASSERT_FALSE(all.empty());
+  EXPECT_LT(all.front().seq, last->base_seq);
+  EXPECT_GT(all.back().seq, last->base_seq);
+  KnowledgeGraph oracle = BaseKg();
+  uint64_t applied = 0;
+  for (size_t i = 0; i < all.size();) {
+    while (applied < all[i].seq) ApplyToKg(&oracle, log[applied++]);
+    const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
+    const serve::QueryEngine engine(snap);
+    for (; i < all.size() && all[i].seq == applied; ++i) {
+      ASSERT_EQ(all[i].rows, engine.ExecuteUncached(all[i].query))
+          << "at " << applied << " mutations, query "
+          << all[i].query.CacheKey();
+    }
   }
 }
 

@@ -14,7 +14,8 @@
 //      the log into a base that equals a batch build of the oracle and
 //      answers the workload identically;
 //   6. after every commit, compaction and reopen, the epoch's overlay
-//      runs and gate equal a recomputation from its (base, delta); the
+//      runs and names equal a recomputation from its base and the
+//      mutation log (compared in names, whatever ids they got); the
 //      out-hop read (routed top-k's second round) equals the entities in
 //      a rebuild's out-neighborhoods; and the scoring read (its third
 //      round), fed the store's own out-hop pairs, equals a rebuild's
@@ -232,14 +233,15 @@ void ExpectStoreMatchesRebuild(const VersionedKgStore& store,
   }
 }
 
-/// Checks the current epoch's id-space overlay against its definition,
-/// recomputed from its (base, delta). Answers alone cannot catch stale
-/// runs right after a fold (an empty delta serves straight off the
-/// base), so this is checked directly.
-void ExpectOverlayMatchesRecompute(const VersionedKgStore& store,
-                                   uint64_t seed, const char* where) {
+/// Checks the current epoch's overlay against its definition, recomputed
+/// from its base and `log`, every mutation applied since Open. Answers
+/// alone cannot catch stale runs right after a fold (an empty overlay
+/// serves straight off the base), so this is checked directly.
+void ExpectOverlayMatchesLog(const VersionedKgStore& store,
+                             const std::vector<Mutation>& log, uint64_t seed,
+                             const char* where) {
   const std::shared_ptr<const StoreEpoch> epoch = store.PinEpoch();
-  ASSERT_TRUE(epoch->overlay == RecomputedOverlay(*epoch))
+  ASSERT_TRUE(OverlayMatchesLog(*epoch, log))
       << where << ", world seed " << seed << ", version " << epoch->version;
 }
 
@@ -350,6 +352,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
     ASSERT_TRUE(opened.ok()) << opened.status();
     auto& store = **opened;
     KnowledgeGraph oracle = world.kg;
+    std::vector<Mutation> log;
 
     // Apply the stream in random-size batches with two checkpoints and
     // (for some worlds) a fold in the middle of the stream.
@@ -367,7 +370,8 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ApplyToKg(&oracle, batch.back());
       }
       ASSERT_TRUE(store.ApplyBatch(batch).ok());
-      ExpectOverlayMatchesRecompute(store, seed, "after commit");
+      log.insert(log.end(), batch.begin(), batch.end());
+      ExpectOverlayMatchesLog(store, log, seed, "after commit");
       ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
                                         "after commit");
       ASSERT_EQ(store.AuthoritativeFingerprint(),
@@ -380,7 +384,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
         ASSERT_EQ(stats.base_fingerprint,
                   serve::KgSnapshot::Compile(oracle).Fingerprint())
             << "mid-stream fold, world seed " << seed;
-        ExpectOverlayMatchesRecompute(store, seed, "mid-stream fold");
+        ExpectOverlayMatchesLog(store, log, seed, "mid-stream fold");
         ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
                                           "mid-stream fold");
       }
@@ -408,7 +412,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
               serve::KgSnapshot::Compile(oracle).Fingerprint())
         << "world seed " << seed;
     ASSERT_EQ(store.delta_size(), 0u);
-    ExpectOverlayMatchesRecompute(store, seed, "final fold");
+    ExpectOverlayMatchesLog(store, log, seed, "final fold");
     ExpectRoutedTopKReadsMatchRebuild(store, oracle, world, seed,
                                       "final fold");
     ExpectStoreMatchesRebuild(store, oracle, workload, seed,
@@ -423,7 +427,7 @@ TEST(StorePropertyTest, OverlayReadsEqualRebuildAcrossWorlds) {
       auto reopened = VersionedKgStore::Open(world.kg, options);
       ASSERT_TRUE(reopened.ok()) << reopened.status();
       ASSERT_EQ((*reopened)->delta_size(), 0u);
-      ExpectOverlayMatchesRecompute(**reopened, seed, "reopened from WAL");
+      ExpectOverlayMatchesLog(**reopened, log, seed, "reopened from WAL");
       ExpectRoutedTopKReadsMatchRebuild(**reopened, oracle, world, seed,
                                         "reopened from WAL");
       ASSERT_EQ((*reopened)->PinEpoch()->base->Fingerprint(),

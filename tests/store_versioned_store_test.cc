@@ -180,10 +180,10 @@ TEST(VersionedStoreTest, UpsertsAndRetractsMatchRebuildAtEveryStep) {
   EXPECT_EQ(store->applied_mutations(), script.size());
 }
 
-// Every overlay shape the epoch's id-space runs and gate distinguish,
+// Every overlay shape the epoch's id-space runs and names distinguish,
 // committed one mutation per batch, one case per batch and all in one
 // batch: after every commit, every answer equals a rebuild and the runs
-// equal their definition.
+// and names equal their definition.
 TEST(VersionedStoreTest, OverlayRunCasesMatchRebuildWithinAndAcrossBatches) {
   const auto up = [](const char* s, const char* p, const char* o,
                      NodeKind ok = NodeKind::kEntity) {
@@ -201,13 +201,13 @@ TEST(VersionedStoreTest, OverlayRunCasesMatchRebuildWithinAndAcrossBatches) {
       // Retractions of triples the base lacks, with base-named and with
       // overlay-only parts: no run entry.
       {rt("carol", "knows", "alice"), rt("ghost", "haunts", "nobody")},
-      // An edge to an overlay-only node: its base endpoint joins the
-      // gate. No other entry gates alice or carol before these.
+      // An edge to a node the base lacks: the node gets an id past the
+      // base's, once, though two entries name it.
       {up("alice", "knows", "dana"), up("dana", "knows", "carol")},
-      // A predicate the base lacks: both endpoints join the gate.
+      // A predicate the base lacks: it gets an id past the base's.
       {up("bob", "likes", "carol")},
-      // A base class member gains attribute values: one the base names
-      // (a run entry), one only the overlay names (the gate).
+      // A base class member gains attribute values: one the base names,
+      // one only the overlay names.
       {up("alice", "name", "Bob B.", NodeKind::kText),
        up("alice", "name", "Alice Z.", NodeKind::kText)},
       // A retraction that stays, beside the added attribute rows.
@@ -240,13 +240,17 @@ TEST(VersionedStoreTest, OverlayRunCasesMatchRebuildWithinAndAcrossBatches) {
   for (const auto* batches : {&one_by_one, &by_case, &all_at_once}) {
     auto store = MustOpen(BaseKg());
     KnowledgeGraph oracle = BaseKg();
+    std::vector<Mutation> log;
     for (size_t b = 0; b < batches->size(); ++b) {
       const std::string where = std::to_string(batches->size()) +
                                 " batches, after batch " + std::to_string(b);
       ASSERT_TRUE(store->ApplyBatch((*batches)[b]).ok());
-      for (const Mutation& m : (*batches)[b]) ApplyToKg(&oracle, m);
+      for (const Mutation& m : (*batches)[b]) {
+        ApplyToKg(&oracle, m);
+        log.push_back(m);
+      }
       const auto epoch = store->PinEpoch();
-      ASSERT_TRUE(epoch->overlay == RecomputedOverlay(*epoch)) << where;
+      ASSERT_TRUE(OverlayMatchesLog(*epoch, log)) << where;
       const serve::KgSnapshot snap = serve::KgSnapshot::Compile(oracle);
       const serve::QueryEngine engine(snap);
       for (const Query& q : probes) {
@@ -254,11 +258,12 @@ TEST(VersionedStoreTest, OverlayRunCasesMatchRebuildWithinAndAcrossBatches) {
             << where << ", query " << q.CacheKey();
       }
     }
-    // The script leaves retracted base triples, run adds and gated nodes
-    // behind, so every part of the runs was exercised.
+    // The script leaves retracted base triples, added edges and names the
+    // base lacks behind, so every part of the overlay was exercised.
     const auto epoch = store->PinEpoch();
     EXPECT_FALSE(epoch->overlay.out.empty());
-    EXPECT_FALSE(epoch->overlay.gate.empty());
+    EXPECT_FALSE(epoch->names->nodes.empty());
+    EXPECT_FALSE(epoch->names->predicates.empty());
   }
 }
 
